@@ -62,8 +62,6 @@ def run_campaign_trial(
     disks: Optional[int] = None,
     width: Optional[int] = None,
     oracle: bool = False,
-    layout=None,
-    instrument_out: Optional[dict] = None,
 ) -> dict:
     """One seeded array lifetime, to completion or data loss.
 
@@ -81,19 +79,11 @@ def run_campaign_trial(
     acceptable campaign outcome.  A scenario with ``transient_io_rate``
     set additionally injects per-operation I/O errors recovered by the
     controller's retry/escalation machinery (``"io_recovery"`` block).
-
-    ``layout`` lets a batch executor pass a pre-built (shared) layout
-    matching ``layout_name``/``disks``/``width``; layouts are immutable
-    mappings (controllers wrap rather than mutate them), so sharing
-    cannot change the record.  ``instrument_out``, when given a dict,
-    receives out-of-band engine counters (``events_processed``) — kept
-    off the record so campaign bytes stay pinned.
     """
     if clients < 0:
         raise ConfigurationError(f"negative client count {clients}")
     engine = make_engine()
-    if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,
         layout,
@@ -187,8 +177,6 @@ def run_campaign_trial(
             ).start()
 
     engine.run()
-    if instrument_out is not None:
-        instrument_out["events_processed"] = engine.events_processed
 
     if done["classification"] is None:
         # Drained with faults still pending is impossible (they are

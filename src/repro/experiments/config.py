@@ -8,6 +8,7 @@ clients.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional
 
 from repro.layouts.base import Layout
@@ -38,12 +39,26 @@ def layout_for(
 
     ``width=None`` follows Table 2: RAID-5 stripes across the whole
     array, the declustered layouts use the paper's stripe width.
+
+    Each resolved ``(name, n, k)`` is built once per process and shared
+    by every later call.  Sharing is safe because layouts are immutable
+    mappings: a controller that fails a disk wraps its layout in a
+    relocation view instead of mutating it, and the lazy tables a layout
+    fills in are pure functions of ``(name, n, k)``.
+
+    >>> layout_for("pddl") is layout_for("pddl", disks=13, width=4)
+    True
     """
     n = PAPER_DISKS if disks is None else disks
     if width is None:
         k = n if name in ("raid5", "raid-5") else PAPER_STRIPE_WIDTH
     else:
         k = width
+    return _build_layout(name, n, k)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_layout(name: str, n: int, k: int) -> Layout:
     return make_layout(name, n, k)
 
 

@@ -99,7 +99,6 @@ def run_corruption_trial(
     queue_depth: int = 64,
     service_slots: int = 12,
     horizon_ms: float = 60000.0,
-    layout=None,
 ) -> dict:
     """One corruption trial; returns a JSON-able record.
 
@@ -112,8 +111,7 @@ def run_corruption_trial(
 
     ``fail_at_ms`` optionally fails a disk mid-trial and leaves the
     array degraded (no rebuild within the horizon), exercising the
-    degraded-read and escalation validation paths.  ``layout`` lets a
-    batch executor pass a pre-built shared layout.
+    degraded-read and escalation validation paths.
     """
     if defense not in DEFENSES:
         raise ConfigurationError(
@@ -136,8 +134,7 @@ def run_corruption_trial(
             f"horizon must be positive, got {horizon_ms}"
         )
     engine = make_engine()
-    if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,
         layout,

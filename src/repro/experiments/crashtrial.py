@@ -68,18 +68,14 @@ def run_crash_trial(
     resync_parallel: int = 1,
     max_pre_samples: int = 200,
     post_samples: int = 50,
-    layout=None,
 ) -> dict:
     """One crash/recovery arc (see module docstring).  Pure function of
     its arguments — every RNG is a named stream, so trials plug into the
-    runner's byte-determinism contract.  ``layout`` accepts a pre-built
-    shared layout from a batch executor (layouts are immutable
-    mappings, so sharing cannot change the record)."""
+    runner's byte-determinism contract."""
     if clients < 1:
         raise ConfigurationError(f"need >= 1 client, got {clients}")
     engine = make_engine()
-    if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,
         layout,

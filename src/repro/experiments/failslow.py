@@ -89,7 +89,6 @@ def run_failslow_trial(
     slo_p999_ms: float = 1500.0,
     window_ms: float = 100.0,
     horizon_ms: float = 120000.0,
-    layout=None,
 ) -> dict:
     """One fail-slow trial; returns a JSON-able record.
 
@@ -98,8 +97,6 @@ def run_failslow_trial(
     every operation ``slow_multiplier`` x slower from the start.  The
     run ends when every arrival is resolved *and* the rebuild finished,
     or at ``horizon_ms`` (marking the record ``truncated``).
-
-    ``layout`` lets a batch executor pass a pre-built shared layout.
     """
     if defense not in DEFENSES:
         raise ConfigurationError(
@@ -121,8 +118,7 @@ def run_failslow_trial(
             f"horizon must be positive, got {horizon_ms}"
         )
     engine = make_engine()
-    if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(layout_name, disks=disks, width=width)
     if not 0 <= failed_disk < layout.n or not 0 <= slow_disk < layout.n:
         raise ConfigurationError(
             f"disk indices {failed_disk}/{slow_disk} out of range"

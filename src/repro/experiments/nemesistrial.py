@@ -90,15 +90,12 @@ def run_nemesis_trial(
     transient_io_rate: float = 0.0,
     lse_per_gb: float = 0.0,
     checksums: bool = False,
-    layout=None,
 ) -> dict:
     """One composed-fault lifetime (see module docstring).
 
     Pure function of its arguments: the schedule is already drawn, every
     RNG here is a named stream, and the event loop is deterministic —
-    trials plug into the runner's byte-determinism contract.  ``layout``
-    accepts a pre-built shared layout from a batch executor (layouts are
-    immutable mappings, so sharing cannot change the record).
+    trials plug into the runner's byte-determinism contract.
     """
     if clients < 0:
         raise ConfigurationError(f"negative client count {clients}")
@@ -107,8 +104,7 @@ def run_nemesis_trial(
             f"negative restart delay {restart_delay_ms}"
         )
     engine = make_engine()
-    if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(layout_name, disks=disks, width=width)
     schedule.validate(layout.n, rows)
     controller = ArrayController(
         engine,

@@ -114,18 +114,12 @@ def run_openloop_trial(
     overload_windows: int = 3,
     horizon_ms: float = 30000.0,
     record_timelines: bool = False,
-    layout=None,
 ) -> dict:
     """One open-loop trial; returns a JSON-able record.
 
     The run ends when every offered arrival is resolved (completed or
     shed) or at ``horizon_ms``, whichever comes first; a horizon stop
     marks the record ``truncated``.
-
-    ``layout`` lets a batch executor pass a pre-built (shared) layout
-    matching ``layout_name``/``disks``/``width``; layouts are immutable
-    mappings (controllers wrap rather than mutate them), so sharing
-    cannot change the record.
     """
     if phase not in PHASES:
         raise ConfigurationError(
@@ -138,8 +132,7 @@ def run_openloop_trial(
             f"horizon must be positive, got {horizon_ms}"
         )
     engine = make_engine()
-    if layout is None:
-        layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,
         layout,

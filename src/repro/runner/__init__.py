@@ -1,4 +1,4 @@
-"""Batched, parallel, cached experiment execution.
+"""Parallel, cached experiment execution.
 
 The shared substrate under the figure/table benchmarks and the ``repro
 bench`` CLI: describe sweep points as pure-data specs, fan them across

@@ -3,9 +3,7 @@
 Every simulated quantity in the committed baselines is deterministic —
 same specs, same seeds, same event loop — so a *level shift* between two
 reports with matching configs is a behaviour change, not noise, and CI
-can gate on byte-level agreement of the simulated numbers.  Wall-clock
-quantities (the hotpath bench's ``wall_s``/``events_per_s``) are the one
-exception and get a generous machine-tolerance instead.
+can gate on byte-level agreement of the simulated numbers.
 
 Three entry points, all behind ``repro bench --compare``:
 
@@ -38,16 +36,10 @@ KNOWN_BENCHES = (
     "corruption",
     "crash",
     "failslow",
-    "hotpath",
     "lifecycle",
     "nemesis",
     "traffic",
 )
-
-#: Fractional slowdown tolerated for wall-clock rates before the gate
-#: trips (CI machines vary; the simulated quantities carry the gate).
-WALL_CLOCK_TOLERANCE = 0.5
-
 
 def load_report(path: str) -> dict:
     """One ``BENCH_*.json`` report, or a clean error."""
@@ -144,55 +136,6 @@ def _check_nemesis(report: dict, problems: List[str]) -> None:
             f"summary says {summary['trials']} trials but"
             f" {len(report['trials'])} are recorded"
         )
-
-
-def _check_hotpath(report: dict, problems: List[str]) -> None:
-    specs = report["specs"]
-    if not specs:
-        problems.append("no hotpath specs recorded")
-    for entry in specs:
-        label = entry["label"]
-        if entry["events"] <= 0:
-            problems.append(f"{label}: no engine events recorded")
-        if entry["wall_s"] <= 0:
-            problems.append(f"{label}: non-positive wall clock")
-            continue
-        implied = entry["events"] / entry["wall_s"]
-        reported = entry["events_per_s"]
-        if reported <= 0 or abs(implied - reported) > max(1.0, implied * 0.01):
-            problems.append(
-                f"{label}: events_per_s {reported} inconsistent with"
-                f" events/wall_s {implied:.1f}"
-            )
-    total = report["total"]
-    if total["events"] != sum(e["events"] for e in specs):
-        problems.append("total.events is not the sum of per-spec events")
-    if total["events"] <= 0:
-        problems.append("no engine events recorded")
-    # Optional sections: a bare run (no --baseline) carries no speedup
-    # block, and pre-batching reports carry no campaign_batch block.
-    speedup = report.get("speedup")
-    if speedup is not None:
-        if speedup["total"] <= 0:
-            problems.append(f"non-positive speedup {speedup['total']}")
-        for label, ratio in speedup.get("per_spec", {}).items():
-            if ratio <= 0:
-                problems.append(f"{label}: non-positive speedup {ratio}")
-    campaign = report.get("campaign_batch")
-    if campaign is not None:
-        if campaign["trials"] <= 0:
-            problems.append("campaign_batch ran no trials")
-        if campaign["events"] <= 0:
-            problems.append("campaign_batch recorded no events")
-        if campaign["batch_speedup"] <= 0:
-            problems.append(
-                f"non-positive batch speedup {campaign['batch_speedup']}"
-            )
-    provenance = report.get("provenance")
-    if provenance is None:
-        problems.append("hotpath report lacks a provenance block")
-    elif "sweep_hash" not in provenance:
-        problems.append("provenance block lacks sweep_hash")
 
 
 def _check_lifecycle(report: dict, problems: List[str]) -> None:
@@ -349,7 +292,6 @@ _CHECKERS = {
     "corruption": _check_corruption,
     "crash": _check_crash,
     "nemesis": _check_nemesis,
-    "hotpath": _check_hotpath,
     "lifecycle": _check_lifecycle,
     "traffic": _check_traffic,
     "failslow": _check_failslow,
@@ -480,31 +422,6 @@ def _compare_lifecycle(
         )
 
 
-def _compare_hotpath(
-    baseline: dict, candidate: dict, regressions: List[str]
-) -> None:
-    base_total, cand_total = baseline["total"], candidate["total"]
-    if base_total["events"] != cand_total["events"]:
-        regressions.append(
-            _shift(
-                "total.events",
-                base_total["events"],
-                cand_total["events"],
-                baseline,
-                candidate,
-            )
-        )
-    floor = base_total["events_per_s"] * WALL_CLOCK_TOLERANCE
-    if cand_total["events_per_s"] < floor:
-        regressions.append(
-            f"total.events_per_s: {cand_total['events_per_s']:.0f}"
-            f" below {floor:.0f}"
-            f" ({WALL_CLOCK_TOLERANCE:.0%} of baseline"
-            f" {base_total['events_per_s']:.0f};"
-            f" {_version(baseline)} -> {_version(candidate)})"
-        )
-
-
 #: kind -> comparer(baseline, candidate, regressions).  A kind missing
 #: here is a named problem, never a silent pass — register a comparer
 #: alongside the checker when adding a bench.
@@ -516,7 +433,6 @@ _COMPARERS = {
     "nemesis": _compare_trial_sweep,
     "traffic": _compare_trial_sweep,
     "lifecycle": _compare_lifecycle,
-    "hotpath": _compare_hotpath,
 }
 
 
@@ -524,8 +440,7 @@ def compare_reports(baseline: dict, candidate: dict) -> List[str]:
     """Level shifts between two same-kind reports (empty = no change).
 
     Simulated quantities must match exactly (the whole pipeline is
-    seeded and deterministic); wall-clock rates in the hotpath bench
-    tolerate :data:`WALL_CLOCK_TOLERANCE` slowdown.  A config mismatch
+    seeded and deterministic).  A config mismatch
     is reported as its own problem — the reports measured different
     sweeps, so their numbers are incomparable.  A bench kind with no
     registered comparer is also a problem: an unknown baseline must

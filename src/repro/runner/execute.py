@@ -143,9 +143,7 @@ def _execute_lifecycle(spec: LifecycleSpec) -> dict:
     return record
 
 
-def _execute_campaign_trial(
-    spec: CampaignTrialSpec, layout=None, instrument_out=None
-) -> dict:
+def _execute_campaign_trial(spec: CampaignTrialSpec) -> dict:
     from repro.experiments.campaign import run_campaign_trial
 
     return {
@@ -160,19 +158,16 @@ def _execute_campaign_trial(
             disks=spec.disks,
             width=spec.width,
             oracle=spec.oracle,
-            layout=layout,
-            instrument_out=instrument_out,
         )
     }
 
 
-def _execute_crash_trial(spec: CrashTrialSpec, layout=None) -> dict:
+def _execute_crash_trial(spec: CrashTrialSpec) -> dict:
     from repro.experiments.crashtrial import run_crash_trial
 
     return {
         "crash_trial": run_crash_trial(
             spec.layout,
-            layout=layout,
             disks=spec.disks,
             width=spec.width,
             clients=spec.clients,
@@ -196,14 +191,13 @@ def _execute_crash_trial(spec: CrashTrialSpec, layout=None) -> dict:
     }
 
 
-def _execute_nemesis_trial(spec: NemesisTrialSpec, layout=None) -> dict:
+def _execute_nemesis_trial(spec: NemesisTrialSpec) -> dict:
     from repro.experiments.nemesistrial import run_nemesis_trial
 
     return {
         "nemesis_trial": run_nemesis_trial(
             spec.layout,
             spec.schedule(),
-            layout=layout,
             trial=spec.trial,
             seed=spec.seed,
             clients=spec.clients,
@@ -227,14 +221,13 @@ def _execute_nemesis_trial(spec: NemesisTrialSpec, layout=None) -> dict:
     }
 
 
-def _execute_openloop(spec: OpenLoopSpec, layout=None) -> dict:
+def _execute_openloop(spec: OpenLoopSpec) -> dict:
     from repro.experiments.openloop import run_openloop_trial
 
     return {
         "openloop": run_openloop_trial(
             spec.layout,
             spec.rate_per_s,
-            layout=layout,
             arrival=spec.arrival,
             phase=spec.phase,
             arrivals=spec.arrivals,
@@ -263,14 +256,13 @@ def _execute_openloop(spec: OpenLoopSpec, layout=None) -> dict:
     }
 
 
-def _execute_failslow(spec: FailSlowTrialSpec, layout=None) -> dict:
+def _execute_failslow(spec: FailSlowTrialSpec) -> dict:
     from repro.experiments.failslow import run_failslow_trial
 
     return {
         "failslow": run_failslow_trial(
             spec.layout,
             spec.rate_per_s,
-            layout=layout,
             defense=spec.defense,
             arrivals=spec.arrivals,
             seed=spec.seed,
@@ -296,13 +288,12 @@ def _execute_failslow(spec: FailSlowTrialSpec, layout=None) -> dict:
     }
 
 
-def _execute_corruption(spec: CorruptionTrialSpec, layout=None) -> dict:
+def _execute_corruption(spec: CorruptionTrialSpec) -> dict:
     from repro.experiments.corruption import run_corruption_trial
 
     return {
         "corruption": run_corruption_trial(
             spec.layout,
-            layout=layout,
             defense=spec.defense,
             trial=spec.trial,
             seed=spec.seed,
@@ -354,88 +345,6 @@ def execute_spec(spec: Spec) -> dict:
     if executor is None:
         raise ConfigurationError(f"no executor for spec kind {spec.kind!r}")
     return _finalize(executor(spec), spec)
-
-
-class BatchedTrialExecutor:
-    """Executes trial specs with per-batch setup amortized.
-
-    Monte-Carlo campaigns run thousands of trials that differ only in
-    their seeds; rebuilding the layout mapping for every trial is pure
-    overhead.  This executor memoizes one layout instance per
-    ``(layout, disks, width)`` and hands it to the trial functions.
-    Sharing is safe because layouts are immutable mappings — a
-    controller that fails a disk *wraps* its layout in a relocation
-    view rather than mutating it — so batched records are byte-identical
-    to :func:`execute_spec` output (pinned by a unit test).
-
-    Spec kinds without a batchable trial function fall through to
-    :func:`execute_spec` unchanged, so the executor is a drop-in
-    replacement anywhere specs are executed one at a time.
-
-    ``events_processed`` accumulates engine event counts reported
-    out-of-band by the campaign trials (their records carry no
-    instrumentation block — record bytes stay pinned), which is what
-    the hotpath benchmark's campaign-throughput spec measures.
-    """
-
-    #: Kinds whose trial functions accept a shared ``layout``.
-    BATCHABLE = frozenset(
-        {
-            CampaignTrialSpec.kind,
-            CrashTrialSpec.kind,
-            NemesisTrialSpec.kind,
-            OpenLoopSpec.kind,
-            FailSlowTrialSpec.kind,
-            CorruptionTrialSpec.kind,
-        }
-    )
-
-    def __init__(self) -> None:
-        self._layouts: dict = {}
-        self.events_processed = 0
-        self.trials_executed = 0
-
-    def shared_layout(self, spec: Spec):
-        """The memoized layout instance for a batchable spec."""
-        key = (spec.layout, spec.disks, spec.width)
-        layout = self._layouts.get(key)
-        if layout is None:
-            from repro.experiments.config import layout_for
-
-            layout = layout_for(
-                spec.layout, disks=spec.disks, width=spec.width
-            )
-            self._layouts[key] = layout
-        return layout
-
-    def execute(self, spec: Spec) -> dict:
-        """Run one spec; byte-identical to :func:`execute_spec`."""
-        kind = spec.kind
-        if kind not in self.BATCHABLE:
-            return execute_spec(spec)
-        layout = self.shared_layout(spec)
-        if kind == CampaignTrialSpec.kind:
-            counters: dict = {}
-            record = _execute_campaign_trial(
-                spec, layout=layout, instrument_out=counters
-            )
-            self.events_processed += counters.get("events_processed", 0)
-        elif kind == CrashTrialSpec.kind:
-            record = _execute_crash_trial(spec, layout=layout)
-        elif kind == NemesisTrialSpec.kind:
-            record = _execute_nemesis_trial(spec, layout=layout)
-        elif kind == OpenLoopSpec.kind:
-            record = _execute_openloop(spec, layout=layout)
-        elif kind == CorruptionTrialSpec.kind:
-            record = _execute_corruption(spec, layout=layout)
-        else:
-            record = _execute_failslow(spec, layout=layout)
-        self.trials_executed += 1
-        return _finalize(record, spec)
-
-    def run(self, specs: List[Spec]) -> List[dict]:
-        """Execute a batch in order."""
-        return [self.execute(spec) for spec in specs]
 
 
 def point_from_record(record: dict):

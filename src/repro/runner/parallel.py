@@ -28,21 +28,8 @@ from typing import Dict, List, Optional, Sequence
 from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import RunCheckpoint
-from repro.runner.execute import BatchedTrialExecutor
+from repro.runner.execute import execute_spec
 from repro.runner.spec import Spec, spec_hash
-
-#: Per-process batch executor for plain pool workers: layouts built by
-#: one task are reused by every later task the worker picks up.
-#: Records stay byte-identical (the executor's contract), so worker
-#: scheduling still cannot influence results.
-_POOL_EXECUTOR: Optional[BatchedTrialExecutor] = None
-
-
-def _pool_execute(spec: Spec) -> dict:
-    global _POOL_EXECUTOR
-    if _POOL_EXECUTOR is None:
-        _POOL_EXECUTOR = BatchedTrialExecutor()
-    return _POOL_EXECUTOR.execute(spec)
 
 
 def default_workers() -> int:
@@ -200,15 +187,12 @@ class ParallelRunner:
             ctx = _pool_context()
             processes = min(self.workers, len(specs))
             with ctx.Pool(processes=processes) as pool:
-                return pool.map(_pool_execute, specs)
-        # Serial path: one batch executor amortizes layout setup across
-        # the whole todo list; checkpoint incrementally so a kill
-        # between specs (or a spec that raises) loses nothing already
-        # computed.
-        executor = BatchedTrialExecutor()
+                return pool.map(execute_spec, specs)
+        # Serial path: checkpoint incrementally so a kill between specs
+        # (or a spec that raises) loses nothing already computed.
         computed = []
         for spec in specs:
-            record = executor.execute(spec)
+            record = execute_spec(spec)
             if self.checkpoint is not None:
                 self.checkpoint.append(record)
             computed.append(record)

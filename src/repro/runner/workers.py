@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.backoff import capped_exponential
 from repro.errors import ReproError, RunnerError
-from repro.runner.execute import BatchedTrialExecutor
+from repro.runner.execute import execute_spec
 from repro.runner.spec import Spec
 
 #: Path of a marker file; the first worker task to claim it exits hard
@@ -86,10 +86,6 @@ def _worker_main(conn) -> None:
     environmental and worth a retry.  Whatever kills the process
     outright (crash hook, OOM, signal) surfaces as EOF on the pipe.
     """
-    # One batch executor per worker process: layout setup amortizes
-    # across every task this worker picks up, and the executor's
-    # byte-identity contract keeps task placement irrelevant.
-    executor = BatchedTrialExecutor()
     while True:
         try:
             message = conn.recv()
@@ -100,7 +96,7 @@ def _worker_main(conn) -> None:
         index, spec = message
         _maybe_fault_hooks()
         try:
-            record = executor.execute(spec)
+            record = execute_spec(spec)
         except Exception as exc:  # noqa: BLE001 - classified by parent
             conn.send(
                 (

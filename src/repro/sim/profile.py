@@ -4,14 +4,13 @@ Wraps one :func:`~repro.runner.execute.execute_spec` run in
 :mod:`cProfile` and reduces the result to the numbers that matter for
 the simulator's hot path: end-to-end events/second and the top functions
 by cumulative (or internal) time.  The report is JSON-able, so profiles
-can be archived next to ``BENCH_hotpath.json`` and diffed across
-optimization passes.
+can be archived and diffed across optimization passes.
 
 Caveat for absolute numbers: the profiler's tracing hook inflates
 call-heavy code by roughly 2x, so events/second from a profiled run is
-*not* comparable with ``benchmarks/bench_hotpath.py`` (which measures
-plain wall clock).  Use the profile for *where the time goes*, the
-benchmark for *how fast it is*.
+*not* comparable with the untraced wall clock of the repository
+benchmark (``python -m benchmarks.perf``).  Use the profile for *where
+the time goes*, the benchmark for *how fast it is*.
 """
 
 from __future__ import annotations

@@ -65,7 +65,7 @@ def poisson_block(lam: float, rng: random.Random, count: int) -> List[int]:
     """``count`` Poisson(lam) draws, byte-identical to ``count``
     sequential :func:`poisson_draw` calls on the same generator.
 
-    Block draws exist so batch executors can amortize per-draw call
+    Block draws exist so trial harnesses can amortize per-draw call
     overhead; the contract — pinned by a hypothesis test — is that
     blocking never changes the stream: the same uniforms are consumed
     in the same order, producing the same values.

@@ -48,7 +48,7 @@ def _rate_to_mean_ms(rate_per_s: float) -> float:
 class ArrivalProcess(abc.ABC):
     """Produces successive inter-arrival delays, in ms.
 
-    :meth:`prefetch` lets batch executors pull a block of delays up
+    :meth:`prefetch` lets trial harnesses pull a block of delays up
     front; delays are buffered and handed out one at a time, so the
     underlying generator consumes exactly the stream a prefetch-free
     run would — block draws are byte-identical to sequential ones.

@@ -100,92 +100,6 @@ class TestCheckInvariants:
         assert problems and "malformed" in problems[0]
 
 
-def hotpath_report():
-    return {
-        "bench": "hotpath",
-        "quick": False,
-        "repeat": 3,
-        "python": "3.11.7",
-        "specs": [
-            {
-                "label": "response/pddl/96KB/c8/n300",
-                "wall_s": 0.05,
-                "events": 5000,
-                "events_per_s": 100000.0,
-            },
-            {
-                "label": "lifecycle/pddl/24KB/c4",
-                "wall_s": 0.025,
-                "events": 1000,
-                "events_per_s": 40000.0,
-            },
-        ],
-        "campaign_batch": {
-            "label": "campaign/pddl/13disks/n200",
-            "trials": 200,
-            "events": 30000,
-            "wall_s": 1.0,
-            "serial_wall_s": 1.5,
-            "events_per_s": 30000.0,
-            "batch_speedup": 1.5,
-        },
-        "total": {"wall_s": 0.075, "events": 6000, "events_per_s": 80000.0},
-        "speedup": {
-            "total": 3.1,
-            "per_spec": {"response/pddl/96KB/c8/n300": 3.4},
-        },
-        "provenance": {
-            "source_version": "abc1234",
-            "sweep_hash": "deadbeef",
-        },
-    }
-
-
-class TestHotpathInvariants:
-    def test_healthy_report_passes(self):
-        assert check_invariants(hotpath_report()) == []
-
-    def test_speedup_and_campaign_blocks_are_optional(self):
-        report = hotpath_report()
-        del report["speedup"]
-        del report["campaign_batch"]
-        assert check_invariants(report) == []
-
-    def test_rate_inconsistent_with_wall_clock(self):
-        report = hotpath_report()
-        report["specs"][0]["events_per_s"] = 12345.0  # not events/wall_s
-        assert any("inconsistent" in p for p in check_invariants(report))
-
-    def test_total_must_sum_per_spec_events(self):
-        report = hotpath_report()
-        report["total"]["events"] = 999
-        assert any("sum" in p for p in check_invariants(report))
-
-    def test_nonpositive_speedup_flagged(self):
-        report = hotpath_report()
-        report["speedup"]["per_spec"]["lifecycle/pddl/24KB/c4"] = 0.0
-        assert any("speedup" in p for p in check_invariants(report))
-
-    def test_empty_campaign_batch_flagged(self):
-        report = hotpath_report()
-        report["campaign_batch"]["trials"] = 0
-        report["campaign_batch"]["events"] = 0
-        problems = check_invariants(report)
-        assert any("trials" in p for p in problems)
-        assert any("events" in p for p in problems)
-
-    def test_missing_provenance_flagged(self):
-        report = hotpath_report()
-        del report["provenance"]
-        assert any("provenance" in p for p in check_invariants(report))
-
-    def test_committed_baseline_passes(self):
-        committed = json.loads(
-            (Path(__file__).parents[2] / "BENCH_hotpath.json").read_text()
-        )
-        assert check_invariants(committed) == []
-
-
 class TestDiffReports:
     def test_identical_modulo_version_stamp(self):
         a, b = nemesis_report(), nemesis_report()
@@ -240,21 +154,6 @@ class TestCompareReports:
         assert shifts == [
             "configs differ — these reports measured different sweeps"
         ]
-
-    def test_hotpath_tolerates_slow_machines(self):
-        base = {
-            "bench": "hotpath",
-            "config": None,
-            "total": {"events": 1000, "events_per_s": 100000.0},
-        }
-        slow = copy.deepcopy(base)
-        slow["total"]["events_per_s"] = 60000.0
-        assert compare_reports(base, slow) == []
-        crawl = copy.deepcopy(base)
-        crawl["total"]["events_per_s"] = 40000.0
-        assert any(
-            "events_per_s" in s for s in compare_reports(base, crawl)
-        )
 
 
 def corruption_report():

@@ -99,7 +99,8 @@ class TestDeterministicFailure:
     def test_environmental_failure_is_retried_with_backoff(self, tmp_path):
         # Non-ReproError exceptions are environmental: the task requeues
         # (with backoff) on a still-healthy worker instead of aborting
-        # the batch — exercised via a cache hook that fails exactly once.
+        # the batch — exercised via a hook on the worker's execute_spec
+        # that fails exactly once.
         specs = quick_specs(2)
         reference = ParallelRunner(workers=1).run(specs).records
 
@@ -107,17 +108,17 @@ class TestDeterministicFailure:
         monkeypatch_code = (
             "import os\n"
             "from repro.runner import workers as _wk\n"
-            "_orig = _wk.BatchedTrialExecutor.execute\n"
-            "def _flaky(self, spec):\n"
+            "_orig = _wk.execute_spec\n"
+            "def _flaky(spec):\n"
             f"    path = {str(flaky)!r}\n"
             "    try:\n"
             "        fd = os.open(path, os.O_CREAT | os.O_EXCL |"
             " os.O_WRONLY)\n"
             "    except OSError:\n"
-            "        return _orig(self, spec)\n"
+            "        return _orig(spec)\n"
             "    os.close(fd)\n"
             "    raise MemoryError('transient pressure')\n"
-            "_wk.BatchedTrialExecutor.execute = _flaky\n"
+            "_wk.execute_spec = _flaky\n"
         )
         site_dir = tmp_path / "site"
         site_dir.mkdir()

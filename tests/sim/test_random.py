@@ -114,7 +114,7 @@ _STREAM_NAMES = st.one_of(
 class TestBlockDraws:
     """A block of k draws is byte-identical to k sequential draws.
 
-    This is the contract that lets the batched executor (and any future
+    This is the contract that lets trial harnesses (and any future
     vectorized sampler) pre-draw RNG blocks without perturbing a single
     committed baseline: the block functions must consume *exactly* the
     same underlying uniforms in the same order as the scalar loop.

@@ -112,7 +112,7 @@ class TestPrefetch:
     """Prefetching draws blocks ahead without perturbing the stream.
 
     The open-loop experiment prefetches a block of inter-arrival delays
-    up front (the batched-executor fast path); the delays the trial
+    up front; the delays the trial
     then *consumes* must be byte-identical to a never-prefetched
     process with the same seed, for every arrival family and any
     interleaving of prefetch calls with consumption.
