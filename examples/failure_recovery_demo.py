@@ -59,7 +59,8 @@ def main() -> None:
         ).start()
 
     # Let the array warm up fault-free, then kill disk 5.
-    engine.run(until=5_000.0)
+    engine.schedule_at(5_000.0, engine.stop)
+    engine.run()
     print(f"t={engine.now / 1000:.1f}s  failing disk 5")
     controller.fail_disk(5)
 

@@ -35,7 +35,7 @@ from repro.core import (
 from repro.errors import ReproError
 from repro.layouts import Layout, available_layouts, make_layout
 from repro.layouts.properties import PropertyReport, check_layout
-from repro.sim import CalendarEngine, HeapEngine, SimulationEngine, make_engine
+from repro.sim import SimulationEngine
 from repro.workload import AccessSpec, ClosedLoopClient, UniformGenerator
 
 __version__ = "1.0.0"
@@ -46,8 +46,6 @@ __all__ = [
     "ArrayMode",
     "BasePermutation",
     "ClosedLoopClient",
-    "CalendarEngine",
-    "HeapEngine",
     "Layout",
     "LogicalAccess",
     "PDDLLayout",
@@ -61,7 +59,6 @@ __all__ = [
     "bose_base_permutation",
     "bose_gf2_base_permutation",
     "check_layout",
-    "make_engine",
     "make_layout",
     "pddl_for",
     "plan_access",

@@ -44,7 +44,7 @@ from repro.faults.media import MediaErrorMap
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber, aggregate_scrub
 from repro.reliability.mttdl import MS_PER_HOUR, predict_campaign_loss
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.stats.confidence import wilson_interval
 from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
@@ -82,7 +82,7 @@ def run_campaign_trial(
     """
     if clients < 0:
         raise ConfigurationError(f"negative client count {clients}")
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,

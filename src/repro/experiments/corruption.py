@@ -50,7 +50,7 @@ from repro.faults.media import MediaErrorMap
 from repro.faults.oracle import IntegrityOracle
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.traffic.admission import AdmissionQueue
 from repro.traffic.arrivals import PoissonArrivals
 from repro.workload.generators import UniformGenerator
@@ -133,7 +133,7 @@ def run_corruption_trial(
         raise ConfigurationError(
             f"horizon must be positive, got {horizon_ms}"
         )
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,
@@ -220,7 +220,6 @@ def run_corruption_trial(
     process = PoissonArrivals(
         rate_per_s, random.Random(f"{stream_root}/arrivals")
     )
-    process.prefetch(arrivals)
 
     state = {"offered": 0}
 

@@ -41,7 +41,7 @@ from repro.experiments.config import (
 )
 from repro.faults.crash import CrashInjector
 from repro.faults.oracle import IntegrityOracle
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
@@ -74,7 +74,7 @@ def run_crash_trial(
     runner's byte-determinism contract."""
     if clients < 1:
         raise ConfigurationError(f"need >= 1 client, got {clients}")
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,

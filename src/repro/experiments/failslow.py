@@ -48,7 +48,7 @@ from repro.faults.failslow import FailSlowModel
 from repro.faults.scrubber import aggregate_scrub
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.traffic.admission import AdmissionQueue
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.sla import SlaTracker, SloPolicy
@@ -117,7 +117,7 @@ def run_failslow_trial(
         raise ConfigurationError(
             f"horizon must be positive, got {horizon_ms}"
         )
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     if not 0 <= failed_disk < layout.n or not 0 <= slow_disk < layout.n:
         raise ConfigurationError(
@@ -220,7 +220,6 @@ def run_failslow_trial(
         random.Random(f"{seed}/failslow-loc"),
     )
     process = PoissonArrivals(rate_per_s, random.Random(f"{seed}/arrivals"))
-    process.prefetch(arrivals)
 
     state = {"offered": 0}
 

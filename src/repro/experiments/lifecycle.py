@@ -30,7 +30,7 @@ from repro.experiments.config import (
 )
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import ProgressTimeline, TraceRecorder
 from repro.stats.bymode import LatencyByMode
 from repro.workload.client import ClosedLoopClient
@@ -102,7 +102,7 @@ def run_lifecycle(
         raise ConfigurationError(f"need >= 1 client, got {clients}")
     if max_samples < 1 or post_samples < 1:
         raise ConfigurationError("need positive sample bounds")
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,

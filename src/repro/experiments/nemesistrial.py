@@ -58,7 +58,7 @@ from repro.faults.nemesis import ActiveFaultTracker, NemesisSchedule
 from repro.faults.oracle import IntegrityOracle
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import SCRUB_ID_BASE, Scrubber, aggregate_scrub
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
@@ -103,7 +103,7 @@ def run_nemesis_trial(
         raise ConfigurationError(
             f"negative restart delay {restart_delay_ms}"
         )
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     schedule.validate(layout.n, rows)
     controller = ArrayController(

@@ -38,7 +38,7 @@ from repro.experiments.config import (
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import DepthTimeline, ProgressTimeline
 from repro.traffic.admission import AdmissionQueue, OverloadDetector
 from repro.traffic.arrivals import (
@@ -131,7 +131,7 @@ def run_openloop_trial(
         raise ConfigurationError(
             f"horizon must be positive, got {horizon_ms}"
         )
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,
@@ -228,12 +228,6 @@ def run_openloop_trial(
         trace_period_ms,
         random.Random(f"{seed}/arrivals"),
     )
-
-    # Every trial offers at most ``arrivals`` delays; drawing them as
-    # one block up front amortizes per-draw overhead and is
-    # byte-identical to drawing lazily (the buffered prefetch consumes
-    # the same stream in the same order).
-    process.prefetch(arrivals)
 
     state = {"offered": 0}
 

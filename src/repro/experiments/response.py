@@ -22,7 +22,7 @@ from repro.experiments.config import (
     PAPER_STRIPE_UNIT_KB,
     layout_for,
 )
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import TraceRecorder
 from repro.stats.confidence import StoppingRule
 from repro.stats.histogram import LatencyHistogram
@@ -101,7 +101,7 @@ def run_response_point_instrumented(
     """
     if clients < 1:
         raise ConfigurationError(f"need >= 1 client, got {clients}")
-    engine = make_engine()
+    engine = SimulationEngine()
     layout = layout_for(layout_name, disks=disks, width=width)
     controller = ArrayController(
         engine,

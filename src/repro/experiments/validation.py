@@ -18,7 +18,7 @@ from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.core.analysis import degraded_read_inflation
 from repro.experiments.config import paper_layout
-from repro.sim.engine import make_engine
+from repro.sim.engine import SimulationEngine
 from repro.stats.seekcount import seek_mix_per_access
 from repro.stats.workingset import average_operation_count, average_working_set
 from repro.workload.client import ClosedLoopClient
@@ -50,7 +50,7 @@ def _simulate(
     clients: int = 6,
     seed: int = 0,
 ):
-    engine = make_engine()
+    engine = SimulationEngine()
     controller = ArrayController(
         engine, paper_layout(layout_name), coalesce=False
     )

@@ -2,25 +2,14 @@
 
 A small deterministic event engine in the RAIDframe tradition:
 components schedule callbacks, the engine advances virtual time in
-milliseconds.  Two interchangeable schedulers (binary heap and calendar
-queue) share one contract — FIFO tie-breaking at equal times — and
-:func:`make_engine` picks between them (``REPRO_ENGINE``).
+milliseconds.  One binary-heap scheduler with FIFO tie-breaking at
+equal times.
 """
 
-from repro.sim.engine import (
-    CalendarEngine,
-    HeapEngine,
-    SimulationEngine,
-    engine_kind,
-    make_engine,
-)
+from repro.sim.engine import SimulationEngine
 from repro.sim.random import RandomStreams
 
 __all__ = [
-    "CalendarEngine",
-    "HeapEngine",
     "SimulationEngine",
     "RandomStreams",
-    "engine_kind",
-    "make_engine",
 ]

@@ -1,44 +1,27 @@
 """The event loop.
 
-Deterministic: events at equal times fire in scheduling order.  Time is a
-float in milliseconds (matching the disk model's units).
+Deterministic: events fire in ``(time, seq)`` order, where ``seq`` is a
+monotonic per-engine counter, so events at equal times fire in
+scheduling order.  Time is a float in milliseconds (matching the disk
+model's units).  The queue is one binary heap (``heapq`` of ``(time,
+seq, callback)`` tuples); callbacks are never compared.
 
-Two interchangeable schedulers implement the same contract:
-
-- :class:`HeapEngine` — the binary-heap reference implementation
-  (``heapq`` of ``(time, seq, callback)`` tuples);
-- :class:`CalendarEngine` — a calendar queue (Brown 1988): events hash
-  into day-width buckets by ``int(time / width)``, inserts and pops are
-  O(1) amortized, and the bucket count / width adapt to the queue as it
-  grows and shrinks.
-
-Both fire *identical events in identical order*: the total order is
-``(time, seq)`` with ``seq`` a monotonic per-engine tie-break counter,
-events with equal times always land in the same calendar bucket, and
-each bucket is kept ``(time, seq)``-sorted — so the calendar queue's pop
-sequence is bit-for-bit the heap's.  The golden-trace tests pin this
-under both implementations.
-
-:func:`make_engine` selects the implementation: the ``REPRO_ENGINE``
-environment variable (``calendar`` — the default — or ``heap``) or an
-explicit ``kind`` argument.
+There is one run mode: :meth:`run` fires events until the heap drains
+or a callback calls :meth:`stop`.  A horizon is a stop event —
+``engine.schedule_at(horizon_ms, engine.stop)`` — so it obeys the same
+FIFO contract as every other event.
 
 This is the innermost loop of every experiment — millions of events per
-figure — so the common cases are deliberately lean: :meth:`run` with no
-arguments drains the queue through a tight loop with bound-method
-locals, the tie-break counter is a plain integer (no ``itertools.count``
-indirection), and the horizon/budget bookkeeping only exists on the
-paths that asked for it (:meth:`run_until`, ``max_events``).
+figure — so it is deliberately lean: bound-method locals, and a plain
+integer tie-break counter (no ``itertools.count`` indirection).
 """
 
 from __future__ import annotations
 
-import os
-from bisect import insort
 from heapq import heappop, heappush
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 
 Callback = Callable[[], None]
 
@@ -91,13 +74,8 @@ class SimulationEngine:
         """Stop the run loop after the current event."""
         self._stopped = True
 
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """Process events until the queue drains, ``until`` is reached, or
-        ``max_events`` have fired (whichever comes first).
+    def run(self) -> int:
+        """Process events until the heap drains or :meth:`stop` is called.
 
         Returns the number of events processed by *this* call.  A
         :meth:`stop` issued from inside a callback halts the loop before
@@ -107,82 +85,11 @@ class SimulationEngine:
         each call starts fresh.
         """
         self._stopped = False
-        if until is None and max_events is None:
-            return self._drain()
-        if max_events is None:
-            return self._run_until(until)
-        return self._run_general(until, max_events)
-
-    def run_until(self, horizon: float) -> int:
-        """Batched horizon run: process every event with ``time <=
-        horizon``.
-
-        Identical semantics to ``run(until=horizon)`` — the clock
-        advances to ``horizon`` (never rewound) when a later event is
-        still pending, and stays at the last fired event when the heap
-        drains first — but skips the per-event ``max_events``
-        bookkeeping: the runner's timeslicing path.
-        """
-        self._stopped = False
-        return self._run_until(horizon)
-
-    # ------------------------------------------------------------------
-    # Loop bodies.  All three fire identical events in identical order;
-    # they differ only in which stop conditions they check per event.
-    # ------------------------------------------------------------------
-
-    def _drain(self) -> int:
         heap = self._heap
         pop = heappop
         processed = 0
         try:
             while heap:
-                time, _, callback = pop(heap)
-                self.now = time
-                callback()
-                processed += 1
-                if self._stopped:
-                    break
-        finally:
-            self.events_processed += processed
-        return processed
-
-    def _run_until(self, until: float) -> int:
-        heap = self._heap
-        pop = heappop
-        processed = 0
-        try:
-            while heap:
-                if heap[0][0] > until:
-                    # Never rewind: run(until=...) with a past horizon is
-                    # a no-op on the clock, not a time machine.
-                    if until > self.now:
-                        self.now = until
-                    break
-                time, _, callback = pop(heap)
-                self.now = time
-                callback()
-                processed += 1
-                if self._stopped:
-                    break
-        finally:
-            self.events_processed += processed
-        return processed
-
-    def _run_general(
-        self, until: Optional[float], max_events: int
-    ) -> int:
-        heap = self._heap
-        pop = heappop
-        processed = 0
-        try:
-            while heap:
-                if processed >= max_events:
-                    break
-                if until is not None and heap[0][0] > until:
-                    if until > self.now:
-                        self.now = until
-                    break
                 time, _, callback = pop(heap)
                 self.now = time
                 callback()
@@ -205,378 +112,3 @@ class SimulationEngine:
         dropped = len(self._heap)
         self._heap.clear()
         return dropped
-
-
-class HeapEngine(SimulationEngine):
-    """The binary-heap scheduler, by its role name.
-
-    Kept as the reference implementation the calendar queue is checked
-    against (registry-wide equivalence test, golden traces under both
-    engines); :class:`SimulationEngine` remains the historical alias.
-    """
-
-
-class CalendarEngine(SimulationEngine):
-    """A calendar-queue scheduler (Brown 1988) with adaptive resizing.
-
-    Events hash into ``nbuckets`` buckets by day index ``int(time /
-    width) % nbuckets``; each bucket stays ``(time, seq)``-sorted via
-    ``bisect.insort``, so the head of the bucket owning the current day
-    is the global minimum — pops walk days forward from ``now`` and
-    almost always find the next event in the first bucket probed.
-
-    Determinism: equal times share one bucket (same day index), and the
-    in-bucket sort key ``(time, seq)`` is exactly the heap's total
-    order, so the pop sequence is bit-for-bit :class:`HeapEngine`'s.
-    Day-membership checks reuse the *insert-side* computation
-    ``int(time / width)`` rather than comparing against ``(day + 1) *
-    width``, so float rounding can never disagree between insert and
-    scan.
-
-    Resizing: the bucket count doubles when occupancy exceeds two
-    events per bucket and halves when it falls below one per eight
-    buckets; each resize re-derives the bucket width from the average
-    gap of the earliest pending events (Brown's sampled-gap policy).
-    A full-cycle scan that finds only future-year heads falls back to
-    a direct minimum over bucket heads, so sparse queues stay correct
-    (the overflow path) at O(nbuckets) instead of looping years.
-
-    >>> engine = CalendarEngine()
-    >>> fired = []
-    >>> engine.schedule(5.0, lambda: fired.append(engine.now))
-    >>> engine.schedule(1.0, lambda: fired.append(engine.now))
-    >>> engine.run()
-    2
-    >>> fired
-    [1.0, 5.0]
-    """
-
-    #: Bucket-count bounds: never shrink below _MIN_BUCKETS, never grow
-    #: beyond _MAX_BUCKETS (a resize stops helping once buckets outnumber
-    #: any plausible pending-event population).
-    _MIN_BUCKETS = 16
-    _MAX_BUCKETS = 1 << 16
-
-    def __init__(self, width: float = 4.0, nbuckets: int = 32):
-        if width <= 0:
-            raise ConfigurationError(f"bucket width must be positive: {width}")
-        if nbuckets < 1 or nbuckets & (nbuckets - 1):
-            raise ConfigurationError(
-                f"bucket count must be a positive power of two: {nbuckets}"
-            )
-        self.now: float = 0.0
-        self._seq = 0
-        self._stopped = False
-        self.events_processed = 0
-        #: Largest pending-event count ever reached.  Same name as the
-        #: heap engine's counter so instrumentation snapshots are
-        #: identical under either implementation.
-        self.heap_high_water = 0
-        self._width = width
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._buckets: List[List[Tuple[float, int, Callback]]] = [
-            [] for _ in range(nbuckets)
-        ]
-        self._count = 0
-        self._grow_at = nbuckets * 2
-        #: Cumulative empty-day probes since the last width change; when
-        #: it builds up, days are too narrow for the workload's event
-        #: spacing and the queue rebuilds with wider buckets.
-        self._scan_debt = 0
-
-    # ------------------------------------------------------------------
-    # Insert side.
-    # ------------------------------------------------------------------
-
-    def schedule(self, delay: float, callback: Callback) -> None:
-        """Run ``callback`` ``delay`` ms from the current time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past ({delay})")
-        time = self.now + delay
-        self._seq += 1
-        insort(
-            self._buckets[int(time / self._width) & self._mask],
-            (time, self._seq, callback),
-        )
-        count = self._count + 1
-        self._count = count
-        if count > self.heap_high_water:
-            self.heap_high_water = count
-        if count > self._grow_at and self._nbuckets < self._MAX_BUCKETS:
-            self._resize(self._nbuckets * 2)
-
-    def schedule_at(self, time: float, callback: Callback) -> None:
-        """Run ``callback`` at absolute time ``time``."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now = {self.now}"
-            )
-        self._seq += 1
-        insort(
-            self._buckets[int(time / self._width) & self._mask],
-            (time, self._seq, callback),
-        )
-        count = self._count + 1
-        self._count = count
-        if count > self.heap_high_water:
-            self.heap_high_water = count
-        if count > self._grow_at and self._nbuckets < self._MAX_BUCKETS:
-            self._resize(self._nbuckets * 2)
-
-    # ------------------------------------------------------------------
-    # Pop side.
-    # ------------------------------------------------------------------
-
-    def _min_bucket(self) -> Optional[List[Tuple[float, int, Callback]]]:
-        """The bucket whose head is the global minimum (None if empty).
-
-        Walks day-by-day from ``now``'s day; a head belongs to the
-        scanned day iff its own insert-side day index ``int(time /
-        width)`` has been reached — never a boundary-product
-        comparison, so insert and scan can never disagree on bucket
-        membership.  A full cycle of future-year heads falls back to a
-        direct minimum (sparse-queue overflow path).
-        """
-        if not self._count:
-            return None
-        width = self._width
-        mask = self._mask
-        buckets = self._buckets
-        day = int(self.now / width)
-        i = day & mask
-        for probes in range(self._nbuckets):
-            bucket = buckets[i]
-            if bucket and int(bucket[0][0] / width) <= day:
-                self._scan_debt += probes
-                if self._scan_debt >= 64:
-                    # Days are too narrow for this workload's spacing:
-                    # widen and re-locate the (unchanged) minimum.
-                    self._scan_debt = 0
-                    head_time = bucket[0][0]
-                    self._rebuild(self._nbuckets, width * 4.0)
-                    return self._buckets[
-                        int(head_time / self._width) & self._mask
-                    ]
-                return bucket
-            i = (i + 1) & mask
-            day += 1
-        # Sparse overflow path: every head is in a future year — take
-        # the direct minimum instead of looping years, and widen (the
-        # day width is clearly far below the event spacing).
-        best = None
-        for bucket in buckets:
-            if bucket and (best is None or bucket[0] < best[0]):
-                best = bucket
-        self._scan_debt = 0
-        self._rebuild(self._nbuckets, width * 4.0)
-        day = int(best[0][0] / self._width)
-        return self._buckets[day & self._mask]
-
-    # ------------------------------------------------------------------
-    # Loop bodies: identical event order and stop semantics to the
-    # heap's, with the pop inlined around _min_bucket.
-    # ------------------------------------------------------------------
-
-    def _drain(self) -> int:
-        min_bucket = self._min_bucket
-        processed = 0
-        try:
-            while self._count:
-                # Fast path: the next event usually lives in the bucket
-                # owning now's day — probe it before the full scan.
-                width = self._width
-                day = int(self.now / width)
-                bucket = self._buckets[day & self._mask]
-                if not bucket or int(bucket[0][0] / width) > day:
-                    bucket = min_bucket()
-                time, _, callback = bucket.pop(0)
-                self._count -= 1
-                self.now = time
-                callback()
-                processed += 1
-                if self._stopped:
-                    break
-        finally:
-            self.events_processed += processed
-        self._maybe_shrink()
-        return processed
-
-    def _run_until(self, until: float) -> int:
-        min_bucket = self._min_bucket
-        processed = 0
-        try:
-            while self._count:
-                width = self._width
-                day = int(self.now / width)
-                bucket = self._buckets[day & self._mask]
-                if not bucket or int(bucket[0][0] / width) > day:
-                    bucket = min_bucket()
-                if bucket[0][0] > until:
-                    if until > self.now:
-                        self.now = until
-                    break
-                time, _, callback = bucket.pop(0)
-                self._count -= 1
-                self.now = time
-                callback()
-                processed += 1
-                if self._stopped:
-                    break
-        finally:
-            self.events_processed += processed
-        self._maybe_shrink()
-        return processed
-
-    def _run_general(
-        self, until: Optional[float], max_events: int
-    ) -> int:
-        min_bucket = self._min_bucket
-        processed = 0
-        try:
-            while self._count:
-                if processed >= max_events:
-                    break
-                width = self._width
-                day = int(self.now / width)
-                bucket = self._buckets[day & self._mask]
-                if not bucket or int(bucket[0][0] / width) > day:
-                    bucket = min_bucket()
-                if until is not None and bucket[0][0] > until:
-                    if until > self.now:
-                        self.now = until
-                    break
-                time, _, callback = bucket.pop(0)
-                self._count -= 1
-                self.now = time
-                callback()
-                processed += 1
-                if self._stopped:
-                    break
-        finally:
-            self.events_processed += processed
-        self._maybe_shrink()
-        return processed
-
-    # ------------------------------------------------------------------
-    # Resizing.
-    # ------------------------------------------------------------------
-
-    def _maybe_shrink(self) -> None:
-        """Shrink after a loop exits, not per pop: loops are where the
-        queue drains, and checking here keeps the pop path branch-free."""
-        if (
-            self._nbuckets > self._MIN_BUCKETS
-            and self._count < self._nbuckets // 8
-        ):
-            self._resize(max(self._MIN_BUCKETS, self._nbuckets // 2))
-
-    def _resize(self, nbuckets: int) -> None:
-        events = self._sorted_events()
-        self._rebuild(nbuckets, self._choose_width(events), events)
-
-    def _rebuild(
-        self,
-        nbuckets: int,
-        width: float,
-        events: Optional[List[Tuple[float, int, Callback]]] = None,
-    ) -> None:
-        if events is None:
-            events = self._sorted_events()
-        self._width = width
-        self._nbuckets = nbuckets
-        self._mask = nbuckets - 1
-        self._grow_at = nbuckets * 2
-        self._scan_debt = 0
-        buckets: List[List[Tuple[float, int, Callback]]] = [
-            [] for _ in range(nbuckets)
-        ]
-        mask = self._mask
-        for event in events:  # sorted order: every insert appends
-            buckets[int(event[0] / width) & mask].append(event)
-        self._buckets = buckets
-
-    def _sorted_events(self) -> List[Tuple[float, int, Callback]]:
-        events: List[Tuple[float, int, Callback]] = []
-        for bucket in self._buckets:
-            events.extend(bucket)
-        events.sort()  # (time, seq) is a total order; callbacks never compared
-        return events
-
-    def _choose_width(
-        self, events: List[Tuple[float, int, Callback]]
-    ) -> float:
-        """Brown's sampled-gap width policy, deterministically.
-
-        Average the inter-event gap over the earliest pending events
-        (up to 64) and size a day at four gaps, so consecutive pops
-        usually resolve within a bucket or two.  Simultaneous events
-        (zero span) keep the current width — gaps carry no signal.
-        """
-        sample = events[:64]
-        if len(sample) < 2:
-            return self._width
-        span = sample[-1][0] - sample[0][0]
-        if span <= 0.0:
-            return self._width
-        return 16.0 * span / (len(sample) - 1)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-
-    def pending(self) -> int:
-        return self._count
-
-    def clear_pending(self) -> int:
-        """Drop every scheduled event (power loss): nothing pending fires."""
-        dropped = self._count
-        for bucket in self._buckets:
-            bucket.clear()
-        self._count = 0
-        return dropped
-
-
-#: Engine registry for the selection knob.
-ENGINE_KINDS = {
-    "heap": HeapEngine,
-    "calendar": CalendarEngine,
-}
-
-DEFAULT_ENGINE_KIND = "calendar"
-
-#: Environment variable naming the engine implementation to use.
-ENGINE_ENV = "REPRO_ENGINE"
-
-
-def engine_kind() -> str:
-    """The selected engine kind: ``REPRO_ENGINE`` or the default."""
-    kind = os.environ.get(ENGINE_ENV, "").strip().lower()
-    if not kind:
-        return DEFAULT_ENGINE_KIND
-    if kind not in ENGINE_KINDS:
-        raise ConfigurationError(
-            f"unknown {ENGINE_ENV}={kind!r}; choose from "
-            f"{sorted(ENGINE_KINDS)}"
-        )
-    return kind
-
-
-def make_engine(kind: Optional[str] = None) -> SimulationEngine:
-    """Build the selected event engine.
-
-    ``kind`` overrides the ``REPRO_ENGINE`` environment variable; both
-    default to :data:`DEFAULT_ENGINE_KIND`.  Every experiment entry
-    point builds its engine here, so one knob switches the whole
-    registry — and the equivalence tests can pin that the choice never
-    changes a result byte.
-    """
-    if kind is None:
-        kind = engine_kind()
-    engine_cls = ENGINE_KINDS.get(kind)
-    if engine_cls is None:
-        raise ConfigurationError(
-            f"unknown engine kind {kind!r}; choose from "
-            f"{sorted(ENGINE_KINDS)}"
-        )
-    return engine_cls()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List
+from typing import Dict
 
 from repro.errors import ConfigurationError
 
@@ -61,25 +61,6 @@ def poisson_draw(lam: float, rng: random.Random) -> int:
     return count
 
 
-def poisson_block(lam: float, rng: random.Random, count: int) -> List[int]:
-    """``count`` Poisson(lam) draws, byte-identical to ``count``
-    sequential :func:`poisson_draw` calls on the same generator.
-
-    Block draws exist so trial harnesses can amortize per-draw call
-    overhead; the contract — pinned by a hypothesis test — is that
-    blocking never changes the stream: the same uniforms are consumed
-    in the same order, producing the same values.
-
-    >>> rng_a, rng_b = random.Random(5), random.Random(5)
-    >>> poisson_block(2.5, rng_a, 4) == [
-    ...     poisson_draw(2.5, rng_b) for _ in range(4)]
-    True
-    """
-    if count < 0:
-        raise ConfigurationError(f"negative block size {count}")
-    return [poisson_draw(lam, rng) for _ in range(count)]
-
-
 def exponential_ms(mean_ms: float, rng: random.Random) -> float:
     """One exponential inter-arrival draw with the given mean, in ms.
 
@@ -94,32 +75,6 @@ def exponential_ms(mean_ms: float, rng: random.Random) -> float:
             f"exponential mean must be positive, got {mean_ms}"
         )
     return -mean_ms * math.log(1.0 - rng.random())
-
-
-def exponential_block_ms(
-    mean_ms: float, rng: random.Random, count: int
-) -> List[float]:
-    """``count`` exponential draws, byte-identical to ``count``
-    sequential :func:`exponential_ms` calls on the same generator.
-
-    The mean is validated once and the uniform/log pipeline is the same
-    expression per draw, so the consumed stream — and therefore every
-    value — matches the sequential path bit for bit.
-
-    >>> rng_a, rng_b = random.Random(9), random.Random(9)
-    >>> exponential_block_ms(10.0, rng_a, 3) == [
-    ...     exponential_ms(10.0, rng_b) for _ in range(3)]
-    True
-    """
-    if mean_ms <= 0:
-        raise ConfigurationError(
-            f"exponential mean must be positive, got {mean_ms}"
-        )
-    if count < 0:
-        raise ConfigurationError(f"negative block size {count}")
-    rand = rng.random
-    log = math.log
-    return [-mean_ms * log(1.0 - rand()) for _ in range(count)]
 
 
 class RandomStreams:

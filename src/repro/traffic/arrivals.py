@@ -29,7 +29,7 @@ import random
 from typing import List, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.sim.random import exponential_block_ms, exponential_ms
+from repro.sim.random import exponential_ms
 
 #: Diurnal rate multipliers (mean 1.0): night trough, morning ramp,
 #: midday peak, evening shoulder.  One full cycle spans the schedule's
@@ -46,50 +46,14 @@ def _rate_to_mean_ms(rate_per_s: float) -> float:
 
 
 class ArrivalProcess(abc.ABC):
-    """Produces successive inter-arrival delays, in ms.
-
-    :meth:`prefetch` lets trial harnesses pull a block of delays up
-    front; delays are buffered and handed out one at a time, so the
-    underlying generator consumes exactly the stream a prefetch-free
-    run would — block draws are byte-identical to sequential ones.
-    """
+    """Produces successive inter-arrival delays, in ms."""
 
     def __init__(self, rng: random.Random):
         self.rng = rng
-        self._block: List[float] = []
-        self._block_next = 0
-
-    def next_delay_ms(self) -> float:
-        """Delay from the previous arrival to the next one."""
-        i = self._block_next
-        if i < len(self._block):
-            self._block_next = i + 1
-            return self._block[i]
-        return self._draw_delay_ms()
-
-    def prefetch(self, count: int) -> None:
-        """Buffer delays until ``count`` are pending.
-
-        A no-op when that many are already buffered; never discards a
-        buffered delay, so calling this at any point cannot perturb
-        the draw sequence.
-        """
-        if count < 0:
-            raise ConfigurationError(f"negative prefetch count {count}")
-        pending = self._block[self._block_next :]
-        need = count - len(pending)
-        if need > 0:
-            pending.extend(self._draw_block(need))
-        self._block = pending
-        self._block_next = 0
-
-    def _draw_block(self, count: int) -> List[float]:
-        """``count`` fresh delays; overridable for vectorized draws."""
-        return [self._draw_delay_ms() for _ in range(count)]
 
     @abc.abstractmethod
-    def _draw_delay_ms(self) -> float:
-        """Draw one fresh delay from the generator."""
+    def next_delay_ms(self) -> float:
+        """Delay from the previous arrival to the next one."""
 
 
 class PoissonArrivals(ArrivalProcess):
@@ -105,11 +69,8 @@ class PoissonArrivals(ArrivalProcess):
         self.rate_per_s = rate_per_s
         self._mean_ms = _rate_to_mean_ms(rate_per_s)
 
-    def _draw_delay_ms(self) -> float:
+    def next_delay_ms(self) -> float:
         return exponential_ms(self._mean_ms, self.rng)
-
-    def _draw_block(self, count: int) -> List[float]:
-        return exponential_block_ms(self._mean_ms, self.rng, count)
 
 
 class MMPPArrivals(ArrivalProcess):
@@ -175,7 +136,7 @@ class MMPPArrivals(ArrivalProcess):
         high_dwell = dwell_ms * burst_fraction / (1 - burst_fraction)
         return cls([low, high], [dwell_ms, high_dwell], rng)
 
-    def _draw_delay_ms(self) -> float:
+    def next_delay_ms(self) -> float:
         delay = 0.0
         while True:
             gap = exponential_ms(self._means_ms[self.state], self.rng)
@@ -237,7 +198,7 @@ class TraceArrivals(ArrivalProcess):
             rng,
         )
 
-    def _draw_delay_ms(self) -> float:
+    def next_delay_ms(self) -> float:
         delay = 0.0
         while True:
             gap = exponential_ms(self._means_ms[self.segment], self.rng)

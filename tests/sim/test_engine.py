@@ -1,9 +1,12 @@
 """Tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SimulationError
 from repro.sim.engine import SimulationEngine
+from repro.sim.instrument import engine_snapshot
 from repro.sim.random import RandomStreams
 
 
@@ -60,24 +63,30 @@ class TestRunControl:
         assert fired == [1]
         assert engine.pending() == 1
 
-    def test_until(self):
+    def test_stop_event_is_a_horizon(self):
         engine = SimulationEngine()
         fired = []
         engine.schedule(1.0, lambda: fired.append(1))
         engine.schedule(10.0, lambda: fired.append(10))
-        engine.run(until=5.0)
+        engine.schedule_at(5.0, engine.stop)
+        assert engine.run() == 2  # the stop event is an event too
         assert fired == [1]
         assert engine.now == 5.0
+        assert engine.pending() == 1
         engine.run()
         assert fired == [1, 10]
 
-    def test_max_events(self):
+    def test_horizon_ties_fire_in_schedule_order(self):
+        # A stop event obeys the (time, seq) contract like any other:
+        # events at the horizon scheduled before it fire, later ones wait.
         engine = SimulationEngine()
         fired = []
-        for i in range(10):
-            engine.schedule(float(i + 1), lambda i=i: fired.append(i))
-        engine.run(max_events=3)
-        assert fired == [0, 1, 2]
+        engine.schedule_at(5.0, lambda: fired.append("before"))
+        engine.schedule_at(5.0, engine.stop)
+        engine.schedule_at(5.0, lambda: fired.append("after"))
+        assert engine.run() == 2
+        assert fired == ["before"]
+        assert engine.pending() == 1
 
     def test_events_processed_counter(self):
         engine = SimulationEngine()
@@ -90,8 +99,10 @@ class TestRunControl:
         engine = SimulationEngine()
         for i in range(4):
             engine.schedule(float(i), lambda: None)
-        assert engine.run(max_events=3) == 3
+        engine.schedule(2.0, engine.stop)  # after the t=2 event: FIFO
+        assert engine.run() == 4
         assert engine.run() == 1
+        assert engine.events_processed == 5
 
     def test_stop_in_callback_halts_before_same_timestamp_event(self):
         # Regression: a stop() issued from a callback must be honoured
@@ -112,31 +123,6 @@ class TestRunControl:
         assert fired == ["a", "b", "c"]
         assert engine.pending() == 0
 
-    def test_stop_in_callback_with_max_events(self):
-        # stop() must win over a larger max_events budget.
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(1.0, lambda: (fired.append(2), engine.stop()))
-        engine.schedule(1.0, lambda: fired.append(3))
-        assert engine.run(max_events=10) == 2
-        assert fired == [1, 2]
-        assert engine.pending() == 1
-
-    def test_until_never_rewinds_clock(self):
-        # Regression: run(until=...) with a horizon in the past must not
-        # move time backwards.
-        engine = SimulationEngine()
-        engine.schedule(10.0, lambda: None)
-        engine.run()
-        assert engine.now == 10.0
-        engine.schedule(5.0, lambda: None)  # at t = 15
-        engine.run(until=12.0)
-        assert engine.now == 12.0
-        engine.run(until=3.0)  # past horizon: no-op, not a time machine
-        assert engine.now == 12.0
-        assert engine.pending() == 1
-
     def test_stop_before_run_is_discarded(self):
         engine = SimulationEngine()
         fired = []
@@ -144,6 +130,24 @@ class TestRunControl:
         engine.stop()
         assert engine.run() == 1  # each run() starts fresh
         assert fired == [1]
+
+    def test_clear_pending_drops_everything(self):
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(1.0, lambda: (fired.append(1), engine.stop()))
+        engine.schedule(2.0, lambda: fired.append(2))
+        engine.schedule(2.0, lambda: fired.append(3))
+        engine.run()
+        assert engine.clear_pending() == 2
+        assert engine.pending() == 0
+        assert engine.run() == 0  # nothing dropped ever fires
+        assert fired == [1]
+        # Clock and counters are untouched: a restart continues from now.
+        assert engine.now == 1.0
+        assert engine.events_processed == 1
+        engine.schedule(1.0, lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [1, 2.0]
 
     def test_heap_high_water(self):
         engine = SimulationEngine()
@@ -154,63 +158,101 @@ class TestRunControl:
         assert engine.heap_high_water == 5
         assert engine.pending() == 0
 
-
-class TestRunUntil:
-    """The batched horizon path must mirror run(until=...) exactly."""
-
-    def test_processes_only_up_to_horizon(self):
+    def test_engine_snapshot_reports_counters(self):
         engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda: fired.append(1))
-        engine.schedule(10.0, lambda: fired.append(10))
-        assert engine.run_until(5.0) == 1
-        assert fired == [1]
-        assert engine.now == 5.0  # later event pending: clock advances
-        assert engine.pending() == 1
-
-    def test_clock_stays_at_last_event_when_heap_drains(self):
-        engine = SimulationEngine()
-        engine.schedule(3.0, lambda: None)
-        assert engine.run_until(100.0) == 1
-        assert engine.now == 3.0  # heap drained: no jump to the horizon
-
-    def test_never_rewinds_clock(self):
-        engine = SimulationEngine()
-        engine.schedule(10.0, lambda: None)
+        engine.schedule(2.0, lambda: None)
+        engine.schedule(2.0, engine.stop)
+        engine.schedule(9.0, lambda: None)
         engine.run()
-        engine.schedule(5.0, lambda: None)  # at t = 15
-        assert engine.run_until(3.0) == 0  # past horizon: clock no-op
-        assert engine.now == 10.0
-        assert engine.pending() == 1
+        assert engine_snapshot(engine) == {
+            "events_processed": 2,
+            "heap_high_water": 3,
+            "pending": 1,
+            "now_ms": 2.0,
+        }
 
-    def test_honours_stop(self):
-        engine = SimulationEngine()
-        fired = []
-        engine.schedule(1.0, lambda: (fired.append(1), engine.stop()))
-        engine.schedule(1.0, lambda: fired.append(2))
-        assert engine.run_until(9.0) == 1
-        assert fired == [1]
-        assert engine.pending() == 1
 
-    def test_matches_run_with_until(self):
-        def build():
-            engine = SimulationEngine()
-            fired = []
+class _ReferenceScheduler:
+    """The engine's contract stated naively: pop ``min((time, seq))``
+    from a plain list, stop after the event that asked for it."""
 
-            def tick():
-                fired.append(engine.now)
-                if engine.now < 8.0:
-                    engine.schedule(2.0, tick)
+    def __init__(self):
+        self.now = 0.0
+        self._events = []
+        self._seq = 0
+        self._stopped = False
 
-            engine.schedule(1.0, tick)
-            return engine, fired
+    def schedule(self, delay, callback):
+        self._seq += 1
+        self._events.append((self.now + delay, self._seq, callback))
 
-        a, fired_a = build()
-        b, fired_b = build()
-        assert a.run(until=6.0) == b.run_until(6.0)
-        assert fired_a == fired_b
-        assert a.now == b.now
-        assert a.pending() == b.pending()
+    def stop(self):
+        self._stopped = True
+
+    def run(self):
+        self._stopped = False
+        events = self._events
+        processed = 0
+        while events and not self._stopped:
+            i = min(range(len(events)), key=lambda j: events[j][:2])
+            self.now, _, callback = events.pop(i)
+            callback()
+            processed += 1
+        return processed
+
+    def pending(self):
+        return len(self._events)
+
+
+# Delays drawn from a small grid on purpose: collisions (equal fire
+# times) are where the seq tie-break matters, and a continuous float
+# strategy almost never produces them.
+_DELAYS = st.one_of(
+    st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 4.0, 7.25, 64.0, 1000.0]),
+    st.floats(min_value=0.0, max_value=500.0,
+              allow_nan=False, allow_infinity=False),
+)
+
+#: One segment: (delay, child-delays, stop?) per scheduled event, then a
+#: drain.  Stop callbacks exercise the halt-before-same-timestamp contract
+#: and leave survivors for the next segment.
+_SEGMENT = st.lists(
+    st.tuples(_DELAYS, st.lists(_DELAYS, max_size=2), st.booleans()),
+    max_size=8,
+)
+
+_PROGRAM = st.lists(_SEGMENT, min_size=1, max_size=3)
+
+
+def _interpret(engine, program):
+    """Run ``program`` on ``engine``; return every observable output."""
+    fired = []
+
+    def make_callback(tag, spawns, stop):
+        def callback():
+            fired.append((engine.now, tag))
+            for j, delay in enumerate(spawns):
+                engine.schedule(delay, make_callback((tag, j), [], False))
+            if stop:
+                engine.stop()
+
+        return callback
+
+    runs = []
+    for index, segment in enumerate(program):
+        for k, (delay, spawns, stop) in enumerate(segment):
+            engine.schedule(delay, make_callback((index, k), spawns, stop))
+        runs.append((engine.run(), engine.pending(), engine.now))
+    return fired, runs
+
+
+class TestRandomPrograms:
+    @settings(max_examples=200, deadline=None)
+    @given(program=_PROGRAM)
+    def test_fires_in_time_then_schedule_order(self, program):
+        assert _interpret(SimulationEngine(), program) == _interpret(
+            _ReferenceScheduler(), program
+        )
 
 
 class TestRandomStreams:

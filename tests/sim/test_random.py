@@ -11,15 +11,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.sim.random import (
     _POISSON_PRODUCT_LIMIT,
-    exponential_block_ms,
     exponential_ms,
-    poisson_block,
     poisson_draw,
 )
 
@@ -99,98 +95,3 @@ class TestExponentialMs:
         with pytest.raises(ConfigurationError):
             exponential_ms(-5.0, random.Random(1))
 
-
-#: Seed strings shaped like every named stream the samplers actually
-#: feed: media LSE streams, fault interarrival streams, and traffic
-#: trial streams (see MediaErrorMap.from_rate, FaultSchedule, and the
-#: open-loop runner respectively).
-_STREAM_NAMES = st.one_of(
-    st.builds("{}/lse-{}".format, st.integers(0, 99), st.integers(0, 40)),
-    st.builds("{}/disk-{}".format, st.integers(0, 99), st.integers(0, 40)),
-    st.builds("{}/openloop-{}".format, st.integers(0, 99), st.integers(0, 40)),
-)
-
-
-class TestBlockDraws:
-    """A block of k draws is byte-identical to k sequential draws.
-
-    This is the contract that lets trial harnesses (and any future
-    vectorized sampler) pre-draw RNG blocks without perturbing a single
-    committed baseline: the block functions must consume *exactly* the
-    same underlying uniforms in the same order as the scalar loop.
-    """
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        name=_STREAM_NAMES,
-        lam=st.one_of(
-            st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
-            # Straddle the product/log-space regime boundary too.
-            st.floats(
-                min_value=_POISSON_PRODUCT_LIMIT - 2.0,
-                max_value=_POISSON_PRODUCT_LIMIT + 2.0,
-            ),
-        ),
-        count=st.integers(min_value=0, max_value=64),
-    )
-    def test_poisson_block_matches_sequential(self, name, lam, count):
-        rng_seq = random.Random(name)
-        sequential = [poisson_draw(lam, rng_seq) for _ in range(count)]
-        rng_block = random.Random(name)
-        block = poisson_block(lam, rng_block, count)
-        assert block == sequential
-        # Identical RNG state afterwards: interleaving block and scalar
-        # draws anywhere in a stream cannot fork it.
-        assert rng_block.getstate() == rng_seq.getstate()
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        name=_STREAM_NAMES,
-        mean_ms=st.floats(
-            min_value=1e-3, max_value=1e7, allow_nan=False
-        ),
-        count=st.integers(min_value=0, max_value=64),
-    )
-    def test_exponential_block_matches_sequential(
-        self, name, mean_ms, count
-    ):
-        rng_seq = random.Random(name)
-        sequential = [
-            exponential_ms(mean_ms, rng_seq) for _ in range(count)
-        ]
-        rng_block = random.Random(name)
-        block = exponential_block_ms(mean_ms, rng_block, count)
-        assert block == sequential
-        assert rng_block.getstate() == rng_seq.getstate()
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        name=_STREAM_NAMES,
-        lam=st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
-        split=st.integers(min_value=0, max_value=32),
-        count=st.integers(min_value=0, max_value=32),
-    )
-    def test_poisson_blocks_compose(self, name, lam, split, count):
-        # Two blocks back-to-back == one big block: block boundaries
-        # are invisible in the stream.
-        rng_one = random.Random(name)
-        one = poisson_block(lam, rng_one, split + count)
-        rng_two = random.Random(name)
-        two = poisson_block(lam, rng_two, split) + poisson_block(
-            lam, rng_two, count
-        )
-        assert one == two
-        assert rng_one.getstate() == rng_two.getstate()
-
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ConfigurationError):
-            poisson_block(1.0, random.Random(1), -1)
-        with pytest.raises(ConfigurationError):
-            exponential_block_ms(1.0, random.Random(1), -1)
-
-    def test_zero_count_draws_nothing(self):
-        rng = random.Random("idle")
-        before = rng.getstate()
-        assert poisson_block(3.0, rng, 0) == []
-        assert exponential_block_ms(3.0, rng, 0) == []
-        assert rng.getstate() == before

@@ -1,10 +1,8 @@
-"""Arrival processes: determinism, mean rates, validation, prefetch."""
+"""Arrival processes: determinism, mean rates, validation."""
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.traffic.arrivals import (
@@ -97,66 +95,6 @@ class TestRates:
         # Arrivals inside the hot segment are 10x closer together.
         fast = sum(1 for d in delays if d < 5.0)
         assert fast > len(delays) / 2
-
-
-#: Every arrival-process family the traffic layer ships, built the way
-#: the open-loop runner builds them (one fresh named stream each).
-_BUILDERS = [
-    lambda rng: PoissonArrivals(400.0, rng),
-    lambda rng: MMPPArrivals.bursty(400.0, 6.0, 0.15, 120.0, rng),
-    lambda rng: TraceArrivals.diurnal(400.0, 600.0, rng),
-]
-
-
-class TestPrefetch:
-    """Prefetching draws blocks ahead without perturbing the stream.
-
-    The open-loop experiment prefetches a block of inter-arrival delays
-    up front; the delays the trial
-    then *consumes* must be byte-identical to a never-prefetched
-    process with the same seed, for every arrival family and any
-    interleaving of prefetch calls with consumption.
-    """
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        builder=st.sampled_from(_BUILDERS),
-        seed=st.integers(0, 99),
-        # Alternating plan: prefetch k_i, then consume n_i draws.
-        plan=st.lists(
-            st.tuples(st.integers(0, 20), st.integers(0, 20)),
-            min_size=1,
-            max_size=5,
-        ),
-    )
-    def test_any_prefetch_interleaving_is_invisible(
-        self, builder, seed, plan
-    ):
-        reference = builder(random.Random(f"{seed}/openloop-0"))
-        prefetched = builder(random.Random(f"{seed}/openloop-0"))
-        consumed = []
-        expected = []
-        for prefetch_count, consume_count in plan:
-            prefetched.prefetch(prefetch_count)
-            for _ in range(consume_count):
-                consumed.append(prefetched.next_delay_ms())
-                expected.append(reference.next_delay_ms())
-        assert consumed == expected
-
-    @pytest.mark.parametrize("builder", _BUILDERS)
-    def test_prefetch_is_idempotent_on_buffered_draws(self, builder):
-        process = builder(random.Random("pf"))
-        process.prefetch(8)
-        process.prefetch(4)  # already buffered: must not draw more
-        reference = builder(random.Random("pf"))
-        assert [process.next_delay_ms() for _ in range(12)] == [
-            reference.next_delay_ms() for _ in range(12)
-        ]
-
-    def test_negative_prefetch_rejected(self):
-        process = PoissonArrivals(400.0, random.Random(0))
-        with pytest.raises(ConfigurationError):
-            process.prefetch(-1)
 
 
 class TestValidation:
