@@ -38,9 +38,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+import time
+from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, RunnerError
+from repro.runner import (
+    ParallelRunner,
+    ResultCache,
+    RunCheckpoint,
+    RunReport,
+    curves_from_records,
+    default_cache_dir,
+    lifecycle_sweep_specs,
+    rebuild_load_curves,
+    response_sweep_specs,
+    run_compare,
+    sweep_provenance,
+)
 from repro.runner.spec import MODES as _MODES
 
 DEFAULT_LAYOUTS = ["datum", "parity-declustering", "raid5", "pddl", "prime"]
@@ -54,10 +68,6 @@ def _write_report(path: str, payload: dict, indent: int = 2) -> None:
     traceback — the runner may have just spent minutes simulating, and
     the user needs to know the results still live in the cache.
     """
-    import json
-
-    from repro.errors import RunnerError
-
     try:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=indent, sort_keys=True)
@@ -69,6 +79,82 @@ def _write_report(path: str, payload: dict, indent: int = 2) -> None:
             " rerun with a writable --out)"
         ) from None
     print(f"wrote {path}")
+
+
+def _add_runner_flags(
+    parser: argparse.ArgumentParser, out: Optional[str] = None
+) -> None:
+    """The runner flags every sweep command shares.
+
+    A trial command passes its default report path as ``out`` and also
+    gets the hardened-pool flags (``--timeout``, ``--retries``,
+    ``--checkpoint``) and ``--out``; ``bench`` and ``lifecycle`` take
+    only ``--workers``, ``--cache-dir`` and ``--no-cache``.
+    """
+    parser.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
+    )
+    if out is not None:
+        parser.add_argument(
+            "--timeout", type=float, default=None,
+            help="per-trial deadline in seconds (enables the hardened pool)",
+        )
+        parser.add_argument(
+            "--retries", type=int, default=0,
+            help="crash/timeout retries per trial (capped exponential"
+            " backoff)",
+        )
+        parser.add_argument(
+            "--checkpoint", default=None,
+            help="JSONL checkpoint file; a killed run resumes from it",
+        )
+    parser.add_argument(
+        "--cache-dir", default=None,
+        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
+    )
+    parser.add_argument("--no-cache", action="store_true")
+    if out is not None:
+        parser.add_argument(
+            "--out", default=out,
+            help="JSON report path (deterministic content; '' to skip)",
+        )
+
+
+def _run(
+    args: argparse.Namespace, specs: list
+) -> Tuple[ParallelRunner, RunReport, float]:
+    """Run ``specs`` on a runner built from the runner flags; returns
+    the runner, its report and the wall-clock seconds the run took."""
+    cache = None
+    if not args.no_cache:
+        cache = ResultCache(args.cache_dir or default_cache_dir())
+    # bench and lifecycle have no hardened-pool flags.
+    checkpoint = getattr(args, "checkpoint", None)
+    runner = ParallelRunner(
+        workers=args.workers,
+        cache=cache,
+        timeout_s=getattr(args, "timeout", None),
+        retries=getattr(args, "retries", 0),
+        checkpoint=RunCheckpoint(checkpoint) if checkpoint else None,
+    )
+    started = time.perf_counter()
+    report = runner.run(specs)
+    return runner, report, time.perf_counter() - started
+
+
+def _print_tally(
+    runner: ParallelRunner, report: RunReport, elapsed: float
+) -> None:
+    """A trial command's closing lines: where each trial came from."""
+    print(
+        f"{len(report.records)} trials: {report.executed} simulated,"
+        f" {report.cache_hits} from cache,"
+        f" {report.checkpoint_hits} from checkpoint"
+        f" ({runner.workers} workers, {elapsed:.2f}s)"
+    )
+    if runner.cache is not None:
+        print(f"cache dir: {runner.cache.root}")
 
 
 def _print_io_recovery(summary: dict) -> None:
@@ -238,8 +324,6 @@ def _bench_compare(args: argparse.Namespace) -> int:
     """The ``bench --compare`` regression gate (no simulation)."""
     import glob
 
-    from repro.runner import run_compare
-
     baselines = args.baseline or sorted(glob.glob("BENCH_*.json"))
     if not baselines:
         print(
@@ -266,16 +350,7 @@ def _bench_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.report import render_response_curves
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        curves_from_records,
-        default_cache_dir,
-        response_sweep_specs,
-    )
 
     if args.compare or args.baseline or args.candidate or args.exact:
         return _bench_compare(args)
@@ -292,13 +367,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         seed=args.seed,
         layouts=args.layouts,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = ParallelRunner(workers=args.workers, cache=cache)
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    runner, report, elapsed = _run(args, specs)
 
     kind = "writes" if args.write else "reads"
     for size_kb, curves in sorted(curves_from_records(report.records).items()):
@@ -328,22 +397,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f" {report.cache_hits} from cache"
         f" ({runner.workers} workers, {elapsed:.2f}s)"
     )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    if runner.cache is not None:
+        print(f"cache dir: {runner.cache.root}")
     return 0
 
 
 def _cmd_lifecycle(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        default_cache_dir,
-        lifecycle_sweep_specs,
-        rebuild_load_curves,
-    )
-
     if args.quick:
         layouts = ["pddl", "parity-declustering"]
         clients = [4]
@@ -374,13 +433,7 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         disks=args.disks,
         oracle=args.oracle,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    runner = ParallelRunner(workers=args.workers, cache=cache)
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    runner, report, elapsed = _run(args, specs)
 
     for record in report.records:
         life = record["lifecycle"]
@@ -425,8 +478,8 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
         f" {report.cache_hits} from cache"
         f" ({runner.workers} workers, {elapsed:.2f}s)"
     )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    if runner.cache is not None:
+        print(f"cache dir: {runner.cache.root}")
 
     if args.out:
         summary = {
@@ -456,16 +509,7 @@ def _cmd_lifecycle(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.campaign import campaign_specs, summarize_campaign
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
 
     if args.quick:
         trials = 24
@@ -477,40 +521,33 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         mttf = args.mttf
         dwell = args.dwell
         rebuild_rows = args.rebuild_rows
+    config = {
+        "layout": args.layout,
+        "disks": args.disks,
+        "trials": trials,
+        "faults": args.faults,
+        "mttf_hours": mttf,
+        "degraded_dwell_ms": dwell,
+        "rebuild_rows": rebuild_rows,
+        "lse_per_gb": args.lse_per_gb,
+        "scrub_interval_ms": args.scrub_interval,
+        "clients": args.clients,
+        "seed": args.seed,
+    }
+    # New keys appear only when their features are on, so default
+    # campaign reports stay byte-identical to pre-oracle builds.
+    if args.oracle:
+        config["oracle"] = True
+    if args.transient_io_rate:
+        config["transient_io_rate"] = args.transient_io_rate
+    # The committed config block leaves the rebuild/scrub pacing out.
     specs = campaign_specs(
-        layout=args.layout,
-        trials=trials,
-        disks=args.disks,
-        seed=args.seed,
-        mttf_hours=mttf,
-        faults=args.faults,
-        degraded_dwell_ms=dwell,
-        rebuild_rows=rebuild_rows,
         rebuild_parallel=args.rebuild_parallel,
         rebuild_throttle_ms=args.rebuild_throttle,
-        lse_per_gb=args.lse_per_gb,
-        scrub_interval_ms=args.scrub_interval,
         scrub_throttle_ms=args.scrub_throttle,
-        clients=args.clients,
-        transient_io_rate=args.transient_io_rate,
-        oracle=args.oracle,
+        **config,
     )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    runner, report, elapsed = _run(args, specs)
 
     trial_records = [r["trial"] for r in report.records]
     summary = summarize_campaign(trial_records)
@@ -552,14 +589,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         )
     _print_io_recovery(summary)
     _print_scrub(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    _print_tally(runner, report, elapsed)
 
     if args.out:
         # Deterministic payload (no wall-clock anywhere): the CI resume
@@ -571,19 +601,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             # a level shift to a commit range (CI comparisons that need
             # repo-state independence ignore the version stamp).
             "provenance": sweep_provenance(specs),
-            "config": {
-                "layout": args.layout,
-                "disks": args.disks,
-                "trials": trials,
-                "faults": args.faults,
-                "mttf_hours": mttf,
-                "degraded_dwell_ms": dwell,
-                "rebuild_rows": rebuild_rows,
-                "lse_per_gb": args.lse_per_gb,
-                "scrub_interval_ms": args.scrub_interval,
-                "clients": args.clients,
-                "seed": args.seed,
-            },
+            "config": config,
             "summary": summary,
             "trials": [
                 {
@@ -596,10 +614,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 for t in trial_records
             ],
         }
-        # New keys appear only when their features are on, so default
-        # campaign reports stay byte-identical to pre-oracle builds.
         if args.oracle:
-            payload["config"]["oracle"] = True
             payload["oracle"] = {
                 "corruption_events": sum(
                     t["oracle"]["corruption_events"] for t in trial_records
@@ -608,63 +623,38 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                     t["oracle"]["torn_writes"] for t in trial_records
                 ),
             }
-        if args.transient_io_rate > 0:
-            payload["config"]["transient_io_rate"] = args.transient_io_rate
         _write_report(args.out, payload)
     return 0
 
 
 def _cmd_crash(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.crashtrial import crash_specs, summarize_crash
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
-    )
 
     if args.quick:
         layouts = ["pddl"]
-        client_counts = [2, 4]
-        max_pre_samples, post_samples = 80, 20
+        clients = [2, 4]
+        pre_samples, post_samples = 80, 20
         # The boundary must land before the pre-crash budget runs out.
         boundary = 60
     else:
         layouts = args.layouts
-        client_counts = args.clients
-        max_pre_samples, post_samples = args.pre_samples, args.post_samples
+        clients = args.clients
+        pre_samples, post_samples = args.pre_samples, args.post_samples
         boundary = args.boundary
-    specs = crash_specs(
-        layouts=layouts,
-        client_counts=client_counts,
-        disks=args.disks,
-        size_kb=args.size,
-        seed=args.seed,
-        crash_boundary=boundary,
-        journal_latency_ms=args.journal_latency,
-        resync_rows=args.resync_rows,
-        max_pre_samples=max_pre_samples,
-        post_samples=post_samples,
-    )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    config = {
+        "layouts": layouts,
+        "clients": clients,
+        "disks": args.disks,
+        "size_kb": args.size,
+        "seed": args.seed,
+        "crash_boundary": boundary,
+        "journal_latency_ms": args.journal_latency,
+        "resync_rows": args.resync_rows,
+        "pre_samples": pre_samples,
+        "post_samples": post_samples,
+    }
+    specs = crash_specs(**config)
+    runner, report, elapsed = _run(args, specs)
 
     trial_records = [r["crash_trial"] for r in report.records]
     summary = summarize_crash(trial_records)
@@ -696,14 +686,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
         f" event(s), {summary['data_loss_trials']} declared data-loss"
         f" trial(s) in {summary['trials']} trials"
     )
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    _print_tally(runner, report, elapsed)
 
     if args.out:
         # Deterministic payload (no wall-clock anywhere): CI byte-compares
@@ -713,18 +696,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
             # Version stamp + sweep hash for bench --compare attribution
             # (CI's --exact comparison ignores the version stamp).
             "provenance": sweep_provenance(specs),
-            "config": {
-                "layouts": layouts,
-                "clients": client_counts,
-                "disks": args.disks,
-                "size_kb": args.size,
-                "seed": args.seed,
-                "crash_boundary": boundary,
-                "journal_latency_ms": args.journal_latency,
-                "resync_rows": args.resync_rows,
-                "pre_samples": max_pre_samples,
-                "post_samples": post_samples,
-            },
+            "config": config,
             "summary": summary,
             "trials": [
                 {
@@ -752,18 +724,9 @@ def _cmd_crash(args: argparse.Namespace) -> int:
 
 
 def _cmd_nemesis(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.nemesistrial import (
         nemesis_specs,
         summarize_nemesis,
-    )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
     )
 
     trials = 24 if args.quick else args.trials
@@ -771,38 +734,24 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
     if args.trial is not None:
         # Replay exactly one schedule (the failing-seed repro path).
         trials, start = 1, args.trial
-    specs = nemesis_specs(
-        layout=args.layout,
-        trials=trials,
-        disks=args.disks,
-        seed=args.seed,
-        start=start,
-        clients=args.clients,
-        rows=args.rows,
-        journal=not args.no_journal,
-        scrub_interval_ms=(
+    config = {
+        "layout": args.layout,
+        "disks": args.disks,
+        "trials": trials,
+        "start": start,
+        "seed": args.seed,
+        "clients": args.clients,
+        "rows": args.rows,
+        "journal": not args.no_journal,
+        "scrub_interval_ms": (
             args.scrub_interval if args.scrub_interval > 0 else None
         ),
-        max_samples=args.samples,
-        transient_io_rate=args.transient_io_rate,
-        lse_per_gb=args.lse_per_gb,
-    )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+        "max_samples": args.samples,
+        "transient_io_rate": args.transient_io_rate,
+        "lse_per_gb": args.lse_per_gb,
+    }
+    specs = nemesis_specs(**config)
+    runner, report, elapsed = _run(args, specs)
 
     trial_records = [r["nemesis_trial"] for r in report.records]
     summary = summarize_nemesis(trial_records)
@@ -836,14 +785,7 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
         )
     _print_io_recovery(summary)
     _print_scrub(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    _print_tally(runner, report, elapsed)
 
     failing = summary["failing_trials"]
     if failing:
@@ -870,22 +812,7 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
         payload = {
             "bench": "nemesis",
             "provenance": sweep_provenance(specs),
-            "config": {
-                "layout": args.layout,
-                "disks": args.disks,
-                "trials": trials,
-                "start": start,
-                "seed": args.seed,
-                "clients": args.clients,
-                "rows": args.rows,
-                "journal": not args.no_journal,
-                "scrub_interval_ms": (
-                    args.scrub_interval if args.scrub_interval > 0 else None
-                ),
-                "max_samples": args.samples,
-                "transient_io_rate": args.transient_io_rate,
-                "lse_per_gb": args.lse_per_gb,
-            },
+            "config": config,
             "summary": summary,
             "trials": [
                 {
@@ -909,18 +836,9 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
 
 
 def _cmd_traffic(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.openloop import (
         openloop_specs,
         summarize_openloop,
-    )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
     )
 
     layouts = args.layouts
@@ -930,36 +848,22 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         layouts = ["raid5", "pddl"]
         rates = [350.0, 550.0]
         arrivals = 150
-    specs = openloop_specs(
-        layouts,
-        rates,
-        phases=args.phases,
-        arrival=args.arrival,
-        arrivals=arrivals,
-        seed=args.seed,
-        disks=args.disks,
-        queue_depth=args.queue_depth,
-        service_slots=args.service_slots,
-        slo_p99_ms=args.slo_p99,
-        slo_p999_ms=args.slo_p999,
-        horizon_ms=args.horizon,
-    )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    config = {
+        "layouts": list(layouts),
+        "rates_per_s": list(rates),
+        "phases": list(args.phases),
+        "arrival": args.arrival,
+        "arrivals": arrivals,
+        "seed": args.seed,
+        "disks": args.disks,
+        "queue_depth": args.queue_depth,
+        "service_slots": args.service_slots,
+        "slo_p99_ms": args.slo_p99,
+        "slo_p999_ms": args.slo_p999,
+        "horizon_ms": args.horizon,
+    }
+    specs = openloop_specs(**config)
+    runner, report, elapsed = _run(args, specs)
 
     trial_records = [r["openloop"] for r in report.records]
     summary = summarize_openloop(trial_records)
@@ -989,14 +893,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
             f" {entry['rebuild_shed']} shed)"
         )
     _print_io_recovery(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    _print_tally(runner, report, elapsed)
 
     if args.out:
         # Deterministic payload modulo the provenance version stamp:
@@ -1007,20 +904,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
         payload = {
             "bench": "traffic",
             "provenance": sweep_provenance(specs),
-            "config": {
-                "layouts": list(layouts),
-                "rates_per_s": list(rates),
-                "phases": list(args.phases),
-                "arrival": args.arrival,
-                "arrivals": arrivals,
-                "seed": args.seed,
-                "disks": args.disks,
-                "queue_depth": args.queue_depth,
-                "service_slots": args.service_slots,
-                "slo_p99_ms": args.slo_p99,
-                "slo_p999_ms": args.slo_p999,
-                "horizon_ms": args.horizon,
-            },
+            "config": config,
             "summary": summary,
             "trials": [
                 {
@@ -1051,18 +935,9 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
 
 
 def _cmd_failslow(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.failslow import (
         failslow_specs,
         summarize_failslow,
-    )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
     )
 
     layouts = args.layouts
@@ -1072,38 +947,24 @@ def _cmd_failslow(args: argparse.Namespace) -> int:
         layouts = ["raid5", "pddl"]
         arrivals = 150
         rebuild_rows = 60
-    specs = failslow_specs(
-        layouts,
-        defenses=args.defenses,
-        rate_per_s=args.rate,
-        arrivals=arrivals,
-        seed=args.seed,
-        disks=args.disks,
-        slow_disk=args.slow_disk,
-        slow_multiplier=args.slow_multiplier,
-        rebuild_rows=rebuild_rows,
-        hedge_deferral_ms=args.hedge_deferral,
-        adaptive_max_ms=args.adaptive_max,
-        slo_p99_ms=args.slo_p99,
-        slo_p999_ms=args.slo_p999,
-        horizon_ms=args.horizon,
-    )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    config = {
+        "layouts": list(layouts),
+        "defenses": list(args.defenses),
+        "rate_per_s": args.rate,
+        "arrivals": arrivals,
+        "seed": args.seed,
+        "disks": args.disks,
+        "slow_disk": args.slow_disk,
+        "slow_multiplier": args.slow_multiplier,
+        "rebuild_rows": rebuild_rows,
+        "hedge_deferral_ms": args.hedge_deferral,
+        "adaptive_max_ms": args.adaptive_max,
+        "slo_p99_ms": args.slo_p99,
+        "slo_p999_ms": args.slo_p999,
+        "horizon_ms": args.horizon,
+    }
+    specs = failslow_specs(**config)
+    runner, report, elapsed = _run(args, specs)
 
     trial_records = [r["failslow"] for r in report.records]
     summary = summarize_failslow(trial_records)
@@ -1148,14 +1009,7 @@ def _cmd_failslow(args: argparse.Namespace) -> int:
         )
     _print_io_recovery(summary)
     _print_scrub(summary)
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    _print_tally(runner, report, elapsed)
 
     if args.out:
         # Deterministic payload modulo the provenance version stamp —
@@ -1166,22 +1020,7 @@ def _cmd_failslow(args: argparse.Namespace) -> int:
         payload = {
             "bench": "failslow",
             "provenance": sweep_provenance(specs),
-            "config": {
-                "layouts": list(layouts),
-                "defenses": list(args.defenses),
-                "rate_per_s": args.rate,
-                "arrivals": arrivals,
-                "seed": args.seed,
-                "disks": args.disks,
-                "slow_disk": args.slow_disk,
-                "slow_multiplier": args.slow_multiplier,
-                "rebuild_rows": rebuild_rows,
-                "hedge_deferral_ms": args.hedge_deferral,
-                "adaptive_max_ms": args.adaptive_max,
-                "slo_p99_ms": args.slo_p99,
-                "slo_p999_ms": args.slo_p999,
-                "horizon_ms": args.horizon,
-            },
+            "config": config,
             "summary": summary,
             "trials": [
                 {
@@ -1215,18 +1054,9 @@ def _cmd_failslow(args: argparse.Namespace) -> int:
 
 
 def _cmd_corruption(args: argparse.Namespace) -> int:
-    import time
-
     from repro.experiments.corruption import (
         corruption_specs,
         summarize_corruption,
-    )
-    from repro.runner import (
-        ParallelRunner,
-        ResultCache,
-        RunCheckpoint,
-        default_cache_dir,
-        sweep_provenance,
     )
 
     layouts = args.layouts
@@ -1236,41 +1066,27 @@ def _cmd_corruption(args: argparse.Namespace) -> int:
         layouts = ["raid5", "pddl"]
         trials = 3
         arrivals = 120
-    specs = corruption_specs(
-        layouts,
-        defenses=args.defenses,
-        trials=trials,
-        seed=args.seed,
-        start=args.start,
-        disks=args.disks,
-        lost_rate=args.lost_rate,
-        misdirected_rate=args.misdirected_rate,
-        bitrot_cells=args.bitrot_cells,
-        rate_per_s=args.rate,
-        arrivals=arrivals,
-        read_fraction=args.read_fraction,
-        span_units=args.span,
-        fail_at_ms=args.fail_at,
-        checksum_latency_ms=args.checksum_latency,
-        scrub_interval_ms=args.scrub_interval,
-        horizon_ms=args.horizon,
-    )
-    cache = None
-    if not args.no_cache:
-        cache = ResultCache(args.cache_dir or default_cache_dir())
-    checkpoint = (
-        RunCheckpoint(args.checkpoint) if args.checkpoint else None
-    )
-    runner = ParallelRunner(
-        workers=args.workers,
-        cache=cache,
-        timeout_s=args.timeout,
-        retries=args.retries,
-        checkpoint=checkpoint,
-    )
-    started = time.perf_counter()
-    report = runner.run(specs)
-    elapsed = time.perf_counter() - started
+    config = {
+        "layouts": list(layouts),
+        "defenses": list(args.defenses),
+        "trials": trials,
+        "seed": args.seed,
+        "start": args.start,
+        "disks": args.disks,
+        "lost_rate": args.lost_rate,
+        "misdirected_rate": args.misdirected_rate,
+        "bitrot_cells": args.bitrot_cells,
+        "rate_per_s": args.rate,
+        "arrivals": arrivals,
+        "read_fraction": args.read_fraction,
+        "span_units": args.span,
+        "fail_at_ms": args.fail_at,
+        "checksum_latency_ms": args.checksum_latency,
+        "scrub_interval_ms": args.scrub_interval,
+        "horizon_ms": args.horizon,
+    }
+    specs = corruption_specs(**config)
+    runner, report, elapsed = _run(args, specs)
 
     trial_records = [r["corruption"] for r in report.records]
     summary = summarize_corruption(trial_records)
@@ -1316,14 +1132,7 @@ def _cmd_corruption(args: argparse.Namespace) -> int:
                     f" {audit['audit_repairs']} repaired,"
                     f" {audit['audit_unrepairable']} unrepairable"
                 )
-    print(
-        f"{len(specs)} trials: {report.executed} simulated,"
-        f" {report.cache_hits} from cache,"
-        f" {report.checkpoint_hits} from checkpoint"
-        f" ({runner.workers} workers, {elapsed:.2f}s)"
-    )
-    if cache is not None:
-        print(f"cache dir: {cache.root}")
+    _print_tally(runner, report, elapsed)
 
     if args.out:
         # Deterministic payload modulo the provenance version stamp —
@@ -1333,25 +1142,7 @@ def _cmd_corruption(args: argparse.Namespace) -> int:
         payload = {
             "bench": "corruption",
             "provenance": sweep_provenance(specs),
-            "config": {
-                "layouts": list(layouts),
-                "defenses": list(args.defenses),
-                "trials": trials,
-                "seed": args.seed,
-                "start": args.start,
-                "disks": args.disks,
-                "lost_rate": args.lost_rate,
-                "misdirected_rate": args.misdirected_rate,
-                "bitrot_cells": args.bitrot_cells,
-                "rate_per_s": args.rate,
-                "arrivals": arrivals,
-                "read_fraction": args.read_fraction,
-                "span_units": args.span,
-                "fail_at_ms": args.fail_at,
-                "checksum_latency_ms": args.checksum_latency,
-                "scrub_interval_ms": args.scrub_interval,
-                "horizon_ms": args.horizon,
-            },
+            "config": config,
             "summary": summary,
             "trials": [
                 {
@@ -1501,15 +1292,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--write", action="store_true")
     bench.add_argument("--mode", choices=sorted(_MODES), default="ff")
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    bench.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    bench.add_argument("--no-cache", action="store_true")
+    _add_runner_flags(bench)
     bench.add_argument("--layouts", nargs="+", default=DEFAULT_LAYOUTS)
     bench.add_argument(
         "--compare", action="store_true",
@@ -1576,15 +1359,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="overall response budget per run",
     )
     life.add_argument("--seed", type=int, default=0)
-    life.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    life.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    life.add_argument("--no-cache", action="store_true")
+    _add_runner_flags(life)
     life.add_argument(
         "--oracle", action="store_true",
         help="shadow every run with the integrity oracle and report"
@@ -1657,31 +1432,7 @@ def build_parser() -> argparse.ArgumentParser:
         " silent-corruption counts",
     )
     camp.add_argument("--seed", type=int, default=0)
-    camp.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    camp.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    camp.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    camp.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    camp.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    camp.add_argument("--no-cache", action="store_true")
-    camp.add_argument(
-        "--out", default="BENCH_campaign.json",
-        help="JSON report path (deterministic content; '' to skip)",
-    )
+    _add_runner_flags(camp, out="BENCH_campaign.json")
     camp.set_defaults(func=_cmd_campaign)
 
     crash = sub.add_parser(
@@ -1713,31 +1464,7 @@ def build_parser() -> argparse.ArgumentParser:
     crash.add_argument("--pre-samples", type=int, default=200)
     crash.add_argument("--post-samples", type=int, default=50)
     crash.add_argument("--seed", type=int, default=0)
-    crash.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    crash.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    crash.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    crash.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    crash.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    crash.add_argument("--no-cache", action="store_true")
-    crash.add_argument(
-        "--out", default="BENCH_crash.json",
-        help="JSON report path (deterministic content; '' to skip)",
-    )
+    _add_runner_flags(crash, out="BENCH_crash.json")
     crash.set_defaults(func=_cmd_crash)
 
     nem = sub.add_parser(
@@ -1791,31 +1518,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="latent sector errors seeded up front per GB (bursts in"
         " the schedule add more mid-run)",
     )
-    nem.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    nem.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    nem.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    nem.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    nem.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    nem.add_argument("--no-cache", action="store_true")
-    nem.add_argument(
-        "--out", default="BENCH_nemesis.json",
-        help="JSON report path (deterministic content; '' to skip)",
-    )
+    _add_runner_flags(nem, out="BENCH_nemesis.json")
     nem.add_argument(
         "--failures-out", default="nemesis_failures.txt",
         help="repro-command file written when any trial silently"
@@ -1873,31 +1576,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=30000.0,
         help="per-trial simulation-time safety stop, ms",
     )
-    traffic.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    traffic.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    traffic.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    traffic.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    traffic.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    traffic.add_argument("--no-cache", action="store_true")
-    traffic.add_argument(
-        "--out", default="BENCH_traffic.json",
-        help="JSON report path (deterministic content; '' to skip)",
-    )
+    _add_runner_flags(traffic, out="BENCH_traffic.json")
     traffic.set_defaults(func=_cmd_traffic)
 
     fslow = sub.add_parser(
@@ -1960,31 +1639,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=120000.0,
         help="per-trial simulation-time safety stop, ms",
     )
-    fslow.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    fslow.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    fslow.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    fslow.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    fslow.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    fslow.add_argument("--no-cache", action="store_true")
-    fslow.add_argument(
-        "--out", default="BENCH_failslow.json",
-        help="JSON report path (deterministic content; '' to skip)",
-    )
+    _add_runner_flags(fslow, out="BENCH_failslow.json")
     fslow.set_defaults(func=_cmd_failslow)
 
     corr = sub.add_parser(
@@ -2060,31 +1715,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--horizon", type=float, default=60000.0,
         help="per-trial simulation-time safety stop, ms",
     )
-    corr.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes (default: $REPRO_BENCH_WORKERS or 1)",
-    )
-    corr.add_argument(
-        "--timeout", type=float, default=None,
-        help="per-trial deadline in seconds (enables the hardened pool)",
-    )
-    corr.add_argument(
-        "--retries", type=int, default=0,
-        help="crash/timeout retries per trial (capped exponential backoff)",
-    )
-    corr.add_argument(
-        "--checkpoint", default=None,
-        help="JSONL checkpoint file; a killed run resumes from it",
-    )
-    corr.add_argument(
-        "--cache-dir", default=None,
-        help="result cache root (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    corr.add_argument("--no-cache", action="store_true")
-    corr.add_argument(
-        "--out", default="BENCH_corruption.json",
-        help="JSON report path (deterministic content; '' to skip)",
-    )
+    _add_runner_flags(corr, out="BENCH_corruption.json")
     corr.set_defaults(func=_cmd_corruption)
 
     prof = sub.add_parser(

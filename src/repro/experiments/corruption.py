@@ -34,7 +34,7 @@ contract.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController, LogicalAccess
 from repro.errors import ConfigurationError
@@ -51,10 +51,13 @@ from repro.faults.oracle import IntegrityOracle
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber
 from repro.sim.engine import SimulationEngine
-from repro.traffic.admission import AdmissionQueue
+from repro.traffic.admission import AdmissionQueue, offer_arrivals
 from repro.traffic.arrivals import PoissonArrivals
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
+
+if TYPE_CHECKING:
+    from repro.runner.spec import CorruptionTrialSpec
 
 #: Defense tiers, weakest to strongest (see module docstring).
 DEFENSES = ("none", "checksum", "verify", "audit")
@@ -77,30 +80,9 @@ def _latency_stats(samples: List[float]) -> dict:
     }
 
 
-def run_corruption_trial(
-    layout_name: str,
-    defense: str = "none",
-    trial: int = 0,
-    seed: int = 0,
-    lost_rate: float = 0.02,
-    misdirected_rate: float = 0.01,
-    bitrot_cells: float = 0.0,
-    rate_per_s: float = 60.0,
-    arrivals: int = 300,
-    read_fraction: float = 0.5,
-    span_units: int = 64,
-    size_kb: int = 8,
-    disks: Optional[int] = None,
-    width: Optional[int] = None,
-    fail_at_ms: Optional[float] = None,
-    failed_disk: int = 0,
-    checksum_latency_ms: float = 0.02,
-    scrub_interval_ms: float = 120.0,
-    queue_depth: int = 64,
-    service_slots: int = 12,
-    horizon_ms: float = 60000.0,
-) -> dict:
-    """One corruption trial; returns a JSON-able record.
+def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
+    """One trial of a :class:`~repro.runner.spec.CorruptionTrialSpec`;
+    returns a JSON-able record.
 
     The working set is ``span_units`` data units — small on purpose, so
     cells the workload writes (and the model corrupts) are re-read
@@ -113,28 +95,8 @@ def run_corruption_trial(
     array degraded (no rebuild within the horizon), exercising the
     degraded-read and escalation validation paths.
     """
-    if defense not in DEFENSES:
-        raise ConfigurationError(
-            f"defense must be one of {DEFENSES}, got {defense!r}"
-        )
-    if arrivals < 1:
-        raise ConfigurationError(f"need >= 1 arrival, got {arrivals}")
-    if rate_per_s <= 0:
-        raise ConfigurationError(
-            f"arrival rate must be positive, got {rate_per_s}"
-        )
-    if not 0.0 <= read_fraction <= 1.0:
-        raise ConfigurationError(
-            f"read fraction must be in [0, 1], got {read_fraction}"
-        )
-    if span_units < 1:
-        raise ConfigurationError(f"need >= 1 span unit, got {span_units}")
-    if horizon_ms <= 0:
-        raise ConfigurationError(
-            f"horizon must be positive, got {horizon_ms}"
-        )
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     controller = ArrayController(
         engine,
         layout,
@@ -143,48 +105,48 @@ def run_corruption_trial(
         stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
     )
     oracle_model = controller.attach_oracle(IntegrityOracle(layout))
-    span = min(span_units, controller.addressable_data_units)
+    span = min(spec.span_units, controller.addressable_data_units)
 
     #: Physical rows holding the working set: the corruption model's
     #: offset domain, so misdirected victims stay consumable.
     periods_swept = -(-span // layout.data_units_per_period)
     rows = periods_swept * layout.period
 
-    stream_root = seed * 1_000_003 + trial
+    stream_root = spec.seed * 1_000_003 + spec.trial
     model = CorruptionModel(
         layout.n,
         rows,
         seed=f"{stream_root}/corruption",
-        lost_rate=lost_rate,
-        misdirected_rate=misdirected_rate,
-        bitrot_cells=bitrot_cells,
+        lost_rate=spec.lost_rate,
+        misdirected_rate=spec.misdirected_rate,
+        bitrot_cells=spec.bitrot_cells,
     )
     controller.attach_corruption(model)
-    if defense != "none":
+    if spec.defense != "none":
         controller.enable_checksums(
-            write_verify=(defense == "verify"),
-            metadata_latency_ms=checksum_latency_ms,
+            write_verify=(spec.defense == "verify"),
+            metadata_latency_ms=spec.checksum_latency_ms,
         )
     scrubber = None
-    if defense == "audit":
+    if spec.defense == "audit":
         scrubber = Scrubber(
             controller,
             MediaErrorMap({}),
-            interval_ms=scrub_interval_ms,
+            interval_ms=spec.scrub_interval_ms,
             rows=rows,
             audit=True,
         )
         scrubber.start()
 
     lifecycle = None
-    if fail_at_ms is not None:
+    if spec.fail_at_ms is not None:
         scenario = FaultScenario(
-            failed_disk=failed_disk,
-            fault_time_ms=fail_at_ms,
+            failed_disk=spec.failed_disk,
+            fault_time_ms=spec.fail_at_ms,
             # The dwell outlasts the horizon: the array stays degraded,
             # so surviving-peer reads exercise the degraded validation
             # path without paying for a rebuild.
-            degraded_dwell_ms=2 * horizon_ms,
+            degraded_dwell_ms=2 * spec.horizon_ms,
             rebuild_rows=rows,
         )
         lifecycle = ArrayLifecycle(controller, scenario)
@@ -194,51 +156,45 @@ def run_corruption_trial(
     lat_read: List[float] = []
     lat_write: List[float] = []
 
-    def check_stop() -> None:
-        if totals["resolved"] >= arrivals:
+    def resolve() -> None:
+        totals["resolved"] += 1
+        if totals["resolved"] >= spec.arrivals:
             engine.stop()
 
     def on_response(
         access: LogicalAccess, total_ms: float, wait_ms: float
     ) -> None:
         (lat_write if access.is_write else lat_read).append(total_ms)
-        totals["resolved"] += 1
-        check_stop()
+        resolve()
 
     queue = AdmissionQueue(
         controller,
         on_response,
-        depth=queue_depth,
-        service_slots=service_slots,
+        depth=spec.queue_depth,
+        service_slots=spec.service_slots,
     )
 
-    units = AccessSpec(size_kb, False).units(PAPER_STRIPE_UNIT_KB)
+    units = AccessSpec(spec.size_kb, False).units(PAPER_STRIPE_UNIT_KB)
     location = UniformGenerator(
         span, units, random.Random(f"{stream_root}/corruption-loc")
     )
     rw_rng = random.Random(f"{stream_root}/corruption-rw")
-    process = PoissonArrivals(
-        rate_per_s, random.Random(f"{stream_root}/arrivals")
-    )
-
-    state = {"offered": 0}
-
-    def arrive() -> None:
-        access = LogicalAccess(
-            access_id=state["offered"],
+    offer_arrivals(
+        queue,
+        PoissonArrivals(
+            spec.rate_per_s, random.Random(f"{stream_root}/arrivals")
+        ),
+        lambda access_id: LogicalAccess(
+            access_id=access_id,
             first_unit=location.next_start(),
             unit_count=units,
-            is_write=rw_rng.random() >= read_fraction,
-        )
-        state["offered"] += 1
-        if not queue.offer(access):
-            totals["resolved"] += 1
-            check_stop()
-        if state["offered"] < arrivals:
-            engine.schedule(process.next_delay_ms(), arrive)
-
-    engine.schedule(process.next_delay_ms(), arrive)
-    engine.schedule_at(horizon_ms, engine.stop)
+            is_write=rw_rng.random() >= spec.read_fraction,
+        ),
+        spec.arrivals,
+        0.0,
+        resolve,
+    )
+    engine.schedule_at(spec.horizon_ms, engine.stop)
     engine.run()
 
     if scrubber is not None:
@@ -255,18 +211,18 @@ def run_corruption_trial(
     stats = queue.stats()
     makespan_ms = engine.now
     record = {
-        "layout": layout_name,
-        "defense": defense,
-        "trial": trial,
-        "seed": seed,
-        "lost_rate": lost_rate,
-        "misdirected_rate": misdirected_rate,
-        "bitrot_cells": bitrot_cells,
+        "layout": spec.layout,
+        "defense": spec.defense,
+        "trial": spec.trial,
+        "seed": spec.seed,
+        "lost_rate": spec.lost_rate,
+        "misdirected_rate": spec.misdirected_rate,
+        "bitrot_cells": spec.bitrot_cells,
         "rows": rows,
-        "offered": state["offered"],
+        "offered": stats["offered"],
         "completed": stats["completed"],
         "shed": stats["shed"],
-        "truncated": totals["resolved"] < arrivals,
+        "truncated": totals["resolved"] < spec.arrivals,
         "makespan_ms": makespan_ms,
         "throughput_per_s": (
             stats["completed"] / (makespan_ms / 1000.0)
@@ -283,7 +239,7 @@ def run_corruption_trial(
         "oracle": oracle_model.verify(failed_disk=controller.failed_disk),
         "instrumentation": controller.instrumentation_record(),
     }
-    if defense != "none":
+    if spec.defense != "none":
         record["checksum"] = controller.checksum_stats.to_dict()
     if scrubber is not None:
         record["scrub_audit"] = scrubber.to_dict()

@@ -26,7 +26,7 @@ state by different amounts of work.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController
 from repro.array.journal import StripeJournal
@@ -46,36 +46,17 @@ from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
 
+if TYPE_CHECKING:
+    from repro.runner.spec import CrashTrialSpec
 
-def run_crash_trial(
-    layout_name: str,
-    disks: int = 13,
-    width: Optional[int] = None,
-    clients: int = 4,
-    size_kb: int = 8,
-    seed: int = 0,
-    journal: bool = True,
-    journal_latency_ms: float = 0.05,
-    crash_time_ms: Optional[float] = None,
-    crash_boundary: Optional[int] = None,
-    crash_seed: Optional[int] = None,
-    crash_max_boundary: int = 64,
-    fail_disk_at_ms: Optional[float] = None,
-    failed_disk: int = 0,
-    transient_io_rate: float = 0.0,
-    restart_delay_ms: float = 10.0,
-    resync_rows: int = 26,
-    resync_parallel: int = 1,
-    max_pre_samples: int = 200,
-    post_samples: int = 50,
-) -> dict:
-    """One crash/recovery arc (see module docstring).  Pure function of
-    its arguments — every RNG is a named stream, so trials plug into the
-    runner's byte-determinism contract."""
-    if clients < 1:
-        raise ConfigurationError(f"need >= 1 client, got {clients}")
+
+def run_crash_trial(spec: CrashTrialSpec) -> dict:
+    """One crash/recovery arc of a
+    :class:`~repro.runner.spec.CrashTrialSpec` (see module docstring).
+    Pure function of the spec — every RNG is a named stream, so trials
+    plug into the runner's byte-determinism contract."""
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     controller = ArrayController(
         engine,
         layout,
@@ -85,22 +66,22 @@ def run_crash_trial(
     )
     oracle = controller.attach_oracle(IntegrityOracle(layout))
     journal_log = (
-        controller.attach_journal(StripeJournal(journal_latency_ms))
-        if journal
+        controller.attach_journal(StripeJournal(spec.journal_latency_ms))
+        if spec.journal
         else None
     )
-    if transient_io_rate > 0:
-        controller.enable_transient_errors(transient_io_rate, seed)
+    if spec.transient_io_rate > 0:
+        controller.enable_transient_errors(spec.transient_io_rate, spec.seed)
 
     # Confine client writes to the stripe region the resync sweep covers,
     # so the full-sweep baseline really does close every hole.
-    periods_swept = max(1, resync_rows // layout.period)
+    periods_swept = max(1, spec.resync_rows // layout.period)
     write_units = periods_swept * layout.data_units_per_period
     if write_units > controller.addressable_data_units:
         write_units = controller.addressable_data_units
 
-    spec = AccessSpec(size_kb=size_kb, is_write=True)
-    units = spec.units(PAPER_STRIPE_UNIT_KB)
+    workload = AccessSpec(size_kb=spec.size_kb, is_write=True)
+    units = workload.units(PAPER_STRIPE_UNIT_KB)
 
     pre = {"samples": 0, "total_ms": 0.0}
     post = {"samples": 0, "total_ms": 0.0}
@@ -109,46 +90,50 @@ def run_crash_trial(
     def pre_response(client, access, response_ms) -> bool:
         pre["samples"] += 1
         pre["total_ms"] += response_ms
-        return pre["samples"] < max_pre_samples
+        return pre["samples"] < spec.max_pre_samples
 
-    for c in range(clients):
+    for c in range(spec.clients):
         generator = UniformGenerator(
             write_units,
             units,
-            random.Random(f"{seed}/client-{c}"),
+            random.Random(f"{spec.seed}/client-{c}"),
         )
         ClosedLoopClient(
-            c, controller, generator, spec, pre_response,
+            c, controller, generator, workload, pre_response,
             stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
         ).start()
 
-    if fail_disk_at_ms is not None:
+    if spec.fail_disk_at_ms is not None:
 
         def fail() -> None:
             if controller.mode is ArrayMode.FAULT_FREE:
-                controller.fail_disk(failed_disk)
+                controller.fail_disk(spec.failed_disk)
 
-        engine.schedule_at(fail_disk_at_ms, fail)
+        engine.schedule_at(spec.fail_disk_at_ms, fail)
 
     def post_response(client, access, response_ms) -> bool:
         post["samples"] += 1
         post["total_ms"] += response_ms
-        if post["samples"] >= post_samples:
+        if post["samples"] >= spec.post_samples:
             engine.stop()
             return False
         return True
 
     def start_post_clients() -> None:
-        if post_samples < 1 or controller.mode is ArrayMode.DATA_LOSS:
+        if spec.post_samples < 1 or controller.mode is ArrayMode.DATA_LOSS:
             return
-        for c in range(clients):
+        for c in range(spec.clients):
             generator = UniformGenerator(
                 write_units,
                 units,
-                random.Random(f"{seed}/post-{c}"),
+                random.Random(f"{spec.seed}/post-{c}"),
             )
             ClosedLoopClient(
-                clients + c, controller, generator, spec, post_response,
+                spec.clients + c,
+                controller,
+                generator,
+                workload,
+                post_response,
                 stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
             ).start()
 
@@ -161,22 +146,22 @@ def run_crash_trial(
             controller,
             journal=journal_log,
             suspect=set(crash.torn_stripes),
-            rows=resync_rows,
-            parallel_stripes=resync_parallel,
+            rows=spec.resync_rows,
+            parallel_stripes=spec.resync_parallel,
             on_finished=resync_done,
         )
         state["resync"] = resync
         resync.start()
 
     def on_crash(injector: CrashInjector) -> None:
-        engine.schedule(restart_delay_ms, restart)
+        engine.schedule(spec.restart_delay_ms, restart)
 
     crash = CrashInjector(
         controller,
-        at_time_ms=crash_time_ms,
-        at_boundary=crash_boundary,
-        seed=crash_seed,
-        max_boundary=crash_max_boundary,
+        at_time_ms=spec.crash_time_ms,
+        at_boundary=spec.crash_boundary,
+        seed=spec.crash_seed,
+        max_boundary=spec.crash_max_boundary,
         on_crash=on_crash,
     )
     crash.arm()
@@ -198,18 +183,20 @@ def run_crash_trial(
 
     verification = oracle.verify(failed_disk=controller.failed_disk)
     record = {
-        "layout": layout_name,
+        "layout": spec.layout,
         "disks": layout.n,
-        "seed": seed,
-        "clients": clients,
-        "size_kb": size_kb,
-        "journal": journal,
-        "journal_latency_ms": journal_latency_ms if journal else None,
-        "degraded": fail_disk_at_ms is not None,
+        "seed": spec.seed,
+        "clients": spec.clients,
+        "size_kb": spec.size_kb,
+        "journal": spec.journal,
+        "journal_latency_ms": (
+            spec.journal_latency_ms if spec.journal else None
+        ),
+        "degraded": spec.fail_disk_at_ms is not None,
         "classification": classification,
         "loss_reason": controller.data_loss_reason,
         "crash": crash.to_dict(),
-        "restart_delay_ms": restart_delay_ms,
+        "restart_delay_ms": spec.restart_delay_ms,
         "resync": None if resync is None else resync.to_dict(),
         "resync_ms": state["resync_ms"],
         "pre": {
@@ -229,14 +216,14 @@ def run_crash_trial(
         "oracle": verification,
         "instrumentation": controller.instrumentation_record(),
     }
-    if transient_io_rate > 0:
+    if spec.transient_io_rate > 0:
         record["io_recovery"] = controller.io_stats.to_dict()
     return record
 
 
 def crash_specs(
     layouts: Optional[List[str]] = None,
-    client_counts: Optional[List[int]] = None,
+    clients: Optional[List[int]] = None,
     disks: int = 13,
     width: Optional[int] = None,
     size_kb: int = 8,
@@ -244,7 +231,7 @@ def crash_specs(
     crash_boundary: int = 150,
     journal_latency_ms: float = 0.05,
     resync_rows: int = 26,
-    max_pre_samples: int = 200,
+    pre_samples: int = 200,
     post_samples: int = 50,
 ):
     """The ``repro crash`` sweep: layouts x client counts x journal
@@ -253,30 +240,30 @@ def crash_specs(
     recovery strategy.  The default boundary lands late enough that the
     pre-crash response means are real curves, not single samples —
     ``crash_boundary`` must stay below the total write budget
-    (``max_pre_samples``) or the crash never fires."""
+    (``pre_samples``) or the crash never fires."""
     from repro.runner.spec import CrashTrialSpec
 
     if layouts is None:
         layouts = ["pddl"]
-    if client_counts is None:
-        client_counts = [2, 4, 8]
+    if clients is None:
+        clients = [2, 4, 8]
     return [
         CrashTrialSpec(
             layout=layout,
             disks=disks,
             width=width,
-            clients=clients,
+            clients=client_count,
             size_kb=size_kb,
             seed=seed,
             journal=journal,
             journal_latency_ms=journal_latency_ms,
             crash_boundary=crash_boundary,
             resync_rows=resync_rows,
-            max_pre_samples=max_pre_samples,
+            max_pre_samples=pre_samples,
             post_samples=post_samples,
         )
         for layout in layouts
-        for clients in client_counts
+        for client_count in clients
         for journal in (True, False)
     ]
 

@@ -28,7 +28,7 @@ contract.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import (
     ArrayController,
@@ -36,7 +36,6 @@ from repro.array.controller import (
     LogicalAccess,
 )
 from repro.array.reconstructor import AdaptiveThrottle
-from repro.errors import ConfigurationError
 from repro.experiments.config import (
     PAPER_SCHEDULER,
     PAPER_SCHEDULER_WINDOW,
@@ -49,11 +48,14 @@ from repro.faults.scrubber import aggregate_scrub
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
 from repro.sim.engine import SimulationEngine
-from repro.traffic.admission import AdmissionQueue
+from repro.traffic.admission import AdmissionQueue, offer_arrivals
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.sla import SlaTracker, SloPolicy
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
+
+if TYPE_CHECKING:
+    from repro.runner.spec import FailSlowTrialSpec
 
 #: Defense configurations (see module docstring).
 DEFENSES = ("none", "hedge", "adaptive", "both")
@@ -65,32 +67,9 @@ _FAULT_AT_MS = 1.0
 _SETTLE_MS = 9.0
 
 
-def run_failslow_trial(
-    layout_name: str,
-    rate_per_s: float = 40.0,
-    defense: str = "none",
-    arrivals: int = 1000,
-    seed: int = 2,
-    size_kb: int = 8,
-    disks: Optional[int] = None,
-    width: Optional[int] = None,
-    failed_disk: int = 0,
-    slow_disk: int = 1,
-    slow_multiplier: float = 5.0,
-    degraded_dwell_ms: float = 40.0,
-    rebuild_rows: Optional[int] = 300,
-    rebuild_parallel: int = 4,
-    rebuild_throttle_ms: float = 16.0,
-    hedge_deferral_ms: float = 30.0,
-    adaptive_max_ms: float = 512.0,
-    queue_depth: int = 64,
-    service_slots: int = 12,
-    slo_p99_ms: float = 250.0,
-    slo_p999_ms: float = 1500.0,
-    window_ms: float = 100.0,
-    horizon_ms: float = 120000.0,
-) -> dict:
-    """One fail-slow trial; returns a JSON-able record.
+def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
+    """One trial of a :class:`~repro.runner.spec.FailSlowTrialSpec`;
+    returns a JSON-able record.
 
     The trial always runs the mid-rebuild phase: ``failed_disk`` dies at
     1ms, the rebuild starts after the dwell, and ``slow_disk`` serves
@@ -98,31 +77,8 @@ def run_failslow_trial(
     run ends when every arrival is resolved *and* the rebuild finished,
     or at ``horizon_ms`` (marking the record ``truncated``).
     """
-    if defense not in DEFENSES:
-        raise ConfigurationError(
-            f"defense must be one of {DEFENSES}, got {defense!r}"
-        )
-    if arrivals < 1:
-        raise ConfigurationError(f"need >= 1 arrival, got {arrivals}")
-    if slow_disk == failed_disk:
-        raise ConfigurationError(
-            f"the fail-slow disk must differ from the failed disk,"
-            f" both are {slow_disk}"
-        )
-    if slow_multiplier <= 1.0:
-        raise ConfigurationError(
-            f"fail-slow multiplier must exceed 1.0, got {slow_multiplier}"
-        )
-    if horizon_ms <= 0:
-        raise ConfigurationError(
-            f"horizon must be positive, got {horizon_ms}"
-        )
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
-    if not 0 <= failed_disk < layout.n or not 0 <= slow_disk < layout.n:
-        raise ConfigurationError(
-            f"disk indices {failed_disk}/{slow_disk} out of range"
-        )
+    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     controller = ArrayController(
         engine,
         layout,
@@ -131,16 +87,16 @@ def run_failslow_trial(
         stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
     )
 
-    hedging = defense in ("hedge", "both")
-    adapting = defense in ("adaptive", "both")
+    hedging = spec.defense in ("hedge", "both")
+    adapting = spec.defense in ("adaptive", "both")
     if hedging:
         controller.set_hedge_policy(
-            HedgePolicy(deferral_ms=hedge_deferral_ms)
+            HedgePolicy(deferral_ms=spec.hedge_deferral_ms)
         )
 
     tracker = SlaTracker(
-        SloPolicy(p99_ms=slo_p99_ms, p999_ms=slo_p999_ms),
-        window_ms=window_ms,
+        SloPolicy(p99_ms=spec.slo_p99_ms, p999_ms=spec.slo_p999_ms),
+        window_ms=spec.window_ms,
     )
     adaptive = (
         AdaptiveThrottle(
@@ -150,8 +106,8 @@ def run_failslow_trial(
             # rebuild outrun its own violation signal — the completions
             # proving the tail blew out only arrive after the slow
             # disk's queue drains, well after the damage is done.
-            initial_ms=adaptive_max_ms,
-            max_ms=adaptive_max_ms,
+            initial_ms=spec.adaptive_max_ms,
+            max_ms=spec.adaptive_max_ms,
             recover_step_ms=2.0,
             # At tens of arrivals per second a single 100ms window holds
             # too few completions for a stable violation fraction; a
@@ -163,19 +119,19 @@ def run_failslow_trial(
     )
 
     # The gray failure: active from time zero, constant multiplier.
-    controller.servers[slow_disk].drive.fail_slow = FailSlowModel(
-        slow_multiplier, onset_ms=0.0
+    controller.servers[spec.slow_disk].drive.fail_slow = FailSlowModel(
+        spec.slow_multiplier, onset_ms=0.0
     )
 
     scenario = FaultScenario(
-        failed_disk=failed_disk,
+        failed_disk=spec.failed_disk,
         fault_time_ms=_FAULT_AT_MS,
-        degraded_dwell_ms=degraded_dwell_ms,
-        rebuild_rows=rebuild_rows,
-        rebuild_parallel=rebuild_parallel,
+        degraded_dwell_ms=spec.degraded_dwell_ms,
+        rebuild_rows=spec.rebuild_rows,
+        rebuild_parallel=spec.rebuild_parallel,
         # The undefended baseline pays this static idle gap per rebuild
         # step; the adaptive defense replaces it with the AIMD decision.
-        rebuild_throttle_ms=rebuild_throttle_ms,
+        rebuild_throttle_ms=spec.rebuild_throttle_ms,
     )
     lifecycle = ArrayLifecycle(
         controller,
@@ -186,12 +142,12 @@ def run_failslow_trial(
         adaptive_throttle=adaptive,
     )
     lifecycle.arm()
-    traffic_start_ms = _FAULT_AT_MS + _SETTLE_MS + degraded_dwell_ms
+    traffic_start_ms = _FAULT_AT_MS + _SETTLE_MS + spec.degraded_dwell_ms
 
     totals = {"resolved": 0}
 
     def check_stop() -> None:
-        if totals["resolved"] >= arrivals and (
+        if totals["resolved"] >= spec.arrivals and (
             lifecycle.complete or lifecycle.data_loss
         ):
             engine.stop()
@@ -209,50 +165,45 @@ def run_failslow_trial(
     queue = AdmissionQueue(
         controller,
         on_response,
-        depth=queue_depth,
-        service_slots=service_slots,
+        depth=spec.queue_depth,
+        service_slots=spec.service_slots,
     )
 
-    units = AccessSpec(size_kb, False).units(PAPER_STRIPE_UNIT_KB)
+    units = AccessSpec(spec.size_kb, False).units(PAPER_STRIPE_UNIT_KB)
     location = UniformGenerator(
         controller.addressable_data_units,
         units,
-        random.Random(f"{seed}/failslow-loc"),
+        random.Random(f"{spec.seed}/failslow-loc"),
     )
-    process = PoissonArrivals(rate_per_s, random.Random(f"{seed}/arrivals"))
-
-    state = {"offered": 0}
-
-    def arrive() -> None:
-        access = LogicalAccess(
-            access_id=state["offered"],
+    offer_arrivals(
+        queue,
+        PoissonArrivals(
+            spec.rate_per_s, random.Random(f"{spec.seed}/arrivals")
+        ),
+        lambda access_id: LogicalAccess(
+            access_id=access_id,
             first_unit=location.next_start(),
             unit_count=units,
             is_write=False,
-        )
-        state["offered"] += 1
-        if not queue.offer(access):
-            resolve()
-        if state["offered"] < arrivals:
-            engine.schedule(process.next_delay_ms(), arrive)
-
-    engine.schedule_at(
-        traffic_start_ms + process.next_delay_ms(), arrive
+        ),
+        spec.arrivals,
+        traffic_start_ms,
+        resolve,
     )
-    engine.schedule_at(horizon_ms, engine.stop)
+    engine.schedule_at(spec.horizon_ms, engine.stop)
     engine.run()
 
     recon = lifecycle.reconstructor
     slo = tracker.report()
     stats = queue.stats()
-    truncated = totals["resolved"] < arrivals or not lifecycle.complete
+    truncated = totals["resolved"] < spec.arrivals or not lifecycle.complete
     record = {
-        "layout": layout_name,
-        "defense": defense,
-        "rate_per_s": rate_per_s,
-        "slow_disk": slow_disk,
-        "slow_multiplier": slow_multiplier,
-        "offered": state["offered"],
+        "layout": spec.layout,
+        "defense": spec.defense,
+        "rate_per_s": spec.rate_per_s,
+        "slow_disk": spec.slow_disk,
+        "slow_multiplier": spec.slow_multiplier,
+        "offered": stats["offered"],
         "completed": stats["completed"],
         "shed": stats["shed"],
         "truncated": truncated,
@@ -262,7 +213,9 @@ def run_failslow_trial(
         "tail": slo["tail"],
         "slo": slo,
         "queue": stats,
-        "failslow": controller.servers[slow_disk].drive.fail_slow.report(),
+        "failslow": controller.servers[
+            spec.slow_disk
+        ].drive.fail_slow.report(),
         "rebuild": {
             "transitions": [list(t) for t in lifecycle.transitions],
             "finished": lifecycle.complete,

@@ -25,10 +25,9 @@ and plug into the runner's byte-determinism contract.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController, LogicalAccess
-from repro.errors import ConfigurationError
 from repro.experiments.config import (
     PAPER_SCHEDULER,
     PAPER_SCHEDULER_WINDOW,
@@ -40,7 +39,11 @@ from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
 from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import DepthTimeline, ProgressTimeline
-from repro.traffic.admission import AdmissionQueue, OverloadDetector
+from repro.traffic.admission import (
+    AdmissionQueue,
+    OverloadDetector,
+    offer_arrivals,
+)
 from repro.traffic.arrivals import (
     ArrivalProcess,
     MMPPArrivals,
@@ -50,6 +53,9 @@ from repro.traffic.arrivals import (
 from repro.traffic.sla import SlaTracker, SloPolicy
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
+
+if TYPE_CHECKING:
+    from repro.runner.spec import OpenLoopSpec
 
 #: Trial phases (see module docstring).
 PHASES = ("ff", "degraded", "rebuild")
@@ -65,81 +71,37 @@ _FAULT_AT_MS = 1.0
 _SETTLE_MS = 9.0
 
 
-def _build_arrivals(
-    arrival: str,
-    rate_per_s: float,
-    burst_ratio: float,
-    burst_fraction: float,
-    burst_dwell_ms: float,
-    trace_period_ms: float,
-    rng: random.Random,
-) -> ArrivalProcess:
-    if arrival == "poisson":
-        return PoissonArrivals(rate_per_s, rng)
-    if arrival == "mmpp":
+def _build_arrivals(spec: OpenLoopSpec, rng: random.Random) -> ArrivalProcess:
+    if spec.arrival == "poisson":
+        return PoissonArrivals(spec.rate_per_s, rng)
+    if spec.arrival == "mmpp":
         return MMPPArrivals.bursty(
-            rate_per_s, burst_ratio, burst_fraction, burst_dwell_ms, rng
+            spec.rate_per_s,
+            spec.burst_ratio,
+            spec.burst_fraction,
+            spec.burst_dwell_ms,
+            rng,
         )
-    if arrival == "trace":
-        return TraceArrivals.diurnal(rate_per_s, trace_period_ms, rng)
-    raise ConfigurationError(
-        f"arrival model must be one of {ARRIVALS}, got {arrival!r}"
-    )
+    return TraceArrivals.diurnal(spec.rate_per_s, spec.trace_period_ms, rng)
 
 
-def run_openloop_trial(
-    layout_name: str,
-    rate_per_s: float,
-    arrival: str = "poisson",
-    phase: str = "ff",
-    arrivals: int = 300,
-    seed: int = 0,
-    size_kb: int = 8,
-    is_write: bool = False,
-    disks: Optional[int] = None,
-    width: Optional[int] = None,
-    burst_ratio: float = 6.0,
-    burst_fraction: float = 0.15,
-    burst_dwell_ms: float = 120.0,
-    trace_period_ms: float = 600.0,
-    failed_disk: int = 0,
-    degraded_dwell_ms: float = 40.0,
-    rebuild_parallel: int = 1,
-    rebuild_throttle_ms: float = 4.0,
-    queue_depth: int = 64,
-    service_slots: int = 12,
-    slo_p99_ms: float = 120.0,
-    slo_p999_ms: float = 250.0,
-    window_ms: float = 100.0,
-    overload_windows: int = 3,
-    horizon_ms: float = 30000.0,
-    record_timelines: bool = False,
-) -> dict:
-    """One open-loop trial; returns a JSON-able record.
+def run_openloop_trial(spec: OpenLoopSpec) -> dict:
+    """One trial of an :class:`~repro.runner.spec.OpenLoopSpec`; returns
+    a JSON-able record.
 
     The run ends when every offered arrival is resolved (completed or
-    shed) or at ``horizon_ms``, whichever comes first; a horizon stop
-    marks the record ``truncated``.
+    shed) or at ``spec.horizon_ms``, whichever comes first; a horizon
+    stop marks the record ``truncated``.
     """
-    if phase not in PHASES:
-        raise ConfigurationError(
-            f"phase must be one of {PHASES}, got {phase!r}"
-        )
-    if arrivals < 1:
-        raise ConfigurationError(f"need >= 1 arrival, got {arrivals}")
-    if horizon_ms <= 0:
-        raise ConfigurationError(
-            f"horizon must be positive, got {horizon_ms}"
-        )
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     controller = ArrayController(
         engine,
         layout,
         scheduler_name=PAPER_SCHEDULER,
         scheduler_window=PAPER_SCHEDULER_WINDOW,
         stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-        record_timelines=record_timelines,
+        record_timelines=spec.timelines,
     )
 
     # Fault machinery: the degraded phase stretches the dwell past the
@@ -149,19 +111,19 @@ def run_openloop_trial(
     lifecycle: Optional[ArrayLifecycle] = None
     progress = ProgressTimeline()
     traffic_start_ms = 0.0
-    if phase != "ff":
+    if spec.phase != "ff":
         dwell = (
-            horizon_ms + _SETTLE_MS
-            if phase == "degraded"
-            else degraded_dwell_ms
+            spec.horizon_ms + _SETTLE_MS
+            if spec.phase == "degraded"
+            else spec.degraded_dwell_ms
         )
         scenario = FaultScenario(
-            failed_disk=failed_disk,
+            failed_disk=spec.failed_disk,
             fault_time_ms=_FAULT_AT_MS,
             degraded_dwell_ms=dwell,
             rebuild_rows=None,
-            rebuild_parallel=rebuild_parallel,
-            rebuild_throttle_ms=rebuild_throttle_ms,
+            rebuild_parallel=spec.rebuild_parallel,
+            rebuild_throttle_ms=spec.rebuild_throttle_ms,
         )
         lifecycle = ArrayLifecycle(
             controller,
@@ -172,15 +134,15 @@ def run_openloop_trial(
         )
         lifecycle.arm()
         traffic_start_ms = _FAULT_AT_MS + _SETTLE_MS
-        if phase == "rebuild":
-            traffic_start_ms += degraded_dwell_ms
+        if spec.phase == "rebuild":
+            traffic_start_ms += spec.degraded_dwell_ms
 
     tracker = SlaTracker(
-        SloPolicy(p99_ms=slo_p99_ms, p999_ms=slo_p999_ms),
-        window_ms=window_ms,
+        SloPolicy(p99_ms=spec.slo_p99_ms, p999_ms=spec.slo_p999_ms),
+        window_ms=spec.window_ms,
     )
     detector = OverloadDetector(
-        window_ms=window_ms, windows=overload_windows
+        window_ms=spec.window_ms, windows=spec.overload_windows
     )
     timeline = DepthTimeline()
     totals = {"resolved": 0}
@@ -188,7 +150,7 @@ def run_openloop_trial(
 
     def resolve() -> None:
         totals["resolved"] += 1
-        if totals["resolved"] >= arrivals:
+        if totals["resolved"] >= spec.arrivals:
             engine.stop()
 
     def on_response(
@@ -207,50 +169,37 @@ def run_openloop_trial(
     queue = AdmissionQueue(
         controller,
         on_response,
-        depth=queue_depth,
-        service_slots=service_slots,
+        depth=spec.queue_depth,
+        service_slots=spec.service_slots,
         detector=detector,
         timeline=timeline,
     )
 
-    units = AccessSpec(size_kb, is_write).units(PAPER_STRIPE_UNIT_KB)
+    units = AccessSpec(spec.size_kb, spec.is_write).units(
+        PAPER_STRIPE_UNIT_KB
+    )
     location = UniformGenerator(
         controller.addressable_data_units,
         units,
-        random.Random(f"{seed}/openloop-loc"),
+        random.Random(f"{spec.seed}/openloop-loc"),
     )
-    process = _build_arrivals(
-        arrival,
-        rate_per_s,
-        burst_ratio,
-        burst_fraction,
-        burst_dwell_ms,
-        trace_period_ms,
-        random.Random(f"{seed}/arrivals"),
-    )
-
-    state = {"offered": 0}
-
-    def arrive() -> None:
-        access = LogicalAccess(
-            access_id=state["offered"],
+    offer_arrivals(
+        queue,
+        _build_arrivals(spec, random.Random(f"{spec.seed}/arrivals")),
+        lambda access_id: LogicalAccess(
+            access_id=access_id,
             first_unit=location.next_start(),
             unit_count=units,
-            is_write=is_write,
-        )
-        state["offered"] += 1
-        if not queue.offer(access):
-            resolve()
-        if state["offered"] < arrivals:
-            engine.schedule(process.next_delay_ms(), arrive)
-
-    engine.schedule_at(
-        traffic_start_ms + process.next_delay_ms(), arrive
+            is_write=spec.is_write,
+        ),
+        spec.arrivals,
+        traffic_start_ms,
+        resolve,
     )
-    engine.schedule_at(horizon_ms, engine.stop)
+    engine.schedule_at(spec.horizon_ms, engine.stop)
     engine.run()
 
-    truncated = totals["resolved"] < arrivals
+    truncated = totals["resolved"] < spec.arrivals
     overload = detector.report()
     slo = tracker.report()
     stats = queue.stats()
@@ -258,11 +207,11 @@ def run_openloop_trial(
     # or arrivals were shed outright (the queue hit its bound).
     overloaded = bool(overload["overloaded"] or stats["shed"] > 0)
     record = {
-        "layout": layout_name,
-        "phase": phase,
-        "arrival": arrival,
-        "rate_per_s": rate_per_s,
-        "offered": state["offered"],
+        "layout": spec.layout,
+        "phase": spec.phase,
+        "arrival": spec.arrival,
+        "rate_per_s": spec.rate_per_s,
+        "offered": stats["offered"],
         "completed": stats["completed"],
         "shed": stats["shed"],
         "truncated": truncated,
@@ -277,7 +226,7 @@ def run_openloop_trial(
         "modes": dict(sorted(mode_counts.items())),
         "histogram": tracker.histogram.to_dict(),
         "instrumentation": controller.instrumentation_record(
-            include_timelines=record_timelines
+            include_timelines=spec.timelines
         ),
     }
     if lifecycle is not None:
@@ -290,7 +239,7 @@ def run_openloop_trial(
             "steps": 0 if recon is None else recon.steps_completed,
             "finished": lifecycle.complete,
         }
-    if record_timelines:
+    if spec.timelines:
         record["timelines"] = {
             "queue_depth": list(timeline.points),
             "rebuild_progress": list(progress.points),

@@ -61,14 +61,38 @@ def _version(report: dict) -> str:
     return report.get("provenance", {}).get("source_version", "unversioned")
 
 
+def _check_provenance(report: dict, problems: List[str]) -> None:
+    provenance = report.get("provenance")
+    if provenance is None:
+        problems.append(f"{report['bench']} report lacks a provenance block")
+    elif "sweep_hash" not in provenance:
+        problems.append("provenance block lacks sweep_hash")
+
+
+def _check_admission(label: str, trial: dict, problems: List[str]) -> None:
+    """Every offered arrival was either completed or shed."""
+    if trial["completed"] + trial["shed"] != trial["offered"]:
+        problems.append(
+            f"{label}: completed {trial['completed']} + shed"
+            f" {trial['shed']} != offered {trial['offered']}"
+        )
+
+
+def _check_tail_order(label: str, tail: dict, problems: List[str]) -> None:
+    if tail["count"]:
+        ordered = (
+            tail["p50_ms"]
+            <= tail["p99_ms"]
+            <= tail["p999_ms"]
+            <= tail["max_ms"] * 1.05  # bucketed p999 vs exact max
+        )
+        if not ordered:
+            problems.append(f"{label}: tail percentiles out of order")
+
+
 def _check_campaign(report: dict, problems: List[str]) -> None:
     summary = report["summary"]
     trials = summary["trials"]
-    if trials != len(report["trials"]):
-        problems.append(
-            f"summary says {trials} trials but {len(report['trials'])}"
-            " are recorded"
-        )
     if not 0 <= summary["losses"] <= trials:
         problems.append(f"losses {summary['losses']} outside [0, {trials}]")
     if not 0.0 <= summary["loss_probability"] <= 1.0:
@@ -92,11 +116,6 @@ def _check_crash(report: dict, problems: List[str]) -> None:
     if summary["corruption_events"] != 0:
         problems.append(
             f"{summary['corruption_events']} silent corruption event(s)"
-        )
-    if summary["trials"] != len(report["trials"]):
-        problems.append(
-            f"summary says {summary['trials']} trials but"
-            f" {len(report['trials'])} are recorded"
         )
     if summary["resync_speedup"] <= 1.0:
         problems.append(
@@ -131,11 +150,6 @@ def _check_nemesis(report: dict, problems: List[str]) -> None:
         problems.append(
             f"outcomes sum to {counted}, not {summary['trials']}"
         )
-    if summary["trials"] != len(report["trials"]):
-        problems.append(
-            f"summary says {summary['trials']} trials but"
-            f" {len(report['trials'])} are recorded"
-        )
 
 
 def _check_lifecycle(report: dict, problems: List[str]) -> None:
@@ -146,11 +160,6 @@ def _check_lifecycle(report: dict, problems: List[str]) -> None:
 def _check_traffic(report: dict, problems: List[str]) -> None:
     summary = report["summary"]
     trials = report["trials"]
-    if summary["trials"] != len(trials):
-        problems.append(
-            f"summary says {summary['trials']} trials but"
-            f" {len(trials)} are recorded"
-        )
     overloaded = sum(1 for t in trials if t["overloaded"])
     if overloaded != summary["overloaded_trials"]:
         problems.append(
@@ -159,53 +168,18 @@ def _check_traffic(report: dict, problems: List[str]) -> None:
         )
     for trial in trials:
         label = f"{trial['layout']}/{trial['phase']}@{trial['rate_per_s']}"
-        if trial["completed"] + trial["shed"] != trial["offered"]:
-            problems.append(
-                f"{label}: completed {trial['completed']} + shed"
-                f" {trial['shed']} != offered {trial['offered']}"
-            )
-        tail = trial["tail"]
-        if tail["count"]:
-            ordered = (
-                tail["p50_ms"]
-                <= tail["p99_ms"]
-                <= tail["p999_ms"]
-                <= tail["max_ms"] * 1.05  # bucketed p999 vs exact max
-            )
-            if not ordered:
-                problems.append(f"{label}: tail percentiles out of order")
+        _check_admission(label, trial, problems)
+        _check_tail_order(label, trial["tail"], problems)
 
 
 def _check_failslow(report: dict, problems: List[str]) -> None:
-    provenance = report.get("provenance")
-    if provenance is None:
-        problems.append("failslow report lacks a provenance block")
-    elif "sweep_hash" not in provenance:
-        problems.append("provenance block lacks sweep_hash")
+    _check_provenance(report, problems)
     summary = report["summary"]
     trials = report["trials"]
-    if summary["trials"] != len(trials):
-        problems.append(
-            f"summary says {summary['trials']} trials but"
-            f" {len(trials)} are recorded"
-        )
     for trial in trials:
         label = f"{trial['layout']}/{trial['defense']}"
-        if trial["completed"] + trial["shed"] != trial["offered"]:
-            problems.append(
-                f"{label}: completed {trial['completed']} + shed"
-                f" {trial['shed']} != offered {trial['offered']}"
-            )
-        tail = trial["tail"]
-        if tail["count"]:
-            ordered = (
-                tail["p50_ms"]
-                <= tail["p99_ms"]
-                <= tail["p999_ms"]
-                <= tail["max_ms"] * 1.05  # bucketed p999 vs exact max
-            )
-            if not ordered:
-                problems.append(f"{label}: tail percentiles out of order")
+        _check_admission(label, trial, problems)
+        _check_tail_order(label, trial["tail"], problems)
         hedging = trial.get("hedging")
         if trial["defense"] in ("hedge", "both"):
             if hedging is None:
@@ -235,18 +209,9 @@ def _check_failslow(report: dict, problems: List[str]) -> None:
 
 
 def _check_corruption(report: dict, problems: List[str]) -> None:
-    provenance = report.get("provenance")
-    if provenance is None:
-        problems.append("corruption report lacks a provenance block")
-    elif "sweep_hash" not in provenance:
-        problems.append("provenance block lacks sweep_hash")
+    _check_provenance(report, problems)
     summary = report["summary"]
     trials = report["trials"]
-    if summary["trials"] != len(trials):
-        problems.append(
-            f"summary says {summary['trials']} trials but"
-            f" {len(trials)} are recorded"
-        )
     # The defense invariant the whole bench exists to assert: no
     # checksummed tier ever serves corrupt data as good.
     if summary["defended_silent_total"] != 0:
@@ -262,11 +227,7 @@ def _check_corruption(report: dict, problems: List[str]) -> None:
             )
     for trial in trials:
         label = f"{trial['layout']}/{trial['defense']}#{trial['trial']}"
-        if trial["completed"] + trial["shed"] != trial["offered"]:
-            problems.append(
-                f"{label}: completed {trial['completed']} + shed"
-                f" {trial['shed']} != offered {trial['offered']}"
-            )
+        _check_admission(label, trial, problems)
         ledger = trial["corruption"]
         if ledger["silent_total"] != sum(ledger["silent"].values()):
             problems.append(
@@ -306,6 +267,13 @@ def check_invariants(report: dict) -> List[str]:
         return [f"unknown bench kind {kind!r}"]
     problems: List[str] = []
     try:
+        if _COMPARERS.get(kind) is _compare_trial_sweep:
+            claimed, recorded = report["summary"]["trials"], report["trials"]
+            if claimed != len(recorded):
+                problems.append(
+                    f"summary says {claimed} trials but {len(recorded)}"
+                    " are recorded"
+                )
         checker(report, problems)
     except (KeyError, TypeError) as exc:
         problems.append(f"malformed {kind} report: missing {exc}")
@@ -440,13 +408,12 @@ def compare_reports(baseline: dict, candidate: dict) -> List[str]:
     """Level shifts between two same-kind reports (empty = no change).
 
     Simulated quantities must match exactly (the whole pipeline is
-    seeded and deterministic).  A config mismatch
-    is reported as its own problem — the reports measured different
+    seeded and deterministic).  A config or sweep-hash mismatch is
+    reported as its own problem — the reports measured different
     sweeps, so their numbers are incomparable.  A bench kind with no
     registered comparer is also a problem: an unknown baseline must
     fail the gate, not slide through it.
     """
-    regressions: List[str] = []
     if baseline["bench"] != candidate["bench"]:
         return [
             f"bench kinds differ: {baseline['bench']!r} vs"
@@ -454,16 +421,20 @@ def compare_reports(baseline: dict, candidate: dict) -> List[str]:
         ]
     kind = baseline["bench"]
     if baseline.get("config") != candidate.get("config"):
-        regressions.append(
-            "configs differ — these reports measured different sweeps"
-        )
-        return regressions
+        return ["configs differ — these reports measured different sweeps"]
+    hashes = [
+        report.get("provenance", {}).get("sweep_hash")
+        for report in (baseline, candidate)
+    ]
+    if None not in hashes and hashes[0] != hashes[1]:
+        return ["sweep hashes differ — these reports measured different sweeps"]
     comparer = _COMPARERS.get(kind)
     if comparer is None:
         return [
             f"no comparer registered for bench kind {kind!r}"
             " — cannot gate on this baseline"
         ]
+    regressions: List[str] = []
     comparer(baseline, candidate, regressions)
     return regressions
 

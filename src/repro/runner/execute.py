@@ -165,30 +165,7 @@ def _execute_campaign_trial(spec: CampaignTrialSpec) -> dict:
 def _execute_crash_trial(spec: CrashTrialSpec) -> dict:
     from repro.experiments.crashtrial import run_crash_trial
 
-    return {
-        "crash_trial": run_crash_trial(
-            spec.layout,
-            disks=spec.disks,
-            width=spec.width,
-            clients=spec.clients,
-            size_kb=spec.size_kb,
-            seed=spec.seed,
-            journal=spec.journal,
-            journal_latency_ms=spec.journal_latency_ms,
-            crash_time_ms=spec.crash_time_ms,
-            crash_boundary=spec.crash_boundary,
-            crash_seed=spec.crash_seed,
-            crash_max_boundary=spec.crash_max_boundary,
-            fail_disk_at_ms=spec.fail_disk_at_ms,
-            failed_disk=spec.failed_disk,
-            transient_io_rate=spec.transient_io_rate,
-            restart_delay_ms=spec.restart_delay_ms,
-            resync_rows=spec.resync_rows,
-            resync_parallel=spec.resync_parallel,
-            max_pre_samples=spec.max_pre_samples,
-            post_samples=spec.post_samples,
-        )
-    }
+    return {"crash_trial": run_crash_trial(spec)}
 
 
 def _execute_nemesis_trial(spec: NemesisTrialSpec) -> dict:
@@ -224,98 +201,19 @@ def _execute_nemesis_trial(spec: NemesisTrialSpec) -> dict:
 def _execute_openloop(spec: OpenLoopSpec) -> dict:
     from repro.experiments.openloop import run_openloop_trial
 
-    return {
-        "openloop": run_openloop_trial(
-            spec.layout,
-            spec.rate_per_s,
-            arrival=spec.arrival,
-            phase=spec.phase,
-            arrivals=spec.arrivals,
-            seed=spec.seed,
-            size_kb=spec.size_kb,
-            is_write=spec.is_write,
-            disks=spec.disks,
-            width=spec.width,
-            burst_ratio=spec.burst_ratio,
-            burst_fraction=spec.burst_fraction,
-            burst_dwell_ms=spec.burst_dwell_ms,
-            trace_period_ms=spec.trace_period_ms,
-            failed_disk=spec.failed_disk,
-            degraded_dwell_ms=spec.degraded_dwell_ms,
-            rebuild_parallel=spec.rebuild_parallel,
-            rebuild_throttle_ms=spec.rebuild_throttle_ms,
-            queue_depth=spec.queue_depth,
-            service_slots=spec.service_slots,
-            slo_p99_ms=spec.slo_p99_ms,
-            slo_p999_ms=spec.slo_p999_ms,
-            window_ms=spec.window_ms,
-            overload_windows=spec.overload_windows,
-            horizon_ms=spec.horizon_ms,
-            record_timelines=spec.timelines,
-        )
-    }
+    return {"openloop": run_openloop_trial(spec)}
 
 
 def _execute_failslow(spec: FailSlowTrialSpec) -> dict:
     from repro.experiments.failslow import run_failslow_trial
 
-    return {
-        "failslow": run_failslow_trial(
-            spec.layout,
-            spec.rate_per_s,
-            defense=spec.defense,
-            arrivals=spec.arrivals,
-            seed=spec.seed,
-            size_kb=spec.size_kb,
-            disks=spec.disks,
-            width=spec.width,
-            failed_disk=spec.failed_disk,
-            slow_disk=spec.slow_disk,
-            slow_multiplier=spec.slow_multiplier,
-            degraded_dwell_ms=spec.degraded_dwell_ms,
-            rebuild_rows=spec.rebuild_rows,
-            rebuild_parallel=spec.rebuild_parallel,
-            rebuild_throttle_ms=spec.rebuild_throttle_ms,
-            hedge_deferral_ms=spec.hedge_deferral_ms,
-            adaptive_max_ms=spec.adaptive_max_ms,
-            queue_depth=spec.queue_depth,
-            service_slots=spec.service_slots,
-            slo_p99_ms=spec.slo_p99_ms,
-            slo_p999_ms=spec.slo_p999_ms,
-            window_ms=spec.window_ms,
-            horizon_ms=spec.horizon_ms,
-        )
-    }
+    return {"failslow": run_failslow_trial(spec)}
 
 
 def _execute_corruption(spec: CorruptionTrialSpec) -> dict:
     from repro.experiments.corruption import run_corruption_trial
 
-    return {
-        "corruption": run_corruption_trial(
-            spec.layout,
-            defense=spec.defense,
-            trial=spec.trial,
-            seed=spec.seed,
-            lost_rate=spec.lost_rate,
-            misdirected_rate=spec.misdirected_rate,
-            bitrot_cells=spec.bitrot_cells,
-            rate_per_s=spec.rate_per_s,
-            arrivals=spec.arrivals,
-            read_fraction=spec.read_fraction,
-            span_units=spec.span_units,
-            size_kb=spec.size_kb,
-            disks=spec.disks,
-            width=spec.width,
-            fail_at_ms=spec.fail_at_ms,
-            failed_disk=spec.failed_disk,
-            checksum_latency_ms=spec.checksum_latency_ms,
-            scrub_interval_ms=spec.scrub_interval_ms,
-            queue_depth=spec.queue_depth,
-            service_slots=spec.service_slots,
-            horizon_ms=spec.horizon_ms,
-        )
-    }
+    return {"corruption": run_corruption_trial(spec)}
 
 
 _EXECUTORS = {

@@ -24,6 +24,7 @@ from typing import Callable, Deque, Optional, Tuple
 from repro.array.controller import ArrayController, LogicalAccess
 from repro.errors import ConfigurationError
 from repro.sim.instrument import DepthTimeline
+from repro.traffic.arrivals import ArrivalProcess
 
 #: ``on_response(access, total_ms, wait_ms)`` — total latency from offer
 #: to completion, and the admission-queue share of it.
@@ -197,3 +198,30 @@ class AdmissionQueue:
                 self.total_wait_ms / self.completed if self.completed else 0.0
             ),
         }
+
+
+def offer_arrivals(
+    queue: AdmissionQueue,
+    process: ArrivalProcess,
+    make_access: Callable[[int], LogicalAccess],
+    count: int,
+    start_ms: float,
+    on_shed: Callable[[], None],
+) -> None:
+    """Schedule ``count`` open-loop arrivals into ``queue``.
+
+    The first arrival lands one drawn gap after ``start_ms``; each
+    arrival draws the gap to the next.  ``make_access(i)`` builds the
+    ``i``-th access, and a shed arrival calls ``on_shed`` (it is
+    resolved without a response).  The number offered so far is
+    ``queue.offered``.
+    """
+    engine = queue.controller.engine
+
+    def arrive() -> None:
+        if not queue.offer(make_access(queue.offered)):
+            on_shed()
+        if queue.offered < count:
+            engine.schedule(process.next_delay_ms(), arrive)
+
+    engine.schedule_at(start_ms + process.next_delay_ms(), arrive)

@@ -9,14 +9,19 @@ from repro.experiments.crashtrial import (
     summarize_crash,
 )
 from repro.runner import canonical_json
+from repro.runner.spec import CrashTrialSpec
 
 QUICK = dict(clients=2, seed=1, crash_boundary=30, max_pre_samples=60,
              post_samples=10)
 
 
+def trial(layout, **fields):
+    return run_crash_trial(CrashTrialSpec(layout=layout, **fields))
+
+
 class TestOutcomes:
     def test_journaled_crash_recovers_by_replaying_the_dirty_set(self):
-        record = run_crash_trial("pddl", **QUICK)
+        record = trial("pddl", **QUICK)
         assert record["classification"] == "recovered"
         assert record["crash"]["fired"]
         resync = record["resync"]
@@ -35,8 +40,8 @@ class TestOutcomes:
         assert record["post"]["samples"] == 10
 
     def test_journal_off_full_sweep_is_the_expensive_baseline(self):
-        journaled = run_crash_trial("pddl", **QUICK)
-        swept = run_crash_trial("pddl", journal=False, **QUICK)
+        journaled = trial("pddl", **QUICK)
+        swept = trial("pddl", journal=False, **QUICK)
         assert swept["classification"] == "recovered"
         assert swept["journal_latency_ms"] is None
         # Same crash, same consistency outcome — wildly more work.
@@ -48,7 +53,7 @@ class TestOutcomes:
         assert swept["oracle"]["corruption_events"] == 0
 
     def test_crash_while_degraded_hits_the_write_hole(self):
-        record = run_crash_trial(
+        record = trial(
             "raid5", disks=5, width=5, clients=4, seed=3,
             crash_boundary=40, fail_disk_at_ms=5.0, failed_disk=2,
             max_pre_samples=120, post_samples=10,
@@ -60,7 +65,7 @@ class TestOutcomes:
         assert record["post"]["samples"] == 0
 
     def test_boundary_past_the_workload_is_no_crash(self):
-        record = run_crash_trial(
+        record = trial(
             "pddl", clients=1, seed=0, crash_boundary=100000,
             max_pre_samples=30, post_samples=5,
         )
@@ -69,7 +74,7 @@ class TestOutcomes:
         assert record["resync"] is None
 
     def test_transient_errors_ride_along_and_are_recovered(self):
-        record = run_crash_trial(
+        record = trial(
             "pddl", transient_io_rate=0.05, clients=2, seed=2,
             crash_boundary=30, max_pre_samples=60, post_samples=10,
         )
@@ -81,17 +86,17 @@ class TestOutcomes:
 
     def test_io_recovery_key_only_appears_when_enabled(self):
         # Byte-determinism: inactive features add no record keys.
-        record = run_crash_trial("pddl", **QUICK)
+        record = trial("pddl", **QUICK)
         assert "io_recovery" not in record
 
     def test_trials_are_deterministic(self):
-        first = run_crash_trial("pddl", **QUICK)
-        second = run_crash_trial("pddl", **QUICK)
+        first = trial("pddl", **QUICK)
+        second = trial("pddl", **QUICK)
         assert canonical_json(first) == canonical_json(second)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            run_crash_trial("pddl", clients=0)
+            CrashTrialSpec(layout="pddl", clients=0, crash_boundary=30)
 
 
 class TestJournalLatency:
@@ -108,8 +113,8 @@ class TestJournalLatency:
                 max_pre_samples=150, post_samples=10)
 
     def test_submillisecond_append_is_rotationally_absorbed(self):
-        baseline = run_crash_trial("pddl", journal=False, **self.ARGS)
-        journaled = run_crash_trial(
+        baseline = trial("pddl", journal=False, **self.ARGS)
+        journaled = trial(
             "pddl", journal_latency_ms=0.05, **self.ARGS
         )
         assert journaled["pre"]["mean_ms"] == pytest.approx(
@@ -117,8 +122,8 @@ class TestJournalLatency:
         )
 
     def test_slow_nvram_is_visible_in_the_curve(self):
-        baseline = run_crash_trial("pddl", journal=False, **self.ARGS)
-        slow = run_crash_trial("pddl", journal_latency_ms=5.0, **self.ARGS)
+        baseline = trial("pddl", journal=False, **self.ARGS)
+        slow = trial("pddl", journal_latency_ms=5.0, **self.ARGS)
         assert (
             slow["pre"]["mean_ms"] - baseline["pre"]["mean_ms"] > 2.0
         )
@@ -126,7 +131,7 @@ class TestJournalLatency:
 
 class TestSweepAndSummary:
     def test_crash_specs_sweep_shape(self):
-        specs = crash_specs(client_counts=[2, 4])
+        specs = crash_specs(clients=[2, 4])
         assert len(specs) == 4  # 1 layout x 2 client counts x journal 2
         assert {s.journal for s in specs} == {True, False}
         assert all(s.crash_boundary < s.max_pre_samples for s in specs)
@@ -137,8 +142,8 @@ class TestSweepAndSummary:
 
     def test_summary_speedup(self):
         records = [
-            run_crash_trial("pddl", **QUICK),
-            run_crash_trial("pddl", journal=False, **QUICK),
+            trial("pddl", **QUICK),
+            trial("pddl", journal=False, **QUICK),
         ]
         summary = summarize_crash(records)
         assert summary["trials"] == 2

@@ -174,22 +174,11 @@ class TestCommittedBaseline:
         assert isinstance(prov["source_version"], str)
 
     def test_sampled_trial_replays_identically(self, baseline):
-        config = baseline["config"]
         committed = baseline["trials"][7]
-        spec = nemesis_specs(
-            layout=config["layout"],
-            trials=1,
-            start=committed["trial"],
-            disks=config["disks"],
-            seed=config["seed"],
-            clients=config["clients"],
-            rows=config["rows"],
-            journal=config["journal"],
-            scrub_interval_ms=config["scrub_interval_ms"],
-            max_samples=config["max_samples"],
-            transient_io_rate=config["transient_io_rate"],
-            lse_per_gb=config["lse_per_gb"],
-        )[0]
+        config = dict(
+            baseline["config"], trials=1, start=committed["trial"]
+        )
+        spec = nemesis_specs(**config)[0]
         report = ParallelRunner(workers=1).run([spec])
         record = report.records[0]["nemesis_trial"]
         assert record["classification"] == committed["classification"]

@@ -18,9 +18,15 @@ from repro.runner import (
 )
 
 
+def trial(layout, rate_per_s, **fields):
+    return run_openloop_trial(
+        OpenLoopSpec(layout=layout, rate_per_s=rate_per_s, **fields)
+    )
+
+
 class TestTrialMechanics:
     def test_fault_free_trial_accounts_every_arrival(self):
-        record = run_openloop_trial("pddl", 300.0, arrivals=80)
+        record = trial("pddl", 300.0, arrivals=80)
         assert record["offered"] == 80
         assert record["completed"] + record["shed"] == 80
         assert record["truncated"] is False
@@ -29,7 +35,7 @@ class TestTrialMechanics:
         json.dumps(record)  # the record must be JSON-able as-is
 
     def test_degraded_phase_serves_in_degraded_mode(self):
-        record = run_openloop_trial(
+        record = trial(
             "raid5", 300.0, phase="degraded", arrivals=60
         )
         assert set(record["modes"]) == {"degraded"}
@@ -38,7 +44,7 @@ class TestTrialMechanics:
         assert record["rebuild"]["finished"] is False
 
     def test_rebuild_phase_serves_mid_rebuild(self):
-        record = run_openloop_trial(
+        record = trial(
             "pddl", 300.0, phase="rebuild", arrivals=60
         )
         assert set(record["modes"]) == {"reconstruction"}
@@ -48,14 +54,14 @@ class TestTrialMechanics:
         assert 0.0 < record["rebuild"]["fraction"] < 1.0
 
     def test_rebuild_tail_dominates_fault_free_tail(self):
-        ff = run_openloop_trial("raid5", 450.0, arrivals=200)
-        rebuild = run_openloop_trial(
+        ff = trial("raid5", 450.0, arrivals=200)
+        rebuild = trial(
             "raid5", 450.0, phase="rebuild", arrivals=200
         )
         assert rebuild["tail"]["p999_ms"] > ff["tail"]["p999_ms"]
 
     def test_overload_at_saturating_rate(self):
-        record = run_openloop_trial(
+        record = trial(
             "raid5",
             900.0,
             phase="rebuild",
@@ -66,38 +72,28 @@ class TestTrialMechanics:
         assert record["shed"] > 0
 
     def test_horizon_truncates(self):
-        record = run_openloop_trial(
+        record = trial(
             "pddl", 100.0, arrivals=400, horizon_ms=500.0
         )
         assert record["truncated"] is True
         assert record["completed"] + record["shed"] < 400
 
     def test_timelines_opt_in(self):
-        record = run_openloop_trial(
-            "pddl", 400.0, arrivals=60, record_timelines=True
+        record = trial(
+            "pddl", 400.0, arrivals=60, timelines=True
         )
         assert "timelines" in record
         assert record["timelines"]["queue_depth"]
-        lean = run_openloop_trial("pddl", 400.0, arrivals=60)
+        lean = trial("pddl", 400.0, arrivals=60)
         assert "timelines" not in lean
 
     def test_mmpp_and_trace_arrivals_run(self):
         for arrival in ("mmpp", "trace"):
-            record = run_openloop_trial(
+            record = trial(
                 "datum", 300.0, arrival=arrival, arrivals=60
             )
             assert record["arrival"] == arrival
             assert record["completed"] + record["shed"] == 60
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, phase="mid-air")
-        with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, arrivals=0)
-        with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, arrival="constant")
-        with pytest.raises(ConfigurationError):
-            run_openloop_trial("pddl", 300.0, horizon_ms=0.0)
 
 
 class TestSummary:
@@ -106,7 +102,7 @@ class TestSummary:
         for rate in (350.0, 450.0):
             for phase in ("ff", "rebuild"):
                 records.append(
-                    run_openloop_trial(
+                    trial(
                         "raid5", rate, phase=phase, arrivals=300
                     )
                 )
@@ -168,3 +164,7 @@ class TestRunnerIntegration:
             OpenLoopSpec(layout="pddl", slo_p99_ms=200.0, slo_p999_ms=100.0)
         with pytest.raises(ConfigurationError):
             OpenLoopSpec(layout="pddl", failed_disk=13)
+        with pytest.raises(ConfigurationError):
+            OpenLoopSpec(layout="pddl", arrivals=0)
+        with pytest.raises(ConfigurationError):
+            OpenLoopSpec(layout="pddl", horizon_ms=0.0)

@@ -7,6 +7,12 @@ from pathlib import Path
 import pytest
 
 from repro.errors import RunnerError
+from repro.experiments.campaign import campaign_specs
+from repro.experiments.corruption import corruption_specs
+from repro.experiments.crashtrial import crash_specs
+from repro.experiments.failslow import failslow_specs
+from repro.experiments.nemesistrial import nemesis_specs
+from repro.experiments.openloop import openloop_specs
 from repro.runner.benchcompare import (
     KNOWN_BENCHES,
     check_invariants,
@@ -15,8 +21,24 @@ from repro.runner.benchcompare import (
     load_report,
     run_compare,
 )
+from repro.runner.provenance import sweep_hash
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+#: Each trial kind's spec builder; a committed report's ``config`` block
+#: is that builder's keyword arguments.
+SPEC_BUILDERS = {
+    "campaign": campaign_specs,
+    "corruption": corruption_specs,
+    "crash": crash_specs,
+    "failslow": failslow_specs,
+    "nemesis": nemesis_specs,
+    "traffic": openloop_specs,
+}
+
+
+def committed(kind):
+    return load_report(str(REPO_ROOT / f"BENCH_{kind}.json"))
 
 
 def nemesis_report():
@@ -153,6 +175,16 @@ class TestCompareReports:
         shifts = compare_reports(base, cand)
         assert shifts == [
             "configs differ — these reports measured different sweeps"
+        ]
+
+    def test_sweep_hash_mismatch_stops_comparison(self):
+        # Equal config blocks can still hide different sweeps: campaign
+        # leaves its rebuild/scrub pacing flags out of the block.
+        base = committed("campaign")
+        cand = copy.deepcopy(base)
+        cand["provenance"]["sweep_hash"] = "0" * 64
+        assert compare_reports(base, cand) == [
+            "sweep hashes differ — these reports measured different sweeps"
         ]
 
 
@@ -472,3 +504,58 @@ class TestCommittedBaselines:
             pytest.skip(f"{path.name} not committed yet")
         report = load_report(str(path))
         assert check_invariants(report) == []
+
+    @pytest.mark.parametrize("kind", sorted(SPEC_BUILDERS))
+    def test_config_rebuilds_sweep_hash(self, kind):
+        report = committed(kind)
+        specs = SPEC_BUILDERS[kind](**report["config"])
+        assert sweep_hash(specs) == report["provenance"]["sweep_hash"]
+
+    def test_traffic_rebuild_tail_diverges_from_fault_free(self):
+        divergence = committed("traffic")["summary"]["divergence"]
+        # At least one offered load where the mid-rebuild array enters
+        # detected overload while the fault-free array does not.
+        assert "raid5" in {entry["layout"] for entry in divergence}
+        for entry in divergence:
+            assert entry["rebuild_p999_ms"] > entry["ff_p999_ms"], entry
+
+    def test_failslow_defenses_beat_no_defense_for_pddl(self):
+        summary = committed("failslow")["summary"]
+        hedging = summary["hedging"]["pddl"]
+        adaptive = summary["adaptive"]["pddl"]
+        assert hedging["hedge_p999_ms"] < hedging["none_p999_ms"]
+        assert hedging["both_p999_ms"] < hedging["hedge_p999_ms"]
+        assert hedging["won"] > 0
+        # The AIMD rebuild restores the foreground p99 SLO at a bounded
+        # rebuild-time cost.
+        assert adaptive["none_p99_violated"]
+        assert not adaptive["adaptive_p99_violated"]
+        assert adaptive["rebuild_inflation"] < 10.0
+
+    def test_corruption_defended_tiers_serve_no_silent_corruption(self):
+        report = committed("corruption")
+        summary = report["summary"]
+        silent = summary["silent_by_defense"]
+        assert silent["none"] > 0
+        assert summary["undefended_silent_total"] > 0
+        for defense in ("checksum", "verify", "audit"):
+            assert silent[defense] == 0
+        assert summary["defended_silent_total"] == 0
+        for layout, costs in summary["latency_cost_vs_none"].items():
+            for defense, factor in costs.items():
+                if defense != "none":
+                    assert 1.0 < factor < 3.0, (layout, defense, factor)
+        for trial in report["trials"]:
+            if trial["defense"] != "none":
+                assert trial["corruption"]["silent_total"] == 0, trial
+                assert trial["classification"] != "silent_corruption"
+
+    def test_crash_journal_recovers_every_trial_faster(self):
+        report = committed("crash")
+        summary = report["summary"]
+        assert summary["corruption_events"] == 0
+        assert summary["data_loss_trials"] == 0
+        assert summary["resync_speedup"] > 2.0
+        for trial in report["trials"]:
+            assert trial["classification"] == "recovered", trial
+            assert trial["resync_ms"] > 0, trial
