@@ -95,6 +95,16 @@ class TestTrialMechanics:
             != b["latency"]["all"]["mean_ms"]
         )
 
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            trial("pddl", "prayer", **QUICK)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", "none", lost_rate=1.5)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", "none", arrivals=0)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", "none", span_units=0)
+
 
 class TestSummary:
     def test_spec_builder_covers_the_grid(self):
@@ -153,7 +163,3 @@ class TestRunnerIntegration:
             CorruptionTrialSpec(layout="pddl", rate_per_s=0.0)
         with pytest.raises(ConfigurationError):
             CorruptionTrialSpec(layout="pddl", span_units=0)
-        with pytest.raises(ConfigurationError):
-            CorruptionTrialSpec(layout="pddl", lost_rate=1.5)
-        with pytest.raises(ConfigurationError):
-            CorruptionTrialSpec(layout="pddl", arrivals=0)

@@ -74,6 +74,20 @@ class TestTrialMechanics:
         )
         assert record["truncated"] is True
 
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            trial("pddl", defense="prayer")
+        with pytest.raises(ConfigurationError):
+            trial("pddl", arrivals=0)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", slow_disk=0, failed_disk=0)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", slow_multiplier=1.0)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", horizon_ms=0.0)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", slow_disk=99)
+
 
 class TestSummary:
     def test_spec_builder_covers_the_grid(self):
@@ -134,11 +148,3 @@ class TestRunnerIntegration:
             FailSlowTrialSpec(
                 layout="pddl", slo_p99_ms=300.0, slo_p999_ms=100.0
             )
-        with pytest.raises(ConfigurationError):
-            FailSlowTrialSpec(layout="pddl", arrivals=0)
-        with pytest.raises(ConfigurationError):
-            FailSlowTrialSpec(layout="pddl", slow_multiplier=1.0)
-        with pytest.raises(ConfigurationError):
-            FailSlowTrialSpec(layout="pddl", horizon_ms=0.0)
-        with pytest.raises(ConfigurationError):
-            FailSlowTrialSpec(layout="pddl", slow_disk=99)

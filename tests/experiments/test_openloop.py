@@ -95,6 +95,16 @@ class TestTrialMechanics:
             assert record["arrival"] == arrival
             assert record["completed"] + record["shed"] == 60
 
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            trial("pddl", 300.0, phase="mid-air")
+        with pytest.raises(ConfigurationError):
+            trial("pddl", 300.0, arrivals=0)
+        with pytest.raises(ConfigurationError):
+            trial("pddl", 300.0, arrival="constant")
+        with pytest.raises(ConfigurationError):
+            trial("pddl", 300.0, horizon_ms=0.0)
+
 
 class TestSummary:
     def test_knees_and_divergence(self):
@@ -164,7 +174,3 @@ class TestRunnerIntegration:
             OpenLoopSpec(layout="pddl", slo_p99_ms=200.0, slo_p999_ms=100.0)
         with pytest.raises(ConfigurationError):
             OpenLoopSpec(layout="pddl", failed_disk=13)
-        with pytest.raises(ConfigurationError):
-            OpenLoopSpec(layout="pddl", arrivals=0)
-        with pytest.raises(ConfigurationError):
-            OpenLoopSpec(layout="pddl", horizon_ms=0.0)
