@@ -31,19 +31,17 @@ from repro.layouts.base import Layout
 from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import TraceRecorder, engine_snapshot
 
-#: Access ids at or above this value are transient-error escalation
-#: traffic (on-the-fly sector reconstruction after a retry budget is
-#: exhausted); distinct from rebuild (``1 << 40``) and resync
-#: (``1 << 41``) ids.
-ESCALATION_ID_BASE = 1 << 42
-
-#: Access ids at or above this value are hedge traffic: speculative
-#: stripe-peer reads racing a slow primary operation (tail tolerance).
-HEDGE_ID_BASE = 1 << 43
-
-#: Access ids at or above this value are end-to-end verification
-#: traffic: write-verify read-backs and their repair rewrites.
-VERIFY_ID_BASE = 1 << 44
+#: Access-id bases of background traffic, one block per kind.  Client ids
+#: stay below the lowest base, and each kind owns the ids from its base up
+#: to the next one (scrub, the last, up to ``1 << 46``), so two kinds
+#: never share an id: equal ids on one disk would make
+#: :meth:`DiskServer._service` count the second operation as *local*.
+REBUILD_ID_BASE = 1 << 40  # reconstruction sweep steps
+RESYNC_ID_BASE = 1 << 41  # post-crash parity recomputation
+ESCALATION_ID_BASE = 1 << 42  # sector rebuilds once retries run out
+HEDGE_ID_BASE = 1 << 43  # stripe-peer reads racing a slow primary
+VERIFY_ID_BASE = 1 << 44  # write-verify read-backs and repair rewrites
+SCRUB_ID_BASE = 1 << 45  # media and parity-audit scrubbing
 
 
 @dataclass(frozen=True)
@@ -377,13 +375,6 @@ class DiskServer:
         self._schedule = engine.schedule
         self._squeue = scheduler._queue
         self._direct_service = scheduler.pops_lone_item_fifo
-
-    def _note_depth(self, delta: int) -> None:
-        self.queue_depth += delta
-        if self.queue_depth > self.queue_high_water:
-            self.queue_high_water = self.queue_depth
-        if self.queue_timeline is not None:
-            self.queue_timeline.append((self.engine.now, self.queue_depth))
 
     def submit(self, request: DiskRequest) -> None:
         if self.failed:
@@ -948,111 +939,20 @@ class ArrayController:
             and self.hedge_policy is None
         ):
             # Fused fault-free read (the dominant hot path): one phase,
-            # straight translation, no recovery bookkeeping.  Build the
-            # per-disk requests directly from the flat cell table,
-            # skipping the plan/UnitOp/phase machinery.  Byte-identical
-            # to the general path: the planner's fault-free branch emits
-            # exactly one op per unit in cell order, and the coalescer
-            # groups ops by disk in first-occurrence order, sorts each
-            # group's offsets, and merges physically contiguous runs —
-            # which is exactly what this loop does (reads only, so the
-            # (disk, is_write) group key degenerates to the disk).
-            cells = self._plan_layout.data_unit_cells(
-                access.first_unit, access.unit_count
-            )
-            unit_sectors = self.stripe_unit_sectors
+            # straight translation, no recovery bookkeeping.  The cells go
+            # straight to the coalescer, skipping the plan/UnitOp/phase
+            # machinery; the planner's fault-free read branch emits
+            # exactly one read per cell in this order, so the requests
+            # are the ones the general path would build.
             access_id = access.access_id
-            requests = []
-            append = requests.append
-            if len(cells) == 1:
-                # Single-unit access (the small-request workloads):
-                # grouping and merging are identity operations.
-                disk, offset = cells[0]
-                append(
-                    (
-                        disk,
-                        DiskRequest(
-                            offset * unit_sectors,
-                            unit_sectors,
-                            False,
-                            access_id,
-                            0,
-                        ),
-                    )
-                )
-            elif not self.coalesce:
-                for disk, offset in cells:
-                    append(
-                        (
-                            disk,
-                            DiskRequest(
-                                offset * unit_sectors,
-                                unit_sectors,
-                                False,
-                                access_id,
-                                0,
-                            ),
-                        )
-                    )
-            else:
-                by_disk: Dict[int, List[int]] = {}
-                get = by_disk.get
-                for disk, offset in cells:
-                    offsets = get(disk)
-                    if offsets is None:
-                        by_disk[disk] = [offset]
-                    else:
-                        offsets.append(offset)
-                for disk, offsets in by_disk.items():
-                    if len(offsets) == 1:
-                        append(
-                            (
-                                disk,
-                                DiskRequest(
-                                    offsets[0] * unit_sectors,
-                                    unit_sectors,
-                                    False,
-                                    access_id,
-                                    0,
-                                ),
-                            )
-                        )
-                        continue
-                    offsets.sort()
-                    run_start = offsets[0]
-                    previous = offsets[0]
-                    for i in range(1, len(offsets)):
-                        offset = offsets[i]
-                        if offset == previous + 1:
-                            previous = offset
-                            continue
-                        append(
-                            (
-                                disk,
-                                DiskRequest(
-                                    run_start * unit_sectors,
-                                    (previous - run_start + 1)
-                                    * unit_sectors,
-                                    False,
-                                    access_id,
-                                    0,
-                                ),
-                            )
-                        )
-                        run_start = offset
-                        previous = offset
-                    append(
-                        (
-                            disk,
-                            DiskRequest(
-                                run_start * unit_sectors,
-                                (previous - run_start + 1) * unit_sectors,
-                                False,
-                                access_id,
-                                0,
-                            ),
-                        )
-                    )
+            requests = self._requests(
+                self._plan_layout.data_unit_cells(
+                    access.first_unit, access.unit_count
+                ),
+                False,
+                access_id,
+                0,
+            )
             state = _InFlight(
                 access=access,
                 plan=_FUSED_READ_PLAN,
@@ -1146,7 +1046,9 @@ class ArrayController:
         if not phase:
             self._advance(state)
             return
-        requests = self._phase_requests(state, phase)
+        requests = self._requests(
+            phase, phase[0].is_write, state.access.access_id, state.phase
+        )
         # A disk can fail *between* an access's phases: operations the
         # pre-failure plan aimed at the now-dead disk are dropped (the
         # controller of a real array would re-plan; response-time-wise the
@@ -1171,103 +1073,74 @@ class ArrayController:
                 if not request.is_write:
                     self._arm_hedge(disk, request)
 
-    def _phase_requests(self, state: _InFlight, phase):
-        """Build per-disk requests, merging physically contiguous
-        stripe-unit operations of the same type (RAIDframe-style
-        coalescing) when enabled."""
+    def _requests(
+        self, cells, is_write: bool, access_id: int, tag: int
+    ) -> List[Tuple[int, DiskRequest]]:
+        """The ``(disk, request)`` pairs of one phase of client I/O.
+
+        ``cells`` are the phase's ``(disk, offset, ...)`` stripe units, all
+        reads or all writes (every planned phase is one or the other).
+        With coalescing on, RAIDframe-style: the cells are grouped by disk
+        in first-seen order, each group's offsets sorted, and physically
+        contiguous runs merged into one request; off, one request per cell
+        in order.
+        """
         unit_sectors = self.stripe_unit_sectors
-        access_id = state.access.access_id
-        tag = state.phase
-        if not self.coalesce:
+        if not self.coalesce or len(cells) == 1:
             return [
                 (
-                    op[0],
+                    cell[0],
                     DiskRequest(
-                        op[1] * unit_sectors,
-                        unit_sectors,
-                        op[2],
-                        access_id,
-                        tag,
-                    ),
-                )
-                for op in phase
-            ]
-        # Fast path: when no (disk, is_write) pair repeats there is
-        # nothing to merge — emit one request per op in phase order,
-        # which is exactly what the grouping below would produce (each
-        # group has one member, and dict insertion order == phase
-        # order).  Declustered layouts land almost every phase here.
-        # Built in a single pass; the partial list is discarded on the
-        # first repeated pair.
-        seen = set()
-        add = seen.add
-        requests = []
-        append = requests.append
-        distinct = True
-        for disk, offset, is_write in phase:
-            pair = (disk, is_write)
-            if pair in seen:
-                distinct = False
-                break
-            add(pair)
-            append(
-                (
-                    disk,
-                    DiskRequest(
-                        offset * unit_sectors,
+                        cell[1] * unit_sectors,
                         unit_sectors,
                         is_write,
                         access_id,
                         tag,
                     ),
                 )
-            )
-        if distinct:
-            return requests
-        by_disk: Dict[tuple, List[int]] = {}
-        for op in phase:
-            by_disk.setdefault((op.disk, op.is_write), []).append(op.offset)
+                for cell in cells
+            ]
+        by_disk: Dict[int, List[int]] = {}
+        for cell in cells:
+            disk = cell[0]
+            offsets = by_disk.get(disk)
+            if offsets is None:
+                by_disk[disk] = [cell[1]]
+            else:
+                offsets.append(cell[1])
         requests = []
-        for (disk, is_write), offsets in by_disk.items():
-            if len(offsets) == 1:
-                # Declustered layouts land almost every op on its own
-                # disk: nothing to merge.
-                requests.append(
-                    (
-                        disk,
-                        DiskRequest(
-                            offsets[0] * unit_sectors,
-                            unit_sectors,
-                            is_write,
-                            access_id,
-                            tag,
-                        ),
-                    )
-                )
-                continue
+        append = requests.append
+        for disk, offsets in by_disk.items():
             offsets.sort()
-            run_start = offsets[0]
-            previous = offsets[0]
-            for offset in offsets[1:] + [None]:
-                if offset is not None and offset == previous + 1:
-                    previous = offset
-                    continue
-                length = previous - run_start + 1
-                requests.append(
-                    (
-                        disk,
-                        DiskRequest(
-                            run_start * unit_sectors,
-                            length * unit_sectors,
-                            is_write,
-                            access_id,
-                            tag,
-                        ),
+            run_start = previous = offsets[0]
+            for offset in offsets:
+                if offset > previous + 1:
+                    append(
+                        (
+                            disk,
+                            DiskRequest(
+                                run_start * unit_sectors,
+                                (previous - run_start + 1) * unit_sectors,
+                                is_write,
+                                access_id,
+                                tag,
+                            ),
+                        )
                     )
-                )
-                if offset is not None:
                     run_start = offset
-                    previous = offset
+                previous = offset
+            append(
+                (
+                    disk,
+                    DiskRequest(
+                        run_start * unit_sectors,
+                        (previous - run_start + 1) * unit_sectors,
+                        is_write,
+                        access_id,
+                        tag,
+                    ),
+                )
+            )
         return requests
 
     def submit_raw(

@@ -18,9 +18,10 @@ as the spindles allow, larger values cede bandwidth to client traffic.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from repro.array.controller import ArrayController
+from repro.array.controller import REBUILD_ID_BASE, ArrayController
+from repro.array.sweep import PacedSweep
 from repro.core.reconstruction import (
     RebuildStep,
     count_lost_units,
@@ -28,11 +29,6 @@ from repro.core.reconstruction import (
 )
 from repro.errors import SimulationError
 from repro.layouts.address import PhysicalAddress, Role
-
-#: Access ids at or above this value are background rebuild traffic; they
-#: share the locality-classification machinery with client accesses without
-#: ever colliding with client ids.
-RECONSTRUCTION_ID_BASE = 1 << 40
 
 
 class AdaptiveThrottle:
@@ -135,7 +131,7 @@ class AdaptiveThrottle:
         }
 
 
-class Reconstructor:
+class Reconstructor(PacedSweep):
     """Background rebuild of one failed disk.
 
     Attach to a controller already in degraded mode and :meth:`start`; the
@@ -149,6 +145,8 @@ class Reconstructor:
     such layouts are rejected — a RAID-5 with no spare and no replacement
     genuinely has no recovery path).
     """
+
+    kind = "rebuild"
 
     def __init__(
         self,
@@ -167,10 +165,13 @@ class Reconstructor:
         already_rebuilt: Optional[Iterable[int]] = None,
         adaptive_throttle: Optional[AdaptiveThrottle] = None,
     ):
-        if parallel_steps < 1:
-            raise SimulationError("need at least one rebuild slot")
-        if throttle_ms < 0:
-            raise SimulationError(f"negative rebuild throttle {throttle_ms}")
+        super().__init__(
+            controller,
+            parallel_steps,
+            throttle_ms,
+            on_finished=on_finished,
+            adaptive_throttle=adaptive_throttle,
+        )
         if media_retries < 0:
             raise SimulationError(f"negative media retries {media_retries}")
         if controller.failed_disk is None:
@@ -183,14 +184,6 @@ class Reconstructor:
                 " into (pass allow_replacement=True to rebuild onto a"
                 " replacement spindle)"
             )
-        self.controller = controller
-        self.parallel_steps = parallel_steps
-        self.throttle_ms = throttle_ms
-        #: When set, overrides the static ``throttle_ms`` with the AIMD
-        #: controller's per-window decision; None keeps the hot path
-        #: byte-identical to the pre-adaptive behavior.
-        self.adaptive_throttle = adaptive_throttle
-        self.on_finished = on_finished
         self.on_step = on_step
         self.media = media
         self.media_retries = media_retries
@@ -201,7 +194,7 @@ class Reconstructor:
         self.total_steps = count_lost_units(
             layout, controller.failed_disk, rows=self.total_rows
         )
-        self._steps: Iterator[RebuildStep] = rebuild_plan(
+        self._queue = rebuild_plan(
             layout, controller.failed_disk, rows=self.total_rows
         )
         done = set(already_rebuilt) if already_rebuilt else set()
@@ -209,31 +202,19 @@ class Reconstructor:
             # Resuming a sweep (crash restart): offsets already in spare
             # space keep their rebuilt copies, so only the remainder of
             # the plan runs.
-            steps = [s for s in self._steps if s.lost.offset not in done]
+            steps = [s for s in self._queue if s.lost.offset not in done]
             self.total_steps = len(steps)
-            self._steps = iter(steps)
-        self._exhausted = False
-        self._aborted = False
-        self.started_ms: Optional[float] = None
-        self.finished_ms: Optional[float] = None
+            self._queue = iter(steps)
         self.steps_completed = 0
         self.skipped_steps = 0
         self.unreadable: List[PhysicalAddress] = []
-        self._active = 0
-        self._pending_issues = 0
         self._rebuilt_offsets: Set[int] = done
         self._inflight: Dict[int, RebuildStep] = {}
-        self._next_id = RECONSTRUCTION_ID_BASE
+        self._next_id = REBUILD_ID_BASE
 
-    def start(self) -> None:
-        if self.started_ms is not None:
-            raise SimulationError("reconstruction already started")
-        self.started_ms = self.controller.engine.now
+    def _begin(self) -> None:
         if not self.into_spare:
             self.controller.install_replacement()
-        for _ in range(self.parallel_steps):
-            self._issue_next()
-        self._maybe_finish()  # degenerate: nothing to rebuild
 
     # ------------------------------------------------------------------
     # Rebuild frontier and progress.
@@ -248,24 +229,10 @@ class Reconstructor:
         """The frontier as a set (second-failure evaluation reads this)."""
         return self._rebuilt_offsets
 
-    @property
-    def aborted(self) -> bool:
-        return self._aborted
-
     # ------------------------------------------------------------------
-    # Second-failure hooks (driven by the lifecycle).
+    # Second-failure hooks (driven by the lifecycle; a second failure or
+    # an unreadable sector that loses data calls :meth:`abort`).
     # ------------------------------------------------------------------
-
-    def abort(self) -> None:
-        """Stop issuing steps; in-flight operations drain harmlessly.
-
-        Used when a second failure (or an unreadable sector) makes the
-        sweep pointless — the array has lost data and will never reach
-        post-reconstruction.  Completions of already-issued operations
-        still fire, but no new steps launch and ``on_finished`` never
-        does.
-        """
-        self._aborted = True
 
     def unrebuild(self, offsets: Iterable[int]) -> None:
         """Pull offsets back out of the frontier (their rebuilt copies
@@ -292,11 +259,11 @@ class Reconstructor:
         if not steps:
             return
         self.total_steps += len(steps)
-        self._steps = itertools.chain(self._steps, iter(steps))
+        self._queue = itertools.chain(self._queue, iter(steps))
         self._exhausted = False
         if self.started_ms is None:
             return  # start() will issue them
-        idle = self.parallel_steps - self._active - self._pending_issues
+        idle = self.slots - self._active - self._pending_issues
         for _ in range(idle):
             self._issue_next()
 
@@ -309,8 +276,8 @@ class Reconstructor:
         owns the returned steps (typically requeueing the survivors into
         a fresh reconstructor).
         """
-        remaining = list(self._steps)
-        self._steps = iter(())
+        remaining = list(self._queue)
+        self._queue = iter(())
         self._exhausted = True
         return list(self._inflight.values()) + remaining
 
@@ -327,45 +294,10 @@ class Reconstructor:
         return self.steps_completed / self.total_steps
 
     # ------------------------------------------------------------------
-    # Step issue/completion machinery.
+    # Rebuild steps.
     # ------------------------------------------------------------------
 
-    def _issue_next(self) -> None:
-        if self._exhausted or self._aborted:
-            return
-        step = next(self._steps, None)
-        if step is None:
-            self._exhausted = True
-            return
-        self._active += 1
-        self._run_step(step)
-
-    def _refill_slot(self) -> None:
-        """One slot freed up: issue the next step, throttled if configured."""
-        if self._aborted:
-            return
-        if self._exhausted:
-            self._maybe_finish()
-            return
-        if self.adaptive_throttle is not None:
-            delay = self.adaptive_throttle.current_ms(
-                self.controller.engine.now
-            )
-        else:
-            delay = self.throttle_ms
-        if delay > 0:
-            self._pending_issues += 1
-            self.controller.engine.schedule(delay, self._delayed_issue)
-        else:
-            self._issue_next()
-            self._maybe_finish()
-
-    def _delayed_issue(self) -> None:
-        self._pending_issues -= 1
-        self._issue_next()
-        self._maybe_finish()
-
-    def _run_step(self, step: RebuildStep) -> None:
+    def _run(self, step: RebuildStep) -> None:
         controller = self.controller
         access_id = self._next_id
         self._next_id += 1
@@ -463,25 +395,5 @@ class Reconstructor:
             self.skipped_steps += 1
             self._refill_slot()
 
-    def _maybe_finish(self) -> None:
-        if (
-            self._exhausted
-            and not self._aborted
-            and self._active == 0
-            and self._pending_issues == 0
-        ):
-            self._finish()
-
-    def _finish(self) -> None:
-        if self.finished_ms is not None:
-            return
-        self.finished_ms = self.controller.engine.now
+    def _on_finish(self) -> None:
         self.controller.finish_reconstruction()
-        if self.on_finished is not None:
-            self.on_finished(self.duration_ms)
-
-    @property
-    def duration_ms(self) -> float:
-        if self.started_ms is None or self.finished_ms is None:
-            raise SimulationError("reconstruction has not finished")
-        return self.finished_ms - self.started_ms

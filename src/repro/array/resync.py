@@ -31,17 +31,13 @@ used both here and by the crash property tests:
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Set
+from typing import Callable, List, Optional, Set
 
-from repro.array.controller import ArrayController
+from repro.array.controller import RESYNC_ID_BASE, ArrayController
 from repro.array.raidops import ArrayMode, RebuiltPredicate
-from repro.errors import SimulationError
+from repro.array.sweep import PacedSweep
 from repro.layouts.address import PhysicalAddress
 from repro.layouts.base import Layout
-
-#: Access ids at or above this value are resync traffic (distinct from
-#: client ids and from rebuild ids at ``1 << 40``).
-RESYNC_ID_BASE = 1 << 41
 
 
 def classify_stripe(
@@ -72,7 +68,7 @@ def classify_stripe(
     return "recompute"
 
 
-class Resynchronizer:
+class Resynchronizer(PacedSweep):
     """Replays the dirty-stripe set after a controller restart.
 
     Attach to a restarted controller and :meth:`start`.  With ``journal``
@@ -90,6 +86,8 @@ class Resynchronizer:
     tunable.
     """
 
+    kind = "resync"
+
     def __init__(
         self,
         controller: ArrayController,
@@ -104,17 +102,12 @@ class Resynchronizer:
         ] = None,
         rebuilt: Optional[RebuiltPredicate] = None,
     ):
-        if parallel_stripes < 1:
-            raise SimulationError("need at least one resync slot")
-        if throttle_ms < 0:
-            raise SimulationError(f"negative resync throttle {throttle_ms}")
-        self.controller = controller
+        super().__init__(
+            controller, parallel_stripes, throttle_ms, on_finished=on_finished
+        )
         self.layout = controller.plan_layout
         self.journal = journal
         self.suspect = suspect
-        self.parallel_stripes = parallel_stripes
-        self.throttle_ms = throttle_ms
-        self.on_finished = on_finished
         self.on_data_loss = on_data_loss
         self.rebuilt = rebuilt
         layout = self.layout
@@ -134,24 +127,14 @@ class Resynchronizer:
         self.data_lost_stripes: List[int] = []
         self.reads_issued = 0
         self.writes_issued = 0
-        self.started_ms: Optional[float] = None
-        self.finished_ms: Optional[float] = None
-        self._queue: Iterator[int] = iter(())
-        self._active = 0
-        self._pending_issues = 0
-        self._exhausted = False
-        self._aborted = False
         self._next_id = RESYNC_ID_BASE
 
     # ------------------------------------------------------------------
-    # Start and classification.
+    # Classification.
     # ------------------------------------------------------------------
 
-    def start(self) -> None:
-        if self.started_ms is not None:
-            raise SimulationError("resync already started")
+    def _begin(self) -> None:
         controller = self.controller
-        self.started_ms = controller.engine.now
         failed = (
             controller.failed_disk
             if controller.mode
@@ -176,12 +159,7 @@ class Resynchronizer:
                 self.data_lost_stripes.append(stripe)
         if self.data_lost_stripes:
             self._handle_data_loss()
-            if self._aborted:
-                return
         self._queue = iter(recompute)
-        for _ in range(self.parallel_stripes):
-            self._issue_next()
-        self._maybe_finish()  # degenerate: nothing to recompute
 
     def _handle_data_loss(self) -> None:
         """Torn stripes with a lost data member: the write hole ate data."""
@@ -189,16 +167,12 @@ class Resynchronizer:
         if self.on_data_loss is not None:
             self.on_data_loss(self, stripes)
             return
-        self._aborted = True
+        self.abort()
         self.controller.declare_data_loss(
             f"write hole: {len(stripes)} dirty stripe(s) with a data"
             f" member on failed disk {self.controller.failed_disk}"
             f" (first: stripe {stripes[0]})"
         )
-
-    @property
-    def aborted(self) -> bool:
-        return self._aborted
 
     @property
     def complete(self) -> bool:
@@ -221,37 +195,7 @@ class Resynchronizer:
             return addr  # rebuilt onto the replacement spindle in place
         return addr
 
-    def _issue_next(self) -> None:
-        if self._exhausted or self._aborted:
-            return
-        stripe = next(self._queue, None)
-        if stripe is None:
-            self._exhausted = True
-            return
-        self._active += 1
-        self._run_stripe(stripe)
-
-    def _refill_slot(self) -> None:
-        if self._aborted:
-            return
-        if self._exhausted:
-            self._maybe_finish()
-            return
-        if self.throttle_ms > 0:
-            self._pending_issues += 1
-            self.controller.engine.schedule(
-                self.throttle_ms, self._delayed_issue
-            )
-        else:
-            self._issue_next()
-            self._maybe_finish()
-
-    def _delayed_issue(self) -> None:
-        self._pending_issues -= 1
-        self._issue_next()
-        self._maybe_finish()
-
-    def _run_stripe(self, stripe: int) -> None:
+    def _run(self, stripe: int) -> None:
         """Read every data unit, then rewrite every check unit."""
         controller = self.controller
         units = self.layout.stripe_units(stripe)
@@ -300,29 +244,9 @@ class Resynchronizer:
                 tag="resync-read",
             )
 
-    def _maybe_finish(self) -> None:
-        if (
-            self._exhausted
-            and not self._aborted
-            and self._active == 0
-            and self._pending_issues == 0
-        ):
-            self._finish()
-
-    def _finish(self) -> None:
-        if self.finished_ms is not None:
-            return
-        self.finished_ms = self.controller.engine.now
+    def _on_finish(self) -> None:
         if self.journal is not None:
             self.journal.reset()
-        if self.on_finished is not None:
-            self.on_finished(self.duration_ms)
-
-    @property
-    def duration_ms(self) -> float:
-        if self.started_ms is None or self.finished_ms is None:
-            raise SimulationError("resync has not finished")
-        return self.finished_ms - self.started_ms
 
     def to_dict(self) -> dict:
         return {

@@ -19,11 +19,6 @@ from repro.disk.geometry import DiskGeometry
 from repro.disk.seek import SeekModel
 from repro.errors import ConfigurationError
 
-try:  # numpy accelerates table precomputation; the scalar fallback is exact
-    import numpy as _np
-except ImportError:  # pragma: no cover - the image bakes numpy in
-    _np = None
-
 
 class DiskRequest(NamedTuple):
     """One physical transfer: ``sectors`` blocks starting at ``lba``.
@@ -104,12 +99,9 @@ class ServiceTables:
     across Monte-Carlo trials in one process:
 
     - ``seek_by_distance``: the seek curve flattened to one list indexed
-      by cylinder distance, evaluated in a single numpy vector sweep
-      (``single + alpha*sqrt(d-1) + beta*(d-1)`` elementwise, which is
-      IEEE-identical to the scalar evaluation — a test pins every
-      entry against :meth:`SeekModel.seek_time`);
+      by cylinder distance, built from :meth:`SeekModel.seek_time`;
     - ``angle_by_spt``: per zone density, the rotation angle of each
-      sector start (``(sector / spt) * rev``) as one numpy sweep;
+      sector start (``(sector / spt) * rev``);
     - ``transfer``: ``(lba, sectors) -> (start_cyl, start_head,
       target_angle, transfer_ms, end_cyl, end_head)``.  Transfer time
       and final arm position depend only on the start address and
@@ -119,6 +111,9 @@ class ServiceTables:
 
     Nothing here depends on drive *state*; :class:`DiskDrive.service`
     combines a table entry with the arm position and clock.
+    ``tests/disk/test_service_tables.py`` pins every seek and angle entry
+    to its scalar definition and :meth:`DiskDrive.service` to
+    :meth:`DiskDrive.service_reference` over random request sequences.
     """
 
     _shared: Dict[tuple, "ServiceTables"] = {}
@@ -135,10 +130,12 @@ class ServiceTables:
         self.revolution_ms = revolution_ms
         self.head_switch_ms = head_switch_ms
         self.cylinder_switch_ms = cylinder_switch_ms
-        self.seek_by_distance = self._seek_table(seek_model)
+        self.seek_by_distance: List[float] = [
+            seek_model.seek_time(d) for d in range(seek_model.cylinders)
+        ]
         self.angle_by_spt: Dict[int, List[float]] = {
-            zone.sectors_per_track: self._angle_table(zone.sectors_per_track)
-            for zone in geometry.zones
+            spt: [(sector / spt) * revolution_ms for sector in range(spt)]
+            for spt in (zone.sectors_per_track for zone in geometry.zones)
         }
         self.transfer: Dict[
             Tuple[int, int], Tuple[int, int, float, float, int, int]
@@ -175,28 +172,6 @@ class ServiceTables:
             # the ids in the key stay pinned while the entry lives.
             cls._shared[key] = tables
         return tables
-
-    def _seek_table(self, seek_model: SeekModel) -> List[float]:
-        cylinders = seek_model.cylinders
-        if _np is not None:
-            d_minus_1 = _np.arange(-1.0, cylinders - 1.0)
-            d_minus_1[0] = 0.0  # distance 0: placeholder, overwritten below
-            curve = (
-                seek_model.single_ms
-                + seek_model.alpha * _np.sqrt(d_minus_1)
-                + seek_model.beta * d_minus_1
-            )
-            table = curve.tolist()
-        else:
-            table = [seek_model.seek_time(d) for d in range(cylinders)]
-        table[0] = 0.0  # no arm motion, no seek
-        return table
-
-    def _angle_table(self, spt: int) -> List[float]:
-        rev = self.revolution_ms
-        if _np is not None:
-            return ((_np.arange(float(spt)) / spt) * rev).tolist()
-        return [(sector / spt) * rev for sector in range(spt)]
 
     def entry(
         self, lba: int, sectors: int
@@ -307,13 +282,6 @@ class DiskDrive:
         self.ops_serviced = 0
         self.busy_ms = 0.0
 
-    def _rotational_wait(self, now_ms: float, sector: int, spt: int) -> float:
-        """Time until ``sector`` passes under the head, from ``now_ms``."""
-        rev = self.revolution_ms
-        target_angle = (sector / spt) * rev
-        current_angle = now_ms % rev
-        return (target_angle - current_angle) % rev
-
     def service(self, request: DiskRequest, now_ms: float) -> ServiceRecord:
         """Serve ``request`` starting at absolute time ``now_ms``.
 
@@ -381,9 +349,9 @@ class DiskDrive:
     ) -> ServiceRecord:
         """The scalar reference walk (and the track-buffer path).
 
-        Recomputes everything from the geometry per call; the
-        equivalence tests pin :meth:`service` against it request by
-        request.
+        Recomputes everything from the geometry per call;
+        ``tests/disk/test_service_tables.py`` pins :meth:`service` against
+        it request by request.
         """
         sectors = request.sectors
         if sectors < 1:
@@ -426,8 +394,8 @@ class DiskDrive:
         rev = self.revolution_ms
         spt_of = geometry.sectors_per_track
         spt = spt_of(cylinder)
-        # Rotational wait for `sector` from `now_ms + seek_ms` — the
-        # inlined _rotational_wait, same operations in the same order.
+        # Rotational wait for `sector` from `now_ms + seek_ms`: the same
+        # operations, in the same order, as the angle table and `service`.
         latency_ms = ((sector / spt) * rev - (now_ms + seek_ms) % rev) % rev
 
         transfer_ms = 0.0

@@ -38,7 +38,7 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.array.controller import ArrayController
+from repro.array.controller import SCRUB_ID_BASE, ArrayController
 from repro.array.journal import StripeJournal
 from repro.array.raidops import ArrayMode
 from repro.array.resync import Resynchronizer
@@ -57,7 +57,7 @@ from repro.faults.media import MediaErrorMap
 from repro.faults.nemesis import ActiveFaultTracker, NemesisSchedule
 from repro.faults.oracle import IntegrityOracle
 from repro.faults.scenario import FaultScenario
-from repro.faults.scrubber import SCRUB_ID_BASE, Scrubber, aggregate_scrub
+from repro.faults.scrubber import Scrubber, aggregate_scrub
 from repro.sim.engine import SimulationEngine
 from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator

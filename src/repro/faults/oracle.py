@@ -119,10 +119,6 @@ class IntegrityOracle:
         for unit in gens:
             self.suspect.add(stripe_of(unit))
 
-    def drop_pending(self) -> None:
-        """Forget in-flight *read* bookkeeping after a crash (no-op for
-        the generation state — reads hold none)."""
-
     # ------------------------------------------------------------------
     # Danger-path checks.
     # ------------------------------------------------------------------

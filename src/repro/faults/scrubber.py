@@ -20,15 +20,11 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, List, Optional
 
-from repro.array.controller import ArrayController
+from repro.array.controller import SCRUB_ID_BASE, ArrayController
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError
 from repro.faults.media import MediaErrorMap
 from repro.layouts import Role
-
-#: Access ids at or above this value are scrub traffic (rebuild traffic
-#: starts at 1 << 40; scrub ids never collide with either space).
-SCRUB_ID_BASE = 1 << 41
 
 #: Modes in which scrubbing runs; anywhere else it pauses and re-checks.
 _SCRUB_MODES = (ArrayMode.FAULT_FREE, ArrayMode.POST_RECONSTRUCTION)

@@ -1,10 +1,18 @@
 """Integration tests for the array controller on the event engine."""
 
+import inspect
+
 import pytest
 
+import repro.array.controller as controller_module
 from repro.array.controller import ArrayController, LogicalAccess
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError, SimulationError
+from repro.experiments.nemesistrial import (
+    _SCRUB_GENERATION_STRIDE,
+    run_nemesis_trial,
+)
+from repro.faults.nemesis import NemesisSchedule
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
 
@@ -178,3 +186,56 @@ class TestRawSubmission:
         controller.submit_raw(0, 0, False, 999, lambda: done.append(1))
         engine.run()
         assert done == [1]
+
+
+class TestBackgroundIdBlocks:
+    """Background traffic kinds never share an access id: an equal id on
+    one disk would count the second operation as *local* to the first."""
+
+    @staticmethod
+    def blocks():
+        bases = sorted(
+            (value, name)
+            for name, value in vars(controller_module).items()
+            if name.endswith("_ID_BASE")
+        )
+        ends = [value for value, _ in bases[1:]] + [2 * bases[-1][0]]
+        return {
+            name: (value, end) for (value, name), end in zip(bases, ends)
+        }
+
+    def test_six_kinds_own_pairwise_disjoint_blocks(self):
+        blocks = self.blocks()
+        assert set(blocks) == {
+            "REBUILD_ID_BASE",
+            "RESYNC_ID_BASE",
+            "ESCALATION_ID_BASE",
+            "HEDGE_ID_BASE",
+            "VERIFY_ID_BASE",
+            "SCRUB_ID_BASE",
+        }
+        spans = sorted(blocks.values())
+        assert spans[0][0] >= 1 << 40  # far above any client access id
+        for (start, end), (next_start, _) in zip(spans, spans[1:]):
+            assert start < end <= next_start
+
+    def test_nemesis_scrub_generations_stay_inside_the_scrub_block(self):
+        start, end = self.blocks()["SCRUB_ID_BASE"]
+        # A trial starts one scrubber generation, plus at most one more
+        # per schedule event (crash restarts, scrub-off windows ending).
+        schedules = [
+            NemesisSchedule.draw(
+                seed, n_disks=13, rows=26,
+                max_failslow=13, max_corruption_bursts=13,
+            )
+            for seed in range(200)
+        ]
+        generations = 1 + max(len(s.events) for s in schedules)
+        assert start + generations * _SCRUB_GENERATION_STRIDE <= end
+        # A generation takes one id per disk per pass, plus its base.
+        interval = inspect.signature(run_nemesis_trial).parameters[
+            "scrub_interval_ms"
+        ].default
+        horizon = max(s.horizon_ms for s in schedules)
+        passes = int(horizon // interval) + 1
+        assert passes * 13 + 1 < _SCRUB_GENERATION_STRIDE
