@@ -25,12 +25,11 @@ figure of the paper can be regenerated from a shell:
 - ``corruption`` — silent-corruption defense tiers: checksums,
   write-verify, parity-audit scrub (see EXPERIMENTS.md
   "Corruption trials")
-- ``profile``    — cProfile one simulation point (hot functions, ev/s)
 
 ``bench --compare`` gates on the committed ``BENCH_*.json`` baselines:
-invariant self-checks, level-shift detection between a ``--baseline``
-and a ``--candidate`` report, and ``--exact`` byte-agreement modulo the
-provenance version stamp (see RUNNER.md "The bench-regression gate").
+invariant self-checks, and a ``--candidate`` report's exact agreement
+with its ``--baseline`` apart from the provenance version stamp (see
+RUNNER.md "The bench-regression gate").
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import sys
 import time
 from typing import List, Optional, Tuple
 
-from repro.errors import ConfigurationError, ReproError, RunnerError
+from repro.errors import ReproError, RunnerError
 from repro.runner import (
     ParallelRunner,
     ResultCache,
@@ -60,7 +59,7 @@ from repro.runner.spec import MODES as _MODES
 DEFAULT_LAYOUTS = ["datum", "parity-declustering", "raid5", "pddl", "prime"]
 
 
-def _write_report(path: str, payload: dict, indent: int = 2) -> None:
+def _write_report(path: str, payload: dict) -> None:
     """Write a JSON report, or fail with a clean CLI error.
 
     An unwritable ``--out`` (missing directory, permission, path through
@@ -70,7 +69,7 @@ def _write_report(path: str, payload: dict, indent: int = 2) -> None:
     """
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=indent, sort_keys=True)
+            json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     except OSError as exc:
         raise RunnerError(
@@ -324,35 +323,33 @@ def _bench_compare(args: argparse.Namespace) -> int:
     """The ``bench --compare`` regression gate (no simulation)."""
     import glob
 
-    baselines = args.baseline or sorted(glob.glob("BENCH_*.json"))
-    if not baselines:
+    # A lone --candidate picks its own kind's baseline in run_compare.
+    baselines = args.baseline or (
+        [] if args.candidate else sorted(glob.glob("BENCH_*.json"))
+    )
+    if not baselines and not args.candidate:
         print(
             "error: no BENCH_*.json reports here and no --baseline given",
             file=sys.stderr,
         )
         return 1
-    problems = run_compare(
-        baselines, candidate_path=args.candidate, exact=args.exact
-    )
+    problems = run_compare(baselines, candidate_path=args.candidate)
     if problems:
         for line in problems:
             print(f"bench-compare: {line}")
         print(f"bench-compare: FAIL ({len(problems)} problem(s))")
         return 1
-    reports = len(baselines) + (1 if args.candidate else 0)
-    mode = (
-        "exact"
-        if args.exact
-        else ("level-shift" if args.candidate else "self-check")
-    )
-    print(f"bench-compare: OK ({reports} report(s), {mode})")
+    if args.candidate:
+        print(f"bench-compare: OK ({args.candidate} matches its baseline)")
+    else:
+        print(f"bench-compare: OK ({len(baselines)} report(s), self-check)")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_response_curves
 
-    if args.compare or args.baseline or args.candidate or args.exact:
+    if args.compare or args.baseline or args.candidate:
         return _bench_compare(args)
     if args.quick:
         sizes, clients, samples = [8, 48], [1, 4], 40
@@ -598,8 +595,8 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         payload = {
             "bench": "campaign",
             # Version stamp + sweep hash, so bench --compare attributes
-            # a level shift to a commit range (CI comparisons that need
-            # repo-state independence ignore the version stamp).
+            # a difference to a commit range (the comparison itself
+            # ignores the version stamp).
             "provenance": sweep_provenance(specs),
             "config": config,
             "summary": summary,
@@ -694,7 +691,7 @@ def _cmd_crash(args: argparse.Namespace) -> int:
         payload = {
             "bench": "crash",
             # Version stamp + sweep hash for bench --compare attribution
-            # (CI's --exact comparison ignores the version stamp).
+            # (the comparison itself ignores the version stamp).
             "provenance": sweep_provenance(specs),
             "config": config,
             "summary": summary,
@@ -808,7 +805,7 @@ def _cmd_nemesis(args: argparse.Namespace) -> int:
     if args.out:
         # Deterministic payload modulo the provenance version stamp:
         # CI compares a fresh run against the committed baseline with
-        # bench --compare --exact.
+        # bench --compare.
         payload = {
             "bench": "nemesis",
             "provenance": sweep_provenance(specs),
@@ -898,7 +895,7 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     if args.out:
         # Deterministic payload modulo the provenance version stamp:
         # CI compares a fresh run against the committed baseline with
-        # bench --compare --exact.  Trials are summarized (no raw
+        # bench --compare.  Trials are summarized (no raw
         # histogram buckets or per-disk counters) to keep the committed
         # file small; the full records live in the result cache.
         payload = {
@@ -1014,7 +1011,7 @@ def _cmd_failslow(args: argparse.Namespace) -> int:
     if args.out:
         # Deterministic payload modulo the provenance version stamp —
         # CI compares a fresh run against the committed baseline with
-        # bench --compare --exact.  Trials are summarized (tails and
+        # bench --compare.  Trials are summarized (tails and
         # defense counters, no raw instrumentation) to keep the
         # committed file small.
         payload = {
@@ -1137,7 +1134,7 @@ def _cmd_corruption(args: argparse.Namespace) -> int:
     if args.out:
         # Deterministic payload modulo the provenance version stamp —
         # CI compares a fresh run against the committed baseline with
-        # bench --compare --exact.  Trials are summarized (ledger and
+        # bench --compare.  Trials are summarized (ledger and
         # latency, no raw instrumentation) to keep the file small.
         payload = {
             "bench": "corruption",
@@ -1164,59 +1161,6 @@ def _cmd_corruption(args: argparse.Namespace) -> int:
             ],
         }
         _write_report(args.out, payload)
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.runner.spec import ExperimentSpec, LifecycleSpec
-    from repro.sim.profile import diff_profiles, profile_spec
-
-    if args.lifecycle:
-        spec = LifecycleSpec(
-            layout=args.layout,
-            size_kb=args.size,
-            is_write=args.write,
-            clients=args.clients,
-            seed=args.seed,
-            fault_time_ms=args.fault_time,
-            degraded_dwell_ms=args.dwell,
-            rebuild_rows=args.rebuild_rows,
-            post_samples=args.post_samples,
-            max_samples=args.samples,
-        )
-    else:
-        spec = ExperimentSpec(
-            layout=args.layout,
-            size_kb=args.size,
-            is_write=args.write,
-            clients=args.clients,
-            mode=args.mode,
-            seed=args.seed,
-            max_samples=args.samples,
-        )
-    report = profile_spec(spec, top=args.top, sort=args.sort)
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except OSError as exc:
-            raise ConfigurationError(
-                f"cannot read profile baseline {args.baseline!r}: {exc}"
-            ) from exc
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"profile baseline {args.baseline!r} is not JSON: {exc}"
-            ) from exc
-        diff = diff_profiles(baseline, report.to_dict())
-        print(diff.render())
-        if args.out:
-            print()
-            _write_report(args.out, diff.to_dict(), indent=1)
-        return 0
-    print(report.render())
-    if args.out:
-        print()
-        _write_report(args.out, report.to_dict(), indent=1)
     return 0
 
 
@@ -1303,16 +1247,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument(
         "--baseline", action="append", default=None, metavar="FILE",
         help="bench report(s) to check; with --candidate, the last one"
-        " is the comparison baseline (default: ./BENCH_*.json)",
+        " is the comparison baseline (default: ./BENCH_*.json, or"
+        " ./BENCH_<kind>.json for the candidate's kind)",
     )
     bench.add_argument(
         "--candidate", default=None, metavar="FILE",
-        help="fresh report to compare against the baseline",
-    )
-    bench.add_argument(
-        "--exact", action="store_true",
-        help="require byte-agreement with the baseline, ignoring only"
-        " the provenance version stamp (CI committed-baseline check)",
+        help="fresh report that must match the baseline exactly,"
+        " except for the provenance version stamp",
     )
     bench.set_defaults(func=_cmd_bench)
 
@@ -1717,52 +1658,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_runner_flags(corr, out="BENCH_corruption.json")
     corr.set_defaults(func=_cmd_corruption)
-
-    prof = sub.add_parser(
-        "profile",
-        help="cProfile one simulation point (hot functions, events/sec)",
-    )
-    prof.add_argument("--layout", default="pddl")
-    prof.add_argument("--size", type=int, default=96, help="access KB")
-    prof.add_argument("--write", action="store_true")
-    prof.add_argument("--clients", type=int, default=8)
-    prof.add_argument("--mode", choices=sorted(_MODES), default="ff")
-    prof.add_argument("--samples", type=int, default=300)
-    prof.add_argument("--seed", type=int, default=0)
-    prof.add_argument(
-        "--lifecycle", action="store_true",
-        help="profile a reconstruction lifecycle run instead of a"
-        " response point",
-    )
-    prof.add_argument(
-        "--fault-time", type=float, default=500.0,
-        help="lifecycle failure time in ms",
-    )
-    prof.add_argument(
-        "--dwell", type=float, default=300.0,
-        help="lifecycle degraded dwell before the rebuild, ms",
-    )
-    prof.add_argument(
-        "--rebuild-rows", type=int, default=26,
-        help="lifecycle rebuild sweep row limit",
-    )
-    prof.add_argument("--post-samples", type=int, default=40)
-    prof.add_argument(
-        "--top", type=int, default=15, help="hot functions to show"
-    )
-    prof.add_argument(
-        "--sort", choices=["cumulative", "tottime"], default="cumulative"
-    )
-    prof.add_argument(
-        "--out", default=None, help="write the JSON profile report"
-    )
-    prof.add_argument(
-        "--baseline", default=None,
-        help="previous profile report (--out JSON) to diff against:"
-        " prints per-function cumulative-time deltas and new/vanished"
-        " hot functions instead of the raw table",
-    )
-    prof.set_defaults(func=_cmd_profile)
 
     return parser
 

@@ -1,26 +1,25 @@
 """Bench-regression gate: compare ``BENCH_*.json`` reports across history.
 
 Every simulated quantity in the committed baselines is deterministic —
-same specs, same seeds, same event loop — so a *level shift* between two
-reports with matching configs is a behaviour change, not noise, and CI
-can gate on byte-level agreement of the simulated numbers.
+same specs, same seeds, same event loop — so any difference between two
+reports of the same sweep is a behaviour change, not noise, and CI can
+gate on exact agreement of everything but the version stamp.
 
-Three entry points, all behind ``repro bench --compare``:
+Two modes, both behind ``repro bench --compare``:
 
 :func:`check_invariants`
     Self-check one report: internal consistency (counts add up, CIs
-    bracket their estimate) plus the hard oracle invariants (zero
-    corruption events, zero silent-corruption trials).  Run against the
-    committed baselines in CI so a hand-edited or truncated report
-    fails loudly.
+    bracket their estimate, trial-sweep reports carry provenance) plus
+    the hard oracle invariants (zero corruption events, zero
+    silent-corruption trials).  Run against the committed baselines in
+    CI so a hand-edited or truncated report fails loudly.
 :func:`compare_reports`
-    Level-shift detection between a baseline and a candidate of the
-    same bench kind.  Differences are attributed to the commit range
-    between the two reports' ``provenance.source_version`` stamps.
-:func:`diff_reports`
-    Deep equality modulo provenance (``--exact``): what CI uses instead
-    of ``cmp`` to compare a fresh run against a committed baseline,
-    since the version stamp legitimately differs across commits.
+    Compare a candidate with a baseline of the same sweep: every path
+    where the two differ (:func:`diff_reports`), ignoring only
+    ``provenance.source_version``.  Each difference names both reports'
+    version stamps, so it is attributable to the commit range between
+    them.  This is what CI uses instead of ``cmp`` to check that a fresh
+    run reproduces a committed baseline.
 """
 
 from __future__ import annotations
@@ -173,7 +172,6 @@ def _check_traffic(report: dict, problems: List[str]) -> None:
 
 
 def _check_failslow(report: dict, problems: List[str]) -> None:
-    _check_provenance(report, problems)
     summary = report["summary"]
     trials = report["trials"]
     for trial in trials:
@@ -209,7 +207,6 @@ def _check_failslow(report: dict, problems: List[str]) -> None:
 
 
 def _check_corruption(report: dict, problems: List[str]) -> None:
-    _check_provenance(report, problems)
     summary = report["summary"]
     trials = report["trials"]
     # The defense invariant the whole bench exists to assert: no
@@ -267,13 +264,17 @@ def check_invariants(report: dict) -> List[str]:
         return [f"unknown bench kind {kind!r}"]
     problems: List[str] = []
     try:
-        if _COMPARERS.get(kind) is _compare_trial_sweep:
+        if kind != "lifecycle":
+            # Every other kind is a trial sweep: summary + trials, with
+            # the provenance block that the compare mode's sweep-hash
+            # stop relies on.
             claimed, recorded = report["summary"]["trials"], report["trials"]
             if claimed != len(recorded):
                 problems.append(
                     f"summary says {claimed} trials but {len(recorded)}"
                     " are recorded"
                 )
+            _check_provenance(report, problems)
         checker(report, problems)
     except (KeyError, TypeError) as exc:
         problems.append(f"malformed {kind} report: missing {exc}")
@@ -332,94 +333,19 @@ def diff_reports(baseline: dict, candidate: dict, limit: int = 20) -> List[str]:
     return out
 
 
-def _shift(key: str, base, cand, baseline: dict, candidate: dict) -> str:
-    return (
-        f"{key}: {base!r} ({_version(baseline)})"
-        f" -> {cand!r} ({_version(candidate)})"
-    )
-
-
-def _summary_shifts(
-    baseline: dict,
-    candidate: dict,
-    regressions: List[str],
-    skip: tuple = (),
-) -> None:
-    base, cand = baseline["summary"], candidate["summary"]
-    for key in sorted(set(base) | set(cand)):
-        if key in skip:
-            continue
-        if base.get(key) != cand.get(key):
-            regressions.append(
-                _shift(
-                    f"summary.{key}",
-                    base.get(key),
-                    cand.get(key),
-                    baseline,
-                    candidate,
-                )
-            )
-
-
-def _compare_trial_sweep(
-    baseline: dict, candidate: dict, regressions: List[str]
-) -> None:
-    """Summary level shifts plus the first few per-trial differences —
-    the comparer for every bench shaped as ``summary`` + ``trials``."""
-    _summary_shifts(baseline, candidate, regressions)
-    if baseline["trials"] != candidate["trials"]:
-        diffs = diff_reports(
-            {"trials": baseline["trials"]},
-            {"trials": candidate["trials"]},
-            limit=5,
-        )
-        for entry in diffs:
-            regressions.append(
-                _shift(entry, "baseline", "candidate", baseline, candidate)
-            )
-
-
-def _compare_lifecycle(
-    baseline: dict, candidate: dict, regressions: List[str]
-) -> None:
-    for entry in diff_reports(
-        {"runs": baseline["runs"]}, {"runs": candidate["runs"]}, limit=10
-    ):
-        regressions.append(
-            _shift(entry, "baseline", "candidate", baseline, candidate)
-        )
-
-
-#: kind -> comparer(baseline, candidate, regressions).  A kind missing
-#: here is a named problem, never a silent pass — register a comparer
-#: alongside the checker when adding a bench.
-_COMPARERS = {
-    "campaign": _compare_trial_sweep,
-    "corruption": _compare_trial_sweep,
-    "crash": _compare_trial_sweep,
-    "failslow": _compare_trial_sweep,
-    "nemesis": _compare_trial_sweep,
-    "traffic": _compare_trial_sweep,
-    "lifecycle": _compare_lifecycle,
-}
-
-
 def compare_reports(baseline: dict, candidate: dict) -> List[str]:
-    """Level shifts between two same-kind reports (empty = no change).
+    """Differences between two reports of one sweep (empty = no change).
 
-    Simulated quantities must match exactly (the whole pipeline is
-    seeded and deterministic).  A config or sweep-hash mismatch is
-    reported as its own problem — the reports measured different
-    sweeps, so their numbers are incomparable.  A bench kind with no
-    registered comparer is also a problem: an unknown baseline must
-    fail the gate, not slide through it.
+    A kind, config or sweep-hash mismatch is the one problem reported:
+    the reports measured different sweeps, so their numbers are
+    incomparable.  Otherwise each path where the reports differ
+    (ignoring only the version stamp) is one line naming both versions.
     """
     if baseline["bench"] != candidate["bench"]:
         return [
             f"bench kinds differ: {baseline['bench']!r} vs"
             f" {candidate['bench']!r} — nothing to compare"
         ]
-    kind = baseline["bench"]
     if baseline.get("config") != candidate.get("config"):
         return ["configs differ — these reports measured different sweeps"]
     hashes = [
@@ -428,66 +354,64 @@ def compare_reports(baseline: dict, candidate: dict) -> List[str]:
     ]
     if None not in hashes and hashes[0] != hashes[1]:
         return ["sweep hashes differ — these reports measured different sweeps"]
-    comparer = _COMPARERS.get(kind)
-    if comparer is None:
-        return [
-            f"no comparer registered for bench kind {kind!r}"
-            " — cannot gate on this baseline"
-        ]
-    regressions: List[str] = []
-    comparer(baseline, candidate, regressions)
-    return regressions
+    versions = (
+        f"(baseline {_version(baseline)}, candidate {_version(candidate)})"
+    )
+    return [
+        f"{entry} {versions}" for entry in diff_reports(baseline, candidate)
+    ]
+
+
+def _load_checked(path: str, problems: List[str]) -> Optional[dict]:
+    """One report, self-checked into ``problems``; None if unreadable.
+
+    An unreadable file is one problem among many, not a hard stop:
+    every failing report must surface in a single run.
+    """
+    try:
+        report = load_report(path)
+    except RunnerError as exc:
+        problems.append(str(exc))
+        return None
+    for problem in check_invariants(report):
+        problems.append(f"{path}: {problem}")
+    return report
 
 
 def run_compare(
-    baseline_paths: List[str],
-    candidate_path: Optional[str] = None,
-    exact: bool = False,
+    baseline_paths: List[str], candidate_path: Optional[str] = None
 ) -> List[str]:
     """The ``repro bench --compare`` engine; problem lines (empty = pass).
 
     With only baselines: invariant self-check of each report.  With a
-    candidate: the last baseline is compared against it — level-shift
-    detection by default, deep equality modulo provenance with
-    ``exact=True``.  Either way every named report is also
+    candidate: :func:`compare_reports` against the last baseline — by
+    default ``BENCH_<kind>.json`` in the working directory, for the
+    candidate's bench kind.  Either way every report read is also
     invariant-checked, so a truncated or hand-edited file never passes.
     """
     problems: List[str] = []
     reports = []
     for path in baseline_paths:
-        # An unreadable file is one problem among many, not a hard stop:
-        # every failing baseline must surface in a single run.
-        try:
-            report = load_report(path)
-        except RunnerError as exc:
-            problems.append(str(exc))
-            continue
-        reports.append((path, report))
-        for problem in check_invariants(report):
-            problems.append(f"{path}: {problem}")
+        report = _load_checked(path, problems)
+        if report is not None:
+            reports.append((path, report))
     if candidate_path is None:
         return problems
-    if not reports:
-        if problems:
-            problems.append(
-                "no readable baseline to compare the candidate against"
-            )
-            return problems
-        raise RunnerError("--candidate needs a --baseline to compare against")
-    try:
-        candidate = load_report(candidate_path)
-    except RunnerError as exc:
-        problems.append(str(exc))
+    candidate = _load_checked(candidate_path, problems)
+    if candidate is None:
         return problems
-    for problem in check_invariants(candidate):
-        problems.append(f"{candidate_path}: {problem}")
+    if not baseline_paths:
+        default = f"BENCH_{candidate['bench']}.json"
+        report = _load_checked(default, problems)
+        if report is None:
+            return problems
+        reports.append((default, report))
+    if not reports:
+        problems.append(
+            "no readable baseline to compare the candidate against"
+        )
+        return problems
     base_path, baseline = reports[-1]
-    if exact:
-        for entry in diff_reports(baseline, candidate):
-            problems.append(
-                f"{base_path} vs {candidate_path}: {entry}"
-            )
-    else:
-        for entry in compare_reports(baseline, candidate):
-            problems.append(f"{base_path} vs {candidate_path}: {entry}")
+    for entry in compare_reports(baseline, candidate):
+        problems.append(f"{base_path} vs {candidate_path}: {entry}")
     return problems

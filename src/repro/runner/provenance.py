@@ -1,7 +1,7 @@
 """Report provenance: which source produced which sweep.
 
 Committed ``BENCH_*.json`` baselines are compared across commits by
-``repro bench --compare``; a level shift is only actionable if the
+``repro bench --compare``; a difference is only actionable if the
 report says *what* produced it.  Each report header carries:
 
 ``source_version``

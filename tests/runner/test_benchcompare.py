@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import RunnerError
 from repro.experiments.campaign import campaign_specs
 from repro.experiments.corruption import corruption_specs
 from repro.experiments.crashtrial import crash_specs
@@ -71,6 +70,12 @@ def nemesis_report():
 def campaign_report():
     return {
         "bench": "campaign",
+        "provenance": {
+            "source_version": "abc1234",
+            "spec_schema": 1,
+            "spec_count": 1,
+            "sweep_hash": "e" * 64,
+        },
         "config": {"layout": "pddl"},
         "summary": {
             "trials": 1,
@@ -121,6 +126,25 @@ class TestCheckInvariants:
         problems = check_invariants({"bench": "nemesis"})
         assert problems and "malformed" in problems[0]
 
+    @pytest.mark.parametrize(
+        "kind", ["campaign", "crash", "nemesis", "traffic"]
+    )
+    def test_trial_sweep_without_provenance_flagged(self, kind):
+        # Without the block the compare mode's sweep-hash stop has
+        # nothing to read, so a missing one must fail the self-check.
+        report = committed(kind)
+        del report["provenance"]
+        assert check_invariants(report) == [
+            f"{kind} report lacks a provenance block"
+        ]
+
+    def test_provenance_without_sweep_hash_flagged(self):
+        report = nemesis_report()
+        del report["provenance"]["sweep_hash"]
+        assert check_invariants(report) == [
+            "provenance block lacks sweep_hash"
+        ]
+
 
 class TestDiffReports:
     def test_identical_modulo_version_stamp(self):
@@ -151,16 +175,44 @@ class TestCompareReports:
     def test_no_shift_no_problems(self):
         assert compare_reports(nemesis_report(), nemesis_report()) == []
 
+    def test_version_stamp_alone_is_no_change(self):
+        base, cand = nemesis_report(), nemesis_report()
+        cand["provenance"]["source_version"] = "def5678-dirty"
+        assert compare_reports(base, cand) == []
+
     def test_summary_level_shift_named_with_versions(self):
         base, cand = nemesis_report(), nemesis_report()
         cand["provenance"]["source_version"] = "def5678"
         cand["summary"]["survived"] = 2
         cand["summary"]["data_loss"] = 0
-        shifts = compare_reports(base, cand)
-        assert any(
-            "summary.survived" in s and "abc1234" in s and "def5678" in s
-            for s in shifts
-        )
+        assert compare_reports(base, cand) == [
+            "summary.data_loss: 1 vs 0"
+            " (baseline abc1234, candidate def5678)",
+            "summary.survived: 1 vs 2"
+            " (baseline abc1234, candidate def5678)",
+        ]
+
+    def test_trial_change_named_with_versions(self):
+        base, cand = nemesis_report(), nemesis_report()
+        cand["provenance"]["source_version"] = "def5678"
+        cand["trials"][1]["classification"] = "survived"
+        assert compare_reports(base, cand) == [
+            "trials[1].classification: 'data_loss' vs 'survived'"
+            " (baseline abc1234, candidate def5678)",
+        ]
+
+    def test_blocks_beyond_summary_and_trials_are_compared(self):
+        # Campaign's top-level oracle block and the provenance counts
+        # sit outside summary/trials; a drift there must still fail.
+        base, cand = campaign_report(), campaign_report()
+        base["oracle"] = {"corruption_events": 0, "checks": 10}
+        cand["oracle"] = {"corruption_events": 0, "checks": 11}
+        cand["provenance"]["spec_count"] = 2
+        assert compare_reports(base, cand) == [
+            "oracle.checks: 10 vs 11 (baseline abc1234, candidate abc1234)",
+            "provenance.spec_count: 1 vs 2"
+            " (baseline abc1234, candidate abc1234)",
+        ]
 
     def test_kind_mismatch_is_incomparable(self):
         shifts = compare_reports(nemesis_report(), campaign_report())
@@ -283,18 +335,32 @@ class TestCorruptionInvariants:
 
 class TestComparerRegistry:
     def test_every_known_bench_has_checker_and_comparer(self):
-        from repro.runner.benchcompare import _CHECKERS, _COMPARERS
+        from repro.runner.benchcompare import _CHECKERS
 
         for kind in KNOWN_BENCHES:
             assert kind in _CHECKERS, kind
-            assert kind in _COMPARERS, kind
+            # One comparer for every kind: the committed baseline
+            # matches itself, and any drift in it is caught.
+            base = committed(kind)
+            cand = copy.deepcopy(base)
+            assert compare_reports(base, cand) == [], kind
+            entries = "runs" if kind == "lifecycle" else "trials"
+            cand[entries][0]["drift"] = 1
+            problems = compare_reports(base, cand)
+            assert len(problems) == 1, kind
+            assert problems[0].startswith(
+                f"{entries}[0].drift: only in candidate"
+            ), kind
 
-    def test_unknown_kind_is_a_named_problem_not_a_pass(self):
-        base = {"bench": "mystery", "config": None}
-        problems = compare_reports(base, copy.deepcopy(base))
+    def test_unknown_kind_is_a_named_problem_not_a_pass(self, tmp_path):
+        # compare_reports compares any two dicts; the gate still fails
+        # an unknown kind through its self-check of both reports.
+        path = tmp_path / "BENCH_mystery.json"
+        path.write_text(json.dumps({"bench": "mystery", "config": None}))
+        problems = run_compare([str(path)], candidate_path=str(path))
         assert problems == [
-            "no comparer registered for bench kind 'mystery'"
-            " — cannot gate on this baseline"
+            f"{path}: unknown bench kind 'mystery'",
+            f"{path}: unknown bench kind 'mystery'",
         ]
 
     def test_corruption_reports_use_trial_sweep_comparer(self):
@@ -305,6 +371,10 @@ class TestComparerRegistry:
         shifts = compare_reports(base, cand)
         assert any("summary.defended_silent_total" in s for s in shifts)
         assert any("trials[1]" in s for s in shifts)
+        assert all(
+            s.endswith("(baseline abc1234, candidate def5678)")
+            for s in shifts
+        )
 
 
 class TestRunCompare:
@@ -351,11 +421,40 @@ class TestRunCompare:
         assert any("cannot read" in p for p in problems)
         assert any("no readable baseline" in p for p in problems)
 
-    def test_candidate_without_baseline_raises(self, tmp_path):
-        path = tmp_path / "cand.json"
-        path.write_text(json.dumps(nemesis_report()))
-        with pytest.raises(RunnerError, match="needs a --baseline"):
-            run_compare([], candidate_path=str(path))
+    def test_candidate_defaults_to_its_kinds_baseline(
+        self, tmp_path, monkeypatch
+    ):
+        # BENCH_traffic.json sorts last, but a nemesis candidate is
+        # compared with BENCH_nemesis.json.
+        monkeypatch.chdir(tmp_path)
+        Path("BENCH_nemesis.json").write_text(json.dumps(nemesis_report()))
+        Path("BENCH_traffic.json").write_text(
+            json.dumps(committed("traffic"))
+        )
+        drifted = nemesis_report()
+        drifted["trials"][0]["corruption_events"] = 1
+        cand = tmp_path / "BENCH_nemesis_fresh.json"
+        cand.write_text(json.dumps(nemesis_report()))
+        assert run_compare([], candidate_path=str(cand)) == []
+        cand.write_text(json.dumps(drifted))
+        problems = run_compare([], candidate_path=str(cand))
+        assert problems == [
+            f"BENCH_nemesis.json vs {cand}:"
+            " trials[0].corruption_events: 0 vs 1"
+            " (baseline abc1234, candidate abc1234)"
+        ]
+
+    def test_missing_default_baseline_is_one_problem_line(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cand = tmp_path / "BENCH_campaign_fresh.json"
+        cand.write_text(json.dumps(campaign_report()))
+        problems = run_compare([], candidate_path=str(cand))
+        assert len(problems) == 1
+        assert problems[0].startswith(
+            "cannot read bench report 'BENCH_campaign.json'"
+        )
 
     def test_exact_mode_flags_any_simulated_drift(self, tmp_path):
         base = tmp_path / "base.json"
@@ -367,9 +466,7 @@ class TestRunCompare:
         drifted["trials"][1]["classification"] = "survived"
         drifted["summary"]["survived"] = 1
         cand.write_text(json.dumps(drifted))
-        problems = run_compare(
-            [str(base)], candidate_path=str(cand), exact=True
-        )
+        problems = run_compare([str(base)], candidate_path=str(cand))
         assert any("classification" in p for p in problems)
 
 
@@ -487,11 +584,14 @@ class TestFailslowInvariants:
     def test_summary_level_shift_detected(self):
         baseline = failslow_report()
         candidate = failslow_report()
+        candidate["provenance"]["source_version"] = "def5678"
         candidate["summary"]["slo_violated_trials"] = 2
         candidate["trials"][0]["tail"]["p99_ms"] = 60.0
-        problems = compare_reports(baseline, candidate)
-        assert any("slo_violated_trials" in p for p in problems)
-        assert any("p99_ms" in p for p in problems)
+        versions = " (baseline abc1234, candidate def5678)"
+        assert compare_reports(baseline, candidate) == [
+            "summary.slo_violated_trials: 1 vs 2" + versions,
+            "trials[0].tail.p99_ms: 50.0 vs 60.0" + versions,
+        ]
 
 
 class TestCommittedBaselines:
@@ -549,6 +649,22 @@ class TestCommittedBaselines:
             if trial["defense"] != "none":
                 assert trial["corruption"]["silent_total"] == 0, trial
                 assert trial["classification"] != "silent_corruption"
+
+    def test_campaign_losses_agree_with_the_analytic_model(self):
+        report = committed("campaign")
+        summary = report["summary"]
+        assert summary["trials"] == 24
+        assert 0 < summary["losses"] < 24
+        analytic = summary["analytic"]
+        assert analytic["within_ci"]
+        assert (
+            summary["ci_low"]
+            <= analytic["loss_probability"]
+            <= summary["ci_high"]
+        )
+        classes = [trial["classification"] for trial in report["trials"]]
+        assert set(classes) == {"survived", "lost"}
+        assert classes.count("lost") == summary["losses"]
 
     def test_crash_journal_recovers_every_trial_faster(self):
         report = committed("crash")

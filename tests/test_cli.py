@@ -1,17 +1,21 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Every registered subcommand; the smoke test below fails if a new one
 #: is added without joining this list.
 ALL_COMMANDS = [
     "goals", "figure3", "response", "seeks", "table1", "table3", "plan",
     "bench", "lifecycle", "campaign", "crash", "nemesis", "traffic",
-    "failslow", "corruption", "profile",
+    "failslow", "corruption",
 ]
 
 
@@ -505,10 +509,31 @@ class TestBenchCompare:
         other = tmp_path / "BENCH_other.json"
         other.write_text(json.dumps(payload))
         assert main(
-            ["bench", "--compare", "--exact",
+            ["bench", "--compare",
              "--baseline", str(nemesis_report), "--candidate", str(other)]
         ) == 0
         assert "bench-compare: OK" in capsys.readouterr().out
+
+    def test_candidate_defaults_to_its_kinds_baseline(
+        self, nemesis_report, tmp_path, capsys, monkeypatch
+    ):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        shutil.copy(nemesis_report, "BENCH_nemesis.json")
+        # Sorts after BENCH_nemesis.json: must not be the baseline.
+        shutil.copy(REPO_ROOT / "BENCH_traffic.json", "BENCH_traffic.json")
+        assert main(
+            ["bench", "--compare", "--candidate", str(nemesis_report)]
+        ) == 0
+        assert "bench-compare: OK" in capsys.readouterr().out
+
+        campaign = tmp_path / "BENCH_campaign_fresh.json"
+        shutil.copy(REPO_ROOT / "BENCH_campaign.json", campaign)
+        assert main(["bench", "--compare", "--candidate", str(campaign)]) == 1
+        out = capsys.readouterr().out
+        assert "cannot read bench report 'BENCH_campaign.json'" in out
+        assert "bench-compare: FAIL (1 problem(s))" in out
 
     def test_missing_reports_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
