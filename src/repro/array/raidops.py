@@ -36,15 +36,26 @@ for layouts without sparing it lives at the original address on a
 
 Post-reconstruction mode (PDDL's distributed sparing): lost units have been
 rebuilt into the same-row spare units, so accesses are simply redirected.
+
+Planning is table-driven.  Writes and non-fault-free reads walk the
+touched stripes through the layout's per-period
+:meth:`~repro.layouts.base.Layout.stripe_table` — plain ``(disk, row)``
+cells, offset ``row + cycle * period`` — and take the failed disk's lost
+cell, its row and its spare redirect from
+:meth:`~repro.layouts.base.Layout.failure_table`, derived once per
+failed disk.  No stripe is materialised, and planning allocates little
+beyond the ops it returns.  Only read plans are
+deduplicated: a degraded fan-out re-reads cells the access also reads
+directly, while a write phase cannot repeat a cell (a stripe never uses a
+disk twice, stripes are disjoint, and spare cells belong to no stripe).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, List, NamedTuple, Optional, Set
 
 from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress
 from repro.layouts.base import Layout
 
 
@@ -70,6 +81,12 @@ class UnitOp(NamedTuple):
     disk: int
     offset: int
     is_write: bool
+
+
+#: Builds a :class:`UnitOp` from one ``(disk, offset, is_write)`` tuple
+#: without the namedtuple's Python-level ``__new__`` (the planner's
+#: inner loops make one per op).
+_new = tuple.__new__
 
 
 class AccessPlan(NamedTuple):
@@ -133,20 +150,21 @@ def plan_access(
             f"{layout.name} has no spare space for post-reconstruction mode"
         )
 
-    units = range(first_unit, first_unit + unit_count)
-    if not is_write and mode is ArrayMode.FAULT_FREE:
+    if is_write:
+        return _plan_write(
+            layout, first_unit, unit_count, mode, failed_disk, rebuilt
+        )
+    if mode is ArrayMode.FAULT_FREE:
         # Hot path (the vast majority of Figure 5/6 traffic): straight
         # translation.  The data-unit mapping is injective — distinct
         # units land in distinct cells — so dedupe has nothing to do.
         cells = layout.data_unit_cells(first_unit, unit_count)
         return AccessPlan(
-            phases=[[UnitOp(d, o, False) for d, o in cells]]
+            phases=[[_new(UnitOp, (d, o, False)) for d, o in cells]]
         )
-    if is_write:
-        plan = _plan_write(layout, units, mode, failed_disk, rebuilt)
-    else:
-        plan = _plan_read(layout, units, mode, failed_disk, rebuilt)
-    return _dedupe(plan)
+    return _dedupe(
+        _plan_read(layout, first_unit, unit_count, mode, failed_disk, rebuilt)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -156,31 +174,40 @@ def plan_access(
 
 def _plan_read(
     layout: Layout,
-    units: range,
+    first_unit: int,
+    unit_count: int,
     mode: ArrayMode,
-    failed_disk: Optional[int],
+    failed_disk: int,
     rebuilt: Optional[RebuiltPredicate],
 ) -> AccessPlan:
+    period, per_period, per_stripe, stripes = layout.stripe_table()
+    post = mode is ArrayMode.POST_RECONSTRUCTION
+    recon = mode is ArrayMode.RECONSTRUCTION
     ops: List[UnitOp] = []
-    for unit in units:
-        addr = layout.data_unit_address(unit)
-        if addr.disk != failed_disk:
-            ops.append(UnitOp(addr.disk, addr.offset, False))
-        elif mode is ArrayMode.POST_RECONSTRUCTION or (
-            mode is ArrayMode.RECONSTRUCTION and rebuilt(addr.offset)
-        ):
-            # Lost unit already swept: read the rebuilt copy — the spare
-            # cell (distributed sparing) or the replacement spindle.
-            if layout.has_sparing:
-                spare = layout.relocation_target(addr)
-                ops.append(UnitOp(spare.disk, spare.offset, False))
-            else:
-                ops.append(UnitOp(addr.disk, addr.offset, False))
-        else:  # DEGRADED or un-rebuilt: reconstruct on the fly from survivors
-            stripe = layout.stripe_of_data_unit(unit)
-            for other in layout.stripe_units(stripe).all_units():
-                if other.disk != failed_disk:
-                    ops.append(UnitOp(other.disk, other.offset, False))
+    op = ops.append
+    # Touched stripes first..last; positions lo..hi-1 of each are read.
+    first, first_lo = divmod(first_unit, per_stripe)
+    last, end = divmod(first_unit + unit_count - 1, per_stripe)
+    for stripe in range(first, last + 1):
+        lo = first_lo if stripe == first else 0
+        hi = end + 1 if stripe == last else per_stripe
+        cycle, index = divmod(stripe, per_period)
+        shift = cycle * period
+        data, check = stripes[index]
+        for disk, row in data[lo:hi]:
+            if disk != failed_disk:
+                op(_new(UnitOp, (disk, row + shift, False)))
+            elif post or (recon and rebuilt(row + shift)):
+                # Lost unit already swept: read the rebuilt copy — the
+                # spare cell (distributed sparing) or the replacement
+                # spindle.
+                lost = layout.failure_table(failed_disk)[index]
+                disk, row = lost.data[lost.position]
+                op(_new(UnitOp, (disk, row + shift, False)))
+            else:  # DEGRADED or un-rebuilt: reconstruct on the fly
+                for disk, row in data + check:
+                    if disk != failed_disk:
+                        op(_new(UnitOp, (disk, row + shift, False)))
     return AccessPlan(phases=[ops])
 
 
@@ -189,178 +216,86 @@ def _plan_read(
 # ----------------------------------------------------------------------
 
 
-def _stripe_groups(
-    layout: Layout, units: range
-) -> Dict[int, List[Tuple[int, int]]]:
-    """Group accessed units by stripe: stripe -> [(position, unit), ...]."""
-    groups: Dict[int, List[Tuple[int, int]]] = {}
-    for unit in units:
-        stripe = layout.stripe_of_data_unit(unit)
-        position = unit % layout.data_per_stripe
-        groups.setdefault(stripe, []).append((position, unit))
-    return groups
-
-
-def _redirect(
-    layout: Layout, addr: PhysicalAddress, mode: ArrayMode, failed: Optional[int]
-) -> PhysicalAddress:
-    if mode is ArrayMode.POST_RECONSTRUCTION and addr.disk == failed:
-        return layout.relocation_target(addr)
-    return addr
-
-
 def _plan_write(
     layout: Layout,
-    units: range,
+    first_unit: int,
+    unit_count: int,
     mode: ArrayMode,
     failed_disk: Optional[int],
     rebuilt: Optional[RebuiltPredicate],
 ) -> AccessPlan:
-    pre_reads: List[UnitOp] = []
+    """Plan each touched stripe's §4.2 write, without dedupe: a stripe
+    never uses a disk twice, stripes are disjoint and spare cells belong
+    to no stripe, so no phase can hold a cell twice."""
+    period, per_period, per_stripe, stripes = layout.stripe_table()
+    lost_cells = (
+        None
+        if mode is ArrayMode.FAULT_FREE
+        else layout.failure_table(failed_disk)
+    )
+    post = mode is ArrayMode.POST_RECONSTRUCTION
+    recon = mode is ArrayMode.RECONSTRUCTION
+    reads: List[UnitOp] = []
     writes: List[UnitOp] = []
-    for stripe, touched in _stripe_groups(layout, units).items():
-        stripe_units = layout.stripe_units(stripe)
-        written_positions = {position for position, _ in touched}
-        stripe_mode = mode
-        if mode is ArrayMode.RECONSTRUCTION:
-            # Per-stripe: behind the rebuild frontier the stripe behaves
-            # post-reconstruction (spare redirect), ahead of it degraded.
-            lost = next(
-                (
-                    a
-                    for a in stripe_units.all_units()
-                    if a.disk == failed_disk
-                ),
-                None,
-            )
-            if lost is None or rebuilt(lost.offset):
-                # Spare redirect with sparing; the replacement spindle
-                # serves the original addresses without.
-                stripe_mode = (
-                    ArrayMode.POST_RECONSTRUCTION
-                    if layout.has_sparing
-                    else ArrayMode.FAULT_FREE
-                )
-            else:
-                stripe_mode = ArrayMode.DEGRADED
-        if stripe_mode is ArrayMode.DEGRADED:
-            reads, wr = _plan_stripe_write_degraded(
-                layout, stripe_units, written_positions, failed_disk
-            )
+    read = reads.append
+    write = writes.append
+    # Touched stripes first..last; positions lo..hi-1 of each are written.
+    first, first_lo = divmod(first_unit, per_stripe)
+    last, end = divmod(first_unit + unit_count - 1, per_stripe)
+    for stripe in range(first, last + 1):
+        lo = first_lo if stripe == first else 0
+        hi = end + 1 if stripe == last else per_stripe
+        cycle, index = divmod(stripe, per_period)
+        shift = cycle * period
+        data, check = stripes[index]
+        lost = None if lost_cells is None else lost_cells[index]
+        if lost is not None and (
+            post or (recon and rebuilt(lost.row + shift))
+        ):
+            # Behind the rebuild frontier (or after the rebuild): the
+            # rebuilt copy — spare cell with sparing, replacement spindle
+            # without — makes this a fault-free stripe.
+            data, check = lost.data, lost.check
+            lost = None
+        written = data[lo:hi]
+        if lost is None:
+            # A full-stripe write takes the large path with nothing to read.
+            small = hi - lo <= per_stripe // 2
+        elif lost.position >= per_stripe:
+            # Parity lost: write the data units, nothing to maintain.
+            for disk, row in written:
+                write(_new(UnitOp, (disk, row + shift, True)))
+            continue
+        elif lo <= lost.position < hi:
+            # Lost unit is being overwritten: forced large write — read
+            # every untouched data unit (all survive), write survivors
+            # and parity.
+            small = False
+            written = data[lo:lost.position] + data[lost.position + 1:hi]
         else:
-            reads, wr = _plan_stripe_write_clean(
-                layout, stripe_units, written_positions, stripe_mode,
-                failed_disk,
-            )
-        pre_reads.extend(reads)
-        writes.extend(wr)
-    if pre_reads:
-        return AccessPlan(phases=[pre_reads, writes])
+            # Lost unit is untouched: forced small write — the parity
+            # delta needs only old data of written units plus old parity.
+            small = True
+        for disk, row in written:
+            write(_new(UnitOp, (disk, row + shift, True)))
+        if small:
+            for disk, row in written + check:
+                read(_new(UnitOp, (disk, row + shift, False)))
+        else:
+            for disk, row in data[:lo] + data[hi:]:
+                read(_new(UnitOp, (disk, row + shift, False)))
+        for disk, row in check:
+            write(_new(UnitOp, (disk, row + shift, True)))
+    if reads:
+        return AccessPlan(phases=[reads, writes])
     return AccessPlan(phases=[writes])
 
 
-def _plan_stripe_write_clean(
-    layout: Layout,
-    stripe_units,
-    written: Set[int],
-    mode: ArrayMode,
-    failed: Optional[int],
-) -> Tuple[List[UnitOp], List[UnitOp]]:
-    """Fault-free and post-reconstruction stripe write planning."""
-    dps = layout.data_per_stripe
-    m = len(written)
-
-    def addr(a: PhysicalAddress) -> PhysicalAddress:
-        return _redirect(layout, a, mode, failed)
-
-    check = [addr(a) for a in stripe_units.check]
-    reads: List[UnitOp] = []
-    writes: List[UnitOp] = [
-        UnitOp(*addr(stripe_units.data[p]), True) for p in sorted(written)
-    ]
-    if m == dps:
-        # Full-stripe write: parity computed from new data alone.
-        writes.extend(UnitOp(*a, True) for a in check)
-    elif m <= dps // 2:
-        # Small write: read old data + old parity.
-        reads.extend(
-            UnitOp(*addr(stripe_units.data[p]), False) for p in sorted(written)
-        )
-        reads.extend(UnitOp(*a, False) for a in check)
-        writes.extend(UnitOp(*a, True) for a in check)
-    else:
-        # Large (reconstruct) write: read the untouched data units.
-        reads.extend(
-            UnitOp(*addr(stripe_units.data[p]), False)
-            for p in range(dps)
-            if p not in written
-        )
-        writes.extend(UnitOp(*a, True) for a in check)
-    return reads, writes
-
-
-def _plan_stripe_write_degraded(
-    layout: Layout,
-    stripe_units,
-    written: Set[int],
-    failed: int,
-) -> Tuple[List[UnitOp], List[UnitOp]]:
-    """Degraded-mode stripe write planning (§4.2's forced large writes)."""
-    dps = layout.data_per_stripe
-    m = len(written)
-    check_failed = any(a.disk == failed for a in stripe_units.check)
-    failed_data_position = next(
-        (
-            p
-            for p in range(dps)
-            if stripe_units.data[p].disk == failed
-        ),
-        None,
-    )
-
-    reads: List[UnitOp] = []
-    writes: List[UnitOp] = [
-        UnitOp(*stripe_units.data[p], True)
-        for p in sorted(written)
-        if stripe_units.data[p].disk != failed
-    ]
-
-    if check_failed:
-        # Parity lost: write the surviving data units, nothing to maintain.
-        return reads, writes
-
-    check_writes = [UnitOp(*a, True) for a in stripe_units.check]
-    if failed_data_position is None:
-        # Stripe untouched by the failure: plan as fault-free.
-        return _plan_stripe_write_clean(
-            layout, stripe_units, written, ArrayMode.FAULT_FREE, None
-        )
-    if failed_data_position in written:
-        # Lost unit is being overwritten: forced large write — read every
-        # untouched data unit (all survive), fold in the new data, write
-        # survivors + parity.
-        reads.extend(
-            UnitOp(*stripe_units.data[p], False)
-            for p in range(dps)
-            if p not in written
-        )
-        writes.extend(check_writes)
-    else:
-        # Lost unit is untouched: forced small write — its old value is
-        # unreadable, but the parity delta needs only old data of written
-        # units plus old parity, all of which survive.
-        reads.extend(
-            UnitOp(*stripe_units.data[p], False) for p in sorted(written)
-        )
-        reads.extend(UnitOp(*a, False) for a in stripe_units.check)
-        writes.extend(check_writes)
-        if m == dps:  # unreachable guard: failed unit would be in `written`
-            raise MappingError("inconsistent degraded write planning")
-    return reads, writes
-
-
 def _dedupe(plan: AccessPlan) -> AccessPlan:
-    """Drop duplicate operations within each phase, preserving order."""
+    """Drop duplicate operations within each phase, preserving order.
+
+    Read plans only: a degraded fan-out re-reads cells the access also
+    reads directly."""
     phases: List[List[UnitOp]] = []
     for phase in plan.phases:
         if len(phase) < 2:

@@ -17,24 +17,103 @@ Hot-path representation: the forward and inverse maps are served from
 list-of-lists ``[disk][row]`` grid and ``data_unit_address`` a flat
 per-period array of ``(disk, row)`` cells — so the simulator's millions
 of address translations are two integer indexings each, with no
-namedtuple hashing and no per-call stripe materialisation.  The original
-``Dict[PhysicalAddress, UnitInfo]`` period table survives as
-:meth:`locate_reference` / :meth:`data_unit_address_reference`; the
-registry-wide property test in ``tests/layouts/test_flat_fast_path.py``
-pins the two paths cell-for-cell equal across multiple periods.
+namedtuple hashing and no per-call stripe materialisation.  The access
+planner reads two more: :meth:`Layout.stripe_table`, every stripe of one
+period as plain ``(disk, row)`` data and check cells, and
+:meth:`Layout.failure_table`, what one failed disk does to each of those
+stripes (its lost cell and, with sparing, the same-row spare that
+replaces it).  Stripe ``s + c * stripes_per_period`` is stripe ``s``
+shifted down ``c * period`` rows and every relocation stays in its row,
+so a global cell is a table cell plus ``cycle * period`` and planning
+materialises no stripe.  The original ``Dict[PhysicalAddress,
+UnitInfo]`` period table survives as :meth:`locate_reference` /
+:meth:`data_unit_address_reference`; the registry-wide property test in
+``tests/layouts/test_flat_fast_path.py`` pins the two paths cell-for-cell
+equal across multiple periods, and the stripe table equal to
+:meth:`Layout.stripe_units`.
 """
 
 from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress, Role, StripeUnits, UnitInfo
 
 #: Shifted-cycle stripes kept per layout (see :meth:`Layout.stripe_units`).
 _SHIFTED_STRIPE_CACHE_SIZE = 256
+
+#: A cell of one period as a plain ``(disk, row)`` tuple.
+Cell = Tuple[int, int]
+
+
+class StripeTable(NamedTuple):
+    """Every stripe of one period as plain cells (see
+    :meth:`Layout.stripe_table`)."""
+
+    period: int
+    stripes_per_period: int
+    data_per_stripe: int
+    #: ``stripes[i]`` is ``(data cells, check cells)`` of period stripe ``i``.
+    stripes: List[Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]]
+
+
+class LostCell(NamedTuple):
+    """Where one failed disk cuts one stripe of a :class:`StripeTable`."""
+
+    #: Row of the stripe's cell on the failed disk.
+    row: int
+    #: Its stripe position: a data position below ``data_per_stripe``,
+    #: a check cell at ``data_per_stripe`` and above.
+    position: int
+    #: The stripe's data and check cells once the lost cell is rebuilt:
+    #: with sparing it is replaced by its same-row spare cell, without
+    #: sparing it stays (the replacement spindle serves the old address).
+    data: Tuple[Cell, ...]
+    check: Tuple[Cell, ...]
+
+
+def lost_cells(
+    table: StripeTable,
+    disk: int,
+    relocation_target: Optional[Callable[[PhysicalAddress], PhysicalAddress]],
+) -> List[Optional[LostCell]]:
+    """Per period stripe of ``table``: its :class:`LostCell` when ``disk``
+    fails, or ``None`` if the stripe has no cell on ``disk``.
+
+    ``relocation_target`` (``None`` without sparing) gives each lost
+    cell's spare.  A stripe uses a disk at most once (goal #1), so the
+    first cell found on ``disk`` is the only one.
+    """
+    per_stripe = table.data_per_stripe
+    out: List[Optional[LostCell]] = []
+    for data, check in table.stripes:
+        lost = None
+        cells = data + check
+        for position, (cell_disk, row) in enumerate(cells):
+            if cell_disk != disk:
+                continue
+            if relocation_target is not None:
+                target = relocation_target(PhysicalAddress(disk, row))
+                if target.offset != row:
+                    # A cross-row target would break the cycle shift.
+                    raise MappingError(
+                        f"cell ({disk}, {row}) relocates to {target},"
+                        " outside its row"
+                    )
+                cells = (
+                    cells[:position]
+                    + ((target.disk, row),)
+                    + cells[position + 1:]
+                )
+            lost = LostCell(
+                row, position, cells[:per_stripe], cells[per_stripe:]
+            )
+            break
+        out.append(lost)
+    return out
 
 
 class Layout(abc.ABC):
@@ -73,10 +152,16 @@ class Layout(abc.ABC):
         # (every stripe decision consults it) and the spare list it is
         # derived from is fixed at construction.
         self._sparing: Optional[bool] = None
-        # Small LRU of *shifted* (cycle > 0) StripeUnits: closed-loop
-        # workloads revisit the same global stripes, so repeated
-        # multi-period accesses reuse the materialised address lists.
+        # Small LRU of *shifted* (cycle > 0) StripeUnits.  The access
+        # planner never asks for one (it walks stripe_table); the hot
+        # callers left are the rebuild sweeps and the controller's hedge
+        # and escalation stripe peers, which revisit the same stripes
+        # (one mc_campaign pass: 17,916 hits, 88 misses).
         self._shifted_cache: "OrderedDict[int, StripeUnits]" = OrderedDict()
+        # Planner tables (built lazily at the first plan that needs them,
+        # see stripe_table / failure_table).
+        self._stripe_table: Optional[StripeTable] = None
+        self._failure_tables: Dict[int, List[Optional[LostCell]]] = {}
 
     # ------------------------------------------------------------------
     # Quantities subclasses must define.
@@ -178,6 +263,39 @@ class Layout(abc.ABC):
         if len(shifted_cache) > _SHIFTED_STRIPE_CACHE_SIZE:
             shifted_cache.popitem(last=False)
         return shifted
+
+    def stripe_table(self) -> StripeTable:
+        """Every stripe of one period as plain ``(disk, row)`` cells:
+        ``stripe_units(s + c * stripes_per_period)`` is
+        ``stripes[s]`` with ``c * period`` added to every row."""
+        table = self._stripe_table
+        if table is None:
+            stripes = []
+            for s in range(self.stripes_per_period):
+                units = self.stripe_units_in_period(s)
+                stripes.append(
+                    (
+                        tuple((d, o) for d, o in units.data),
+                        tuple((d, o) for d, o in units.check),
+                    )
+                )
+            table = self._stripe_table = StripeTable(
+                *self._layout_consts(), stripes
+            )
+        return table
+
+    def failure_table(self, disk: int) -> List[Optional[LostCell]]:
+        """:func:`lost_cells` of :meth:`stripe_table` for failed ``disk``,
+        with the spare redirect when the layout has sparing (derived once
+        per disk)."""
+        table = self._failure_tables.get(disk)
+        if table is None:
+            table = self._failure_tables[disk] = lost_cells(
+                self.stripe_table(),
+                disk,
+                self.relocation_target if self.has_sparing else None,
+            )
+        return table
 
     def stripe_of_data_unit(self, unit: int) -> int:
         """Global stripe holding client data unit ``unit``."""

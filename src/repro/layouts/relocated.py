@@ -15,15 +15,18 @@ The view is duck-typed rather than a :class:`~repro.layouts.base.Layout`
 subclass: the base class validates that a pattern covers the full
 ``n x period`` grid, which no longer holds once one spindle's cells are
 dead.  It implements the full surface the planner, the reconstruction
-planner, and the controller consume.
+planner, and the controller consume, including the planner's
+:meth:`stripe_table`: the base table with the relocated disk's cells
+replaced by their spare targets.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress, Role, StripeUnits, UnitInfo
+from repro.layouts.base import LostCell, StripeTable, lost_cells
 
 
 class RelocatedView:
@@ -66,6 +69,8 @@ class RelocatedView:
                 )
             inverse[(target.disk, target.offset % base.period)] = row
         self._spare_source = inverse
+        self._stripe_table: Optional[StripeTable] = None
+        self._failure_tables: Dict[int, List[Optional[LostCell]]] = {}
 
     # ------------------------------------------------------------------
     # Geometry (delegated).
@@ -106,19 +111,48 @@ class RelocatedView:
     # Forward mapping.
     # ------------------------------------------------------------------
 
-    def _redirect(self, addr: PhysicalAddress) -> PhysicalAddress:
-        if addr.disk == self.relocated_disk:
-            return self.base.relocation_target(addr)
-        return addr
+    def stripe_table(self) -> StripeTable:
+        """The base table after the relocation: each stripe as the base
+        layout maps it in post-reconstruction mode for the relocated
+        disk."""
+        table = self._stripe_table
+        if table is None:
+            base = self.base.stripe_table()
+            moved = self.base.failure_table(self.relocated_disk)
+            table = self._stripe_table = base._replace(
+                stripes=[
+                    stripe if lost is None else (lost.data, lost.check)
+                    for stripe, lost in zip(base.stripes, moved)
+                ]
+            )
+        return table
+
+    def failure_table(self, disk: int) -> List[Optional[LostCell]]:
+        """:func:`~repro.layouts.base.lost_cells` of the relocated table;
+        no spare redirect, as the spare space is spent."""
+        table = self._failure_tables.get(disk)
+        if table is None:
+            table = self._failure_tables[disk] = lost_cells(
+                self.stripe_table(), disk, None
+            )
+        return table
+
+    def data_unit_cells(
+        self, first_unit: int, count: int
+    ) -> List[Tuple[int, int]]:
+        if first_unit < 0:
+            raise MappingError(f"negative data unit {first_unit}")
+        period, per_period, per_stripe, stripes = self.stripe_table()
+        out = []
+        for unit in range(first_unit, first_unit + count):
+            stripe, position = divmod(unit, per_stripe)
+            cycle, index = divmod(stripe, per_period)
+            disk, row = stripes[index][0][position]
+            out.append((disk, row + cycle * period))
+        return out
 
     def data_unit_cell(self, unit: int) -> Tuple[int, int]:
-        disk, offset = self.base.data_unit_cell(unit)
-        if disk == self.relocated_disk:
-            target = self.base.relocation_target(
-                PhysicalAddress(disk, offset)
-            )
-            return target.disk, target.offset
-        return disk, offset
+        return self.data_unit_cells(unit, 1)[0]
 
     def data_unit_address(self, unit: int) -> PhysicalAddress:
         return PhysicalAddress(*self.data_unit_cell(unit))
@@ -131,10 +165,11 @@ class RelocatedView:
 
     def stripe_units(self, stripe_id: int) -> StripeUnits:
         units = self.base.stripe_units(stripe_id)
-        redirect = self._redirect
+        moved = self.relocated_disk
+        target = self.base.relocation_target
         return StripeUnits(
-            data=[redirect(a) for a in units.data],
-            check=[redirect(a) for a in units.check],
+            data=[target(a) if a.disk == moved else a for a in units.data],
+            check=[target(a) if a.disk == moved else a for a in units.check],
         )
 
     # ------------------------------------------------------------------

@@ -134,6 +134,27 @@ class TestFailureModes:
         run_one(engine, controller, LogicalAccess(1, 0, 12, False))
         assert controller.servers[0].stats.operations == 0
 
+    def test_relocated_repair_cycle_returns_to_service(self):
+        """fail, finish (spare relocation), a second failure against the
+        relocated mapping, replacement rebuild, finish: the array is
+        fault-free on a RelocatedView, and both reads (the fused path)
+        and writes plan against the view."""
+        from repro.layouts.relocated import RelocatedView
+
+        engine, controller = build()
+        controller.fail_disk(0)
+        controller.finish_reconstruction()
+        controller.relocate_and_fail(5)
+        controller.install_replacement()
+        controller.finish_reconstruction()
+        assert controller.mode is ArrayMode.FAULT_FREE
+        assert isinstance(controller.plan_layout, RelocatedView)
+        run_one(engine, controller, LogicalAccess(1, 0, 36, is_write=False))
+        run_one(engine, controller, LogicalAccess(2, 5, 12, is_write=True))
+        assert controller.completed_accesses == 2
+        assert controller.servers[0].stats.operations == 0
+        assert controller.servers[5].stats.operations > 0
+
     def test_finish_without_failure_rejected(self):
         engine, controller = build()
         with pytest.raises(SimulationError):

@@ -86,6 +86,50 @@ class TestSingleTrial:
             run_campaign_trial("pddl", scenario, clients=-1)
 
 
+class TestRelocatedRepairCycle:
+    """Three faults with client load: after a spare relocation, a third
+    failure runs a replacement rebuild against the relocated mapping,
+    and the clients keep reading through it once it finishes."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        specs = campaign_specs(
+            layout="pddl",
+            disks=13,
+            trials=16,
+            faults=3,
+            clients=2,
+            mttf_hours=0.03,
+            degraded_dwell_ms=50.0,
+            rebuild_rows=13,
+            seed=3,
+            oracle=True,
+        )
+        report = ParallelRunner(workers=1).run(specs)
+        return [r["trial"] for r in report.records]
+
+    def test_every_trial_is_classified(self, records):
+        assert len(records) == 16
+        for record in records:
+            assert record["classification"] in ("survived", "lost")
+
+    def test_relocated_cycles_survive_under_load(self, records):
+        relocated = [
+            r for r in records
+            if r["survived"] and any(
+                f["during"] == "post-reconstruction"
+                for f in r["second_faults"]
+            )
+        ]
+        assert len(relocated) >= 3
+        assert all(r["samples"] > 0 for r in relocated)
+
+    def test_oracle_sees_no_corruption(self, records):
+        for record in records:
+            assert record["oracle"]["corruption_events"] == 0, record["oracle"]
+        assert sum(r["oracle"]["rebuild_checks"] for r in records) > 0
+
+
 class TestCampaignSpecs:
     def test_trial_seeds_are_independent_streams(self):
         specs = campaign_specs(trials=3, **CAMPAIGN)

@@ -7,13 +7,21 @@ survive as ``locate_reference`` / ``data_unit_address_reference``.  This
 test pins the two paths cell-for-cell equal for *every* registered
 layout, across multiple periods, including the error cases — so any new
 layout added to the registry is automatically held to the same contract.
+
+The planner's tables are held to the same standard: the one-period
+stripe table, shifted by ``c * period`` rows, must equal
+``stripe_units(s + c * stripes_per_period)``, and each failed disk's
+table must name the lost cell and its spare exactly as ``stripe_units``
+and ``relocation_target`` do, in every cycle — for every layout and for
+the relocated view of every sparing one.
 """
 
 import pytest
 
 from repro.errors import MappingError
-from repro.layouts.address import Role
+from repro.layouts.address import PhysicalAddress, Role
 from repro.layouts.registry import available_layouts, make_layout
+from repro.layouts.relocated import RelocatedView
 
 #: Canonical (n, k) per layout; the paper's 13-disk array, stripe width
 #: 4 for the declustered schemes (PDDL needs n = g*k + 1) and the whole
@@ -25,10 +33,73 @@ _DEFAULT_CONFIG = (13, 4)
 _PERIODS = 2.5
 
 
+#: Cycles the planner-table checks shift through.
+_CYCLES = range(3)
+
+
+def _make(name):
+    n, k = _CONFIGS.get(name, _DEFAULT_CONFIG)
+    return make_layout(name, n, k)
+
+
+_SPARING = [name for name in available_layouts() if _make(name).has_sparing]
+
+
 @pytest.fixture(params=available_layouts(), scope="module")
 def layout(request):
-    n, k = _CONFIGS.get(request.param, _DEFAULT_CONFIG)
-    return make_layout(request.param, n, k)
+    return _make(request.param)
+
+
+@pytest.fixture(params=_SPARING, scope="module")
+def view(request):
+    return RelocatedView(_make(request.param), 2)
+
+
+def _shifted(cells, shift):
+    return [PhysicalAddress(d, o + shift) for d, o in cells]
+
+
+def _assert_stripe_table_shifts(layout):
+    period, per_period, _, stripes = layout.stripe_table()
+    assert len(stripes) == per_period
+    for c in _CYCLES:
+        for s, (data, check) in enumerate(stripes):
+            units = layout.stripe_units(s + c * per_period)
+            assert _shifted(data, c * period) == units.data, (c, s)
+            assert _shifted(check, c * period) == units.check, (c, s)
+
+
+def test_stripe_table_shifts_to_stripe_units(layout):
+    _assert_stripe_table_shifts(layout)
+
+
+def test_relocated_stripe_table_shifts_to_stripe_units(view):
+    _assert_stripe_table_shifts(view)
+
+
+def test_failure_tables_match_stripe_units(layout):
+    period, per_period, per_stripe, _ = layout.stripe_table()
+    for disk in range(layout.n):
+        lost_cells = layout.failure_table(disk)
+        for c in _CYCLES:
+            for s, lost in enumerate(lost_cells):
+                members = layout.stripe_units(s + c * per_period).all_units()
+                on_disk = [
+                    (i, a) for i, a in enumerate(members) if a.disk == disk
+                ]
+                if lost is None:
+                    assert on_disk == [], (disk, c, s)
+                    continue
+                ((position, addr),) = on_disk
+                assert (lost.position, lost.row + c * period) == (
+                    position,
+                    addr.offset,
+                )
+                if layout.has_sparing:
+                    members[position] = layout.relocation_target(addr)
+                shift = c * period
+                assert _shifted(lost.data, shift) == members[:per_stripe]
+                assert _shifted(lost.check, shift) == members[per_stripe:]
 
 
 def test_data_unit_address_matches_reference(layout):
@@ -73,3 +144,20 @@ def test_data_unit_cell_is_address_core(layout):
     for unit in range(layout.data_units_per_period + 3):
         addr = layout.data_unit_address(unit)
         assert layout.data_unit_cell(unit) == (addr.disk, addr.offset)
+
+
+def test_relocated_data_unit_cells_match_the_mapping(view):
+    """The view's cells are the base cells with the relocated disk's
+    units moved to their spare targets (the fused fault-free read path
+    reads them after a relocated repair cycle)."""
+    base = view.base
+    units = int(view.data_units_per_period * _PERIODS)
+    cells = view.data_unit_cells(0, units)
+    for unit, cell in enumerate(cells):
+        addr = base.data_unit_address(unit)
+        if addr.disk == view.relocated_disk:
+            addr = base.relocation_target(addr)
+        assert cell == (addr.disk, addr.offset) == view.data_unit_cell(unit)
+    assert view.data_unit_cells(5, 9) == cells[5:14]
+    with pytest.raises(MappingError):
+        view.data_unit_cells(-1, 1)
