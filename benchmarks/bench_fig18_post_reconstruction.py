@@ -9,9 +9,9 @@ stripe unit the two failure regimes converge.
 """
 
 from repro.array.raidops import ArrayMode
-from repro.experiments.response import run_response_curve
 from repro.experiments.report import render_response_curves
-from repro.workload.spec import AccessSpec
+
+from benchmarks._support import run_panel
 
 SIZES_KB = (8, 24, 48, 72)
 
@@ -27,16 +27,10 @@ def test_figure18_pddl_recovery_regimes(benchmark, bench_samples):
                 ArrayMode.DEGRADED,
                 ArrayMode.POST_RECONSTRUCTION,
             ):
-                curve = run_response_curve(
-                    "pddl",
-                    AccessSpec(size, False),
-                    clients,
-                    mode=mode,
-                    max_samples=bench_samples,
-                    use_stopping_rule=False,
-                    warmup=max(10, bench_samples // 10),
-                )
-                out[(size, mode)] = curve
+                out[(size, mode)] = run_panel(
+                    size, False, clients, bench_samples, mode,
+                    layouts=("pddl",),
+                )["pddl"]
         for size in SIZES_KB:
             print()
             print(f"Figure 18: PDDL {size}KB reads across recovery regimes")

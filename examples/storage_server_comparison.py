@@ -16,29 +16,34 @@ from repro.experiments.report import (
     render_ascii_chart,
     render_response_curves,
 )
-from repro.experiments.response import run_figure
 from repro.layouts.registry import DISPLAY_NAMES
-from repro.workload.spec import AccessSpec
+from repro.runner import (
+    ParallelRunner,
+    curves_from_records,
+    mode_name,
+    response_sweep_specs,
+)
 
 LAYOUTS = ("datum", "parity-declustering", "raid5", "pddl", "prime")
 
 
 def main() -> None:
     samples = int(sys.argv[1]) if len(sys.argv) > 1 else 250
-    spec = AccessSpec(96, is_write=False)
     clients = (1, 8, 25)
 
     for mode in (ArrayMode.FAULT_FREE, ArrayMode.DEGRADED):
         print(f"\n=== 96KB reads, {mode.value} ===")
-        curves = run_figure(
-            LAYOUTS,
-            spec,
+        specs = response_sweep_specs(
+            (96,),
             clients,
-            mode=mode,
-            max_samples=samples,
-            use_stopping_rule=False,
+            False,
+            mode_name(mode),
+            samples,
+            layouts=LAYOUTS,
             warmup=samples // 10,
         )
+        records = ParallelRunner(workers=1).run(specs).records
+        curves = curves_from_records(records)[96]
         print(render_response_curves(curves))
         print()
         print(render_ascii_chart(curves_to_series(curves)))

@@ -1520,20 +1520,15 @@ class ArrayController:
             info = layout.locate(disk, offset)
             if info.role is Role.SPARE:
                 continue
-            stripe = info.stripe
-            members = [
-                a
-                for a in layout.stripe_units(stripe).all_units()
-                if not (a.disk == disk and a.offset == offset)
-                and not self.servers[a.disk].failed
-            ]
-            if len(members) < len(layout.stripe_units(stripe).all_units()) - 1:
-                # Another member is on a failed disk: no redundancy left
-                # to rebuild this sector from right now.
+            members = self._stripe_peers(disk, offset)
+            if members is None:
+                # Another member is on a failed disk, or on a replacement
+                # the rebuild has not reached: no redundancy left to
+                # rebuild this sector from right now.
                 self.io_stats.escalation_failures += 1
                 continue
             if self.oracle is not None:
-                self.oracle.check_escalated_reconstruction(stripe)
+                self.oracle.check_escalated_reconstruction(info.stripe)
             pending["units"] += 1
             self._reconstruct_sector(disk, offset, members, unit_done)
         if pending["units"] == 0:

@@ -42,10 +42,12 @@ from typing import List, Optional, Tuple
 
 from repro.errors import ReproError, RunnerError
 from repro.runner import (
+    ExperimentSpec,
     ParallelRunner,
     ResultCache,
     RunCheckpoint,
     RunReport,
+    cells_from_records,
     curves_from_records,
     default_cache_dir,
     lifecycle_sweep_specs,
@@ -53,6 +55,7 @@ from repro.runner import (
     response_sweep_specs,
     run_compare,
     sweep_provenance,
+    table1_specs,
 )
 from repro.runner.spec import MODES as _MODES
 
@@ -234,19 +237,22 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 
 def _cmd_response(args: argparse.Namespace) -> int:
     from repro.experiments.report import render_response_curves
-    from repro.experiments.response import run_figure
-    from repro.workload.spec import AccessSpec
 
-    curves = run_figure(
-        args.layouts,
-        AccessSpec(args.size, args.write),
-        args.clients,
-        mode=_MODES[args.mode],
-        max_samples=args.samples,
-        use_stopping_rule=not args.no_stopping_rule,
-        seed=args.seed,
-    )
-    print(render_response_curves(curves))
+    specs = [
+        ExperimentSpec(
+            layout=layout,
+            size_kb=args.size,
+            is_write=args.write,
+            clients=c,
+            mode=args.mode,
+            seed=args.seed,
+            max_samples=args.samples,
+        )
+        for layout in dict.fromkeys(args.layouts)  # one curve per layout
+        for c in args.clients
+    ]
+    records = ParallelRunner(workers=1).run(specs).records
+    print(render_response_curves(curves_from_records(records)[args.size]))
     return 0
 
 
@@ -268,14 +274,14 @@ def _cmd_seeks(args: argparse.Namespace) -> int:
 def _cmd_table1(args: argparse.Namespace) -> int:
     from repro.core.tables import PAPER_TABLE1
     from repro.experiments.report import render_table
-    from repro.experiments.table1 import reproduce_table1
 
-    cells = reproduce_table1(
-        widths=args.widths,
-        stripe_counts=args.stripes,
+    specs = table1_specs(
+        args.widths,
+        args.stripes,
         restarts=args.restarts,
         max_steps=args.max_steps,
     )
+    cells = cells_from_records(ParallelRunner(workers=1).run(specs).records)
     rows = []
     for g in args.stripes:
         row = [f"g={g}"]
@@ -1195,7 +1201,6 @@ def build_parser() -> argparse.ArgumentParser:
     resp.add_argument("--mode", choices=sorted(_MODES), default="ff")
     resp.add_argument("--samples", type=int, default=300)
     resp.add_argument("--seed", type=int, default=0)
-    resp.add_argument("--no-stopping-rule", action="store_true")
     resp.add_argument("--layouts", nargs="+", default=DEFAULT_LAYOUTS)
     resp.set_defaults(func=_cmd_response)
 

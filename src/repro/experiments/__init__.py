@@ -13,12 +13,7 @@ from repro.experiments.config import (
     paper_layout,
     paper_layouts,
 )
-from repro.experiments.response import (
-    ResponseCurve,
-    ResponsePoint,
-    run_response_curve,
-    run_response_point,
-)
+from repro.experiments.response import ResponseCurve, ResponsePoint
 from repro.experiments.seeks import run_seek_mix
 from repro.experiments.workingset import figure3_table
 
@@ -31,7 +26,5 @@ __all__ = [
     "figure3_table",
     "paper_layout",
     "paper_layouts",
-    "run_response_curve",
-    "run_response_point",
     "run_seek_mix",
 ]

@@ -27,17 +27,12 @@ parallel workers all produce identical bytes).
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError
-from repro.experiments.config import (
-    PAPER_SCHEDULER,
-    PAPER_SCHEDULER_WINDOW,
-    PAPER_STRIPE_UNIT_KB,
-    layout_for,
-)
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
@@ -50,28 +45,22 @@ from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
 
+if TYPE_CHECKING:
+    from repro.runner.spec import CampaignTrialSpec
+
 
 def run_campaign_trial(
-    layout_name: str,
-    scenario: FaultScenario,
-    trial: int = 0,
-    seed: int = 0,
-    clients: int = 0,
-    size_kb: int = 8,
-    is_write: bool = False,
-    disks: Optional[int] = None,
-    width: Optional[int] = None,
-    oracle: bool = False,
+    spec: CampaignTrialSpec, scenario: Optional[FaultScenario] = None
 ) -> dict:
     """One seeded array lifetime, to completion or data loss.
 
-    ``clients = 0`` runs the repair arc with no foreground load (the
-    common campaign configuration — thousands of trials, reliability is
-    the measurand); positive ``clients`` adds the closed-loop client
-    traffic of the lifecycle experiments, whose draws come from the same
-    ``{seed}/client-{c}`` stream family.
+    ``spec.clients = 0`` runs the repair arc with no foreground load
+    (the common campaign configuration — thousands of trials,
+    reliability is the measurand); positive ``clients`` adds the
+    closed-loop client traffic of the lifecycle experiments, whose
+    draws come from the same ``{seed}/client-{c}`` stream family.
 
-    ``oracle=True`` attaches the integrity shadow
+    ``spec.oracle`` attaches the integrity shadow
     (:class:`repro.faults.oracle.IntegrityOracle`): every write, rebuild
     step, and on-the-fly reconstruction is checked and the trial record
     gains an ``"oracle"`` verification block whose
@@ -79,20 +68,17 @@ def run_campaign_trial(
     acceptable campaign outcome.  A scenario with ``transient_io_rate``
     set additionally injects per-operation I/O errors recovered by the
     controller's retry/escalation machinery (``"io_recovery"`` block).
+
+    ``scenario`` replaces the spec's drawn fault scenario, so a test can
+    script the failures exactly.
     """
-    if clients < 0:
-        raise ConfigurationError(f"negative client count {clients}")
+    if scenario is None:
+        scenario = spec.scenario()
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
-    controller = ArrayController(
-        engine,
-        layout,
-        scheduler_name=PAPER_SCHEDULER,
-        scheduler_window=PAPER_SCHEDULER_WINDOW,
-        stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-    )
+    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
+    controller = ArrayController(engine, layout)
     oracle_model = None
-    if oracle:
+    if spec.oracle:
         from repro.faults.oracle import IntegrityOracle
 
         oracle_model = controller.attach_oracle(IntegrityOracle(layout))
@@ -157,22 +143,22 @@ def run_campaign_trial(
         scrubber.start()
 
     samples = {"count": 0}
-    if clients > 0:
-        spec = AccessSpec(size_kb=size_kb, is_write=is_write)
-        units = spec.units(PAPER_STRIPE_UNIT_KB)
+    if spec.clients > 0:
+        access_spec = AccessSpec(size_kb=spec.size_kb, is_write=spec.is_write)
+        units = access_spec.units(PAPER_STRIPE_UNIT_KB)
 
         def on_response(client, access, response_ms) -> bool:
             samples["count"] += 1
             return True
 
-        for c in range(clients):
+        for c in range(spec.clients):
             generator = UniformGenerator(
                 controller.addressable_data_units,
                 units,
-                random.Random(f"{seed}/client-{c}"),
+                random.Random(f"{spec.seed}/client-{c}"),
             )
             ClosedLoopClient(
-                c, controller, generator, spec, on_response,
+                c, controller, generator, access_spec, on_response,
                 stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
             ).start()
 
@@ -205,10 +191,10 @@ def run_campaign_trial(
         window_ms = None
     recon = lifecycle.reconstructor
     record = {
-        "layout": layout_name,
+        "layout": spec.layout,
         "disks": layout.n,
-        "trial": trial,
-        "seed": seed,
+        "trial": spec.trial,
+        "seed": spec.seed,
         "mttf_hours": scenario.mttf_hours,
         "classification": done["classification"],
         "survived": survived,
@@ -247,30 +233,11 @@ def run_campaign_trial(
     return record
 
 
-def campaign_specs(
-    layout: str = "pddl",
-    trials: int = 200,
-    disks: int = 13,
-    width: Optional[int] = None,
-    seed: int = 0,
-    mttf_hours: float = 1000.0,
-    faults: int = 2,
-    degraded_dwell_ms: float = 0.0,
-    rebuild_rows: Optional[int] = None,
-    rebuild_parallel: int = 1,
-    rebuild_throttle_ms: float = 0.0,
-    lse_per_gb: float = 0.0,
-    scrub_interval_ms: Optional[float] = None,
-    scrub_throttle_ms: float = 0.0,
-    clients: int = 0,
-    size_kb: int = 8,
-    is_write: bool = False,
-    transient_io_rate: float = 0.0,
-    oracle: bool = False,
-):
+def campaign_specs(trials: int = 200, **fields) -> List[CampaignTrialSpec]:
     """One :class:`~repro.runner.spec.CampaignTrialSpec` per trial.
 
-    Each trial gets an independent fault-seed stream derived from
+    ``fields`` are the spec's own fields, shared by every trial.  Each
+    trial gets an independent fault-seed stream derived from
     ``(seed, trial)``, so the campaign is embarrassingly parallel and
     individual trials replay bit-identically in isolation.
     """
@@ -281,28 +248,7 @@ def campaign_specs(
     if trials < 1:
         raise ConfigurationError(f"need >= 1 trial, got {trials}")
     return [
-        CampaignTrialSpec(
-            layout=layout,
-            disks=disks,
-            width=width,
-            trial=trial,
-            seed=seed,
-            mttf_hours=mttf_hours,
-            faults=faults,
-            degraded_dwell_ms=degraded_dwell_ms,
-            rebuild_rows=rebuild_rows,
-            rebuild_parallel=rebuild_parallel,
-            rebuild_throttle_ms=rebuild_throttle_ms,
-            lse_per_gb=lse_per_gb,
-            scrub_interval_ms=scrub_interval_ms,
-            scrub_throttle_ms=scrub_throttle_ms,
-            clients=clients,
-            size_kb=size_kb,
-            is_write=is_write,
-            transient_io_rate=transient_io_rate,
-            oracle=oracle,
-        )
-        for trial in range(trials)
+        CampaignTrialSpec(trial=trial, **fields) for trial in range(trials)
     ]
 
 

@@ -34,16 +34,11 @@ contract.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.array.controller import ArrayController, LogicalAccess
 from repro.errors import ConfigurationError
-from repro.experiments.config import (
-    PAPER_SCHEDULER,
-    PAPER_SCHEDULER_WINDOW,
-    PAPER_STRIPE_UNIT_KB,
-    layout_for,
-)
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
 from repro.faults.corruption import ALL_CORRUPTION_KINDS, CorruptionModel
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
@@ -97,13 +92,7 @@ def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
     """
     engine = SimulationEngine()
     layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(
-        engine,
-        layout,
-        scheduler_name=PAPER_SCHEDULER,
-        scheduler_window=PAPER_SCHEDULER_WINDOW,
-        stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-    )
+    controller = ArrayController(engine, layout)
     oracle_model = controller.attach_oracle(IntegrityOracle(layout))
     span = min(spec.span_units, controller.addressable_data_units)
 
@@ -252,34 +241,24 @@ def corruption_specs(
     layouts: List[str],
     defenses: List[str] = DEFENSES,
     trials: int = 25,
-    seed: int = 0,
     start: int = 0,
-    disks: Optional[int] = None,
-    **overrides,
+    **fields,
 ) -> list:
-    """The defense sweep as runner specs (layout x defense x trial)."""
+    """The defense sweep as runner specs (layout x defense x trial);
+    ``fields`` are the spec's own fields, shared by every point."""
     # Local import: repro.runner imports the experiment drivers' specs.
     from repro.runner.spec import CorruptionTrialSpec
 
     if trials < 1:
         raise ConfigurationError(f"need >= 1 trial, got {trials}")
-    specs = []
-    for layout in layouts:
-        for defense in defenses:
-            for trial in range(start, start + trials):
-                kwargs = dict(overrides)
-                if disks is not None:
-                    kwargs["disks"] = disks
-                specs.append(
-                    CorruptionTrialSpec(
-                        layout=layout,
-                        defense=defense,
-                        trial=trial,
-                        seed=seed,
-                        **kwargs,
-                    )
-                )
-    return specs
+    return [
+        CorruptionTrialSpec(
+            layout=layout, defense=defense, trial=trial, **fields
+        )
+        for layout in layouts
+        for defense in defenses
+        for trial in range(start, start + trials)
+    ]
 
 
 def summarize_corruption(records: List[dict]) -> dict:

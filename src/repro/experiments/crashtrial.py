@@ -26,19 +26,14 @@ state by different amounts of work.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.array.controller import ArrayController
 from repro.array.journal import StripeJournal
 from repro.array.raidops import ArrayMode
 from repro.array.resync import Resynchronizer
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.config import (
-    PAPER_SCHEDULER,
-    PAPER_SCHEDULER_WINDOW,
-    PAPER_STRIPE_UNIT_KB,
-    layout_for,
-)
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
 from repro.faults.crash import CrashInjector
 from repro.faults.oracle import IntegrityOracle
 from repro.sim.engine import SimulationEngine
@@ -57,13 +52,7 @@ def run_crash_trial(spec: CrashTrialSpec) -> dict:
     plug into the runner's byte-determinism contract."""
     engine = SimulationEngine()
     layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(
-        engine,
-        layout,
-        scheduler_name=PAPER_SCHEDULER,
-        scheduler_window=PAPER_SCHEDULER_WINDOW,
-        stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-    )
+    controller = ArrayController(engine, layout)
     oracle = controller.attach_oracle(IntegrityOracle(layout))
     journal_log = (
         controller.attach_journal(StripeJournal(spec.journal_latency_ms))
@@ -222,45 +211,32 @@ def run_crash_trial(spec: CrashTrialSpec) -> dict:
 
 
 def crash_specs(
-    layouts: Optional[List[str]] = None,
-    clients: Optional[List[int]] = None,
-    disks: int = 13,
-    width: Optional[int] = None,
-    size_kb: int = 8,
-    seed: int = 0,
+    layouts: Sequence[str] = ("pddl",),
+    clients: Sequence[int] = (2, 4, 8),
     crash_boundary: int = 150,
-    journal_latency_ms: float = 0.05,
-    resync_rows: int = 26,
-    pre_samples: int = 200,
-    post_samples: int = 50,
-):
+    pre_samples: Optional[int] = None,
+    **fields,
+) -> List[CrashTrialSpec]:
     """The ``repro crash`` sweep: layouts x client counts x journal
     on/off, with the crash pinned to one phase boundary so the only
     variable between the journal-on and journal-off points is the
     recovery strategy.  The default boundary lands late enough that the
     pre-crash response means are real curves, not single samples —
     ``crash_boundary`` must stay below the total write budget
-    (``pre_samples``) or the crash never fires."""
+    (``pre_samples``, the spec's ``max_pre_samples``) or the crash never
+    fires.  ``fields`` are the spec's own fields, shared by every
+    point."""
     from repro.runner.spec import CrashTrialSpec
 
-    if layouts is None:
-        layouts = ["pddl"]
-    if clients is None:
-        clients = [2, 4, 8]
+    if pre_samples is not None:
+        fields["max_pre_samples"] = pre_samples
     return [
         CrashTrialSpec(
             layout=layout,
-            disks=disks,
-            width=width,
             clients=client_count,
-            size_kb=size_kb,
-            seed=seed,
             journal=journal,
-            journal_latency_ms=journal_latency_ms,
             crash_boundary=crash_boundary,
-            resync_rows=resync_rows,
-            max_pre_samples=pre_samples,
-            post_samples=post_samples,
+            **fields,
         )
         for layout in layouts
         for client_count in clients

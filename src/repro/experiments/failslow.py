@@ -28,7 +28,7 @@ contract.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List
 
 from repro.array.controller import (
     ArrayController,
@@ -36,12 +36,7 @@ from repro.array.controller import (
     LogicalAccess,
 )
 from repro.array.reconstructor import AdaptiveThrottle
-from repro.experiments.config import (
-    PAPER_SCHEDULER,
-    PAPER_SCHEDULER_WINDOW,
-    PAPER_STRIPE_UNIT_KB,
-    layout_for,
-)
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.failslow import FailSlowModel
 from repro.faults.scrubber import aggregate_scrub
@@ -79,13 +74,7 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
     """
     engine = SimulationEngine()
     layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(
-        engine,
-        layout,
-        scheduler_name=PAPER_SCHEDULER,
-        scheduler_window=PAPER_SCHEDULER_WINDOW,
-        stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-    )
+    controller = ArrayController(engine, layout)
 
     hedging = spec.defense in ("hedge", "both")
     adapting = spec.defense in ("adaptive", "both")
@@ -243,35 +232,18 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
 
 
 def failslow_specs(
-    layouts: List[str],
-    defenses: List[str] = DEFENSES,
-    rate_per_s: float = 40.0,
-    arrivals: int = 1000,
-    seed: int = 2,
-    disks: Optional[int] = None,
-    **overrides,
+    layouts: List[str], defenses: List[str] = DEFENSES, **fields
 ) -> list:
-    """The defense-comparison sweep as runner specs (layout x defense)."""
+    """The defense-comparison sweep as runner specs (layout x defense);
+    ``fields`` are the spec's own fields, shared by every point."""
     # Local import: repro.runner imports the experiment drivers' specs.
     from repro.runner.spec import FailSlowTrialSpec
 
-    specs = []
-    for layout in layouts:
-        for defense in defenses:
-            kwargs = dict(overrides)
-            if disks is not None:
-                kwargs["disks"] = disks
-            specs.append(
-                FailSlowTrialSpec(
-                    layout=layout,
-                    defense=defense,
-                    rate_per_s=rate_per_s,
-                    arrivals=arrivals,
-                    seed=seed,
-                    **kwargs,
-                )
-            )
-    return specs
+    return [
+        FailSlowTrialSpec(layout=layout, defense=defense, **fields)
+        for layout in layouts
+        for defense in defenses
+    ]
 
 
 def summarize_failslow(records: List[dict]) -> dict:

@@ -17,25 +17,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
-from repro.errors import ConfigurationError
-from repro.experiments.config import (
-    PAPER_SCHEDULER,
-    PAPER_SCHEDULER_WINDOW,
-    PAPER_STRIPE_UNIT_KB,
-    layout_for,
-)
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
 from repro.faults.lifecycle import ArrayLifecycle
-from repro.faults.scenario import FaultScenario
 from repro.sim.engine import SimulationEngine
-from repro.sim.instrument import ProgressTimeline, TraceRecorder
+from repro.sim.instrument import ProgressTimeline
 from repro.stats.bymode import LatencyByMode
 from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
+
+if TYPE_CHECKING:
+    from repro.runner.spec import LifecycleSpec
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,7 @@ class LifecycleRun:
     progress: ProgressTimeline
     instrumentation: dict
     #: Integrity verification block (None unless the run was started
-    #: with ``oracle=True``); ``corruption_events`` must be zero.
+    #: with ``spec.oracle``); ``corruption_events`` must be zero.
     oracle: Optional[dict] = None
 
     def mode_summary_rows(self) -> List[str]:
@@ -75,47 +71,23 @@ class LifecycleRun:
         return rows
 
 
-def run_lifecycle(
-    layout_name: str,
-    spec: AccessSpec,
-    clients: int,
-    scenario: FaultScenario,
-    seed: int = 0,
-    max_samples: int = 4000,
-    post_samples: int = 100,
-    disks: Optional[int] = None,
-    width: Optional[int] = None,
-    record_timelines: bool = False,
-    trace: Optional[TraceRecorder] = None,
-    oracle: bool = False,
-) -> LifecycleRun:
-    """Run one full-lifecycle simulation point.
+def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
+    """Run one full-lifecycle :class:`~repro.runner.spec.LifecycleSpec`.
 
-    The run stops once ``post_samples`` accesses issued in
+    The run stops once ``spec.post_samples`` accesses issued in
     post-reconstruction mode have completed (the post-rebuild steady
-    state is established), or after ``max_samples`` responses total —
-    whichever comes first.  Both bounds and every RNG derive from the
-    arguments, so identical calls produce identical results (the runner's
-    byte-determinism contract extends to lifecycle specs).
+    state is established), or after ``spec.max_samples`` responses
+    total — whichever comes first.  Both bounds and every RNG derive
+    from the spec, so identical specs produce identical results (the
+    runner's byte-determinism contract extends to lifecycle specs).
     """
-    if clients < 1:
-        raise ConfigurationError(f"need >= 1 client, got {clients}")
-    if max_samples < 1 or post_samples < 1:
-        raise ConfigurationError("need positive sample bounds")
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     controller = ArrayController(
-        engine,
-        layout,
-        scheduler_name=PAPER_SCHEDULER,
-        scheduler_window=PAPER_SCHEDULER_WINDOW,
-        stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-        record_timelines=record_timelines,
+        engine, layout, record_timelines=spec.timelines
     )
-    if trace is not None:
-        controller.attach_trace(trace)
     oracle_model = None
-    if oracle:
+    if spec.oracle:
         from repro.faults.oracle import IntegrityOracle
 
         oracle_model = controller.attach_oracle(IntegrityOracle(layout))
@@ -123,7 +95,7 @@ def run_lifecycle(
     progress = ProgressTimeline()
     lifecycle = ArrayLifecycle(
         controller,
-        scenario,
+        spec.scenario(),
         on_rebuild_step=lambda recon: progress.record(
             engine.now, recon.fraction_complete
         ),
@@ -141,33 +113,34 @@ def run_lifecycle(
         if mode == ArrayMode.POST_RECONSTRUCTION.value:
             totals["post"] += 1
         if (
-            totals["samples"] >= max_samples
-            or totals["post"] >= post_samples
+            totals["samples"] >= spec.max_samples
+            or totals["post"] >= spec.post_samples
         ):
             engine.stop()
             return False
         return True
 
-    units = spec.units(PAPER_STRIPE_UNIT_KB)
-    for c in range(clients):
+    access_spec = AccessSpec(spec.size_kb, spec.is_write)
+    units = access_spec.units(PAPER_STRIPE_UNIT_KB)
+    for c in range(spec.clients):
         generator = UniformGenerator(
             controller.addressable_data_units,
             units,
             # Same stream family as the response experiments: adding the
             # lifecycle machinery does not perturb client draws.
-            random.Random(f"{seed}/client-{c}"),
+            random.Random(f"{spec.seed}/client-{c}"),
         )
         ClosedLoopClient(
-            c, controller, generator, spec, on_response,
+            c, controller, generator, access_spec, on_response,
             stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
         ).start()
     engine.run()
 
     recon = lifecycle.reconstructor
     return LifecycleRun(
-        layout=layout_name,
-        spec_label=spec.label(),
-        clients=clients,
+        layout=spec.layout,
+        spec_label=access_spec.label(),
+        clients=spec.clients,
         fault_time_ms=injector.fault_time_ms,
         fault_disk=injector.fault_disk,
         transitions=list(lifecycle.transitions),
@@ -184,7 +157,7 @@ def run_lifecycle(
         by_mode=by_mode,
         progress=progress,
         instrumentation=controller.instrumentation_record(
-            include_timelines=record_timelines
+            include_timelines=spec.timelines
         ),
         oracle=(
             None

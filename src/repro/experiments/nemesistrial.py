@@ -36,19 +36,14 @@ cohort takes over from the stalled one.
 from __future__ import annotations
 
 import random
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import SCRUB_ID_BASE, ArrayController
 from repro.array.journal import StripeJournal
 from repro.array.raidops import ArrayMode
 from repro.array.resync import Resynchronizer
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.config import (
-    PAPER_SCHEDULER,
-    PAPER_SCHEDULER_WINDOW,
-    PAPER_STRIPE_UNIT_KB,
-    layout_for,
-)
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.corruption import CorruptionModel
 from repro.faults.failslow import FailSlowModel
@@ -63,77 +58,54 @@ from repro.workload.client import ClosedLoopClient
 from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
 
+if TYPE_CHECKING:
+    from repro.runner.spec import NemesisTrialSpec
+
 #: Scrubber generations (fresh instance after each crash / scrub-off
 #: window) each get their own access-id block inside the scrub space.
 _SCRUB_GENERATION_STRIDE = 1 << 20
 
 
 def run_nemesis_trial(
-    layout_name: str,
-    schedule: NemesisSchedule,
-    trial: int = 0,
-    seed: int = 0,
-    clients: int = 2,
-    size_kb: int = 8,
-    is_write: bool = True,
-    disks: int = 13,
-    width: Optional[int] = None,
-    rows: int = 26,
-    degraded_dwell_ms: float = 1500.0,
-    rebuild_parallel: int = 1,
-    journal: bool = True,
-    journal_latency_ms: float = 0.05,
-    scrub_interval_ms: Optional[float] = 400.0,
-    scrub_throttle_ms: float = 0.0,
-    restart_delay_ms: float = 10.0,
-    max_samples: int = 240,
-    transient_io_rate: float = 0.0,
-    lse_per_gb: float = 0.0,
-    checksums: bool = False,
+    spec: NemesisTrialSpec, schedule: Optional[NemesisSchedule] = None
 ) -> dict:
     """One composed-fault lifetime (see module docstring).
 
-    Pure function of its arguments: the schedule is already drawn, every
-    RNG here is a named stream, and the event loop is deterministic —
-    trials plug into the runner's byte-determinism contract.
+    Pure function of its spec: the schedule is drawn from the spec's
+    seed, every RNG here is a named stream, and the event loop is
+    deterministic — trials plug into the runner's byte-determinism
+    contract.  ``schedule`` replaces the drawn schedule, so a test can
+    script the faults exactly.
     """
-    if clients < 0:
-        raise ConfigurationError(f"negative client count {clients}")
-    if restart_delay_ms < 0:
-        raise ConfigurationError(
-            f"negative restart delay {restart_delay_ms}"
-        )
+    if schedule is None:
+        schedule = spec.schedule()
+    rows = spec.rows
+    scrub_interval_ms = spec.scrub_interval_ms
     engine = SimulationEngine()
-    layout = layout_for(layout_name, disks=disks, width=width)
+    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     schedule.validate(layout.n, rows)
-    controller = ArrayController(
-        engine,
-        layout,
-        scheduler_name=PAPER_SCHEDULER,
-        scheduler_window=PAPER_SCHEDULER_WINDOW,
-        stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-    )
+    controller = ArrayController(engine, layout)
     oracle_model = controller.attach_oracle(IntegrityOracle(layout))
     journal_log = (
-        controller.attach_journal(StripeJournal(journal_latency_ms))
-        if journal
+        controller.attach_journal(StripeJournal(spec.journal_latency_ms))
+        if spec.journal
         else None
     )
-    if checksums:
+    if spec.checksums:
         controller.enable_checksums()
     #: Per-trial stream root for fault machinery (storms, ambient LSEs);
     #: mirrors CampaignTrialSpec.fault_seed so trials are independent.
-    fault_seed = seed * 1_000_003 + trial
-    if transient_io_rate > 0:
+    fault_seed = spec.seed * 1_000_003 + spec.trial
+    if spec.transient_io_rate > 0:
         controller.enable_transient_errors(
-            transient_io_rate, f"{fault_seed}/ambient-0"
+            spec.transient_io_rate, f"{fault_seed}/ambient-0"
         )
     media = (
         MediaErrorMap.from_rate(
-            layout.n, rows, PAPER_STRIPE_UNIT_KB, lse_per_gb,
+            layout.n, rows, PAPER_STRIPE_UNIT_KB, spec.lse_per_gb,
             seed=fault_seed,
         )
-        if lse_per_gb > 0
+        if spec.lse_per_gb > 0
         # Always constructed: LSE bursts and the scrubber need a map
         # even when nothing is seeded up front.
         else MediaErrorMap({})
@@ -149,9 +121,9 @@ def run_nemesis_trial(
         fault_time_ms=(
             first_failure.time_ms if first_failure is not None else 0.0
         ),
-        degraded_dwell_ms=degraded_dwell_ms,
+        degraded_dwell_ms=spec.degraded_dwell_ms,
         rebuild_rows=rows,
-        rebuild_parallel=rebuild_parallel,
+        rebuild_parallel=spec.rebuild_parallel,
     )
 
     tracker = ActiveFaultTracker()
@@ -257,10 +229,10 @@ def run_nemesis_trial(
             controller,
             media,
             interval_ms=scrub_interval_ms,
-            throttle_ms=scrub_throttle_ms,
+            throttle_ms=spec.scrub_throttle_ms,
             rows=rows,
             id_base=SCRUB_ID_BASE + generation * _SCRUB_GENERATION_STRIDE,
-            audit=checksums,
+            audit=spec.checksums,
         )
         scrub_state["scrubber"] = scrubber
         scrubber.start()
@@ -312,31 +284,31 @@ def run_nemesis_trial(
     write_units = periods_swept * layout.data_units_per_period
     if write_units > controller.addressable_data_units:
         write_units = controller.addressable_data_units
-    access_spec = AccessSpec(size_kb=size_kb, is_write=is_write)
+    access_spec = AccessSpec(size_kb=spec.size_kb, is_write=spec.is_write)
     units = access_spec.units(PAPER_STRIPE_UNIT_KB)
 
     def on_response(client, access, response_ms) -> bool:
         samples["count"] += 1
         return (
-            samples["count"] < max_samples
+            samples["count"] < spec.max_samples
             and done["classification"] is None
         )
 
     def start_cohort() -> None:
-        if clients < 1 or done["classification"] is not None:
+        if spec.clients < 1 or done["classification"] is not None:
             return
-        if samples["count"] >= max_samples:
+        if samples["count"] >= spec.max_samples:
             return
         if controller.mode is ArrayMode.DATA_LOSS:
             return
         cohort = state["cohort"]
         state["cohort"] = cohort + 1
-        for c in range(clients):
-            client_id = cohort * clients + c
+        for c in range(spec.clients):
+            client_id = cohort * spec.clients + c
             generator = UniformGenerator(
                 write_units,
                 units,
-                random.Random(f"{seed}/nemesis-client-{client_id}"),
+                random.Random(f"{spec.seed}/nemesis-client-{client_id}"),
             )
             ClosedLoopClient(
                 client_id, controller, generator, access_spec, on_response,
@@ -403,9 +375,10 @@ def run_nemesis_trial(
 
         def end_storm() -> None:
             controller.disable_transient_errors()
-            if transient_io_rate > 0:
+            if spec.transient_io_rate > 0:
                 controller.enable_transient_errors(
-                    transient_io_rate, f"{fault_seed}/ambient-{index + 1}"
+                    spec.transient_io_rate,
+                    f"{fault_seed}/ambient-{index + 1}",
                 )
             tracker.heal(token, engine.now)
 
@@ -494,7 +467,7 @@ def run_nemesis_trial(
                 )
                 finish("data_loss")
 
-        engine.schedule(restart_delay_ms, restart)
+        engine.schedule(spec.restart_delay_ms, restart)
 
     def apply_failslow(event) -> None:
         if controller.mode is ArrayMode.DATA_LOSS:
@@ -606,10 +579,10 @@ def run_nemesis_trial(
     stop_scrubber()  # fold any final generation into the accumulators
     recon = lifecycle.reconstructor
     record = {
-        "layout": layout_name,
+        "layout": spec.layout,
         "disks": layout.n,
-        "trial": trial,
-        "seed": seed,
+        "trial": spec.trial,
+        "seed": spec.seed,
         "schedule": schedule.to_dict(),
         "schedule_hash": schedule.content_hash(),
         "classification": classification,
@@ -651,7 +624,7 @@ def run_nemesis_trial(
         "oracle": verification,
         "instrumentation": controller.instrumentation_record(),
     }
-    if checksums and record["scrub"] is not None:
+    if spec.checksums and record["scrub"] is not None:
         record["scrub"].update(
             {
                 field: scrub_state[field]
@@ -663,7 +636,7 @@ def run_nemesis_trial(
                 )
             }
         )
-    if transient_io_rate > 0 or state["storms"] > 0:
+    if spec.transient_io_rate > 0 or state["storms"] > 0:
         record["io_recovery"] = controller.io_stats.to_dict()
     if state["failslow"] > 0:
         record["failslow_windows"] = state["failslow"]
@@ -676,41 +649,11 @@ def run_nemesis_trial(
 
 
 def nemesis_specs(
-    layout: str = "pddl",
-    trials: int = 200,
-    disks: int = 13,
-    width: Optional[int] = None,
-    seed: int = 0,
-    start: int = 0,
-    horizon_ms: float = 20000.0,
-    max_disk_failures: int = 2,
-    max_crashes: int = 2,
-    max_lse_bursts: int = 2,
-    max_storms: int = 1,
-    max_scrub_windows: int = 1,
-    storm_rate: float = 0.02,
-    clients: int = 2,
-    size_kb: int = 8,
-    is_write: bool = True,
-    rows: int = 26,
-    degraded_dwell_ms: float = 1500.0,
-    rebuild_parallel: int = 1,
-    journal: bool = True,
-    journal_latency_ms: float = 0.05,
-    scrub_interval_ms: Optional[float] = 400.0,
-    scrub_throttle_ms: float = 0.0,
-    restart_delay_ms: float = 10.0,
-    max_samples: int = 240,
-    transient_io_rate: float = 0.0,
-    lse_per_gb: float = 0.0,
-    max_failslow: int = 0,
-    failslow_multiplier: float = 5.0,
-    max_corruption_bursts: int = 0,
-    corruption_rate: float = 0.05,
-    checksums: bool = False,
-):
+    trials: int = 200, start: int = 0, **fields
+) -> List[NemesisTrialSpec]:
     """One :class:`~repro.runner.spec.NemesisTrialSpec` per trial.
 
+    ``fields`` are the spec's own fields, shared by every trial.
     ``start`` offsets the trial indices — ``repro nemesis --trial N``
     replays exactly trial N of a campaign (same derived schedule seed),
     which is how a failing seed from CI reproduces locally.
@@ -722,39 +665,7 @@ def nemesis_specs(
     if trials < 1:
         raise ConfigurationError(f"need >= 1 trial, got {trials}")
     return [
-        NemesisTrialSpec(
-            layout=layout,
-            disks=disks,
-            width=width,
-            trial=trial,
-            seed=seed,
-            horizon_ms=horizon_ms,
-            max_disk_failures=max_disk_failures,
-            max_crashes=max_crashes,
-            max_lse_bursts=max_lse_bursts,
-            max_storms=max_storms,
-            max_scrub_windows=max_scrub_windows,
-            storm_rate=storm_rate,
-            clients=clients,
-            size_kb=size_kb,
-            is_write=is_write,
-            rows=rows,
-            degraded_dwell_ms=degraded_dwell_ms,
-            rebuild_parallel=rebuild_parallel,
-            journal=journal,
-            journal_latency_ms=journal_latency_ms,
-            scrub_interval_ms=scrub_interval_ms,
-            scrub_throttle_ms=scrub_throttle_ms,
-            restart_delay_ms=restart_delay_ms,
-            max_samples=max_samples,
-            transient_io_rate=transient_io_rate,
-            lse_per_gb=lse_per_gb,
-            max_failslow=max_failslow,
-            failslow_multiplier=failslow_multiplier,
-            max_corruption_bursts=max_corruption_bursts,
-            corruption_rate=corruption_rate,
-            checksums=checksums,
-        )
+        NemesisTrialSpec(trial=trial, **fields)
         for trial in range(start, start + trials)
     ]
 

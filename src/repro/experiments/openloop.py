@@ -28,12 +28,7 @@ import random
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.array.controller import ArrayController, LogicalAccess
-from repro.experiments.config import (
-    PAPER_SCHEDULER,
-    PAPER_SCHEDULER_WINDOW,
-    PAPER_STRIPE_UNIT_KB,
-    layout_for,
-)
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
@@ -96,12 +91,7 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
     engine = SimulationEngine()
     layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
     controller = ArrayController(
-        engine,
-        layout,
-        scheduler_name=PAPER_SCHEDULER,
-        scheduler_window=PAPER_SCHEDULER_WINDOW,
-        stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-        record_timelines=spec.timelines,
+        engine, layout, record_timelines=spec.timelines
     )
 
     # Fault machinery: the degraded phase stretches the dwell past the
@@ -252,35 +242,19 @@ def openloop_specs(
     layouts: List[str],
     rates_per_s: List[float],
     phases: List[str] = ("ff", "rebuild"),
-    arrival: str = "poisson",
-    arrivals: int = 300,
-    seed: int = 0,
-    disks: Optional[int] = None,
-    **overrides,
+    **fields,
 ) -> list:
-    """The offered-load sweep as runner specs (layout x rate x phase)."""
+    """The offered-load sweep as runner specs (layout x rate x phase);
+    ``fields`` are the spec's own fields, shared by every point."""
     # Local import: repro.runner imports the experiment drivers' specs.
     from repro.runner.spec import OpenLoopSpec
 
-    specs = []
-    for layout in layouts:
-        for rate in rates_per_s:
-            for phase in phases:
-                kwargs = dict(overrides)
-                if disks is not None:
-                    kwargs["disks"] = disks
-                specs.append(
-                    OpenLoopSpec(
-                        layout=layout,
-                        rate_per_s=rate,
-                        phase=phase,
-                        arrival=arrival,
-                        arrivals=arrivals,
-                        seed=seed,
-                        **kwargs,
-                    )
-                )
-    return specs
+    return [
+        OpenLoopSpec(layout=layout, rate_per_s=rate, phase=phase, **fields)
+        for layout in layouts
+        for rate in rates_per_s
+        for phase in phases
+    ]
 
 
 def summarize_openloop(records: List[dict]) -> dict:

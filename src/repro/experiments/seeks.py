@@ -9,9 +9,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Tuple
 
 from repro.array.raidops import ArrayMode
-from repro.experiments.response import run_response_point
 from repro.stats.seekcount import SeekMix
-from repro.workload.spec import AccessSpec
 
 
 def run_seek_mix(
@@ -21,24 +19,34 @@ def run_seek_mix(
     mode: ArrayMode = ArrayMode.FAULT_FREE,
     clients: int = 8,
     samples_per_point: int = 250,
-    seed: int = 0,
 ) -> Dict[Tuple[str, int], SeekMix]:
     """(layout, size KB) -> per-access operation mix."""
-    out: Dict[Tuple[str, int], SeekMix] = {}
-    for name in layout_names:
-        for size_kb in sizes_kb:
-            point = run_response_point(
-                name,
-                AccessSpec(size_kb, is_write),
-                clients,
-                mode=mode,
-                seed=seed,
-                max_samples=samples_per_point,
-                use_stopping_rule=False,
-                warmup=0,
-                # Figures 4/7/15/16 decompose *per-stripe-unit* operations;
-                # disable request merging so the mix matches that granularity.
-                coalesce=False,
-            )
-            out[(name, size_kb)] = point.seek_mix
-    return out
+    # Local import: repro.runner imports the experiment drivers.
+    from repro.runner import (
+        ExperimentSpec,
+        ParallelRunner,
+        mode_name,
+        point_from_record,
+    )
+
+    specs = [
+        ExperimentSpec(
+            layout=name,
+            size_kb=size_kb,
+            is_write=is_write,
+            clients=clients,
+            mode=mode_name(mode),
+            max_samples=samples_per_point,
+            warmup=0,
+            # Figures 4/7/15/16 decompose *per-stripe-unit* operations;
+            # disable request merging so the mix matches that granularity.
+            coalesce=False,
+        )
+        for name in layout_names
+        for size_kb in sizes_kb
+    ]
+    records = ParallelRunner(workers=1).run(specs).records
+    return {
+        (spec.layout, spec.size_kb): point_from_record(record).seek_mix
+        for spec, record in zip(specs, records)
+    }

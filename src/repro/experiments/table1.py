@@ -9,7 +9,7 @@ budget are reported as '?', exactly like the paper's table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.bose import satisfactory_permutation
 from repro.core.permutation import BasePermutation
@@ -17,6 +17,9 @@ from repro.core.search import search_permutation_group
 from repro.core.tables import PAPER_TABLE1
 from repro.errors import ConfigurationError, SearchError
 from repro.gf.prime import is_prime
+
+if TYPE_CHECKING:
+    from repro.runner.spec import Table1Spec
 
 
 @dataclass(frozen=True)
@@ -34,15 +37,10 @@ class Table1Cell:
         return "?" if self.group_size is None else str(self.group_size)
 
 
-def solve_cell(
-    k: int,
-    g: int,
-    seed: int = 0,
-    restarts: int = 12,
-    max_steps: int = 1200,
-    p_max: int = 3,
-) -> Table1Cell:
-    """Find the smallest satisfactory permutation group for one cell."""
+def solve_cell(spec: Table1Spec) -> Table1Cell:
+    """Find the smallest satisfactory permutation group for one
+    :class:`~repro.runner.spec.Table1Spec` cell."""
+    k, g = spec.k, spec.g
     n = g * k + 1
     paper = PAPER_TABLE1.get((k, g))
     try:
@@ -59,24 +57,10 @@ def solve_cell(
         pass
     try:
         result = search_permutation_group(
-            g, k, seed=seed, restarts=restarts,
-            max_steps=max_steps, p_max=p_max,
+            g, k, seed=spec.seed, restarts=spec.restarts,
+            max_steps=spec.max_steps, p_max=spec.p_max,
         )
         size = 1 if isinstance(result, BasePermutation) else result.p
         return Table1Cell(k, g, n, size, "search", paper)
     except SearchError:
         return Table1Cell(k, g, n, None, "none", paper)
-
-
-def reproduce_table1(
-    widths=range(5, 11),
-    stripe_counts=range(1, 11),
-    seed: int = 0,
-    **search_kwargs,
-) -> Dict[Tuple[int, int], Table1Cell]:
-    """Solve every cell of the Table 1 grid."""
-    return {
-        (k, g): solve_cell(k, g, seed=seed, **search_kwargs)
-        for k in widths
-        for g in stripe_counts
-    }

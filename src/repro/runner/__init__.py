@@ -29,8 +29,6 @@ from repro.runner.provenance import (
 from repro.runner.figures import (
     cells_from_records,
     curves_from_records,
-    figure5_specs,
-    figure6_specs,
     lifecycle_sweep_specs,
     rebuild_load_curves,
     response_sweep_specs,
@@ -76,8 +74,6 @@ __all__ = [
     "default_workers",
     "diff_reports",
     "execute_spec",
-    "figure5_specs",
-    "figure6_specs",
     "lifecycle_sweep_specs",
     "load_report",
     "mode_name",

@@ -14,7 +14,6 @@ from typing import List
 
 from repro.errors import ConfigurationError
 from repro.runner.spec import (
-    MODES,
     CampaignTrialSpec,
     CorruptionTrialSpec,
     CrashTrialSpec,
@@ -35,23 +34,8 @@ RESULT_SCHEMA_VERSION = 1
 
 def _execute_response(spec: ExperimentSpec) -> dict:
     from repro.experiments.response import run_response_point_instrumented
-    from repro.workload.spec import AccessSpec
 
-    run = run_response_point_instrumented(
-        spec.layout,
-        AccessSpec(spec.size_kb, spec.is_write),
-        spec.clients,
-        mode=MODES[spec.mode],
-        failed_disk=spec.failed_disk,
-        seed=spec.seed,
-        max_samples=spec.max_samples,
-        warmup=spec.warmup,
-        use_stopping_rule=spec.use_stopping_rule,
-        coalesce=spec.coalesce,
-        disks=spec.disks,
-        width=spec.width,
-        record_timelines=spec.timelines,
-    )
+    run = run_response_point_instrumented(spec)
     point = run.point
     mix = point.seek_mix
     return {
@@ -79,14 +63,7 @@ def _execute_response(spec: ExperimentSpec) -> dict:
 def _execute_table1(spec: Table1Spec) -> dict:
     from repro.experiments.table1 import solve_cell
 
-    cell = solve_cell(
-        spec.k,
-        spec.g,
-        seed=spec.seed,
-        restarts=spec.restarts,
-        max_steps=spec.max_steps,
-        p_max=spec.p_max,
-    )
+    cell = solve_cell(spec)
     return {
         "cell": {
             "k": cell.k,
@@ -101,21 +78,8 @@ def _execute_table1(spec: Table1Spec) -> dict:
 
 def _execute_lifecycle(spec: LifecycleSpec) -> dict:
     from repro.experiments.lifecycle import run_lifecycle
-    from repro.workload.spec import AccessSpec
 
-    run = run_lifecycle(
-        spec.layout,
-        AccessSpec(spec.size_kb, spec.is_write),
-        spec.clients,
-        spec.scenario(),
-        seed=spec.seed,
-        max_samples=spec.max_samples,
-        post_samples=spec.post_samples,
-        disks=spec.disks,
-        width=spec.width,
-        record_timelines=spec.timelines,
-        oracle=spec.oracle,
-    )
+    run = run_lifecycle(spec)
     record = {
         "lifecycle": {
             "layout": run.layout,
@@ -146,20 +110,7 @@ def _execute_lifecycle(spec: LifecycleSpec) -> dict:
 def _execute_campaign_trial(spec: CampaignTrialSpec) -> dict:
     from repro.experiments.campaign import run_campaign_trial
 
-    return {
-        "trial": run_campaign_trial(
-            spec.layout,
-            spec.scenario(),
-            trial=spec.trial,
-            seed=spec.seed,
-            clients=spec.clients,
-            size_kb=spec.size_kb,
-            is_write=spec.is_write,
-            disks=spec.disks,
-            width=spec.width,
-            oracle=spec.oracle,
-        )
-    }
+    return {"trial": run_campaign_trial(spec)}
 
 
 def _execute_crash_trial(spec: CrashTrialSpec) -> dict:
@@ -171,31 +122,7 @@ def _execute_crash_trial(spec: CrashTrialSpec) -> dict:
 def _execute_nemesis_trial(spec: NemesisTrialSpec) -> dict:
     from repro.experiments.nemesistrial import run_nemesis_trial
 
-    return {
-        "nemesis_trial": run_nemesis_trial(
-            spec.layout,
-            spec.schedule(),
-            trial=spec.trial,
-            seed=spec.seed,
-            clients=spec.clients,
-            size_kb=spec.size_kb,
-            is_write=spec.is_write,
-            disks=spec.disks,
-            width=spec.width,
-            rows=spec.rows,
-            degraded_dwell_ms=spec.degraded_dwell_ms,
-            rebuild_parallel=spec.rebuild_parallel,
-            journal=spec.journal,
-            journal_latency_ms=spec.journal_latency_ms,
-            scrub_interval_ms=spec.scrub_interval_ms,
-            scrub_throttle_ms=spec.scrub_throttle_ms,
-            restart_delay_ms=spec.restart_delay_ms,
-            max_samples=spec.max_samples,
-            transient_io_rate=spec.transient_io_rate,
-            lse_per_gb=spec.lse_per_gb,
-            checksums=spec.checksums,
-        )
-    }
+    return {"nemesis_trial": run_nemesis_trial(spec)}
 
 
 def _execute_openloop(spec: OpenLoopSpec) -> dict:

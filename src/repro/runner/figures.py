@@ -32,7 +32,6 @@ def response_sweep_specs(
     seed: int = 0,
     layouts: Sequence[str] = PAPER_LAYOUT_NAMES,
     warmup: Optional[int] = None,
-    use_stopping_rule: bool = False,
 ) -> List[ExperimentSpec]:
     """One response figure's full sweep, ordered (size, layout, clients)."""
     warmup = default_warmup(samples) if warmup is None else warmup
@@ -46,38 +45,11 @@ def response_sweep_specs(
             seed=seed,
             max_samples=samples,
             warmup=warmup,
-            use_stopping_rule=use_stopping_rule,
         )
         for size_kb in sizes_kb
         for layout in layouts
         for c in clients
     ]
-
-
-def figure5_specs(
-    sizes_kb: Sequence[int] = (8, 48, 96, 240),
-    clients: Sequence[int] = (1, 4, 10, 25),
-    samples: int = 150,
-    seed: int = 0,
-    layouts: Sequence[str] = PAPER_LAYOUT_NAMES,
-) -> List[ExperimentSpec]:
-    """Figure 5: fault-free reads."""
-    return response_sweep_specs(
-        sizes_kb, clients, False, "ff", samples, seed=seed, layouts=layouts
-    )
-
-
-def figure6_specs(
-    sizes_kb: Sequence[int] = (8, 48, 96, 240),
-    clients: Sequence[int] = (1, 4, 10, 25),
-    samples: int = 150,
-    seed: int = 0,
-    layouts: Sequence[str] = PAPER_LAYOUT_NAMES,
-) -> List[ExperimentSpec]:
-    """Figure 6: degraded-mode reads."""
-    return response_sweep_specs(
-        sizes_kb, clients, False, "f1", samples, seed=seed, layouts=layouts
-    )
 
 
 def curves_from_records(
@@ -108,43 +80,21 @@ def curves_from_records(
 def lifecycle_sweep_specs(
     layouts: Sequence[str],
     clients: Sequence[int],
-    size_kb: int = 8,
-    is_write: bool = False,
     fault_time_ms: Optional[float] = 500.0,
-    mttf_hours: Optional[float] = None,
-    degraded_dwell_ms: float = 0.0,
-    rebuild_rows: Optional[int] = None,
-    rebuild_parallel: int = 1,
-    rebuild_throttle_ms: float = 0.0,
-    post_samples: int = 100,
-    max_samples: int = 4000,
-    seed: int = 0,
-    disks: int = 13,
-    oracle: bool = False,
+    **fields,
 ) -> List[LifecycleSpec]:
     """A lifecycle sweep over (layout, client count).
 
     Varying ``clients`` at a fixed rebuild configuration traces the
     rebuild-duration-vs-offered-load curves; each spec is one continuous
-    four-regime simulation.
+    four-regime simulation.  ``fields`` are the spec's own fields,
+    shared by every point; the sweep scripts its failure at 500 ms
+    unless told otherwise (pass ``fault_time_ms=None`` with
+    ``mttf_hours`` for a drawn one).
     """
     return [
         LifecycleSpec(
-            layout=layout,
-            disks=disks,
-            size_kb=size_kb,
-            is_write=is_write,
-            clients=c,
-            seed=seed,
-            fault_time_ms=fault_time_ms,
-            mttf_hours=mttf_hours,
-            degraded_dwell_ms=degraded_dwell_ms,
-            rebuild_rows=rebuild_rows,
-            rebuild_parallel=rebuild_parallel,
-            rebuild_throttle_ms=rebuild_throttle_ms,
-            post_samples=post_samples,
-            max_samples=max_samples,
-            oracle=oracle,
+            layout=layout, clients=c, fault_time_ms=fault_time_ms, **fields
         )
         for layout in layouts
         for c in clients
@@ -169,23 +119,12 @@ def rebuild_load_curves(
 
 
 def table1_specs(
-    widths: Sequence[int],
-    stripe_counts: Sequence[int],
-    seed: int = 0,
-    restarts: int = 8,
-    max_steps: int = 1500,
-    p_max: int = 3,
+    widths: Sequence[int], stripe_counts: Sequence[int], **fields
 ) -> List[Table1Spec]:
-    """The Table 1 grid as independent per-cell search specs."""
+    """The Table 1 grid as independent per-cell search specs;
+    ``fields`` (seed and search budget) are shared by every cell."""
     return [
-        Table1Spec(
-            k=k,
-            g=g,
-            seed=seed,
-            restarts=restarts,
-            max_steps=max_steps,
-            p_max=p_max,
-        )
+        Table1Spec(k=k, g=g, **fields)
         for k in widths
         for g in stripe_counts
     ]

@@ -1,6 +1,8 @@
 """The parallel experiment runner.
 
-Fans a spec list across ``multiprocessing`` workers.  Determinism is
+Fans a spec list across worker processes — always the pipe-based pool
+of :mod:`repro.runner.workers`, so a failing worker surfaces as a
+:class:`~repro.errors.RunnerError` naming its spec.  Determinism is
 structural, not lucky: each spec carries its own seed and
 :func:`repro.runner.execute.execute_spec` derives every RNG from it, so
 a worker computes exactly what a serial loop would — result records are
@@ -10,16 +12,14 @@ previously computed specs are served from disk and only the misses are
 simulated; duplicate specs within one call are computed once.
 
 Long campaigns opt into hardening: a per-spec ``timeout_s``, crash/hang
-``retries`` with capped exponential backoff (the pipe-based pool in
-:mod:`repro.runner.workers`), and a :class:`~repro.runner.checkpoint.
-RunCheckpoint` that persists each completed record so a killed run
-resumes where it stopped — with byte-identical final records either
-way.
+``retries`` with capped exponential backoff, and a
+:class:`~repro.runner.checkpoint.RunCheckpoint` that persists each
+completed record so a killed run resumes where it stopped — with
+byte-identical final records either way.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import warnings
 from dataclasses import dataclass
@@ -30,6 +30,7 @@ from repro.runner.cache import ResultCache
 from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.execute import execute_spec
 from repro.runner.spec import Spec, spec_hash
+from repro.runner.workers import run_hardened
 
 
 def default_workers() -> int:
@@ -55,15 +56,6 @@ def default_workers() -> int:
         )
         return 1
     return workers
-
-
-def _pool_context():
-    # fork keeps worker start cheap and inherits sys.path; fall back to
-    # spawn where fork is unavailable (results are identical either way).
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
 
 
 @dataclass
@@ -120,10 +112,6 @@ class ParallelRunner:
         self.backoff_cap_s = backoff_cap_s
         self.checkpoint = checkpoint
 
-    @property
-    def _hardened(self) -> bool:
-        return self.timeout_s is not None or self.retries > 0
-
     def run(self, specs: Sequence[Spec]) -> RunReport:
         specs = list(specs)
         keys = [spec_hash(spec) for spec in specs]
@@ -168,26 +156,19 @@ class ParallelRunner:
     def _execute(self, todo: List[tuple]) -> List[dict]:
         specs = [spec for _, spec in todo]
         if self.workers > 1 and len(specs) > 1:
-            if self._hardened or self.checkpoint is not None:
-                from repro.runner.workers import run_hardened
-
-                return run_hardened(
-                    specs,
-                    workers=self.workers,
-                    timeout_s=self.timeout_s,
-                    retries=self.retries,
-                    backoff_base_s=self.backoff_base_s,
-                    backoff_cap_s=self.backoff_cap_s,
-                    on_record=(
-                        self.checkpoint.append
-                        if self.checkpoint is not None
-                        else None
-                    ),
-                )
-            ctx = _pool_context()
-            processes = min(self.workers, len(specs))
-            with ctx.Pool(processes=processes) as pool:
-                return pool.map(execute_spec, specs)
+            return run_hardened(
+                specs,
+                workers=self.workers,
+                timeout_s=self.timeout_s,
+                retries=self.retries,
+                backoff_base_s=self.backoff_base_s,
+                backoff_cap_s=self.backoff_cap_s,
+                on_record=(
+                    self.checkpoint.append
+                    if self.checkpoint is not None
+                    else None
+                ),
+            )
         # Serial path: checkpoint incrementally so a kill between specs
         # (or a spec that raises) loses nothing already computed.
         computed = []

@@ -61,9 +61,13 @@ class ExperimentSpec:
     """One response-time simulation point (Figures 5/6/8/9/...).
 
     ``width=None`` follows Table 2 (RAID-5 stripes the whole array, the
-    declustered layouts use the paper's stripe width); ``max_samples``
-    is the run length, ``timelines`` adds per-disk busy/queue-depth
-    series to the result record.
+    declustered layouts use the paper's stripe width); the run stops at
+    the paper's 2%-at-95% precision target or after ``max_samples``
+    measured responses, whichever comes first; ``timelines`` adds
+    per-disk busy/queue-depth series to the result record.
+    ``use_stopping_rule`` is inert: every point runs under the stopping
+    rule, and the field stays only because every response record's
+    ``spec`` block (and so its digest) carries it.
 
     >>> spec = ExperimentSpec(layout="pddl", size_kb=96, clients=8)
     >>> spec_hash(spec) == spec_hash(ExperimentSpec(layout="pddl",
@@ -411,6 +415,10 @@ class NemesisTrialSpec:
             raise ConfigurationError(
                 "transient I/O rate must be in [0, 1), got"
                 f" {self.transient_io_rate}"
+            )
+        if self.restart_delay_ms < 0:
+            raise ConfigurationError(
+                f"negative restart delay {self.restart_delay_ms}"
             )
         # Envelope validation (ranges, rates, windows) lives in
         # NemesisSchedule.draw/validate; draw the schedule now so bad

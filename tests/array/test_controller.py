@@ -1,6 +1,5 @@
 """Integration tests for the array controller on the event engine."""
 
-import inspect
 
 import pytest
 
@@ -8,12 +7,10 @@ import repro.array.controller as controller_module
 from repro.array.controller import ArrayController, LogicalAccess
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.nemesistrial import (
-    _SCRUB_GENERATION_STRIDE,
-    run_nemesis_trial,
-)
+from repro.experiments.nemesistrial import _SCRUB_GENERATION_STRIDE
 from repro.faults.nemesis import NemesisSchedule
 from repro.layouts import make_layout
+from repro.runner import NemesisTrialSpec
 from repro.sim.engine import SimulationEngine
 
 
@@ -254,9 +251,7 @@ class TestBackgroundIdBlocks:
         generations = 1 + max(len(s.events) for s in schedules)
         assert start + generations * _SCRUB_GENERATION_STRIDE <= end
         # A generation takes one id per disk per pass, plus its base.
-        interval = inspect.signature(run_nemesis_trial).parameters[
-            "scrub_interval_ms"
-        ].default
+        interval = NemesisTrialSpec.scrub_interval_ms
         horizon = max(s.horizon_ms for s in schedules)
         passes = int(horizon // interval) + 1
         assert passes * 13 + 1 < _SCRUB_GENERATION_STRIDE

@@ -7,6 +7,7 @@ from repro.array.controller import (
     LogicalAccess,
     RetryPolicy,
 )
+from repro.array.reconstructor import Reconstructor
 from repro.disk.drive import TransientErrorModel
 from repro.errors import ConfigurationError
 from repro.layouts import make_layout
@@ -114,3 +115,55 @@ class TestControllerRecovery:
             "escalation_failures": 0,
             "raw_give_ups": 0,
         }
+
+
+class _FailFirstOp:
+    """Transient-error stand-in: only a drive's first operation fails."""
+
+    def __init__(self):
+        self.fired = False
+
+    def draw(self) -> bool:
+        fail = not self.fired
+        self.fired = True
+        return fail
+
+
+class TestEscalationDuringReplacementRebuild:
+    @pytest.mark.parametrize(
+        "name, width", [("raid5", 13), ("parity-declustering", 4)]
+    )
+    def test_unrebuilt_replacement_cells_are_no_redundancy(self, name, width):
+        # Disk 0 fails and rebuilds onto a replacement spindle.  A client
+        # read of a unit sharing a stripe with cell (0, 0) fails on its
+        # first try and escalates before the rebuild reaches row 0: the
+        # replacement's cell holds nothing valid yet, so the sector must
+        # count as an escalation failure, not be "repaired" from it.
+        engine = SimulationEngine()
+        layout = make_layout(name, 13, width)
+        controller = ArrayController(engine, layout)
+        controller.fail_disk(0)
+        recon = Reconstructor(controller, rows=13, allow_replacement=True)
+        controller.enter_reconstruction(recon.is_rebuilt)
+        controller.set_retry_policy(RetryPolicy(retries=0))
+        stripe = layout.locate(0, 0).stripe
+        position, cell = next(
+            (j, a)
+            for j, a in enumerate(layout.stripe_units(stripe).data)
+            if a.disk != 0
+        )
+        controller.servers[cell.disk].drive.transient_errors = _FailFirstOp()
+        unit = layout.data_units_of_stripe(stripe)[position]
+        done = []
+        controller.submit(
+            LogicalAccess(0, unit, 1, False),
+            lambda a, ms: done.append(ms),
+        )
+        recon.start()
+        engine.run()
+        stats = controller.io_stats
+        assert len(done) == 1
+        assert stats.escalated_reads == 1
+        assert stats.escalation_failures == 1
+        assert stats.repaired_sectors == 0
+        assert recon.finished_ms is not None

@@ -10,7 +10,7 @@ from repro.experiments.campaign import (
     summarize_campaign,
 )
 from repro.faults import FaultScenario
-from repro.runner import ParallelRunner, canonical_json
+from repro.runner import CampaignTrialSpec, ParallelRunner, canonical_json
 
 #: The campaign operating point: MTTF and dwell chosen so a meaningful
 #: fraction (roughly 40%) of double-fault trials lose data while the
@@ -30,6 +30,10 @@ CAMPAIGN = dict(
 )
 
 
+#: A campaign trial whose scripted scenario the test passes in.
+PDDL = CampaignTrialSpec(layout="pddl")
+
+
 def run_trials(trials):
     specs = campaign_specs(trials=trials, **CAMPAIGN)
     report = ParallelRunner(workers=1).run(specs)
@@ -39,7 +43,7 @@ def run_trials(trials):
 class TestSingleTrial:
     def test_scripted_survival(self):
         scenario = FaultScenario(fault_time_ms=100.0, rebuild_rows=26)
-        record = run_campaign_trial("pddl", scenario)
+        record = run_campaign_trial(PDDL, scenario)
         assert record["classification"] == "survived"
         assert record["survived"] is True
         assert record["loss_reason"] is None
@@ -54,7 +58,7 @@ class TestSingleTrial:
             second_failed_disk=7,
             rebuild_rows=26,
         )
-        record = run_campaign_trial("pddl", scenario)
+        record = run_campaign_trial(PDDL, scenario)
         assert record["classification"] == "lost"
         assert record["lost_units"] > 0
         assert record["loss_reason"]
@@ -70,20 +74,24 @@ class TestSingleTrial:
             degraded_dwell_ms=4000.0,
             rebuild_rows=26,
         )
-        a = run_campaign_trial("pddl", scenario, trial=5, seed=1)
-        b = run_campaign_trial("pddl", scenario, trial=5, seed=1)
+        spec = CampaignTrialSpec(layout="pddl", trial=5, seed=1)
+        a = run_campaign_trial(spec, scenario)
+        b = run_campaign_trial(spec, scenario)
         assert canonical_json(a) == canonical_json(b)
 
     def test_client_load_rides_along(self):
         scenario = FaultScenario(fault_time_ms=100.0, rebuild_rows=13)
-        record = run_campaign_trial("pddl", scenario, clients=2)
+        spec = CampaignTrialSpec(layout="pddl", clients=2)
+        record = run_campaign_trial(spec, scenario)
         assert record["classification"] == "survived"
         assert record["samples"] > 0
 
     def test_rejects_negative_clients(self):
         scenario = FaultScenario(fault_time_ms=100.0, rebuild_rows=13)
         with pytest.raises(ConfigurationError):
-            run_campaign_trial("pddl", scenario, clients=-1)
+            run_campaign_trial(
+                CampaignTrialSpec(layout="pddl", clients=-1), scenario
+            )
 
 
 class TestRelocatedRepairCycle:

@@ -1,5 +1,8 @@
 """Tests asserting Table 2's parameters are encoded faithfully."""
 
+import inspect
+
+from repro.array.controller import ArrayController
 from repro.disk import hp2247
 from repro.experiments import config
 from repro.workload.spec import PAPER_ACCESS_SIZES_KB, PAPER_CLIENT_COUNTS
@@ -12,6 +15,19 @@ class TestTable2:
         assert config.PAPER_STRIPE_UNIT_KB == 8
         assert config.PAPER_SCHEDULER == "sstf"
         assert config.PAPER_SCHEDULER_WINDOW == 20
+
+    def test_controller_defaults_are_table_2(self):
+        # The experiment drivers build arrays with the controller's
+        # defaults, so those defaults are the paper's configuration.
+        params = inspect.signature(ArrayController).parameters
+        assert params["scheduler_name"].default == config.PAPER_SCHEDULER
+        assert (
+            params["scheduler_window"].default
+            == config.PAPER_SCHEDULER_WINDOW
+        )
+        assert (
+            params["stripe_unit_kb"].default == config.PAPER_STRIPE_UNIT_KB
+        )
 
     def test_workload_parameters(self):
         assert PAPER_ACCESS_SIZES_KB[0] == 8

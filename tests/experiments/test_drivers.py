@@ -4,9 +4,15 @@ import pytest
 
 from repro.array.raidops import ArrayMode
 from repro.experiments.seeks import run_seek_mix
-from repro.experiments.table1 import reproduce_table1, solve_cell
+from repro.experiments.table1 import solve_cell
 from repro.experiments.table3 import table3_rows
 from repro.experiments.workingset import FIGURE3_SIZES_KB, figure3_table
+from repro.runner import (
+    ParallelRunner,
+    Table1Spec,
+    cells_from_records,
+    table1_specs,
+)
 
 
 class TestSeekMix:
@@ -43,28 +49,32 @@ class TestFigure3Driver:
 
 class TestTable1Driver:
     def test_prime_cell_solved_constructively(self):
-        cell = solve_cell(6, 2)  # k = 6, g = 2 -> n = 13, prime
+        cell = solve_cell(Table1Spec(k=6, g=2))  # n = 13, prime
         assert cell.group_size == 1
         assert cell.method == "bose"
         assert cell.paper_value == 1
 
     def test_power_of_two_cell(self):
-        cell = solve_cell(5, 3)  # n = 16
+        cell = solve_cell(Table1Spec(k=5, g=3))  # n = 16
         assert cell.group_size == 1
         assert cell.method == "gf2"
 
     def test_search_cell(self):
-        cell = solve_cell(5, 4, restarts=20, max_steps=2000)  # n = 21
+        spec = Table1Spec(k=5, g=4, restarts=20, max_steps=2000)  # n = 21
+        cell = solve_cell(spec)
         assert cell.group_size is not None
         assert cell.method == "search"
 
     def test_unsolved_cell_renders_question_mark(self):
-        cell = solve_cell(10, 2, restarts=1, max_steps=20, p_max=1)
+        cell = solve_cell(
+            Table1Spec(k=10, g=2, restarts=1, max_steps=20, p_max=1)
+        )
         assert cell.rendered() == "?"
 
     def test_small_grid(self):
-        cells = reproduce_table1(
-            widths=[5], stripe_counts=[1, 2], restarts=6, max_steps=600
+        specs = table1_specs([5], [1, 2], restarts=6, max_steps=600)
+        cells = cells_from_records(
+            ParallelRunner(workers=1).run(specs).records
         )
         assert set(cells) == {(5, 1), (5, 2)}
         # n = 6 and n = 11: both solvable with a solitary permutation.

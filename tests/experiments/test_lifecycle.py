@@ -10,12 +10,11 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments.lifecycle import run_lifecycle
-from repro.faults import FaultScenario
-from repro.workload.spec import AccessSpec
+from repro.runner import LifecycleSpec
 
 #: Long enough dwell/rebuild windows that each regime collects a real
 #: sample population at 4 clients.
-SCENARIO = FaultScenario(
+SCENARIO = dict(
     failed_disk=0,
     fault_time_ms=500.0,
     degraded_dwell_ms=800.0,
@@ -23,14 +22,17 @@ SCENARIO = FaultScenario(
 )
 
 
-def run(layout="pddl", scenario=SCENARIO, **kwargs):
-    kwargs.setdefault("clients", 4)
-    kwargs.setdefault("seed", 7)
-    kwargs.setdefault("max_samples", 3000)
-    kwargs.setdefault("post_samples", 80)
-    return run_lifecycle(
-        layout, AccessSpec(24, False), scenario=scenario, **kwargs
-    )
+def run(layout="pddl", **fields):
+    fields = {
+        "size_kb": 24,
+        "clients": 4,
+        "seed": 7,
+        "max_samples": 3000,
+        "post_samples": 80,
+        **SCENARIO,
+        **fields,
+    }
+    return run_lifecycle(LifecycleSpec(layout=layout, **fields))
 
 
 class TestAcceptance:

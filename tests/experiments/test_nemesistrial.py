@@ -6,19 +6,27 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.nemesistrial import (
     nemesis_specs,
     run_nemesis_trial,
     summarize_nemesis,
 )
 from repro.faults.nemesis import NemesisEvent, NemesisSchedule
-from repro.runner import ParallelRunner, canonical_json
+from repro.runner import NemesisTrialSpec, ParallelRunner, canonical_json
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def scripted(events, rows=26):
     return NemesisSchedule.from_events(events, n_disks=13, rows=rows)
+
+
+def run_pddl(schedule, **fields):
+    """One pddl trial of ``schedule`` under the spec ``fields``."""
+    return run_nemesis_trial(
+        NemesisTrialSpec(layout="pddl", **fields), schedule
+    )
 
 
 class TestScrubDefendsAgainstLatentErrors:
@@ -35,24 +43,24 @@ class TestScrubDefendsAgainstLatentErrors:
     )
 
     def test_unscrubbed_array_loses_data(self):
-        record = run_nemesis_trial(
-            "pddl", scripted(self.EVENTS), seed=3, scrub_interval_ms=None
+        record = run_pddl(
+            scripted(self.EVENTS), seed=3, scrub_interval_ms=None
         )
         assert record["classification"] == "data_loss"
         assert "unreadable sector" in record["loss_reason"]
         assert record["scrub"] is None
 
     def test_scrubbed_array_survives_the_same_schedule(self):
-        record = run_nemesis_trial(
-            "pddl", scripted(self.EVENTS), seed=3, scrub_interval_ms=400.0
+        record = run_pddl(
+            scripted(self.EVENTS), seed=3, scrub_interval_ms=400.0
         )
         assert record["classification"] == "survived"
         assert record["scrub"]["repaired"] >= 26
         assert record["completed_rebuild"] is True
 
     def test_survival_is_not_an_oracle_blind_spot(self):
-        record = run_nemesis_trial(
-            "pddl", scripted(self.EVENTS), seed=3, scrub_interval_ms=400.0
+        record = run_pddl(
+            scripted(self.EVENTS), seed=3, scrub_interval_ms=400.0
         )
         assert record["oracle"]["corruption_events"] == 0
         assert record["oracle"]["rebuild_checks"] > 0
@@ -65,9 +73,7 @@ class TestClassification:
         only opens when a crash composes with a disk failure."""
         schedule = scripted([NemesisEvent(time_ms=900.0, kind="crash")])
         for journal in (True, False):
-            record = run_nemesis_trial(
-                "pddl", schedule, seed=5, journal=journal
-            )
+            record = run_pddl(schedule, seed=5, journal=journal)
             assert record["classification"] == "survived"
             assert len(record["crashes"]) == 1
             assert len(record["resyncs"]) == 1
@@ -76,7 +82,7 @@ class TestClassification:
         schedule = scripted(
             [NemesisEvent(time_ms=1000.0, kind="disk-failure", disk=4)]
         )
-        record = run_nemesis_trial("pddl", schedule, seed=1)
+        record = run_pddl(schedule, seed=1)
         assert record["classification"] == "survived"
         assert record["completed_rebuild"] is True
         assert record["rebuild"]["steps_completed"] > 0
@@ -93,7 +99,7 @@ class TestClassification:
                 NemesisEvent(time_ms=4000.0, kind="disk-failure", disk=2),
             ]
         )
-        record = run_nemesis_trial("pddl", schedule, seed=2)
+        record = run_pddl(schedule, seed=2)
         assert record["classification"] == "survived"
         assert record["faults"]["active"] == []
         storm = [
@@ -104,9 +110,18 @@ class TestClassification:
 
     def test_trial_is_deterministic(self):
         schedule = NemesisSchedule.draw(17, n_disks=13, rows=26)
-        first = run_nemesis_trial("pddl", schedule, seed=17)
-        second = run_nemesis_trial("pddl", schedule, seed=17)
+        first = run_pddl(schedule, seed=17)
+        second = run_pddl(schedule, seed=17)
         assert canonical_json(first) == canonical_json(second)
+
+
+class TestSpecValidation:
+    def test_rejects_negative_restart_delay_and_clients(self):
+        # Checked once, when the spec is built, not in the trial.
+        with pytest.raises(ConfigurationError):
+            NemesisTrialSpec(layout="pddl", restart_delay_ms=-1.0)
+        with pytest.raises(ConfigurationError):
+            NemesisTrialSpec(layout="pddl", clients=-1)
 
 
 class TestSummarize:
@@ -116,11 +131,7 @@ class TestSummarize:
             spec_schedule = NemesisSchedule.draw(
                 seed=9 * 1_000_003 + trial, n_disks=13, rows=26
             )
-            records.append(
-                run_nemesis_trial(
-                    "pddl", spec_schedule, trial=trial, seed=9
-                )
-            )
+            records.append(run_pddl(spec_schedule, trial=trial, seed=9))
         summary = summarize_nemesis(records)
         assert summary["trials"] == 6
         assert (

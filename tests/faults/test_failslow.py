@@ -247,13 +247,16 @@ class TestNemesisFailslowKind:
 
 
 class TestNemesisTrialApplier:
-    def _run(self, events, **kwargs):
+    def _run(self, events, **fields):
         from repro.experiments.nemesistrial import run_nemesis_trial
+        from repro.runner import NemesisTrialSpec
 
         schedule = NemesisSchedule.from_events(
             events, n_disks=13, rows=26
         )
-        return run_nemesis_trial("pddl", schedule, **kwargs)
+        return run_nemesis_trial(
+            NemesisTrialSpec(layout="pddl", **fields), schedule
+        )
 
     def test_failslow_applies_and_heals(self):
         record = self._run(

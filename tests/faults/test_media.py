@@ -130,6 +130,7 @@ class TestScrubbingSavesTheTrial:
         # the trial is lost; with scrubbing every error is repaired
         # before the rebuild needs the cells.
         from repro.experiments.campaign import run_campaign_trial
+        from repro.runner import CampaignTrialSpec
 
         def trial(scrub_interval_ms):
             scenario = FaultScenario(
@@ -139,7 +140,9 @@ class TestScrubbingSavesTheTrial:
                 lse_per_gb=20000.0,
                 scrub_interval_ms=scrub_interval_ms,
             )
-            return run_campaign_trial("pddl", scenario, seed=0)
+            return run_campaign_trial(
+                CampaignTrialSpec(layout="pddl", seed=0), scenario
+            )
 
         unscrubbed = trial(None)
         assert unscrubbed["classification"] == "lost"

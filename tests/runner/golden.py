@@ -21,8 +21,9 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "data" / (
     "golden_trace_pddl13.json"
 )
 
-#: The pinned scenario: small enough to run in milliseconds, rich enough
-#: (3 clients, multi-unit accesses, SSTF reordering) to exercise queueing.
+#: The pinned scenario, as :class:`~repro.runner.spec.ExperimentSpec`
+#: fields: small enough to run in milliseconds, rich enough (3 clients,
+#: multi-unit accesses, SSTF reordering) to exercise queueing.
 SCENARIO = dict(
     layout="pddl",
     size_kb=24,
@@ -37,19 +38,12 @@ SCENARIO = dict(
 def generate_trace() -> list:
     """Run the canonical scenario; return its physical-operation trace."""
     from repro.experiments.response import run_response_point_instrumented
+    from repro.runner import ExperimentSpec
     from repro.sim.instrument import TraceRecorder
-    from repro.workload.spec import AccessSpec
 
     recorder = TraceRecorder()
     run_response_point_instrumented(
-        SCENARIO["layout"],
-        AccessSpec(SCENARIO["size_kb"], False),
-        SCENARIO["clients"],
-        seed=SCENARIO["seed"],
-        max_samples=SCENARIO["max_samples"],
-        warmup=SCENARIO["warmup"],
-        use_stopping_rule=SCENARIO["use_stopping_rule"],
-        trace=recorder,
+        ExperimentSpec(**SCENARIO), trace=recorder
     )
     return recorder.entries
 

@@ -1,0 +1,99 @@
+"""Pinned record digests of short response, lifecycle, campaign,
+nemesis, Table 1 and crash specs (and their regenerator).
+
+Each entry is the digest the repo benchmark checks its records with
+(sha256 of the canonical record minus ``spec_hash``), so every simulated
+value of these records, down to the last float digit, is pinned across
+commits.  The specs are small enough that the whole set runs in a few
+seconds.
+
+To regenerate after an *intentional* change to simulation results
+(review the diff first):
+
+    PYTHONPATH=src python -m tests.runner.record_digests
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+DIGESTS_PATH = Path(__file__).resolve().parents[1] / "data" / (
+    "record_digests.json"
+)
+
+
+def pinned_specs() -> dict:
+    """``{name: spec}``, in file order."""
+    from repro.runner.spec import (
+        CampaignTrialSpec,
+        CrashTrialSpec,
+        ExperimentSpec,
+        LifecycleSpec,
+        NemesisTrialSpec,
+        Table1Spec,
+    )
+
+    return {
+        "response-ff-read": ExperimentSpec(
+            layout="pddl", size_kb=48, clients=4, max_samples=80, warmup=10
+        ),
+        "response-f1-read": ExperimentSpec(
+            layout="raid5", size_kb=8, clients=4, mode="f1",
+            max_samples=80, warmup=10,
+        ),
+        "response-post-read": ExperimentSpec(
+            layout="pddl", size_kb=8, clients=4, mode="post",
+            max_samples=80, warmup=10,
+        ),
+        "response-f1-write": ExperimentSpec(
+            layout="prime", size_kb=24, is_write=True, clients=2,
+            mode="f1", max_samples=60, warmup=10,
+        ),
+        "lifecycle-oracle": LifecycleSpec(
+            layout="parity-declustering", clients=2, fault_time_ms=200.0,
+            degraded_dwell_ms=50.0, rebuild_rows=26, post_samples=20,
+            max_samples=800, oracle=True,
+        ),
+        "campaign-clients-oracle-transient": CampaignTrialSpec(
+            layout="pddl", trial=1, seed=3, mttf_hours=0.03, faults=1,
+            degraded_dwell_ms=50.0, rebuild_rows=26, clients=2,
+            transient_io_rate=0.3, oracle=True,
+        ),
+        "nemesis-checksums-failslow-corruption": NemesisTrialSpec(
+            layout="pddl", trial=2, checksums=True, max_failslow=1,
+            max_corruption_bursts=1,
+        ),
+        "table1-search": Table1Spec(k=5, g=4, restarts=20, max_steps=2000),
+        "crash": CrashTrialSpec(
+            layout="pddl", clients=2, crash_boundary=30,
+            max_pre_samples=60, post_samples=20,
+        ),
+    }
+
+
+def compute_digests() -> dict:
+    """``{name: {"spec": spec dict, "digest": record digest}}``."""
+    from benchmarks.perf.workloads import record_digest
+    from repro.runner import execute_spec, spec_to_dict
+
+    return {
+        name: {
+            "spec": spec_to_dict(spec),
+            "digest": record_digest(execute_spec(spec)),
+        }
+        for name, spec in pinned_specs().items()
+    }
+
+
+def main() -> None:
+    digests = compute_digests()
+    DIGESTS_PATH.parent.mkdir(parents=True, exist_ok=True)
+    with open(DIGESTS_PATH, "w", encoding="utf-8") as handle:
+        json.dump(digests, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {len(digests)} record digests to {DIGESTS_PATH}")
+
+
+if __name__ == "__main__":
+    main()

@@ -11,15 +11,16 @@ from repro.runner import (
     ResultCache,
     canonical_json,
     curves_from_records,
-    figure5_specs,
+    response_sweep_specs,
 )
 
-SWEEP = dict(sizes_kb=(8, 48), clients=(1, 4), samples=16, seed=0)
+#: Fault-free reads: sizes, client counts, is_write, mode, samples.
+SWEEP = ((8, 48), (1, 4), False, "ff", 16)
 
 
 class TestFigure5Parallel:
     def test_parallel_matches_serial_and_cache_replays(self, tmp_path):
-        specs = figure5_specs(**SWEEP)
+        specs = response_sweep_specs(*SWEEP)
         assert len(specs) == 2 * 5 * 2  # sizes x layouts x clients
 
         serial = ParallelRunner(workers=1).run(specs)
@@ -41,7 +42,7 @@ class TestFigure5Parallel:
         )
 
     def test_records_reassemble_into_figure_panels(self):
-        specs = figure5_specs(**SWEEP)
+        specs = response_sweep_specs(*SWEEP)
         report = ParallelRunner(workers=1).run(specs)
         panels = curves_from_records(report.records)
         assert sorted(panels) == [8, 48]
@@ -54,8 +55,9 @@ class TestFigure5Parallel:
                 assert all(p.samples > 0 for p in curve.points)
 
     def test_instrumentation_present_and_sane(self):
-        specs = figure5_specs(sizes_kb=(8,), clients=(4,), samples=12,
-                              seed=1, layouts=("pddl",))
+        specs = response_sweep_specs(
+            (8,), (4,), False, "ff", 12, seed=1, layouts=("pddl",)
+        )
         record = ParallelRunner(workers=1).run(specs).records[0]
         inst = record["instrumentation"]
         assert inst["engine"]["events_processed"] > 0

@@ -103,8 +103,7 @@ class TestResponse:
         code = main(
             [
                 "response", "--size", "8", "--clients", "2",
-                "--samples", "60", "--no-stopping-rule",
-                "--layouts", "raid5",
+                "--samples", "60", "--layouts", "raid5",
             ]
         )
         assert code == 0
@@ -116,7 +115,7 @@ class TestResponse:
             [
                 "response", "--size", "48", "--write", "--mode", "f1",
                 "--clients", "2", "--samples", "50",
-                "--no-stopping-rule", "--layouts", "pddl",
+                "--layouts", "pddl",
             ]
         )
         assert code == 0
