@@ -1,5 +1,6 @@
 """Pinned record digests of short response, lifecycle, campaign,
-nemesis, Table 1 and crash specs (and their regenerator).
+nemesis, Table 1, crash, open-loop, fail-slow and corruption specs (and
+their regenerator).
 
 Each entry is the digest the repo benchmark checks its records with
 (sha256 of the canonical record minus ``spec_hash``), so every simulated
@@ -27,10 +28,13 @@ def pinned_specs() -> dict:
     """``{name: spec}``, in file order."""
     from repro.runner.spec import (
         CampaignTrialSpec,
+        CorruptionTrialSpec,
         CrashTrialSpec,
         ExperimentSpec,
+        FailSlowTrialSpec,
         LifecycleSpec,
         NemesisTrialSpec,
+        OpenLoopSpec,
         Table1Spec,
     )
 
@@ -45,6 +49,21 @@ def pinned_specs() -> dict:
         "response-post-read": ExperimentSpec(
             layout="pddl", size_kb=8, clients=4, mode="post",
             max_samples=80, warmup=10,
+        ),
+        **{
+            f"response-f1-read-{layout}": ExperimentSpec(
+                layout=layout, size_kb=48, clients=4, mode="f1",
+                max_samples=80, warmup=10,
+            )
+            for layout in ("datum", "parity-declustering", "prime")
+        },
+        "response-f1-read-uncoalesced": ExperimentSpec(
+            layout="pddl", size_kb=48, clients=4, mode="f1",
+            coalesce=False, max_samples=80, warmup=10,
+        ),
+        "response-post-read-timelines": ExperimentSpec(
+            layout="pddl", size_kb=48, clients=4, mode="post",
+            timelines=True, max_samples=80, warmup=10,
         ),
         "response-f1-write": ExperimentSpec(
             layout="prime", size_kb=24, is_write=True, clients=2,
@@ -68,6 +87,18 @@ def pinned_specs() -> dict:
         "crash": CrashTrialSpec(
             layout="pddl", clients=2, crash_boundary=30,
             max_pre_samples=60, post_samples=20,
+        ),
+        # Reconstruction-mode client reads.
+        "openloop-rebuild": OpenLoopSpec(
+            layout="pddl", phase="rebuild", arrivals=200
+        ),
+        # Hedges and a quarantine: the completion path with op tracking.
+        "failslow-hedge": FailSlowTrialSpec(
+            layout="pddl", defense="hedge", arrivals=300
+        ),
+        # Checksum mismatches caught on the completion path.
+        "corruption-checksum": CorruptionTrialSpec(
+            layout="pddl", defense="checksum", arrivals=200
         ),
     }
 
