@@ -53,7 +53,7 @@ disk twice, stripes are disjoint, and spare cells belong to no stripe).
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, NamedTuple, Optional, Set
+from typing import Callable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.base import Layout
@@ -154,17 +154,10 @@ def plan_access(
         return _plan_write(
             layout, first_unit, unit_count, mode, failed_disk, rebuilt
         )
-    if mode is ArrayMode.FAULT_FREE:
-        # Hot path (the vast majority of Figure 5/6 traffic): straight
-        # translation.  The data-unit mapping is injective — distinct
-        # units land in distinct cells — so dedupe has nothing to do.
-        cells = layout.data_unit_cells(first_unit, unit_count)
-        return AccessPlan(
-            phases=[[_new(UnitOp, (d, o, False)) for d, o in cells]]
-        )
-    return _dedupe(
-        _plan_read(layout, first_unit, unit_count, mode, failed_disk, rebuilt)
+    cells = read_cells(
+        layout, first_unit, unit_count, mode, failed_disk, rebuilt
     )
+    return AccessPlan(phases=[[_new(UnitOp, (d, o, False)) for d, o in cells]])
 
 
 # ----------------------------------------------------------------------
@@ -172,19 +165,31 @@ def plan_access(
 # ----------------------------------------------------------------------
 
 
-def _plan_read(
+def read_cells(
     layout: Layout,
     first_unit: int,
     unit_count: int,
     mode: ArrayMode,
-    failed_disk: int,
+    failed_disk: Optional[int],
     rebuilt: Optional[RebuiltPredicate],
-) -> AccessPlan:
+) -> List[Tuple[int, int]]:
+    """The ``(disk, offset)`` cells a read touches, in plan order, each
+    once: the single phase of :func:`plan_access`'s read plan.
+
+    The arguments are :func:`plan_access`'s and are not checked here;
+    the array controller calls this directly with its own (consistent)
+    mode, failed disk and rebuild frontier.
+    """
+    if mode is ArrayMode.FAULT_FREE:
+        # Hot path (the vast majority of Figure 5/6 traffic): straight
+        # translation.  The data-unit mapping is injective — distinct
+        # units land in distinct cells — so nothing repeats.
+        return layout.data_unit_cells(first_unit, unit_count)
     period, per_period, per_stripe, stripes = layout.stripe_table()
     post = mode is ArrayMode.POST_RECONSTRUCTION
     recon = mode is ArrayMode.RECONSTRUCTION
-    ops: List[UnitOp] = []
-    op = ops.append
+    cells: List[Tuple[int, int]] = []
+    cell = cells.append
     # Touched stripes first..last; positions lo..hi-1 of each are read.
     first, first_lo = divmod(first_unit, per_stripe)
     last, end = divmod(first_unit + unit_count - 1, per_stripe)
@@ -196,19 +201,21 @@ def _plan_read(
         data, check = stripes[index]
         for disk, row in data[lo:hi]:
             if disk != failed_disk:
-                op(_new(UnitOp, (disk, row + shift, False)))
+                cell((disk, row + shift))
             elif post or (recon and rebuilt(row + shift)):
                 # Lost unit already swept: read the rebuilt copy — the
                 # spare cell (distributed sparing) or the replacement
                 # spindle.
                 lost = layout.failure_table(failed_disk)[index]
                 disk, row = lost.data[lost.position]
-                op(_new(UnitOp, (disk, row + shift, False)))
+                cell((disk, row + shift))
             else:  # DEGRADED or un-rebuilt: reconstruct on the fly
                 for disk, row in data + check:
                     if disk != failed_disk:
-                        op(_new(UnitOp, (disk, row + shift, False)))
-    return AccessPlan(phases=[ops])
+                        cell((disk, row + shift))
+    # A degraded fan-out re-reads cells the access also reads directly:
+    # keep each cell's first occurrence.
+    return list(dict.fromkeys(cells))
 
 
 # ----------------------------------------------------------------------
@@ -290,22 +297,3 @@ def _plan_write(
         return AccessPlan(phases=[reads, writes])
     return AccessPlan(phases=[writes])
 
-
-def _dedupe(plan: AccessPlan) -> AccessPlan:
-    """Drop duplicate operations within each phase, preserving order.
-
-    Read plans only: a degraded fan-out re-reads cells the access also
-    reads directly."""
-    phases: List[List[UnitOp]] = []
-    for phase in plan.phases:
-        if len(phase) < 2:
-            phases.append(phase)
-            continue
-        seen: Set[UnitOp] = set()
-        unique: List[UnitOp] = []
-        for op in phase:
-            if op not in seen:
-                seen.add(op)
-                unique.append(op)
-        phases.append(unique)
-    return AccessPlan(phases=phases)

@@ -61,6 +61,11 @@ class ServiceRecord(NamedTuple):
         return self.seek_ms + self.latency_ms + self.transfer_ms
 
 
+#: Builds a :class:`ServiceRecord` from one field tuple without the named
+#: tuple's Python-level ``__new__`` (one per serviced op).
+_new = tuple.__new__
+
+
 class TransientErrorModel:
     """Seeded per-operation transient-failure draws for one drive.
 
@@ -256,8 +261,6 @@ class DiskDrive:
         self.head = 0
         self._buffered_track = None  # (cylinder, head) of the cached track
         self.buffer_hits = 0
-        self.ops_serviced = 0
-        self.busy_ms = 0.0
         #: Optional transient-failure injection; None (the default) draws
         #: nothing and keeps service byte-identical to an error-free drive.
         self.transient_errors: Optional[TransientErrorModel] = None
@@ -279,8 +282,6 @@ class DiskDrive:
         self.head = 0
         self._buffered_track = None
         self.buffer_hits = 0
-        self.ops_serviced = 0
-        self.busy_ms = 0.0
 
     def service(self, request: DiskRequest, now_ms: float) -> ServiceRecord:
         """Serve ``request`` starting at absolute time ``now_ms``.
@@ -333,15 +334,16 @@ class DiskDrive:
             if self.transient_errors is not None
             else False
         )
-        self.ops_serviced += 1
-        self.busy_ms += seek_ms + latency_ms + transfer_ms
-        return ServiceRecord(
-            seek_ms,
-            latency_ms,
-            transfer_ms,
-            cylinder_changed,
-            head_changed,
-            failed,
+        return _new(
+            ServiceRecord,
+            (
+                seek_ms,
+                latency_ms,
+                transfer_ms,
+                cylinder_changed,
+                head_changed,
+                failed,
+            ),
         )
 
     def service_reference(
@@ -372,8 +374,6 @@ class DiskDrive:
                 and (last.cylinder, last.head) == self._buffered_track
             ):
                 self.buffer_hits += 1
-                self.ops_serviced += 1
-                self.busy_ms += self.buffer_hit_ms
                 return ServiceRecord(
                     seek_ms=0.0,
                     latency_ms=0.0,
@@ -446,8 +446,6 @@ class DiskDrive:
                 self._buffered_track = None
             else:
                 self._buffered_track = (cylinder, head)
-        self.ops_serviced += 1
-        self.busy_ms += seek_ms + latency_ms + transfer_ms
         return ServiceRecord(
             seek_ms=seek_ms,
             latency_ms=latency_ms,

@@ -25,6 +25,8 @@ from repro.errors import SimulationError
 
 Callback = Callable[[], None]
 
+_INF = float("inf")
+
 
 class SimulationEngine:
     """A binary-heap discrete-event scheduler.
@@ -49,9 +51,15 @@ class SimulationEngine:
         self.heap_high_water = 0
 
     def schedule(self, delay: float, callback: Callback) -> None:
-        """Run ``callback`` ``delay`` ms from the current time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past ({delay})")
+        """Run ``callback`` ``delay`` ms from the current time.
+
+        ``delay`` must be finite and non-negative: a NaN time would fire
+        out of order and an infinite one would leave ``now`` infinite.
+        """
+        if not 0 <= delay < _INF:
+            raise SimulationError(
+                f"event delay must be finite and >= 0, got {delay}"
+            )
         heap = self._heap
         self._seq += 1
         heappush(heap, (self.now + delay, self._seq, callback))
@@ -59,10 +67,12 @@ class SimulationEngine:
             self.heap_high_water = len(heap)
 
     def schedule_at(self, time: float, callback: Callback) -> None:
-        """Run ``callback`` at absolute time ``time``."""
-        if time < self.now:
+        """Run ``callback`` at absolute time ``time`` (finite, not before
+        ``now``)."""
+        if not self.now <= time < _INF:
             raise SimulationError(
-                f"cannot schedule at {time} before now = {self.now}"
+                f"cannot schedule at {time}: events need a finite time"
+                f" no earlier than now = {self.now}"
             )
         heap = self._heap
         self._seq += 1

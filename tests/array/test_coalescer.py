@@ -1,7 +1,7 @@
 """The controller's request coalescer and the phase invariant it relies on.
 
 ``ArrayController._requests`` builds every client-access ``DiskRequest``:
-the fused fault-free read path and each planned phase both go through it.
+the direct read path and each planned phase both go through it.
 It groups cells by disk alone, which is only right because every phase
 ``plan_access`` emits is all reads or all writes.  These tests pin that
 invariant over every registered layout, mode and frontier, and pin
@@ -11,7 +11,7 @@ invariant over every registered layout, mode and frontier, and pin
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.array.controller import ArrayController, LogicalAccess
+from repro.array.controller import ArrayController, LogicalAccess, RetryPolicy
 from repro.array.raidops import ArrayMode, plan_access
 from repro.disk.drive import DiskRequest
 from repro.experiments.config import layout_for
@@ -143,23 +143,111 @@ def test_requests_match_naive_reference(
     )
 
 
-def test_fused_reads_issue_the_planned_requests():
-    """A fault-free read skips ``plan_access`` but must issue what the
-    planned phase would: same requests, same order, per access shape."""
+class _OracleLog:
+    """Records the oracle calls a client read makes."""
+
+    def __init__(self):
+        self.reconstructed = []
+
+    def check_reconstructed_read(self, unit):
+        self.reconstructed.append(unit)
+
+
+def issuing_controller(layout, mode, second_failure, planned):
+    """A controller in ``mode`` whose servers record what they are sent.
+
+    Disk 0 is the failed one; in reconstruction mode the rebuild frontier
+    has passed the even offsets (onto a replacement spindle when the
+    layout has no spare space); ``second_failure`` also fails disk 1.  A
+    retry policy sends reads through ``plan_access`` and
+    ``_launch_phase`` instead of the direct path.
+    """
+    controller = controller_for(layout)
+    if mode is not ArrayMode.FAULT_FREE:
+        controller.fail_disk(0)
+    if mode is ArrayMode.RECONSTRUCTION:
+        if not layout.has_sparing:
+            controller.install_replacement()
+        controller.enter_reconstruction(lambda offset: offset % 2 == 0)
+    elif mode is ArrayMode.POST_RECONSTRUCTION:
+        controller.finish_reconstruction()
+    if second_failure:
+        controller.fail_subsequent_disk(1)
+    if planned:
+        controller.set_retry_policy(RetryPolicy())
+    controller.attach_oracle(_OracleLog())
+    issued = []
+    for server in controller.servers:
+        server.submit = lambda request, disk=server.disk_id: (
+            issued.append((disk, request))
+        )
+    return controller, issued
+
+
+def test_direct_reads_issue_the_planned_requests():
+    """A read with no retry or hedge policy skips ``plan_access`` in every
+    mode but must issue what the planned phase would — same requests,
+    same order, none to a failed server — and make the same oracle
+    calls, per access shape."""
+    cases = [
+        (mode, False)
+        for mode in (
+            ArrayMode.FAULT_FREE,
+            ArrayMode.DEGRADED,
+            ArrayMode.RECONSTRUCTION,
+            ArrayMode.POST_RECONSTRUCTION,
+        )
+    ] + [(ArrayMode.DEGRADED, True), (ArrayMode.RECONSTRUCTION, True)]
+    fanned_out = dropped = checked = 0
     for name, layout in _LAYOUTS.items():
-        controller = controller_for(layout)
-        issued = []
-        for server in controller.servers:
-            server.submit = lambda request, disk=server.disk_id: (
-                issued.append((disk, request))
+        for mode, second_failure in cases:
+            if (
+                mode is ArrayMode.POST_RECONSTRUCTION
+                and not layout.has_sparing
+            ):
+                continue
+            direct, issued = issuing_controller(
+                layout, mode, second_failure, planned=False
             )
-        for access_id, (first, count) in enumerate(
-            [(0, 1), (5, 4), (40, 3 * layout.data_per_stripe + 1)]
-        ):
-            del issued[:]
-            controller.submit(
-                LogicalAccess(access_id, first, count, False),
-                lambda access, response: None,
+            planned, planned_issued = issuing_controller(
+                layout, mode, second_failure, planned=True
             )
-            phase = plan_access(layout, first, count, False).phases[0]
-            assert issued == controller._requests(phase, False, access_id, 0)
+            shapes = [
+                (0, 1),
+                (5, 4),
+                (40, 3 * layout.data_per_stripe + 1),
+                (0, layout.data_units_per_period),
+            ]
+            for access_id, (first, count) in enumerate(shapes):
+                del issued[:]
+                del planned_issued[:]
+                for controller in (direct, planned):
+                    controller.submit(
+                        LogicalAccess(access_id, first, count, False),
+                        lambda access, response: None,
+                    )
+                phase = plan_access(
+                    layout,
+                    first,
+                    count,
+                    False,
+                    mode=mode,
+                    failed_disk=direct.failed_disk,
+                    rebuilt=direct._rebuilt,
+                ).phases[0]
+                requests = direct._requests(phase, False, access_id, 0)
+                live = [
+                    (disk, request)
+                    for disk, request in requests
+                    if not direct.servers[disk].failed
+                ]
+                assert issued == live == planned_issued, (name, mode)
+                fanned_out += len(phase) > count
+                dropped += len(live) < len(requests)
+            assert (
+                direct.oracle.reconstructed == planned.oracle.reconstructed
+            ), (name, mode)
+            checked += len(direct.oracle.reconstructed)
+    # The cases reach the degraded fan-out, the live filter and the
+    # oracle's reconstructed-read checks.
+    assert fanned_out and dropped and checked

@@ -3,7 +3,7 @@ Monte-Carlo vs Markov-model acceptance check."""
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.campaign import (
     campaign_specs,
     run_campaign_trial,
@@ -91,6 +91,19 @@ class TestSingleTrial:
         with pytest.raises(ConfigurationError):
             run_campaign_trial(
                 CampaignTrialSpec(layout="pddl", clients=-1), scenario
+            )
+
+    def test_nan_dwell_raises_instead_of_losing_data(self):
+        # `repro campaign --dwell nan` builds this spec.  A NaN rebuild
+        # start time once fired out of order and classified the trial
+        # "lost" with no rebuild step; with a finite dwell it survives.
+        spec = CampaignTrialSpec(**{**CAMPAIGN, "degraded_dwell_ms": 4000.0})
+        assert run_campaign_trial(spec)["classification"] == "survived"
+        with pytest.raises(SimulationError):
+            run_campaign_trial(
+                CampaignTrialSpec(
+                    **{**CAMPAIGN, "degraded_dwell_ms": float("nan")}
+                )
             )
 
 

@@ -52,6 +52,33 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             engine.run()
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_rejected(self, delay):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule(delay, lambda: None)
+        assert engine.pending() == 0
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf")])
+    def test_non_finite_time_rejected(self, time):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule_at(time, lambda: None)
+        assert engine.pending() == 0
+
+    def test_nan_event_cannot_reach_the_clock(self):
+        # Once queued, a NaN event fired out of order and set `now` to
+        # NaN; the rejection keeps the clock on the finite events.
+        engine = SimulationEngine()
+        fired = []
+        engine.schedule(2.0, lambda: fired.append(engine.now))
+        with pytest.raises(SimulationError):
+            engine.schedule(float("nan"), lambda: fired.append(engine.now))
+        engine.schedule(1.0, lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [1.0, 2.0]
+        assert engine.now == 2.0
+
 
 class TestRunControl:
     def test_stop(self):
