@@ -148,8 +148,8 @@ def test_data_unit_cell_is_address_core(layout):
 
 def test_relocated_data_unit_cells_match_the_mapping(view):
     """The view's cells are the base cells with the relocated disk's
-    units moved to their spare targets (the fused fault-free read path
-    reads them after a relocated repair cycle)."""
+    units moved to their spare targets (fault-free direct reads use
+    them after a relocated repair cycle)."""
     base = view.base
     units = int(view.data_units_per_period * _PERIODS)
     cells = view.data_unit_cells(0, units)
