@@ -100,6 +100,34 @@ def pinned_specs() -> dict:
         "corruption-checksum": CorruptionTrialSpec(
             layout="pddl", defense="checksum", arrivals=200
         ),
+        # A second failure during reconstruction re-loses units already
+        # rebuilt into spare cells; the trial survives.
+        "campaign-second-failure-mid-rebuild": CampaignTrialSpec(
+            layout="pddl", trial=68, seed=14, mttf_hours=0.03, faults=2,
+            degraded_dwell_ms=4000.0, rebuild_rows=26,
+        ),
+        # A second failure after reconstruction, repaired through a
+        # RelocatedView.
+        "campaign-second-failure-relocated": CampaignTrialSpec(
+            layout="pddl", trial=0, seed=14, mttf_hours=0.03, faults=2,
+            degraded_dwell_ms=4000.0, rebuild_rows=26,
+        ),
+        # A survivable second failure during a rebuild onto a
+        # replacement spindle.
+        "campaign-second-failure-replacement": CampaignTrialSpec(
+            layout="datum", trial=70, seed=14, mttf_hours=0.03, faults=2,
+            degraded_dwell_ms=4000.0, rebuild_rows=26,
+        ),
+        # Full-sweep resync on a degraded array: recomputed stripes,
+        # stripes skipped with lost parity and consistent ones.
+        "crash-degraded-full-sweep": CrashTrialSpec(
+            layout="pddl", clients=2, journal=False, crash_boundary=30,
+            fail_disk_at_ms=5.0, max_pre_samples=60, post_samples=20,
+        ),
+        # The parity audit repairs mismatches from stripe peers.
+        "corruption-audit": CorruptionTrialSpec(
+            layout="pddl", defense="audit", arrivals=200
+        ),
     }
 
 
