@@ -27,7 +27,7 @@ from repro.disk.hp2247 import make_hp2247
 from repro.disk.scheduler import Scheduler, make_scheduler
 from repro.disk.stats import DiskOpClass, DiskStats
 from repro.errors import ConfigurationError, SimulationError
-from repro.layouts.address import Role
+from repro.layouts.address import PhysicalAddress, Role
 from repro.layouts.base import Layout
 from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import TraceRecorder, engine_snapshot
@@ -1242,23 +1242,28 @@ class ArrayController:
         info = layout.locate(disk, offset)
         if info.role is Role.SPARE:
             return None
+        period, per_period, _, stripes = layout.stripe_table()
+        cycle, index = divmod(info.stripe, per_period)
+        shift = cycle * period
+        data, check = stripes[index]
         failed_disk = self.failed_disk
         rebuilt = self._rebuilt
         members = []
-        for a in layout.stripe_units(info.stripe).all_units():
-            if a.disk == disk and a.offset == offset:
+        for member_disk, row in data + check:
+            member_offset = row + shift
+            if member_disk == disk and member_offset == offset:
                 continue
-            if self.servers[a.disk].failed:
+            if self.servers[member_disk].failed:
                 return None
             if (
-                a.disk == failed_disk
+                member_disk == failed_disk
                 and rebuilt is not None
-                and not rebuilt(a.offset)
+                and not rebuilt(member_offset)
             ):
                 # Replacement spindle installed, but this cell has not
                 # been reached by the rebuild frontier yet.
                 return None
-            members.append(a)
+            members.append(PhysicalAddress(member_disk, member_offset))
         return members
 
     def _launch_hedge(
@@ -1482,13 +1487,15 @@ class ArrayController:
         """Stale pre-read data reached an RMW delta: the stripes' check
         cells now hold poisoned parity."""
         layout = self._plan_layout
+        period, per_period, _, stripes = layout.stripe_table()
         corruption = self.corruption
         for offset in offsets:
             info = layout.locate(disk, offset)
             if info.role is Role.SPARE:
                 continue
-            for check in layout.stripe_units(info.stripe).check:
-                corruption.pollute(check.disk, check.offset)
+            cycle, index = divmod(info.stripe, per_period)
+            for check_disk, row in stripes[index][1]:
+                corruption.pollute(check_disk, row + cycle * period)
 
     def _handle_failed_op(
         self, policy: RetryPolicy, disk: int, request: DiskRequest

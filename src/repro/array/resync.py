@@ -31,12 +31,11 @@ used both here and by the crash property tests:
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.array.controller import RESYNC_ID_BASE, ArrayController
 from repro.array.raidops import ArrayMode, RebuiltPredicate
 from repro.array.sweep import PacedSweep
-from repro.layouts.address import PhysicalAddress
 from repro.layouts.base import Layout
 
 
@@ -54,18 +53,14 @@ def classify_stripe(
     """
     if failed_disk is None:
         return "recompute"
-    units = layout.stripe_units(stripe)
-    for addr in units.data:
-        if addr.disk == failed_disk and not (
-            rebuilt is not None and rebuilt(addr.offset)
-        ):
-            return "data_lost"
-    for addr in units.check:
-        if addr.disk == failed_disk and not (
-            rebuilt is not None and rebuilt(addr.offset)
-        ):
-            return "parity_lost"
-    return "recompute"
+    period, per_period, per_stripe, _ = layout.stripe_table()
+    cycle, index = divmod(stripe, per_period)
+    lost = layout.failure_table(failed_disk)[index]
+    if lost is None or (
+        rebuilt is not None and rebuilt(lost.row + cycle * period)
+    ):
+        return "recompute"
+    return "data_lost" if lost.position < per_stripe else "parity_lost"
 
 
 class Resynchronizer(PacedSweep):
@@ -182,27 +177,39 @@ class Resynchronizer(PacedSweep):
     # Stripe recomputation machinery.
     # ------------------------------------------------------------------
 
-    def _live_address(self, addr: PhysicalAddress) -> PhysicalAddress:
-        """Where the unit at ``addr`` actually lives right now."""
+    def _live_cells(
+        self, stripe: int
+    ) -> Tuple[List[Tuple[int, int]], List[Tuple[int, int]]]:
+        """Where the stripe's data and check units actually live right
+        now, as ``(disk, offset)`` cells."""
         controller = self.controller
-        if addr.disk != controller.failed_disk:
-            return addr
-        if controller.mode is ArrayMode.POST_RECONSTRUCTION:
-            return self.layout.relocation_target(addr)
-        if self.rebuilt is not None and self.rebuilt(addr.offset):
-            if self.layout.has_sparing:
-                return self.layout.relocation_target(addr)
-            return addr  # rebuilt onto the replacement spindle in place
-        return addr
+        layout = self.layout
+        period, per_period, _, stripes = layout.stripe_table()
+        cycle, index = divmod(stripe, per_period)
+        shift = cycle * period
+        data, check = stripes[index]
+        failed = controller.failed_disk
+        rebuilt = self.rebuilt
+        if failed is not None:
+            lost = layout.failure_table(failed)[index]
+            if lost is not None and (
+                controller.mode is ArrayMode.POST_RECONSTRUCTION
+                or (rebuilt is not None and rebuilt(lost.row + shift))
+            ):
+                # The rebuilt copy: the spare cell with sparing, the
+                # replacement spindle's cell in place without.
+                data, check = lost.data, lost.check
+        return (
+            [(disk, row + shift) for disk, row in data],
+            [(disk, row + shift) for disk, row in check],
+        )
 
     def _run(self, stripe: int) -> None:
         """Read every data unit, then rewrite every check unit."""
         controller = self.controller
-        units = self.layout.stripe_units(stripe)
         access_id = self._next_id
         self._next_id += 1
-        reads = [self._live_address(a) for a in units.data]
-        writes = [self._live_address(a) for a in units.check]
+        reads, writes = self._live_cells(stripe)
         remaining = {"reads": len(reads), "writes": len(writes)}
 
         def write_done() -> None:
@@ -217,11 +224,11 @@ class Resynchronizer(PacedSweep):
             self._refill_slot()
 
         def all_reads_good() -> None:
-            for addr in writes:
+            for disk, offset in writes:
                 self.writes_issued += 1
                 controller.submit_raw(
-                    addr.disk,
-                    addr.offset,
+                    disk,
+                    offset,
                     True,
                     access_id,
                     write_done,
@@ -233,11 +240,11 @@ class Resynchronizer(PacedSweep):
             if remaining["reads"] == 0:
                 all_reads_good()
 
-        for addr in reads:
+        for disk, offset in reads:
             self.reads_issued += 1
             controller.submit_raw(
-                addr.disk,
-                addr.offset,
+                disk,
+                offset,
                 False,
                 access_id,
                 read_done,

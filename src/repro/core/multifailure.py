@@ -68,6 +68,7 @@ def multi_rebuild_plan(
     rows = rows or layout.period
     failed_set = set(failures)
     spare_of = {disk: i for i, disk in enumerate(failures)}
+    period, per_period, _, stripes = layout.stripe_table()
 
     seen_stripes = set()
     for offset in range(rows):
@@ -76,10 +77,12 @@ def multi_rebuild_plan(
             if info.role is Role.SPARE or info.stripe in seen_stripes:
                 continue
             seen_stripes.add(info.stripe)
-            units = layout.stripe_units(info.stripe)
+            cycle, index = divmod(info.stripe, per_period)
+            data, check = stripes[index]
             lost: Dict[PhysicalAddress, PhysicalAddress] = {}
             reads: List[PhysicalAddress] = []
-            for addr in units.all_units():
+            for member_disk, row in data + check:
+                addr = PhysicalAddress(member_disk, row + cycle * period)
                 if addr.disk in failed_set:
                     lost[addr] = layout.relocation_target(
                         addr, spare_column=spare_of[addr.disk]
@@ -140,14 +143,15 @@ def degraded_read_cost(
     stripes must be decoded.
     """
     failed_set = set(failed_disks)
+    stripes = layout.stripe_table().stripes
     total = 0
     count = layout.data_units_per_period
     for unit in range(count):
         addr = layout.data_unit_address(unit)
         if addr.disk in failed_set:
-            units = layout.stripe_units(layout.stripe_of_data_unit(unit))
+            data, check = stripes[layout.stripe_of_data_unit(unit)]
             total += sum(
-                1 for a in units.all_units() if a.disk not in failed_set
+                1 for disk, _ in data + check if disk not in failed_set
             )
         else:
             total += 1

@@ -18,6 +18,11 @@ from repro.layouts.address import PhysicalAddress, Role
 from repro.layouts.base import Layout
 
 
+#: Builds a :class:`PhysicalAddress` without the namedtuple's
+#: Python-level ``__new__`` (the rebuild sweep makes one per cell).
+_new = tuple.__new__
+
+
 @dataclass(frozen=True)
 class RebuildStep:
     """Work to rebuild one lost stripe unit.
@@ -48,24 +53,28 @@ def rebuild_plan(
         )
     if rows is None:
         rows = layout.period
+    period, per_period, _, _ = layout.stripe_table()
+    lost_cells = layout.failure_table(failed_disk)
+    sparing = layout.has_sparing
     for offset in range(rows):
         info = layout.locate(failed_disk, offset)
         if info.role is Role.SPARE:
             continue
-        units = layout.stripe_units(info.stripe)
+        cycle, index = divmod(info.stripe, per_period)
+        shift = cycle * period
+        lost = lost_cells[index]
+        # Every cell of the rebuilt stripe but the rebuilt unit's home:
+        # its same-row spare with sparing, the lost cell itself without.
         reads = [
-            addr for addr in units.all_units() if addr.disk != failed_disk
+            _new(PhysicalAddress, (disk, row + shift))
+            for disk, row in lost.data + lost.check
         ]
-        write = None
-        if layout.has_sparing:
-            write = layout.relocation_target(
-                PhysicalAddress(failed_disk, offset)
-            )
+        home = reads.pop(lost.position)
         yield RebuildStep(
             lost=PhysicalAddress(failed_disk, offset),
             stripe=info.stripe,
             reads=reads,
-            write=write,
+            write=home if sparing else None,
         )
 
 

@@ -69,8 +69,8 @@ def _period_profile(layout, first_disk: int, second_disk: int):
     same-row spare cell for layouts with distributed sparing, the
     original cell on a replacement spindle otherwise.
     """
-    period = layout.period
-    sparing = layout.has_sparing
+    period, _, _, stripes = layout.stripe_table()
+    lost_cells = layout.failure_table(first_disk)
     is_spare: List[bool] = [False] * period
     touches: List[bool] = [False] * period
     target_disk: List[int] = [first_disk] * period
@@ -80,14 +80,9 @@ def _period_profile(layout, first_disk: int, second_disk: int):
         if info.role is Role.SPARE:
             is_spare[row] = True
             continue
-        members = layout.stripe_units(info.stripe).all_units()
-        touches[row] = any(a.disk == second_disk for a in members)
-        if sparing:
-            target = layout.relocation_target(
-                PhysicalAddress(first_disk, row)
-            )
-            target_disk[row] = target.disk
-            target_offset[row] = target.offset
+        data, check = stripes[info.stripe]
+        touches[row] = any(disk == second_disk for disk, _ in data + check)
+        target_disk[row], target_offset[row] = lost_cells[info.stripe].home
     return is_spare, touches, target_disk, target_offset
 
 
@@ -176,56 +171,57 @@ def second_failure_repair_steps(
     treated as intact, so a straddling stripe may read a first-disk
     member at an out-of-domain offset directly.
     """
-    outcome_domain = range(rows)
-    relost_set = set(relost_offsets)
-    steps: List[RebuildStep] = []
+    period, per_period, _, stripes = layout.stripe_table()
+    first_lost = layout.failure_table(first_disk)
     sparing = layout.has_sparing
-    for offset in sorted(relost_set):
+    steps: List[RebuildStep] = []
+    for offset in sorted(set(relost_offsets)):
         info = layout.locate(first_disk, offset)
-        members = layout.stripe_units(info.stripe).all_units()
-        reads = [
-            a
-            for a in members
-            if a.disk != first_disk and a.disk != second_disk
-        ]
+        cycle, index = divmod(info.stripe, per_period)
+        shift = cycle * period
+        data, check = stripes[index]
+        disk, row = first_lost[index].home
         steps.append(
             RebuildStep(
                 lost=PhysicalAddress(first_disk, offset),
                 stripe=info.stripe,
-                reads=reads,
-                write=layout.relocation_target(
-                    PhysicalAddress(first_disk, offset)
-                ),
+                reads=[
+                    PhysicalAddress(d, r + shift)
+                    for d, r in data + check
+                    if d != first_disk and d != second_disk
+                ],
+                write=PhysicalAddress(disk, row + shift),
             )
         )
-    for offset in outcome_domain:
+    for offset in range(rows):
         info = layout.locate(second_disk, offset)
         if info.role is Role.SPARE:
             # Spare cells of the second disk either held a relocated
             # first-disk unit (covered by relost steps above) or were
             # still empty — nothing to rebuild in place.
             continue
-        members = layout.stripe_units(info.stripe).all_units()
-        reads: List[PhysicalAddress] = []
-        for addr in members:
-            if addr.disk == second_disk:
-                continue
-            if addr.disk == first_disk:
-                if sparing and addr.offset in rebuilt:
-                    reads.append(layout.relocation_target(addr))
-                else:
-                    # Replacement-spindle rebuild serves the original
-                    # address once swept; un-swept first-disk members of
-                    # second-disk stripes mean the failure was not
-                    # survivable and this function must not be called.
-                    reads.append(addr)
-            else:
-                reads.append(addr)
+        cycle, index = divmod(info.stripe, per_period)
+        shift = cycle * period
+        data, check = stripes[index]
+        members = data + check
+        homes = members
+        lost = first_lost[index]
+        if sparing and lost is not None and lost.row + shift in rebuilt:
+            # The first-disk member is read from its spare.  Without
+            # sparing the replacement spindle serves the original
+            # address once swept; un-swept first-disk members of
+            # second-disk stripes mean the failure was not survivable
+            # and this function must not be called.
+            homes = lost.data + lost.check
         steps.append(
             RebuildStep(
                 lost=PhysicalAddress(second_disk, offset),
                 stripe=info.stripe,
-                reads=reads,
+                reads=[
+                    PhysicalAddress(d, r + shift)
+                    for (member_disk, _), (d, r) in zip(members, homes)
+                    if member_disk != second_disk
+                ],
                 write=None,
             )
         )

@@ -197,10 +197,12 @@ class IntegrityOracle:
         """
         at_risk = 0
         if failed_disk is not None and self.suspect:
-            for stripe in self.suspect:
-                units = self.layout.stripe_units(stripe)
-                if any(a.disk == failed_disk for a in units.all_units()):
-                    at_risk += 1
+            per_period = self.layout.stripe_table().stripes_per_period
+            lost_cells = self.layout.failure_table(failed_disk)
+            at_risk = sum(
+                lost_cells[stripe % per_period] is not None
+                for stripe in self.suspect
+            )
         report = {
             "writes_begun": self.writes_begun,
             "writes_committed": self.writes_committed,
@@ -335,24 +337,29 @@ class PlannedWrite:
         # Physical cell -> logical meaning, covering redirected (spare)
         # targets too, so any mode's write ops resolve.
         meanings: Dict[Tuple[int, int], Tuple[str, int]] = {}
-        redirect = (
-            failed_disk is not None and layout.has_sparing
+        period, per_period, per_stripe, stripes = layout.stripe_table()
+        lost_cells = (
+            layout.failure_table(failed_disk)
+            if failed_disk is not None and layout.has_sparing
+            else None
         )
-        for unit in units:
-            addr = layout.data_unit_address(unit)
-            meanings[(addr.disk, addr.offset)] = ("data", unit)
-            if redirect and addr.disk == failed_disk:
-                target = layout.relocation_target(addr)
-                meanings[(target.disk, target.offset)] = ("data", unit)
         for stripe in self.stripes:
-            for addr in layout.stripe_units(stripe).check:
-                meanings[(addr.disk, addr.offset)] = ("parity", stripe)
-                if redirect and addr.disk == failed_disk:
-                    target = layout.relocation_target(addr)
-                    meanings[(target.disk, target.offset)] = (
-                        "parity",
-                        stripe,
-                    )
+            cycle, index = divmod(stripe, per_period)
+            shift = cycle * period
+            data, check = stripes[index]
+            lost = None if lost_cells is None else lost_cells[index]
+            for position, (disk, row) in enumerate(data + check):
+                if position < per_stripe:
+                    unit = stripe * per_stripe + position
+                    if unit not in self.new_gens:
+                        continue
+                    meaning = ("data", unit)
+                else:
+                    meaning = ("parity", stripe)
+                meanings[(disk, row + shift)] = meaning
+                if lost is not None and lost.position == position:
+                    disk, row = lost.home
+                    meanings[(disk, row + shift)] = meaning
         self._meanings = meanings
         # Parity intent per stripe.  A plan that pre-reads the stripe's
         # check cell is delta-based (small / forced-small write): the

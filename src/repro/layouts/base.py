@@ -12,38 +12,33 @@ The shared machinery here (global/periodic address translation, the inverse
 analytic working-set tool, and the property checker treat PDDL and every
 baseline uniformly.
 
-Hot-path representation: the forward and inverse maps are served from
-*flat* tables built once per layout — ``locate`` indexes a
-list-of-lists ``[disk][row]`` grid and ``data_unit_address`` a flat
-per-period array of ``(disk, row)`` cells — so the simulator's millions
-of address translations are two integer indexings each, with no
-namedtuple hashing and no per-call stripe materialisation.  The access
-planner reads two more: :meth:`Layout.stripe_table`, every stripe of one
-period as plain ``(disk, row)`` data and check cells, and
-:meth:`Layout.failure_table`, what one failed disk does to each of those
-stripes (its lost cell and, with sparing, the same-row spare that
-replaces it).  Stripe ``s + c * stripes_per_period`` is stripe ``s``
-shifted down ``c * period`` rows and every relocation stays in its row,
-so a global cell is a table cell plus ``cycle * period`` and planning
-materialises no stripe.  The original ``Dict[PhysicalAddress,
-UnitInfo]`` period table survives as :meth:`locate_reference` /
-:meth:`data_unit_address_reference`; the registry-wide property test in
-``tests/layouts/test_flat_fast_path.py`` pins the two paths cell-for-cell
-equal across multiple periods, and the stripe table equal to
-:meth:`Layout.stripe_units`.
+Hot-path representation: every consumer reads one per-period table,
+:meth:`Layout.stripe_table` — each stripe of the pattern as plain
+``(disk, row)`` data and check cells, built once per layout at first
+use.  Stripe ``s + c * stripes_per_period`` is stripe ``s`` shifted down
+``c * period`` rows, so a global cell is a table cell plus ``cycle *
+period`` and no stripe is ever materialised.  Two flat tables derive
+from it in the same build, together with the check that the stripes and
+the spare cells use every cell of the pattern exactly once: ``locate``
+indexes a list-of-lists ``[disk][row]`` grid and ``data_unit_cell`` a
+flat per-period array of data cells, so the simulator's address
+translations are two integer indexings each.
+:meth:`Layout.failure_table` adds what one failed disk does to each
+stripe of the table: its lost cell and, with sparing, the same-row spare
+that holds the rebuilt unit.  The access planner, the rebuild sweep,
+resync, the integrity oracle, second-failure evaluation and the
+controller's stripe peers all read these two tables.  A per-stripe
+reference model in ``tests/layouts/reference_layout.py`` pins them
+cell for cell, registry-wide.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import OrderedDict
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress, Role, StripeUnits, UnitInfo
-
-#: Shifted-cycle stripes kept per layout (see :meth:`Layout.stripe_units`).
-_SHIFTED_STRIPE_CACHE_SIZE = 256
 
 #: A cell of one period as a plain ``(disk, row)`` tuple.
 Cell = Tuple[int, int]
@@ -73,6 +68,8 @@ class LostCell(NamedTuple):
     #: sparing it stays (the replacement spindle serves the old address).
     data: Tuple[Cell, ...]
     check: Tuple[Cell, ...]
+    #: Where the rebuilt unit lives: ``(data + check)[position]``.
+    home: Cell
 
 
 def lost_cells(
@@ -109,7 +106,11 @@ def lost_cells(
                     + cells[position + 1:]
                 )
             lost = LostCell(
-                row, position, cells[:per_stripe], cells[per_stripe:]
+                row,
+                position,
+                cells[:per_stripe],
+                cells[per_stripe:],
+                cells[position],
             )
             break
         out.append(lost)
@@ -137,8 +138,6 @@ class Layout(abc.ABC):
             )
         self.n = n
         self.k = k
-        self._locate_table: Optional[Dict[PhysicalAddress, UnitInfo]] = None
-        self._stripe_cache: Dict[int, StripeUnits] = {}
         # Flat fast-path tables (built lazily, see _build_flat_tables).
         self._locate_grid: Optional[List[List[UnitInfo]]] = None
         self._data_cells: Optional[List[Tuple[int, int]]] = None
@@ -152,14 +151,8 @@ class Layout(abc.ABC):
         # (every stripe decision consults it) and the spare list it is
         # derived from is fixed at construction.
         self._sparing: Optional[bool] = None
-        # Small LRU of *shifted* (cycle > 0) StripeUnits.  The access
-        # planner never asks for one (it walks stripe_table); the hot
-        # callers left are the rebuild sweeps and the controller's hedge
-        # and escalation stripe peers, which revisit the same stripes
-        # (one mc_campaign pass: 17,916 hits, 88 misses).
-        self._shifted_cache: "OrderedDict[int, StripeUnits]" = OrderedDict()
-        # Planner tables (built lazily at the first plan that needs them,
-        # see stripe_table / failure_table).
+        # Stripe tables (built lazily at first use, see stripe_table /
+        # failure_table).
         self._stripe_table: Optional[StripeTable] = None
         self._failure_tables: Dict[int, List[Optional[LostCell]]] = {}
 
@@ -237,37 +230,10 @@ class Layout(abc.ABC):
             self._consts = consts
         return consts
 
-    def stripe_units(self, stripe_id: int) -> StripeUnits:
-        """Physical cells of a global stripe (period-extended)."""
-        if stripe_id < 0:
-            raise MappingError(f"negative stripe id {stripe_id}")
-        period, stripes_per_period, _ = self._layout_consts()
-        cycle, index = divmod(stripe_id, stripes_per_period)
-        base = self._stripe_cache.get(index)
-        if base is None:
-            base = self.stripe_units_in_period(index)
-            self._stripe_cache[index] = base
-        if cycle == 0:
-            return base
-        shifted_cache = self._shifted_cache
-        shifted = shifted_cache.get(stripe_id)
-        if shifted is not None:
-            shifted_cache.move_to_end(stripe_id)
-            return shifted
-        shift = cycle * period
-        shifted = StripeUnits(
-            data=[PhysicalAddress(d, o + shift) for d, o in base.data],
-            check=[PhysicalAddress(d, o + shift) for d, o in base.check],
-        )
-        shifted_cache[stripe_id] = shifted
-        if len(shifted_cache) > _SHIFTED_STRIPE_CACHE_SIZE:
-            shifted_cache.popitem(last=False)
-        return shifted
-
     def stripe_table(self) -> StripeTable:
         """Every stripe of one period as plain ``(disk, row)`` cells:
-        ``stripe_units(s + c * stripes_per_period)`` is
-        ``stripes[s]`` with ``c * period`` added to every row."""
+        global stripe ``s + c * stripes_per_period`` is ``stripes[s]``
+        with ``c * period`` added to every row."""
         table = self._stripe_table
         if table is None:
             stripes = []
@@ -355,14 +321,6 @@ class Layout(abc.ABC):
         """Physical cell of a client data unit."""
         return PhysicalAddress(*self.data_unit_cell(unit))
 
-    def data_unit_address_reference(self, unit: int) -> PhysicalAddress:
-        """Reference path for :meth:`data_unit_address`: materialise the
-        whole stripe and index its data list (the pre-flat-table
-        implementation, kept for the equivalence property test)."""
-        stripe = self.stripe_of_data_unit(unit)
-        position = unit % self.data_per_stripe
-        return self.stripe_units(stripe).data[position]
-
     def data_units_of_stripe(self, stripe_id: int) -> range:
         """Client data units stored in the given global stripe."""
         lo = stripe_id * self.data_per_stripe
@@ -395,97 +353,49 @@ class Layout(abc.ABC):
             position=info.position,
         )
 
-    def locate_reference(self, disk: int, offset: int) -> UnitInfo:
-        """Reference path for :meth:`locate`: the dict-keyed period table
-        (the pre-flat-table implementation, kept for the equivalence
-        property test)."""
-        if not 0 <= disk < self.n:
-            raise MappingError(f"disk {disk} outside 0..{self.n - 1}")
-        if offset < 0:
-            raise MappingError(f"negative offset {offset}")
-        cycle, row = divmod(offset, self.period)
-        info = self._period_table()[PhysicalAddress(disk, row)]
-        if info.role is Role.SPARE:
-            return info
-        return UnitInfo(
-            role=info.role,
-            stripe=info.stripe + cycle * self.stripes_per_period,
-            position=info.position,
-        )
-
-    def _period_table(self) -> Dict[PhysicalAddress, UnitInfo]:
-        if self._locate_table is None:
-            table: Dict[PhysicalAddress, UnitInfo] = {}
-            for s in range(self.stripes_per_period):
-                units = self.stripe_units_in_period(s)
-                for j, addr in enumerate(units.data):
-                    self._table_insert(table, addr, UnitInfo(Role.DATA, s, j))
-                for j, addr in enumerate(units.check):
-                    self._table_insert(
-                        table,
-                        addr,
-                        UnitInfo(Role.CHECK, s, self.data_per_stripe + j),
-                    )
-            for addr in self.spare_addresses_in_period():
-                self._table_insert(table, addr, UnitInfo(Role.SPARE, -1, -1))
-            expected = self.period * self.n
-            if len(table) != expected:
-                raise MappingError(
-                    f"{self.name}: pattern covers {len(table)} cells,"
-                    f" expected {expected}"
-                )
-            self._locate_table = table
-        return self._locate_table
-
     def _build_flat_tables(
         self,
     ) -> Tuple[List[List[UnitInfo]], List[Tuple[int, int]]]:
-        """Build and cache the flat fast-path tables from the dict-keyed
-        period table.
+        """Derive and cache the flat tables from :meth:`stripe_table` and
+        the spare cells, checking that together they use every cell of
+        the pattern exactly once.
 
         - ``grid[disk][row]``: the :class:`UnitInfo` of every cell of one
           pattern (the inverse map, minus hashing);
         - ``data_cells[stripe_index * data_per_stripe + position]``: the
           ``(disk, row)`` cell of every client data unit of one pattern
           (the forward map, minus stripe materialisation).
-
-        Deriving both from :meth:`_period_table` reuses its
-        every-cell-covered-exactly-once validation and keeps the fast
-        path equal to the reference by construction.
         """
-        table = self._period_table()
-        period = self.period
-        grid: List[List[UnitInfo]] = [
-            [None] * period for _ in range(self.n)  # type: ignore[list-item]
-        ]
-        data_cells: List[Tuple[int, int]] = [
-            None  # type: ignore[list-item]
-        ] * (self.stripes_per_period * self.data_per_stripe)
-        per_stripe = self.data_per_stripe
-        for (disk, row), info in table.items():
-            grid[disk][row] = info
-            if info.role is Role.DATA:
-                data_cells[info.stripe * per_stripe + info.position] = (
-                    disk,
-                    row,
+        period, _, per_stripe, stripes = self.stripe_table()
+        cells = []
+        for s, (data, check) in enumerate(stripes):
+            cells += [
+                (c, UnitInfo(Role.DATA, s, j)) for j, c in enumerate(data)
+            ]
+            cells += [
+                (c, UnitInfo(Role.CHECK, s, j))
+                for j, c in enumerate(check, per_stripe)
+            ]
+        spare = UnitInfo(Role.SPARE, -1, -1)
+        cells += [(c, spare) for c in self.spare_addresses_in_period()]
+        grid = [[None] * period for _ in range(self.n)]
+        for (disk, row), info in cells:
+            addr = PhysicalAddress(disk, row)
+            if not 0 <= disk < self.n or not 0 <= row < period:
+                raise MappingError(
+                    f"{self.name}: cell {addr} outside the layout pattern"
                 )
-        self._locate_grid = grid
-        self._data_cells = data_cells
-        return grid, data_cells
-
-    def _table_insert(
-        self,
-        table: Dict[PhysicalAddress, UnitInfo],
-        addr: PhysicalAddress,
-        info: UnitInfo,
-    ) -> None:
-        if not 0 <= addr.disk < self.n or not 0 <= addr.offset < self.period:
+            if grid[disk][row] is not None:
+                raise MappingError(f"{self.name}: cell {addr} mapped twice")
+            grid[disk][row] = info
+        if len(cells) != period * self.n:
             raise MappingError(
-                f"{self.name}: cell {addr} outside the layout pattern"
+                f"{self.name}: pattern covers {len(cells)} cells,"
+                f" expected {period * self.n}"
             )
-        if addr in table:
-            raise MappingError(f"{self.name}: cell {addr} mapped twice")
-        table[addr] = info
+        self._locate_grid = grid
+        self._data_cells = [cell for data, _ in stripes for cell in data]
+        return self._locate_grid, self._data_cells
 
     # ------------------------------------------------------------------
     # Sparing hooks (overridden by layouts with distributed spare space).
@@ -509,9 +419,9 @@ class Layout(abc.ABC):
         - every cell of the ``period x n`` grid is used exactly once,
         - no stripe places two units on the same disk (goal #1).
         """
-        self._period_table()
-        for s in range(self.stripes_per_period):
-            disks = self.stripe_units_in_period(s).disks()
+        self._build_flat_tables()
+        for s, (data, check) in enumerate(self.stripe_table().stripes):
+            disks = [disk for disk, _ in data + check]
             if len(set(disks)) != len(disks):
                 raise MappingError(
                     f"{self.name}: stripe {s} uses a disk twice (goal #1)"

@@ -165,17 +165,20 @@ def check_goal8(
     if span <= 0:
         return None
     step = g * (layout.k - 1) if aligned_only else 1
+    per_period = layout.stripes_per_period
+    stripes = layout.stripe_table().stripes
     worst = span
     for start in range(0, layout.data_units_per_period, step):
         disks = set()
         for i in range(span):
-            units = layout.stripe_units(
-                layout.stripe_of_data_unit(start + i)
-            )
             addr = layout.data_unit_address(start + i)
             if addr.disk == failed_disk:
+                # Stripe membership by disk repeats every period.
+                data, check = stripes[
+                    layout.stripe_of_data_unit(start + i) % per_period
+                ]
                 disks.update(
-                    a.disk for a in units.all_units() if a.disk != failed_disk
+                    disk for disk, _ in data + check if disk != failed_disk
                 )
             else:
                 disks.add(addr.disk)

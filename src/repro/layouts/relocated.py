@@ -14,10 +14,13 @@ replacement spindle exactly like any no-sparing layout.
 The view is duck-typed rather than a :class:`~repro.layouts.base.Layout`
 subclass: the base class validates that a pattern covers the full
 ``n x period`` grid, which no longer holds once one spindle's cells are
-dead.  It implements the full surface the planner, the reconstruction
-planner, and the controller consume, including the planner's
-:meth:`stripe_table`: the base table with the relocated disk's cells
-replaced by their spare targets.
+dead.  Everything it knows comes from the base layout's
+:meth:`~repro.layouts.base.Layout.failure_table` for the relocated disk:
+its :meth:`stripe_table` is the base table with each lost cell replaced
+by its spare, and ``locate`` resolves a spare cell through the same
+table's rows.  That is the surface every stripe consumer reads — the
+planner, the rebuild sweep, resync, second-failure evaluation and the
+controller's stripe peers.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, Role, StripeUnits, UnitInfo
+from repro.layouts.address import PhysicalAddress, UnitInfo
 from repro.layouts.base import LostCell, StripeTable, lost_cells
 
 
@@ -56,18 +59,16 @@ class RelocatedView:
         # Inverse of the relocation over one period: spare target cell
         # -> relocated source row on the failed disk.
         inverse: Dict[Tuple[int, int], int] = {}
-        for row in range(base.period):
-            if base.locate(relocated_disk, row).role is Role.SPARE:
+        for lost in base.failure_table(relocated_disk):
+            if lost is None:
                 continue
-            target = base.relocation_target(
-                PhysicalAddress(relocated_disk, row)
-            )
-            if target.disk == relocated_disk:
+            target = lost.home
+            if target[0] == relocated_disk:
                 raise MappingError(
-                    f"{base.name}: cell ({relocated_disk}, {row})"
+                    f"{base.name}: cell ({relocated_disk}, {lost.row})"
                     " relocates onto its own failed spindle"
                 )
-            inverse[(target.disk, target.offset % base.period)] = row
+            inverse[target] = lost.row
         self._spare_source = inverse
         self._stripe_table: Optional[StripeTable] = None
         self._failure_tables: Dict[int, List[Optional[LostCell]]] = {}
@@ -162,15 +163,6 @@ class RelocatedView:
 
     def data_units_of_stripe(self, stripe_id: int) -> range:
         return self.base.data_units_of_stripe(stripe_id)
-
-    def stripe_units(self, stripe_id: int) -> StripeUnits:
-        units = self.base.stripe_units(stripe_id)
-        moved = self.relocated_disk
-        target = self.base.relocation_target
-        return StripeUnits(
-            data=[target(a) if a.disk == moved else a for a in units.data],
-            check=[target(a) if a.disk == moved else a for a in units.check],
-        )
 
     # ------------------------------------------------------------------
     # Inverse mapping.

@@ -1,7 +1,11 @@
-"""On-disk result cache keyed by spec content hash.
+"""On-disk result cache keyed by source fingerprint and spec content hash.
 
-Layout: ``<root>/<hh>/<hash>.json`` where ``hh`` is the first two hex
-digits of the spec hash (fan-out keeps directories small).  Each file is
+Layout: ``<root>/<fingerprint>/<hh>/<hash>.json``.  ``fingerprint`` is
+:func:`source_fingerprint`, a content hash of the simulator's own
+source, so a record is only ever served to the source tree that
+simulated it: after any code change the old entries are misses, and the
+records the new code writes sit beside them.  ``hh`` is the first two
+hex digits of the spec hash (fan-out keeps directories small).  Each file is
 one result record, written atomically (temp file + rename) so a killed
 run never leaves a half-written entry under the final name.  Reads are
 defensive: unparsable, truncated, or mismatched files count as misses
@@ -12,10 +16,26 @@ recomputed record can land cleanly and the bad bytes stay inspectable.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Iterator, Optional, Union
+
+
+@functools.cache
+def source_fingerprint() -> str:
+    """SHA-256 over the relative path and bytes of every ``.py`` file of
+    the imported ``repro`` package, computed once per process."""
+    package = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        data = path.read_bytes()
+        name = path.relative_to(package).as_posix()
+        digest.update(f"{name}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
 
 
 def default_cache_dir() -> Path:
@@ -27,7 +47,7 @@ def default_cache_dir() -> Path:
 
 
 class ResultCache:
-    """Spec-hash -> result-record store.
+    """Spec-hash -> result-record store for this source tree.
 
     >>> import tempfile
     >>> cache = ResultCache(tempfile.mkdtemp())
@@ -44,8 +64,13 @@ class ResultCache:
         self.misses = 0
         self.quarantined = 0
 
+    @property
+    def entries(self) -> Path:
+        """This source tree's part of the cache: ``<root>/<fingerprint>``."""
+        return self.root / source_fingerprint()
+
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return self.entries / key[:2] / f"{key}.json"
 
     def get(self, key: str) -> Optional[dict]:
         """The cached record, or None on miss *or any corruption*.
@@ -88,16 +113,18 @@ class ResultCache:
         os.replace(tmp, path)
 
     def iter_keys(self) -> Iterator[str]:
-        if not self.root.exists():
+        entries = self.entries
+        if not entries.exists():
             return
-        for entry in sorted(self.root.glob("*/*.json")):
+        for entry in sorted(entries.glob("*/*.json")):
             yield entry.stem
 
     def __len__(self) -> int:
         return sum(1 for _ in self.iter_keys())
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry of this source tree; returns how many were
+        removed."""
         removed = 0
         for key in list(self.iter_keys()):
             self.path_for(key).unlink()

@@ -4,28 +4,33 @@ A spec is a frozen dataclass of JSON-scalar fields, so it pickles across
 ``multiprocessing`` workers, serializes into cache files, and hashes
 stably: :func:`spec_hash` is SHA-256 over the canonical JSON of the
 fields plus a schema version, identical across process restarts and
-platforms.  Bump ``SPEC_SCHEMA_VERSION`` whenever simulation semantics
-change so stale cache entries stop matching.
+platforms.  The hash names a sweep point, not the code that simulates
+it: the result cache files each record under a fingerprint of the
+source (:func:`repro.runner.cache.source_fingerprint`), so a code change
+never needs a hash change.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional, Union
 
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError
 
-#: Part of every content hash; bump on any change that alters results.
+#: Part of every content hash.  It stays 1: every committed
+#: ``sweep_hash`` includes it, and the result cache is kept fresh by
+#: its source fingerprint instead.
 SPEC_SCHEMA_VERSION = 1
 
 #: Spec fields added after v1 shipped, per kind, with their inactive
 #: defaults.  :func:`spec_to_dict` omits them while they hold these
-#: values, so specs predating the fields keep their original content
-#: hashes and existing caches stay valid (same contract as
-#: ``FaultScenario._V1_OPTIONAL_DEFAULTS``).
+#: values, so specs predating the fields keep the ``spec`` block of
+#: their records, and with it the record digests the repo benchmark
+#: pins (``benchmarks/perf/expected.json``) and the committed sweep
+#: hashes (same contract as ``FaultScenario._V1_OPTIONAL_DEFAULTS``).
 _V1_SPEC_OPTIONAL = {
     "lifecycle": {"oracle": False},
     "campaign-trial": {"oracle": False, "transient_io_rate": 0.0},
@@ -785,9 +790,11 @@ def spec_to_dict(spec: Spec) -> dict:
     """Flat JSON-able form, ``kind`` included.
 
     Post-v1 fields are omitted while at their inactive defaults so old
-    specs keep their original hashes (see ``_V1_SPEC_OPTIONAL``).
+    specs keep their original hashes (see ``_V1_SPEC_OPTIONAL``).  Every
+    field is a JSON scalar, so a shallow walk builds what
+    ``dataclasses.asdict`` would, without its deep copy.
     """
-    data = asdict(spec)
+    data = {f.name: getattr(spec, f.name) for f in fields(spec)}
     optional = _V1_SPEC_OPTIONAL.get(spec.kind)
     if optional:
         for name, default in optional.items():

@@ -2,8 +2,9 @@
 
 A verbatim copy of ``plan_access`` and its helpers from the era when
 ``repro.array.raidops`` planned every write and degraded read by
-materialising ``StripeUnits`` through ``Layout.stripe_units`` and
-grouping units through dicts and sets.  It is kept only as the reference
+materialising ``StripeUnits`` through ``Layout.stripe_units`` (now
+``tests.layouts.reference_layout.stripe_units``) and grouping units
+through dicts and sets.  It is kept only as the reference
 the property tests in ``test_planner_reference.py`` compare the
 table-driven planner against, phase by phase and op by op.  Do not edit
 it to follow the live planner: a difference between the two is a bug in
@@ -18,6 +19,7 @@ from repro.array.raidops import AccessPlan, ArrayMode, RebuiltPredicate, UnitOp
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress
 from repro.layouts.base import Layout
+from tests.layouts import reference_layout
 
 
 def plan_access(
@@ -110,7 +112,8 @@ def _plan_read(
                 ops.append(UnitOp(addr.disk, addr.offset, False))
         else:  # DEGRADED or un-rebuilt: reconstruct on the fly from survivors
             stripe = layout.stripe_of_data_unit(unit)
-            for other in layout.stripe_units(stripe).all_units():
+            members = reference_layout.stripe_units(layout, stripe)
+            for other in members.all_units():
                 if other.disk != failed_disk:
                     ops.append(UnitOp(other.disk, other.offset, False))
     return AccessPlan(phases=[ops])
@@ -151,7 +154,7 @@ def _plan_write(
     pre_reads: List[UnitOp] = []
     writes: List[UnitOp] = []
     for stripe, touched in _stripe_groups(layout, units).items():
-        stripe_units = layout.stripe_units(stripe)
+        stripe_units = reference_layout.stripe_units(layout, stripe)
         written_positions = {position for position, _ in touched}
         stripe_mode = mode
         if mode is ArrayMode.RECONSTRUCTION:

@@ -3,11 +3,12 @@
 ``repro.array.raidops`` plans writes and non-fault-free reads by walking
 the layout's per-period stripe table; ``reference_planner`` keeps the
 earlier planner, which materialised every stripe through
-``Layout.stripe_units``.  Periodicity makes the two exactly equal, so
-these properties demand equal phases, equal ops in equal order, equal
-exception types, and the same rebuild-frontier queries — over every
-registry layout, three more shapes (the n = 55 pair, a wrapped layout,
-a two-check P+Q PDDL), and relocated views of the sparing ones.
+``Layout.stripe_units`` (kept in ``tests.layouts.reference_layout``).
+Periodicity makes the two exactly equal, so these properties demand
+equal phases, equal ops in equal order, equal exception types, and the
+same rebuild-frontier queries — over every registry layout, three more
+shapes (the n = 55 pair, a wrapped layout, a two-check P+Q PDDL), and
+relocated views of the sparing ones.
 """
 
 import pytest

@@ -6,6 +6,7 @@ from repro.array.raidops import ArrayMode, UnitOp, plan_access
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts import make_layout
 from repro.layouts.address import Role
+from tests.layouts.reference_layout import stripe_units
 
 
 @pytest.fixture(scope="module")
@@ -100,8 +101,7 @@ class TestDegradedReads:
 
     def test_dedupes_overlapping_reconstruction_reads(self, pddl):
         # Reading a whole stripe degraded: survivors appear once each.
-        stripe_units = pddl.stripe_units(0)
-        failed = stripe_units.data[0].disk
+        failed = stripe_units(pddl, 0).data[0].disk
         plan = plan_access(
             pddl, 0, 3, is_write=False,
             mode=ArrayMode.DEGRADED, failed_disk=failed,
@@ -115,7 +115,7 @@ class TestDegradedWrites:
     def _stripe_with_failed_role(self, layout, failed, want_role):
         """First stripe whose relation to `failed` matches want_role."""
         for s in range(layout.stripes_per_period):
-            units = layout.stripe_units(s)
+            units = stripe_units(layout, s)
             if want_role == "check":
                 if units.check[0].disk == failed:
                     return s
@@ -140,7 +140,7 @@ class TestDegradedWrites:
 
     def test_lost_written_data_forces_large_write(self, raid5):
         s = 0
-        units = raid5.stripe_units(s)
+        units = stripe_units(raid5, s)
         failed = units.data[2].disk
         # Write units 0..5 (includes position 2) -> forced large write.
         plan = plan_access(
@@ -153,7 +153,7 @@ class TestDegradedWrites:
         assert all(op.disk != failed for op in reads + writes)
 
     def test_lost_untouched_data_forces_small_write(self, raid5):
-        units = raid5.stripe_units(0)
+        units = stripe_units(raid5, 0)
         failed = units.data[11].disk
         plan = plan_access(
             raid5, 0, 6, is_write=True,
@@ -168,7 +168,7 @@ class TestDegradedWrites:
         # §4.2: "the array actually does less work in many cases when
         # performing large writes, because the failed disk cannot be
         # written" — compare a 9-unit write hitting the failed disk.
-        units = raid5.stripe_units(0)
+        units = stripe_units(raid5, 0)
         failed = units.data[0].disk
         clean = plan_access(raid5, 0, 9, is_write=True)
         degraded = plan_access(

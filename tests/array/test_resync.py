@@ -10,6 +10,7 @@ from repro.faults.crash import CrashInjector
 from repro.faults.oracle import IntegrityOracle
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
+from tests.layouts.reference_layout import stripe_units
 
 
 def make_array(layout_name="raid5", disks=5, width=5, journal=True):
@@ -30,14 +31,14 @@ class TestClassifyStripe:
         self.layout = make_layout("raid5", 5, 5)
 
     def _check_disk(self, stripe):
-        (check,) = self.layout.stripe_units(stripe).check
+        (check,) = stripe_units(self.layout, stripe).check
         return check
 
     def test_no_failed_disk_is_always_recompute(self):
         assert classify_stripe(self.layout, 0, None) == "recompute"
 
     def test_failed_data_member_is_data_lost(self):
-        addr = self.layout.stripe_units(0).data[0]
+        addr = stripe_units(self.layout, 0).data[0]
         verdict = classify_stripe(self.layout, 0, addr.disk)
         assert verdict == "data_lost"
 
@@ -46,16 +47,16 @@ class TestClassifyStripe:
         assert classify_stripe(self.layout, 0, check.disk) == "parity_lost"
 
     def test_uninvolved_disk_is_recompute(self):
-        involved = {a.disk for a in self.layout.stripe_units(0).all_units()}
+        involved = {a.disk for a in stripe_units(self.layout, 0).all_units()}
         # RAID 5 at width 5 on 5 disks involves every disk; use a
         # declustered layout to find an uninvolved one.
         layout = make_layout("parity-declustering", 7, 4)
-        involved = {a.disk for a in layout.stripe_units(0).all_units()}
+        involved = {a.disk for a in stripe_units(layout, 0).all_units()}
         outsider = next(d for d in range(layout.n) if d not in involved)
         assert classify_stripe(layout, 0, outsider) == "recompute"
 
     def test_rebuild_frontier_heals_the_classification(self):
-        addr = self.layout.stripe_units(0).data[0]
+        addr = stripe_units(self.layout, 0).data[0]
         behind = lambda offset: True  # noqa: E731 - fully swept
         ahead = lambda offset: False  # noqa: E731 - not reached
         assert (
@@ -123,7 +124,7 @@ class TestResynchronizer:
         engine, layout, controller, oracle, log = make_array()
         crash = crash_one_write(engine, controller)
         torn = crash.torn_stripes[0]
-        victim = layout.stripe_units(torn).data[0].disk
+        victim = stripe_units(layout, torn).data[0].disk
         controller.fail_disk(victim)
 
         resync = Resynchronizer(
@@ -140,7 +141,7 @@ class TestResynchronizer:
         engine, layout, controller, oracle, log = make_array(journal=False)
         crash = crash_one_write(engine, controller)
         torn = set(crash.torn_stripes)
-        check_disk = layout.stripe_units(next(iter(torn))).check[0].disk
+        check_disk = stripe_units(layout, next(iter(torn))).check[0].disk
         controller.fail_disk(check_disk)
 
         resync = Resynchronizer(

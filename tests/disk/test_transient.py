@@ -12,6 +12,7 @@ from repro.disk.drive import TransientErrorModel
 from repro.errors import ConfigurationError
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
+from tests.layouts.reference_layout import stripe_units
 
 
 class TestTransientErrorModel:
@@ -149,7 +150,7 @@ class TestEscalationDuringReplacementRebuild:
         stripe = layout.locate(0, 0).stripe
         position, cell = next(
             (j, a)
-            for j, a in enumerate(layout.stripe_units(stripe).data)
+            for j, a in enumerate(stripe_units(layout, stripe).data)
             if a.disk != 0
         )
         controller.servers[cell.disk].drive.transient_errors = _FailFirstOp()

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.faults import evaluate_second_failure, second_failure_repair_steps
 from repro.layouts import make_layout
 from repro.layouts.address import Role
+from tests.layouts.reference_layout import stripe_units
 
 LAYOUTS = ("pddl", "datum", "prime", "parity-declustering", "raid5")
 
@@ -17,7 +18,7 @@ def brute_force_lost(layout, first, second, rebuilt, rows):
         info = layout.locate(first, offset)
         if info.role is Role.SPARE:
             continue
-        members = layout.stripe_units(info.stripe).all_units()
+        members = stripe_units(layout, info.stripe).all_units()
         touches = any(a.disk == second for a in members)
         if offset in rebuilt:
             if layout.has_sparing:
@@ -77,8 +78,8 @@ class TestEvaluate:
             # the second disk.
             for offset in outcome.relost_offsets:
                 target = layout.relocation_target(
-                    layout.stripe_units(
-                        layout.locate(0, offset).stripe
+                    stripe_units(
+                        layout, layout.locate(0, offset).stripe
                     ).all_units()[0].__class__(0, offset)
                 )
                 assert target.disk == second

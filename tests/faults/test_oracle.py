@@ -5,6 +5,7 @@ from repro.faults.crash import CrashInjector
 from repro.faults.oracle import IntegrityOracle, StripeParityModel
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
+from tests.layouts.reference_layout import stripe_units
 
 
 class TestStripeParityModel:
@@ -77,12 +78,12 @@ class TestIntegrityOracleOnline:
     def test_suspect_stripe_on_failed_chain_is_at_risk(self):
         _, layout, _, oracle = run_torn_write()
         suspect = next(iter(oracle.suspect))
-        member = layout.stripe_units(suspect).data[0].disk
+        member = stripe_units(layout, suspect).data[0].disk
         outsider = next(
             d
             for d in range(layout.n)
-            if d not in layout.stripe_units(suspect).disks()
-        ) if len(set(layout.stripe_units(suspect).disks())) < layout.n else None
+            if d not in stripe_units(layout, suspect).disks()
+        ) if len(set(stripe_units(layout, suspect).disks())) < layout.n else None
         assert oracle.verify(failed_disk=member)["at_risk_stripes"] == 1
         if outsider is not None:
             report = oracle.verify(failed_disk=outsider)

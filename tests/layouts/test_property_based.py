@@ -14,6 +14,7 @@ from repro.layouts.parity_decluster import ParityDeclusteringLayout
 from repro.layouts.prime import PrimeLayout
 from repro.layouts.pseudorandom import PseudoRandomLayout
 from repro.layouts.raid5 import LeftSymmetricRaid5Layout
+from tests.layouts.reference_layout import stripe_units
 
 # Precomputed pool of valid configurations across all layout families.
 _POOL = []
@@ -45,14 +46,14 @@ def test_data_unit_roundtrip(layout, unit):
     info = layout.locate(*addr)
     assert info.role is Role.DATA
     assert info.stripe == layout.stripe_of_data_unit(unit)
-    assert layout.stripe_units(info.stripe).data[info.position] == addr
+    assert stripe_units(layout, info.stripe).data[info.position] == addr
 
 
 @given(layouts, st.integers(min_value=0, max_value=10_000))
 @settings(suppress_health_check=[HealthCheck.too_slow], deadline=None)
 def test_stripe_units_distinct_disks(layout, stripe):
     stripe %= layout.stripes_per_period * 2
-    disks = layout.stripe_units(stripe).disks()
+    disks = stripe_units(layout, stripe).disks()
     assert len(set(disks)) == len(disks) == layout.k
 
 

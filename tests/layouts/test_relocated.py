@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError, MappingError
 from repro.layouts import make_layout
 from repro.layouts.address import PhysicalAddress, Role
 from repro.layouts.relocated import RelocatedView
+from tests.layouts.reference_layout import stripe_units
 
 
 @pytest.fixture(scope="module")
@@ -58,11 +59,11 @@ class TestForwardMapping:
 
     def test_stripe_members_avoid_the_relocated_disk(self, base, view):
         for stripe in range(base.stripes_per_period):
-            members = view.stripe_units(stripe).all_units()
+            members = stripe_units(view, stripe).all_units()
             assert all(a.disk != 0 for a in members), stripe
             # Same multiset of units, just redirected.
             assert len(members) == len(
-                base.stripe_units(stripe).all_units()
+                stripe_units(base, stripe).all_units()
             )
 
 

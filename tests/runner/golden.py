@@ -6,8 +6,8 @@ scheduler, drive-model, or controller change that alters event ordering
 or timing — intentionally or not — shows up as a trace diff.
 
 To regenerate after an *intentional* simulation-semantics change
-(review the diff first, and bump ``SPEC_SCHEMA_VERSION`` so cached
-results roll over too):
+(review the diff first; the result cache's source fingerprint already
+keeps records of the old code from being served):
 
     PYTHONPATH=src python -m tests.runner.golden
 """

@@ -7,8 +7,8 @@ lifecycle state machine, the reconstructor, or the underlying simulation
 that shifts when the array changes regime shows up as a diff here.
 
 To regenerate after an *intentional* semantics change (review the diff
-first, and bump ``SPEC_SCHEMA_VERSION`` so cached lifecycle records roll
-over too):
+first; the result cache's source fingerprint already keeps records of
+the old code from being served):
 
     PYTHONPATH=src python -m tests.runner.golden_lifecycle
 """

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import repro.runner.cache as cache_module
 from repro.runner import (
     ExperimentSpec,
     ParallelRunner,
@@ -69,10 +70,47 @@ class TestHitMiss:
         assert path.parent.name == key[:2]
 
 
+class TestSourceFingerprint:
+    """Records are only served to the source tree that simulated them."""
+
+    def test_entries_of_other_source_are_misses(self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        key = "ab" * 32
+        monkeypatch.setattr(cache_module, "source_fingerprint", lambda: "1")
+        cache.put(key, {"spec_hash": key, "x": 1})
+        assert cache.get(key) == {"spec_hash": key, "x": 1}
+        monkeypatch.setattr(cache_module, "source_fingerprint", lambda: "2")
+        assert cache.get(key) is None
+        assert len(cache) == 0
+        monkeypatch.setattr(cache_module, "source_fingerprint", lambda: "1")
+        assert cache.get(key) == {"spec_hash": key, "x": 1}
+
+    def test_entries_sit_under_the_fingerprint(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        path = cache.path_for("ab" * 32)
+        assert path.parent.parent == tmp_path / (
+            cache_module.source_fingerprint()
+        )
+
+    def test_fingerprint_is_stable_across_processes(self):
+        code = (
+            "from repro.runner.cache import source_fingerprint;"
+            "print(source_fingerprint(), end='')"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={"PYTHONPATH": REPO_SRC, "PYTHONHASHSEED": "random"},
+        )
+        assert fresh.stdout == cache_module.source_fingerprint()
+
+
 class TestHashStability:
-    # Pinned values: if these move, every deployed cache silently
-    # invalidates — that must be a deliberate SPEC_SCHEMA_VERSION bump,
-    # not an accidental field/encoding change.
+    # Pinned values: if these move, every committed sweep_hash moves
+    # with them — that must be a deliberate change, not an accidental
+    # field/encoding change.
     PINNED_RESPONSE = (
         "752b85f028b4022c8ba844133b7205b165828cbc837c303a5a668c0d563017ff"
     )

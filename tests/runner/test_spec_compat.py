@@ -1,27 +1,36 @@
 """Hash compatibility for post-v1 spec fields.
 
-The result cache keys on ``spec_hash``; adding fields to a spec class
-must not reshuffle the keys of every previously cached sweep.  The
-contract: post-v1 fields are *omitted* from the hashed form while at
-their inactive defaults, so a spec that does not use a new feature keeps
-the hash it had before the feature existed.
+Committed sweep hashes cover ``spec_hash``, and the repo benchmark's
+record digests cover each record's ``spec`` block; adding fields to a
+spec class must not reshuffle either.  The contract: post-v1 fields are
+*omitted* from the hashed form while at their inactive defaults, so a
+spec that does not use a new feature keeps the hash it had before the
+feature existed.
 """
 
+import dataclasses
+import hashlib
+import json
+
 from repro.runner.spec import (
+    _V1_SPEC_OPTIONAL,
+    SPEC_SCHEMA_VERSION,
     CampaignTrialSpec,
     CorruptionTrialSpec,
     CrashTrialSpec,
+    ExperimentSpec,
     FailSlowTrialSpec,
     LifecycleSpec,
     NemesisTrialSpec,
     OpenLoopSpec,
+    Table1Spec,
     spec_from_dict,
     spec_hash,
     spec_to_dict,
 )
 
 #: Frozen hashes of feature-inactive specs.  These must never change:
-#: a drift here invalidates every result cache in the wild.
+#: a drift here moves committed sweep hashes and record digests.
 PINNED_LIFECYCLE = (
     "04f082384cf33b88e8cdab83559969d7707b27d9ad267e2fd6c69df8d95d1f9a"
 )
@@ -253,3 +262,72 @@ class TestRoundTrip:
             clone = spec_from_dict(spec_to_dict(spec))
             assert clone == spec
             assert spec_hash(clone) == spec_hash(spec)
+
+
+def _asdict_form(spec):
+    """``spec_to_dict`` as it was built with ``dataclasses.asdict``."""
+    data = dataclasses.asdict(spec)
+    for name, default in _V1_SPEC_OPTIONAL.get(spec.kind, {}).items():
+        if data[name] == default:
+            del data[name]
+    data["kind"] = spec.kind
+    return data
+
+
+class TestShallowDict:
+    """``spec_to_dict`` walks the fields without ``asdict``'s deep copy;
+    the dict and the hash must be what the deep copy gave."""
+
+    SPECS = (
+        ExperimentSpec(
+            layout="datum", size_kb=48, is_write=True, clients=4,
+            mode="f1", failed_disk=3, seed=7, max_samples=80, warmup=10,
+        ),
+        Table1Spec(k=5, g=4, seed=2, restarts=20, max_steps=2000),
+        LifecycleSpec(
+            layout="parity-declustering", clients=2, fault_time_ms=200.0,
+            rebuild_rows=26, oracle=True,
+        ),
+        CampaignTrialSpec(
+            layout="pddl", trial=68, seed=14, mttf_hours=0.03,
+            degraded_dwell_ms=4000.0, rebuild_rows=26,
+        ),
+        CampaignTrialSpec(
+            layout="pddl", trial=1, seed=3, transient_io_rate=0.3,
+            oracle=True, scrub_interval_ms=50.0,
+        ),
+        CrashTrialSpec(
+            layout="pddl", clients=2, journal=False, crash_boundary=30,
+            fail_disk_at_ms=5.0,
+        ),
+        NemesisTrialSpec(layout="prime", trial=9, max_storms=2),
+        NemesisTrialSpec(
+            layout="pddl", trial=2, checksums=True, max_failslow=1,
+            max_corruption_bursts=1,
+        ),
+        OpenLoopSpec(
+            layout="prime", rate_per_s=550.0, arrival="mmpp",
+            phase="rebuild", timelines=True,
+        ),
+        FailSlowTrialSpec(layout="pddl", defense="hedge", arrivals=300),
+        CorruptionTrialSpec(
+            layout="raid5", defense="audit", trial=7, fail_at_ms=9000.0
+        ),
+    )
+
+    def test_every_kind_is_covered(self):
+        from repro.runner.spec import _SPEC_TYPES
+
+        assert {spec.kind for spec in self.SPECS} == set(_SPEC_TYPES)
+
+    def test_dict_and_hash_match_the_deep_copy(self):
+        for spec in self.SPECS:
+            expected = _asdict_form(spec)
+            assert spec_to_dict(spec) == expected
+            payload = {"schema": SPEC_SCHEMA_VERSION, **expected}
+            canonical = json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            )
+            assert spec_hash(spec) == hashlib.sha256(
+                canonical.encode("utf-8")
+            ).hexdigest()
