@@ -128,6 +128,54 @@ def pinned_specs() -> dict:
         "corruption-audit": CorruptionTrialSpec(
             layout="pddl", defense="audit", arrivals=200
         ),
+        # Degraded phase under MMPP bursts: a short queue sheds arrivals.
+        "openloop-degraded-mmpp-shed": OpenLoopSpec(
+            layout="pddl", phase="degraded", arrival="mmpp", arrivals=200,
+            queue_depth=4, service_slots=4,
+        ),
+        # Trace arrivals with timelines, truncated at the horizon.
+        "openloop-trace-timelines-truncated": OpenLoopSpec(
+            layout="raid5", phase="ff", arrival="trace", arrivals=200,
+            timelines=True, horizon_ms=400.0,
+        ),
+        # The rebuild ends after the last arrival, so the lifecycle's
+        # transition stops the run.
+        "failslow-both": FailSlowTrialSpec(
+            layout="pddl", defense="both", arrivals=300
+        ),
+        # Write-verify read-backs.
+        "corruption-verify": CorruptionTrialSpec(
+            layout="raid5", defense="verify", arrivals=200
+        ),
+        # A disk fails mid-trial; the run is truncated at the horizon.
+        "corruption-degraded-truncated": CorruptionTrialSpec(
+            layout="pddl", defense="checksum", fail_at_ms=500.0,
+            arrivals=200, horizon_ms=2000.0,
+        ),
+        # Seeded latent sector errors, all found and repaired by the
+        # scrubber.
+        "campaign-lse-scrub": CampaignTrialSpec(
+            layout="pddl", trial=1, seed=3, mttf_hours=0.03, faults=1,
+            degraded_dwell_ms=50.0, rebuild_rows=26, clients=2,
+            lse_per_gb=3000.0, scrub_interval_ms=100.0,
+        ),
+        # Transient failures retried, and DATUM's write region.
+        "crash-datum-transient": CrashTrialSpec(
+            layout="datum", clients=2, crash_boundary=30,
+            max_pre_samples=60, post_samples=20, transient_io_rate=0.05,
+        ),
+        # Two crashes with fresh client cohorts, a storm and its ambient
+        # restart, an LSE burst and a disk failure.
+        "nemesis-crashes-storm-lse": NemesisTrialSpec(
+            layout="pddl", trial=11, transient_io_rate=0.01,
+            lse_per_gb=3000.0,
+        ),
+        # Client writes through all four modes, with timelines.
+        "lifecycle-write-timelines": LifecycleSpec(
+            layout="pddl", clients=2, is_write=True, fault_time_ms=200.0,
+            degraded_dwell_ms=50.0, rebuild_rows=26, post_samples=20,
+            max_samples=800, timelines=True,
+        ),
     }
 
 
