@@ -8,8 +8,6 @@ degraded-mode tail load and a reconstruction-read tally concentrated on a
 few disks.
 """
 
-import random
-
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.core.layout import PDDLLayout
@@ -20,8 +18,7 @@ from repro.core.permutation import BasePermutation
 from repro.experiments.report import render_table
 from repro.sim.engine import SimulationEngine
 from repro.stats.summary import SummaryStats
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 
@@ -38,14 +35,12 @@ def _degraded_run(layout, samples, clients=15, seed=0):
             return False
         return True
 
-    for c in range(clients):
-        gen = UniformGenerator(
-            controller.addressable_data_units, 6,
-            random.Random(f"{seed}/{c}"),
-        )
-        ClosedLoopClient(
-            c, controller, gen, AccessSpec(48, False), on_response
-        ).start()
+    start_clients(
+        controller,
+        AccessSpec(48, False),
+        on_response,
+        (f"{seed}/{c}" for c in range(clients)),
+    )
     engine.run()
     busy = [s.stats.busy_ms for i, s in enumerate(controller.servers) if i]
     return stats.mean, max(busy) / (sum(busy) / len(busy))

@@ -7,23 +7,15 @@ colex stripes) gains the most, RAID-5 reads (one unit per disk per stripe)
 gain the least.
 """
 
-import random
-
-from repro.array.controller import ArrayController
-from repro.experiments.config import paper_layout
+from repro.experiments.config import build_array
 from repro.experiments.report import render_table
-from repro.sim.engine import SimulationEngine
 from repro.stats.summary import SummaryStats
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 
 def _run(layout_name, coalesce, samples, clients=15, seed=0):
-    engine = SimulationEngine()
-    controller = ArrayController(
-        engine, paper_layout(layout_name), coalesce=coalesce
-    )
+    engine, _, controller = build_array(layout_name, coalesce=coalesce)
     stats = SummaryStats()
 
     def on_response(client, access, ms):
@@ -33,14 +25,12 @@ def _run(layout_name, coalesce, samples, clients=15, seed=0):
             return False
         return True
 
-    for c in range(clients):
-        gen = UniformGenerator(
-            controller.addressable_data_units, 24,
-            random.Random(f"{seed}/{c}"),
-        )
-        ClosedLoopClient(
-            c, controller, gen, AccessSpec(192, False), on_response
-        ).start()
+    start_clients(
+        controller,
+        AccessSpec(192, False),
+        on_response,
+        (f"{seed}/{c}" for c in range(clients)),
+    )
     engine.run()
     return stats.mean
 

@@ -6,25 +6,16 @@ reordering is what makes the seek-heavy declustered layouts viable), and a
 wider SSTF window helps at high concurrency.
 """
 
-import random
-
-from repro.array.controller import ArrayController
-from repro.experiments.config import paper_layout
+from repro.experiments.config import build_array
 from repro.experiments.report import render_table
-from repro.sim.engine import SimulationEngine
 from repro.stats.summary import SummaryStats
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 
 def _run(scheduler_name, window, samples, clients=20, seed=0):
-    engine = SimulationEngine()
-    controller = ArrayController(
-        engine,
-        paper_layout("pddl"),
-        scheduler_name=scheduler_name,
-        scheduler_window=window,
+    engine, _, controller = build_array(
+        "pddl", scheduler_name=scheduler_name, scheduler_window=window
     )
     stats = SummaryStats()
 
@@ -35,14 +26,12 @@ def _run(scheduler_name, window, samples, clients=20, seed=0):
             return False
         return True
 
-    for c in range(clients):
-        gen = UniformGenerator(
-            controller.addressable_data_units, 6,
-            random.Random(f"{seed}/{c}"),
-        )
-        ClosedLoopClient(
-            c, controller, gen, AccessSpec(48, False), on_response
-        ).start()
+    start_clients(
+        controller,
+        AccessSpec(48, False),
+        on_response,
+        (f"{seed}/{c}" for c in range(clients)),
+    )
     engine.run()
     return stats.mean
 

@@ -6,36 +6,24 @@ itself: sweep duration vs rebuild parallelism, with and without competing
 client load, on the 13-disk PDDL array.
 """
 
-import random
-
-from repro.array.controller import ArrayController
 from repro.array.reconstructor import Reconstructor
-from repro.experiments.config import paper_layout
+from repro.experiments.config import build_array
 from repro.experiments.report import render_table
-from repro.sim.engine import SimulationEngine
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 REBUILD_ROWS = 13 * 40  # 40 layout patterns' worth of lost units
 
 
 def _rebuild(parallel_steps, clients, seed=0):
-    engine = SimulationEngine()
-    controller = ArrayController(engine, paper_layout("pddl"))
+    engine, _, controller = build_array("pddl")
     controller.fail_disk(0)
-    if clients:
-        def on_response(client, access, ms):
-            return controller.mode.value == "degraded"
-
-        for c in range(clients):
-            gen = UniformGenerator(
-                controller.addressable_data_units, 6,
-                random.Random(f"{seed}/{c}"),
-            )
-            ClosedLoopClient(
-                c, controller, gen, AccessSpec(48, False), on_response
-            ).start()
+    start_clients(
+        controller,
+        AccessSpec(48, False),
+        lambda client, access, ms: controller.mode.value == "degraded",
+        (f"{seed}/{c}" for c in range(clients)),
+    )
     recon = Reconstructor(
         controller, parallel_steps=parallel_steps, rows=REBUILD_ROWS
     )

@@ -9,16 +9,13 @@ served from spare space).
 Run:  python examples/failure_recovery_demo.py
 """
 
-import random
-
 from repro import (
     AccessSpec,
     ArrayController,
-    ClosedLoopClient,
     Reconstructor,
     SimulationEngine,
-    UniformGenerator,
     make_layout,
+    start_clients,
 )
 from repro.stats.summary import SummaryStats
 
@@ -48,15 +45,9 @@ def main() -> None:
             return False
         return True
 
-    units = SPEC.units()
-    for c in range(CLIENTS):
-        generator = UniformGenerator(
-            controller.addressable_data_units, units,
-            random.Random(f"client-{c}"),
-        )
-        ClosedLoopClient(
-            c, controller, generator, SPEC, on_response
-        ).start()
+    start_clients(
+        controller, SPEC, on_response, (f"client-{c}" for c in range(CLIENTS))
+    )
 
     # Let the array warm up fault-free, then kill disk 5.
     engine.schedule_at(5_000.0, engine.stop)

@@ -36,7 +36,12 @@ from repro.errors import ReproError
 from repro.layouts import Layout, available_layouts, make_layout
 from repro.layouts.properties import PropertyReport, check_layout
 from repro.sim import SimulationEngine
-from repro.workload import AccessSpec, ClosedLoopClient, UniformGenerator
+from repro.workload import (
+    AccessSpec,
+    ClosedLoopClient,
+    UniformGenerator,
+    start_clients,
+)
 
 __version__ = "1.0.0"
 
@@ -63,5 +68,6 @@ __all__ = [
     "pddl_for",
     "plan_access",
     "search_permutation_group",
+    "start_clients",
     "wrapped_layout",
 ]

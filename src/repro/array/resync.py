@@ -63,6 +63,22 @@ def classify_stripe(
     return "data_lost" if lost.position < per_stripe else "parity_lost"
 
 
+def swept_periods(layout: Layout, rows: int) -> int:
+    """Layout periods a full sweep bounded by ``rows`` covers (>= 1)."""
+    return max(1, rows // layout.period)
+
+
+def resync_region_units(controller: ArrayController, rows: int) -> int:
+    """Client data units in the stripes a full-sweep resync bounded by
+    ``rows`` recomputes: clients that write only there leave no write
+    hole that sweep misses."""
+    layout = controller.layout
+    return min(
+        swept_periods(layout, rows) * layout.data_units_per_period,
+        controller.addressable_data_units,
+    )
+
+
 class Resynchronizer(PacedSweep):
     """Replays the dirty-stripe set after a controller restart.
 
@@ -112,7 +128,7 @@ class Resynchronizer(PacedSweep):
             periods = (
                 controller.periods
                 if rows is None
-                else max(1, rows // layout.period)
+                else swept_periods(layout, rows)
             )
             self.sweep = list(range(periods * layout.stripes_per_period))
         self.stripes_total = len(self.sweep)

@@ -26,23 +26,19 @@ parallel workers all produce identical bytes).
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, build_array
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber, aggregate_scrub
 from repro.reliability.mttdl import MS_PER_HOUR, predict_campaign_loss
-from repro.sim.engine import SimulationEngine
 from repro.stats.confidence import wilson_interval
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -74,9 +70,9 @@ def run_campaign_trial(
     """
     if scenario is None:
         scenario = spec.scenario()
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(engine, layout)
+    engine, layout, controller = build_array(
+        spec.layout, spec.disks, spec.width
+    )
     oracle_model = None
     if spec.oracle:
         from repro.faults.oracle import IntegrityOracle
@@ -143,25 +139,17 @@ def run_campaign_trial(
         scrubber.start()
 
     samples = {"count": 0}
-    if spec.clients > 0:
-        access_spec = AccessSpec(size_kb=spec.size_kb, is_write=spec.is_write)
-        units = access_spec.units(PAPER_STRIPE_UNIT_KB)
 
-        def on_response(client, access, response_ms) -> bool:
-            samples["count"] += 1
-            return True
+    def on_response(client, access, response_ms) -> bool:
+        samples["count"] += 1
+        return True
 
-        for c in range(spec.clients):
-            generator = UniformGenerator(
-                controller.addressable_data_units,
-                units,
-                random.Random(f"{spec.seed}/client-{c}"),
-            )
-            ClosedLoopClient(
-                c, controller, generator, access_spec, on_response,
-                stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-            ).start()
-
+    start_clients(
+        controller,
+        AccessSpec(size_kb=spec.size_kb, is_write=spec.is_write),
+        on_response,
+        (f"{spec.seed}/client-{c}" for c in range(spec.clients)),
+    )
     engine.run()
 
     if done["classification"] is None:
@@ -189,7 +177,7 @@ def run_campaign_trial(
     else:
         cycle_ms = lifecycle.data_loss_ms
         window_ms = None
-    recon = lifecycle.reconstructor
+    rebuild = lifecycle.rebuild_progress()
     record = {
         "layout": spec.layout,
         "disks": layout.n,
@@ -209,14 +197,13 @@ def run_campaign_trial(
         "lost_units": lifecycle.lost_units,
         "second_faults": list(lifecycle.second_faults),
         "rebuild": {
-            "duration_ms": (
-                recon.duration_ms
-                if recon is not None and recon.finished_ms is not None
-                else None
-            ),
-            "steps_completed": 0 if recon is None else recon.steps_completed,
-            "total_steps": 0 if recon is None else recon.total_steps,
-            "skipped_steps": 0 if recon is None else recon.skipped_steps,
+            key: rebuild[key]
+            for key in (
+                "duration_ms",
+                "steps_completed",
+                "total_steps",
+                "skipped_steps",
+            )
         },
         "media": None if media is None else media.to_dict(),
         "scrub": None if scrubber is None else scrubber.to_dict(),

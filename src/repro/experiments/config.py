@@ -4,15 +4,20 @@ Array: 13 disks; stripe width 4 for the declustered layouts, 13 for RAID-5;
 8 KB stripe units; HP 2247 drives; SSTF on a 20-request queue.  Workloads:
 fixed-size aligned accesses, uniform over all data, 1-25 closed-loop
 clients.
+
+Every simulation driver assembles its array with :func:`build_array`
+and attaches its own defenses to the controller it returns.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
+from repro.array.controller import ArrayController
 from repro.layouts.base import Layout
 from repro.layouts.registry import make_layout
+from repro.sim.engine import SimulationEngine
 
 PAPER_DISKS = 13
 PAPER_STRIPE_WIDTH = 4           # PRIME / Parity Declustering / PDDL / DATUM
@@ -55,6 +60,25 @@ def layout_for(
     else:
         k = width
     return _build_layout(name, n, k)
+
+
+def build_array(
+    name: str,
+    disks: Optional[int] = None,
+    width: Optional[int] = None,
+    **controller_options,
+) -> Tuple[SimulationEngine, Layout, ArrayController]:
+    """A fresh engine, the shared :func:`layout_for` layout and a
+    fault-free controller over them.
+
+    ``controller_options`` go to :class:`ArrayController` (the drivers
+    pass ``coalesce`` and ``record_timelines``).
+    """
+    engine = SimulationEngine()
+    layout = layout_for(name, disks=disks, width=width)
+    return engine, layout, ArrayController(
+        engine, layout, **controller_options
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -36,19 +36,17 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, List
 
-from repro.array.controller import ArrayController, LogicalAccess
+from repro.array.controller import LogicalAccess
 from repro.errors import ConfigurationError
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
+from repro.experiments.config import build_array
 from repro.faults.corruption import ALL_CORRUPTION_KINDS, CorruptionModel
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
 from repro.faults.oracle import IntegrityOracle
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber
-from repro.sim.engine import SimulationEngine
-from repro.traffic.admission import AdmissionQueue, offer_arrivals
+from repro.traffic.admission import OpenLoopRun
 from repro.traffic.arrivals import PoissonArrivals
-from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -90,9 +88,11 @@ def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
     array degraded (no rebuild within the horizon), exercising the
     degraded-read and escalation validation paths.
     """
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(engine, layout)
+    from repro.runner.spec import trial_stream_root
+
+    engine, layout, controller = build_array(
+        spec.layout, spec.disks, spec.width
+    )
     oracle_model = controller.attach_oracle(IntegrityOracle(layout))
     span = min(spec.span_units, controller.addressable_data_units)
 
@@ -101,7 +101,7 @@ def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
     periods_swept = -(-span // layout.data_units_per_period)
     rows = periods_swept * layout.period
 
-    stream_root = spec.seed * 1_000_003 + spec.trial
+    stream_root = trial_stream_root(spec.seed, spec.trial)
     model = CorruptionModel(
         layout.n,
         rows,
@@ -141,50 +141,30 @@ def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
         lifecycle = ArrayLifecycle(controller, scenario)
         lifecycle.arm()
 
-    totals = {"resolved": 0}
     lat_read: List[float] = []
     lat_write: List[float] = []
-
-    def resolve() -> None:
-        totals["resolved"] += 1
-        if totals["resolved"] >= spec.arrivals:
-            engine.stop()
 
     def on_response(
         access: LogicalAccess, total_ms: float, wait_ms: float
     ) -> None:
         (lat_write if access.is_write else lat_read).append(total_ms)
-        resolve()
 
-    queue = AdmissionQueue(
+    traffic = OpenLoopRun(
         controller,
-        on_response,
-        depth=spec.queue_depth,
-        service_slots=spec.service_slots,
-    )
-
-    units = AccessSpec(spec.size_kb, False).units(PAPER_STRIPE_UNIT_KB)
-    location = UniformGenerator(
-        span, units, random.Random(f"{stream_root}/corruption-loc")
-    )
-    rw_rng = random.Random(f"{stream_root}/corruption-rw")
-    offer_arrivals(
-        queue,
         PoissonArrivals(
             spec.rate_per_s, random.Random(f"{stream_root}/arrivals")
         ),
-        lambda access_id: LogicalAccess(
-            access_id=access_id,
-            first_unit=location.next_start(),
-            unit_count=units,
-            is_write=rw_rng.random() >= spec.read_fraction,
-        ),
         spec.arrivals,
-        0.0,
-        resolve,
+        AccessSpec(spec.size_kb, False),
+        f"{stream_root}/corruption-loc",
+        on_response,
+        total_units=span,
+        rw_stream=f"{stream_root}/corruption-rw",
+        read_fraction=spec.read_fraction,
+        depth=spec.queue_depth,
+        service_slots=spec.service_slots,
     )
-    engine.schedule_at(spec.horizon_ms, engine.stop)
-    engine.run()
+    traffic.run(0.0, spec.horizon_ms)
 
     if scrubber is not None:
         scrubber.stop()
@@ -197,7 +177,7 @@ def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
     else:
         classification = "clean"
 
-    stats = queue.stats()
+    stats = traffic.queue.stats()
     makespan_ms = engine.now
     record = {
         "layout": spec.layout,
@@ -211,7 +191,7 @@ def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
         "offered": stats["offered"],
         "completed": stats["completed"],
         "shed": stats["shed"],
-        "truncated": totals["resolved"] < spec.arrivals,
+        "truncated": traffic.resolved < spec.arrivals,
         "makespan_ms": makespan_ms,
         "throughput_per_s": (
             stats["completed"] / (makespan_ms / 1000.0)

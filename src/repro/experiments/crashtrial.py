@@ -25,20 +25,16 @@ state by different amounts of work.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.array.controller import ArrayController
 from repro.array.journal import StripeJournal
 from repro.array.raidops import ArrayMode
-from repro.array.resync import Resynchronizer
+from repro.array.resync import Resynchronizer, resync_region_units
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
+from repro.experiments.config import build_array
 from repro.faults.crash import CrashInjector
 from repro.faults.oracle import IntegrityOracle
-from repro.sim.engine import SimulationEngine
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -50,9 +46,9 @@ def run_crash_trial(spec: CrashTrialSpec) -> dict:
     :class:`~repro.runner.spec.CrashTrialSpec` (see module docstring).
     Pure function of the spec — every RNG is a named stream, so trials
     plug into the runner's byte-determinism contract."""
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(engine, layout)
+    engine, layout, controller = build_array(
+        spec.layout, spec.disks, spec.width
+    )
     oracle = controller.attach_oracle(IntegrityOracle(layout))
     journal_log = (
         controller.attach_journal(StripeJournal(spec.journal_latency_ms))
@@ -62,15 +58,8 @@ def run_crash_trial(spec: CrashTrialSpec) -> dict:
     if spec.transient_io_rate > 0:
         controller.enable_transient_errors(spec.transient_io_rate, spec.seed)
 
-    # Confine client writes to the stripe region the resync sweep covers,
-    # so the full-sweep baseline really does close every hole.
-    periods_swept = max(1, spec.resync_rows // layout.period)
-    write_units = periods_swept * layout.data_units_per_period
-    if write_units > controller.addressable_data_units:
-        write_units = controller.addressable_data_units
-
+    write_units = resync_region_units(controller, spec.resync_rows)
     workload = AccessSpec(size_kb=spec.size_kb, is_write=True)
-    units = workload.units(PAPER_STRIPE_UNIT_KB)
 
     pre = {"samples": 0, "total_ms": 0.0}
     post = {"samples": 0, "total_ms": 0.0}
@@ -81,16 +70,13 @@ def run_crash_trial(spec: CrashTrialSpec) -> dict:
         pre["total_ms"] += response_ms
         return pre["samples"] < spec.max_pre_samples
 
-    for c in range(spec.clients):
-        generator = UniformGenerator(
-            write_units,
-            units,
-            random.Random(f"{spec.seed}/client-{c}"),
-        )
-        ClosedLoopClient(
-            c, controller, generator, workload, pre_response,
-            stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-        ).start()
+    start_clients(
+        controller,
+        workload,
+        pre_response,
+        (f"{spec.seed}/client-{c}" for c in range(spec.clients)),
+        write_units,
+    )
 
     if spec.fail_disk_at_ms is not None:
 
@@ -111,20 +97,14 @@ def run_crash_trial(spec: CrashTrialSpec) -> dict:
     def start_post_clients() -> None:
         if spec.post_samples < 1 or controller.mode is ArrayMode.DATA_LOSS:
             return
-        for c in range(spec.clients):
-            generator = UniformGenerator(
-                write_units,
-                units,
-                random.Random(f"{spec.seed}/post-{c}"),
-            )
-            ClosedLoopClient(
-                spec.clients + c,
-                controller,
-                generator,
-                workload,
-                post_response,
-                stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-            ).start()
+        start_clients(
+            controller,
+            workload,
+            post_response,
+            (f"{spec.seed}/post-{c}" for c in range(spec.clients)),
+            write_units,
+            first_id=spec.clients,
+        )
 
     def resync_done(duration_ms: float) -> None:
         state["resync_ms"] = duration_ms

@@ -30,23 +30,18 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, List
 
-from repro.array.controller import (
-    ArrayController,
-    HedgePolicy,
-    LogicalAccess,
-)
+from repro.array.controller import HedgePolicy
 from repro.array.reconstructor import AdaptiveThrottle
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
+from repro.experiments.config import build_array
 from repro.experiments.iorecovery import aggregate_io_recovery
+from repro.experiments.openloop import FAULT_AT_MS, SETTLE_MS
 from repro.faults.failslow import FailSlowModel
 from repro.faults.scrubber import aggregate_scrub
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
-from repro.sim.engine import SimulationEngine
-from repro.traffic.admission import AdmissionQueue, offer_arrivals
+from repro.traffic.admission import OpenLoopRun
 from repro.traffic.arrivals import PoissonArrivals
 from repro.traffic.sla import SlaTracker, SloPolicy
-from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -54,12 +49,6 @@ if TYPE_CHECKING:
 
 #: Defense configurations (see module docstring).
 DEFENSES = ("none", "hedge", "adaptive", "both")
-
-#: The disk fails this early, before any traffic.
-_FAULT_AT_MS = 1.0
-
-#: Gap between the rebuild start and the first arrival draw.
-_SETTLE_MS = 9.0
 
 
 def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
@@ -72,9 +61,7 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
     run ends when every arrival is resolved *and* the rebuild finished,
     or at ``horizon_ms`` (marking the record ``truncated``).
     """
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(engine, layout)
+    engine, _, controller = build_array(spec.layout, spec.disks, spec.width)
 
     hedging = spec.defense in ("hedge", "both")
     adapting = spec.defense in ("adaptive", "both")
@@ -114,7 +101,7 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
 
     scenario = FaultScenario(
         failed_disk=spec.failed_disk,
-        fault_time_ms=_FAULT_AT_MS,
+        fault_time_ms=FAULT_AT_MS,
         degraded_dwell_ms=spec.degraded_dwell_ms,
         rebuild_rows=spec.rebuild_rows,
         rebuild_parallel=spec.rebuild_parallel,
@@ -127,65 +114,34 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
         scenario,
         # The rebuild finishing is a stop condition too (transitions are
         # recorded before the callback fires, so ``complete`` is fresh).
-        on_transition=lambda mode, now: check_stop(),
+        on_transition=lambda mode, now: traffic.check_stop(),
         adaptive_throttle=adaptive,
     )
     lifecycle.arm()
-    traffic_start_ms = _FAULT_AT_MS + _SETTLE_MS + spec.degraded_dwell_ms
 
-    totals = {"resolved": 0}
-
-    def check_stop() -> None:
-        if totals["resolved"] >= spec.arrivals and (
-            lifecycle.complete or lifecycle.data_loss
-        ):
-            engine.stop()
-
-    def resolve() -> None:
-        totals["resolved"] += 1
-        check_stop()
-
-    def on_response(
-        access: LogicalAccess, total_ms: float, wait_ms: float
-    ) -> None:
-        tracker.record(engine.now, total_ms)
-        resolve()
-
-    queue = AdmissionQueue(
+    traffic = OpenLoopRun(
         controller,
-        on_response,
-        depth=spec.queue_depth,
-        service_slots=spec.service_slots,
-    )
-
-    units = AccessSpec(spec.size_kb, False).units(PAPER_STRIPE_UNIT_KB)
-    location = UniformGenerator(
-        controller.addressable_data_units,
-        units,
-        random.Random(f"{spec.seed}/failslow-loc"),
-    )
-    offer_arrivals(
-        queue,
         PoissonArrivals(
             spec.rate_per_s, random.Random(f"{spec.seed}/arrivals")
         ),
-        lambda access_id: LogicalAccess(
-            access_id=access_id,
-            first_unit=location.next_start(),
-            unit_count=units,
-            is_write=False,
-        ),
         spec.arrivals,
-        traffic_start_ms,
-        resolve,
+        AccessSpec(spec.size_kb, False),
+        f"{spec.seed}/failslow-loc",
+        lambda access, total_ms, wait_ms: tracker.record(
+            engine.now, total_ms
+        ),
+        done=lambda: lifecycle.complete or lifecycle.data_loss,
+        depth=spec.queue_depth,
+        service_slots=spec.service_slots,
     )
-    engine.schedule_at(spec.horizon_ms, engine.stop)
-    engine.run()
+    traffic.run(
+        FAULT_AT_MS + SETTLE_MS + spec.degraded_dwell_ms, spec.horizon_ms
+    )
 
-    recon = lifecycle.reconstructor
+    rebuild = lifecycle.rebuild_progress()
     slo = tracker.report()
-    stats = queue.stats()
-    truncated = totals["resolved"] < spec.arrivals or not lifecycle.complete
+    stats = traffic.queue.stats()
+    truncated = traffic.resolved < spec.arrivals or not lifecycle.complete
     record = {
         "layout": spec.layout,
         "defense": spec.defense,
@@ -208,12 +164,8 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
         "rebuild": {
             "transitions": [list(t) for t in lifecycle.transitions],
             "finished": lifecycle.complete,
-            "steps": 0 if recon is None else recon.steps_completed,
-            "duration_ms": (
-                recon.duration_ms
-                if recon is not None and recon.finished_ms is not None
-                else None
-            ),
+            "steps": rebuild["steps_completed"],
+            "duration_ms": rebuild["duration_ms"],
         },
         "instrumentation": controller.instrumentation_record(),
     }

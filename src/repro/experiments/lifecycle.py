@@ -15,19 +15,15 @@ histograms (responses binned by the mode in force when the access was
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
+from repro.experiments.config import build_array
 from repro.faults.lifecycle import ArrayLifecycle
-from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import ProgressTimeline
 from repro.stats.bymode import LatencyByMode
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -81,10 +77,8 @@ def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
     from the spec, so identical specs produce identical results (the
     runner's byte-determinism contract extends to lifecycle specs).
     """
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(
-        engine, layout, record_timelines=spec.timelines
+    engine, layout, controller = build_array(
+        spec.layout, spec.disks, spec.width, record_timelines=spec.timelines
     )
     oracle_model = None
     if spec.oracle:
@@ -121,22 +115,17 @@ def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
         return True
 
     access_spec = AccessSpec(spec.size_kb, spec.is_write)
-    units = access_spec.units(PAPER_STRIPE_UNIT_KB)
-    for c in range(spec.clients):
-        generator = UniformGenerator(
-            controller.addressable_data_units,
-            units,
-            # Same stream family as the response experiments: adding the
-            # lifecycle machinery does not perturb client draws.
-            random.Random(f"{spec.seed}/client-{c}"),
-        )
-        ClosedLoopClient(
-            c, controller, generator, access_spec, on_response,
-            stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-        ).start()
+    start_clients(
+        controller,
+        access_spec,
+        on_response,
+        # Same stream family as the response experiments: adding the
+        # lifecycle machinery does not perturb client draws.
+        (f"{spec.seed}/client-{c}" for c in range(spec.clients)),
+    )
     engine.run()
 
-    recon = lifecycle.reconstructor
+    rebuild = lifecycle.rebuild_progress()
     return LifecycleRun(
         layout=spec.layout,
         spec_label=access_spec.label(),
@@ -145,14 +134,10 @@ def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
         fault_disk=injector.fault_disk,
         transitions=list(lifecycle.transitions),
         complete=lifecycle.complete,
-        rebuild_duration_ms=(
-            recon.duration_ms
-            if recon is not None and recon.finished_ms is not None
-            else None
-        ),
-        rebuild_steps=0 if recon is None else recon.steps_completed,
-        rebuild_total_steps=0 if recon is None else recon.total_steps,
-        rebuild_fraction=0.0 if recon is None else recon.fraction_complete,
+        rebuild_duration_ms=rebuild["duration_ms"],
+        rebuild_steps=rebuild["steps_completed"],
+        rebuild_total_steps=rebuild["total_steps"],
+        rebuild_fraction=rebuild["fraction"],
         samples=totals["samples"],
         by_mode=by_mode,
         progress=progress,

@@ -35,15 +35,14 @@ cohort takes over from the stalled one.
 
 from __future__ import annotations
 
-import random
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.array.controller import SCRUB_ID_BASE, ArrayController
+from repro.array.controller import SCRUB_ID_BASE
 from repro.array.journal import StripeJournal
 from repro.array.raidops import ArrayMode
-from repro.array.resync import Resynchronizer
+from repro.array.resync import Resynchronizer, resync_region_units
 from repro.errors import ConfigurationError, SimulationError
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
+from repro.experiments.config import PAPER_STRIPE_UNIT_KB, build_array
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.corruption import CorruptionModel
 from repro.faults.failslow import FailSlowModel
@@ -53,9 +52,7 @@ from repro.faults.nemesis import ActiveFaultTracker, NemesisSchedule
 from repro.faults.oracle import IntegrityOracle
 from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber, aggregate_scrub
-from repro.sim.engine import SimulationEngine
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -77,14 +74,16 @@ def run_nemesis_trial(
     contract.  ``schedule`` replaces the drawn schedule, so a test can
     script the faults exactly.
     """
+    from repro.runner.spec import trial_stream_root
+
     if schedule is None:
         schedule = spec.schedule()
     rows = spec.rows
     scrub_interval_ms = spec.scrub_interval_ms
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
+    engine, layout, controller = build_array(
+        spec.layout, spec.disks, spec.width
+    )
     schedule.validate(layout.n, rows)
-    controller = ArrayController(engine, layout)
     oracle_model = controller.attach_oracle(IntegrityOracle(layout))
     journal_log = (
         controller.attach_journal(StripeJournal(spec.journal_latency_ms))
@@ -95,7 +94,7 @@ def run_nemesis_trial(
         controller.enable_checksums()
     #: Per-trial stream root for fault machinery (storms, ambient LSEs);
     #: mirrors CampaignTrialSpec.fault_seed so trials are independent.
-    fault_seed = spec.seed * 1_000_003 + spec.trial
+    fault_seed = trial_stream_root(spec.seed, spec.trial)
     if spec.transient_io_rate > 0:
         controller.enable_transient_errors(
             spec.transient_io_rate, f"{fault_seed}/ambient-0"
@@ -280,12 +279,8 @@ def run_nemesis_trial(
     # over once resync completes).
     # ------------------------------------------------------------------
 
-    periods_swept = max(1, rows // layout.period)
-    write_units = periods_swept * layout.data_units_per_period
-    if write_units > controller.addressable_data_units:
-        write_units = controller.addressable_data_units
+    write_units = resync_region_units(controller, rows)
     access_spec = AccessSpec(size_kb=spec.size_kb, is_write=spec.is_write)
-    units = access_spec.units(PAPER_STRIPE_UNIT_KB)
 
     def on_response(client, access, response_ms) -> bool:
         samples["count"] += 1
@@ -303,17 +298,18 @@ def run_nemesis_trial(
             return
         cohort = state["cohort"]
         state["cohort"] = cohort + 1
-        for c in range(spec.clients):
-            client_id = cohort * spec.clients + c
-            generator = UniformGenerator(
-                write_units,
-                units,
-                random.Random(f"{spec.seed}/nemesis-client-{client_id}"),
-            )
-            ClosedLoopClient(
-                client_id, controller, generator, access_spec, on_response,
-                stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-            ).start()
+        first_id = cohort * spec.clients
+        start_clients(
+            controller,
+            access_spec,
+            on_response,
+            (
+                f"{spec.seed}/nemesis-client-{first_id + c}"
+                for c in range(spec.clients)
+            ),
+            write_units,
+            first_id=first_id,
+        )
 
     # ------------------------------------------------------------------
     # Event application (dynamic legality lives here).
@@ -577,7 +573,7 @@ def run_nemesis_trial(
         classification = "silent_corruption"
 
     stop_scrubber()  # fold any final generation into the accumulators
-    recon = lifecycle.reconstructor
+    rebuild = lifecycle.rebuild_progress()
     record = {
         "layout": spec.layout,
         "disks": layout.n,
@@ -599,13 +595,8 @@ def run_nemesis_trial(
         "resyncs": state["resyncs"],
         "completed_rebuild": lifecycle.complete,
         "rebuild": {
-            "duration_ms": (
-                recon.duration_ms
-                if recon is not None and recon.finished_ms is not None
-                else None
-            ),
-            "steps_completed": 0 if recon is None else recon.steps_completed,
-            "total_steps": 0 if recon is None else recon.total_steps,
+            key: rebuild[key]
+            for key in ("duration_ms", "steps_completed", "total_steps")
         },
         "media": media.to_dict(),
         "scrub": (

@@ -27,18 +27,13 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.array.controller import ArrayController, LogicalAccess
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
+from repro.array.controller import LogicalAccess
+from repro.experiments.config import build_array
 from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
-from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import DepthTimeline, ProgressTimeline
-from repro.traffic.admission import (
-    AdmissionQueue,
-    OverloadDetector,
-    offer_arrivals,
-)
+from repro.traffic.admission import OpenLoopRun, OverloadDetector
 from repro.traffic.arrivals import (
     ArrivalProcess,
     MMPPArrivals,
@@ -46,7 +41,6 @@ from repro.traffic.arrivals import (
     TraceArrivals,
 )
 from repro.traffic.sla import SlaTracker, SloPolicy
-from repro.workload.generators import UniformGenerator
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -58,12 +52,13 @@ PHASES = ("ff", "degraded", "rebuild")
 #: Supported arrival models.
 ARRIVALS = ("poisson", "mmpp", "trace")
 
-#: Non-fault-free phases fail the disk this early, before any traffic.
-_FAULT_AT_MS = 1.0
+#: Non-fault-free phases (and fail-slow trials) fail the disk this
+#: early, before any traffic.
+FAULT_AT_MS = 1.0
 
 #: Gap between the last phase transition and the first arrival draw, so
 #: every offered access sees the phase the trial name promises.
-_SETTLE_MS = 9.0
+SETTLE_MS = 9.0
 
 
 def _build_arrivals(spec: OpenLoopSpec, rng: random.Random) -> ArrivalProcess:
@@ -88,10 +83,8 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
     shed) or at ``spec.horizon_ms``, whichever comes first; a horizon
     stop marks the record ``truncated``.
     """
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(
-        engine, layout, record_timelines=spec.timelines
+    engine, _, controller = build_array(
+        spec.layout, spec.disks, spec.width, record_timelines=spec.timelines
     )
 
     # Fault machinery: the degraded phase stretches the dwell past the
@@ -103,13 +96,13 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
     traffic_start_ms = 0.0
     if spec.phase != "ff":
         dwell = (
-            spec.horizon_ms + _SETTLE_MS
+            spec.horizon_ms + SETTLE_MS
             if spec.phase == "degraded"
             else spec.degraded_dwell_ms
         )
         scenario = FaultScenario(
             failed_disk=spec.failed_disk,
-            fault_time_ms=_FAULT_AT_MS,
+            fault_time_ms=FAULT_AT_MS,
             degraded_dwell_ms=dwell,
             rebuild_rows=None,
             rebuild_parallel=spec.rebuild_parallel,
@@ -123,7 +116,7 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
             ),
         )
         lifecycle.arm()
-        traffic_start_ms = _FAULT_AT_MS + _SETTLE_MS
+        traffic_start_ms = FAULT_AT_MS + SETTLE_MS
         if spec.phase == "rebuild":
             traffic_start_ms += spec.degraded_dwell_ms
 
@@ -135,13 +128,7 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
         window_ms=spec.window_ms, windows=spec.overload_windows
     )
     timeline = DepthTimeline()
-    totals = {"resolved": 0}
     mode_counts: dict = {}
-
-    def resolve() -> None:
-        totals["resolved"] += 1
-        if totals["resolved"] >= spec.arrivals:
-            engine.stop()
 
     def on_response(
         access: LogicalAccess, total_ms: float, wait_ms: float
@@ -154,45 +141,25 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
             else "fault-free"
         )
         mode_counts[mode] = mode_counts.get(mode, 0) + 1
-        resolve()
 
-    queue = AdmissionQueue(
+    traffic = OpenLoopRun(
         controller,
+        _build_arrivals(spec, random.Random(f"{spec.seed}/arrivals")),
+        spec.arrivals,
+        AccessSpec(spec.size_kb, spec.is_write),
+        f"{spec.seed}/openloop-loc",
         on_response,
         depth=spec.queue_depth,
         service_slots=spec.service_slots,
         detector=detector,
         timeline=timeline,
     )
+    traffic.run(traffic_start_ms, spec.horizon_ms)
 
-    units = AccessSpec(spec.size_kb, spec.is_write).units(
-        PAPER_STRIPE_UNIT_KB
-    )
-    location = UniformGenerator(
-        controller.addressable_data_units,
-        units,
-        random.Random(f"{spec.seed}/openloop-loc"),
-    )
-    offer_arrivals(
-        queue,
-        _build_arrivals(spec, random.Random(f"{spec.seed}/arrivals")),
-        lambda access_id: LogicalAccess(
-            access_id=access_id,
-            first_unit=location.next_start(),
-            unit_count=units,
-            is_write=spec.is_write,
-        ),
-        spec.arrivals,
-        traffic_start_ms,
-        resolve,
-    )
-    engine.schedule_at(spec.horizon_ms, engine.stop)
-    engine.run()
-
-    truncated = totals["resolved"] < spec.arrivals
+    truncated = traffic.resolved < spec.arrivals
     overload = detector.report()
     slo = tracker.report()
-    stats = queue.stats()
+    stats = traffic.queue.stats()
     # "Detected overload": the detector latched sustained queue growth,
     # or arrivals were shed outright (the queue hit its bound).
     overloaded = bool(overload["overloaded"] or stats["shed"] > 0)
@@ -220,13 +187,11 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
         ),
     }
     if lifecycle is not None:
-        recon = lifecycle.reconstructor
+        rebuild = lifecycle.rebuild_progress()
         record["rebuild"] = {
             "transitions": [list(t) for t in lifecycle.transitions],
-            "fraction": (
-                0.0 if recon is None else recon.fraction_complete
-            ),
-            "steps": 0 if recon is None else recon.steps_completed,
+            "fraction": rebuild["fraction"],
+            "steps": rebuild["steps_completed"],
             "finished": lifecycle.complete,
         }
     if spec.timelines:

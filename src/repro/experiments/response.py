@@ -10,20 +10,16 @@ milliseconds.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
-from repro.experiments.config import PAPER_STRIPE_UNIT_KB, layout_for
-from repro.sim.engine import SimulationEngine
+from repro.experiments.config import build_array
 from repro.sim.instrument import TraceRecorder
 from repro.stats.confidence import StoppingRule
 from repro.stats.histogram import LatencyHistogram
 from repro.stats.seekcount import SeekMix, seek_mix_per_access
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -88,11 +84,10 @@ def run_response_point_instrumented(
     """
     from repro.runner.spec import MODES
 
-    engine = SimulationEngine()
-    layout = layout_for(spec.layout, disks=spec.disks, width=spec.width)
-    controller = ArrayController(
-        engine,
-        layout,
+    engine, _, controller = build_array(
+        spec.layout,
+        spec.disks,
+        spec.width,
         coalesce=spec.coalesce,
         record_timelines=spec.timelines,
     )
@@ -124,17 +119,12 @@ def run_response_point_instrumented(
         return True
 
     access_spec = AccessSpec(spec.size_kb, spec.is_write)
-    units = access_spec.units(PAPER_STRIPE_UNIT_KB)
-    for c in range(spec.clients):
-        generator = UniformGenerator(
-            controller.addressable_data_units,
-            units,
-            random.Random(f"{spec.seed}/client-{c}"),
-        )
-        ClosedLoopClient(
-            c, controller, generator, access_spec, on_response,
-            stripe_unit_kb=PAPER_STRIPE_UNIT_KB,
-        ).start()
+    start_clients(
+        controller,
+        access_spec,
+        on_response,
+        (f"{spec.seed}/client-{c}" for c in range(spec.clients)),
+    )
     engine.run()
 
     stats = rule.stats

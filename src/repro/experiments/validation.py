@@ -10,19 +10,15 @@ test failure rather than a latent bug.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List
 
-from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.core.analysis import degraded_read_inflation
-from repro.experiments.config import paper_layout
-from repro.sim.engine import SimulationEngine
+from repro.experiments.config import build_array, paper_layout
 from repro.stats.seekcount import seek_mix_per_access
 from repro.stats.workingset import average_operation_count, average_working_set
-from repro.workload.client import ClosedLoopClient
-from repro.workload.generators import UniformGenerator
+from repro.workload.client import start_clients
 from repro.workload.spec import AccessSpec
 
 
@@ -50,10 +46,7 @@ def _simulate(
     clients: int = 6,
     seed: int = 0,
 ):
-    engine = SimulationEngine()
-    controller = ArrayController(
-        engine, paper_layout(layout_name), coalesce=False
-    )
+    engine, _, controller = build_array(layout_name, coalesce=False)
     if mode is not ArrayMode.FAULT_FREE:
         controller.fail_disk(0)
         if mode is ArrayMode.POST_RECONSTRUCTION:
@@ -66,13 +59,9 @@ def _simulate(
             engine.stop()
         return count["n"] < samples
 
-    units = spec.units()
-    for c in range(clients):
-        gen = UniformGenerator(
-            controller.addressable_data_units, units,
-            random.Random(f"{seed}/{c}"),
-        )
-        ClosedLoopClient(c, controller, gen, spec, on_response).start()
+    start_clients(
+        controller, spec, on_response, (f"{seed}/{c}" for c in range(clients))
+    )
     engine.run()
     return controller
 

@@ -129,6 +129,28 @@ class ArrayLifecycle:
         """Did the lifecycle end in the terminal data-loss regime?"""
         return self.data_loss_ms is not None
 
+    def rebuild_progress(self) -> dict:
+        """The latest rebuild sweep's counters: zero before any sweep
+        starts, and a ``duration_ms`` only once one finished."""
+        recon = self.reconstructor
+        if recon is None:
+            return {
+                "duration_ms": None,
+                "steps_completed": 0,
+                "total_steps": 0,
+                "skipped_steps": 0,
+                "fraction": 0.0,
+            }
+        return {
+            "duration_ms": (
+                None if recon.finished_ms is None else recon.duration_ms
+            ),
+            "steps_completed": recon.steps_completed,
+            "total_steps": recon.total_steps,
+            "skipped_steps": recon.skipped_steps,
+            "fraction": recon.fraction_complete,
+        }
+
     def arm(self) -> FaultInjector:
         """Resolve the scenario's faults and schedule them on the engine."""
         if self.injector is not None:

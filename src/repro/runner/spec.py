@@ -19,6 +19,7 @@ from typing import ClassVar, Optional, Union
 
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError
+from repro.workload.spec import AccessSpec
 
 #: Part of every content hash.  It stays 1: every committed
 #: ``sweep_hash`` includes it, and the result cache is kept fresh by
@@ -51,6 +52,22 @@ MODES = {
     "f1": ArrayMode.DEGRADED,
     "post": ArrayMode.POST_RECONSTRUCTION,
 }
+
+
+def trial_stream_root(seed: int, trial: int) -> int:
+    """The integer every random stream of one trial derives from.
+
+    A large odd multiplier keeps per-trial streams disjoint across
+    campaign seeds.
+    """
+    return seed * 1_000_003 + trial
+
+
+def _access_units(size_kb: int) -> int:
+    """Stripe units of one ``size_kb`` access, so a size that is not
+    whole stripe units fails at construction, not mid-sweep in a
+    worker."""
+    return AccessSpec(size_kb, False).units()
 
 
 def mode_name(mode: ArrayMode) -> str:
@@ -106,6 +123,7 @@ class ExperimentSpec:
             raise ConfigurationError(f"need >= 1 client, got {self.clients}")
         if self.max_samples < 1:
             raise ConfigurationError("need >= 1 sample")
+        _access_units(self.size_kb)
 
 
 @dataclass(frozen=True)
@@ -172,6 +190,7 @@ class LifecycleSpec:
             raise ConfigurationError(f"need >= 1 client, got {self.clients}")
         if self.max_samples < 1 or self.post_samples < 1:
             raise ConfigurationError("need positive sample bounds")
+        _access_units(self.size_kb)
         # Fault/rebuild field validation (exactly-one-of, ranges) lives
         # in FaultScenario; build one now so bad specs fail at
         # construction, not mid-sweep in a worker.
@@ -198,10 +217,9 @@ class CampaignTrialSpec:
     """One multi-fault reliability trial (campaign Monte-Carlo sample).
 
     Each trial draws ``faults`` exponential disk lifetimes (MTTF
-    ``mttf_hours``) from streams seeded by ``seed * 1_000_003 + trial``
-    — a large odd multiplier keeps per-trial streams disjoint across
-    campaign seeds — and simulates the repair arc to completion or data
-    loss.  ``clients = 0`` (the default) runs the arc unloaded; positive
+    ``mttf_hours``) from streams seeded by :func:`trial_stream_root`
+    and simulates the repair arc to completion or data loss.
+    ``clients = 0`` (the default) runs the arc unloaded; positive
     values add the lifecycle experiments' closed-loop clients.
 
     >>> spec = CampaignTrialSpec(layout="pddl", trial=7)
@@ -241,6 +259,7 @@ class CampaignTrialSpec:
             raise ConfigurationError(
                 f"negative client count {self.clients}"
             )
+        _access_units(self.size_kb)
         # Fault/media/scrub validation lives in FaultScenario; build one
         # now so bad specs fail at construction, not mid-campaign.
         self.scenario()
@@ -251,7 +270,7 @@ class CampaignTrialSpec:
 
         return FaultScenario(
             mttf_hours=self.mttf_hours,
-            fault_seed=self.seed * 1_000_003 + self.trial,
+            fault_seed=trial_stream_root(self.seed, self.trial),
             max_faults=self.faults,
             degraded_dwell_ms=self.degraded_dwell_ms,
             rebuild_rows=self.rebuild_rows,
@@ -346,6 +365,7 @@ class CrashTrialSpec:
             raise ConfigurationError("need >= 1 resync slot")
         if self.max_pre_samples < 1 or self.post_samples < 0:
             raise ConfigurationError("need positive sample bounds")
+        _access_units(self.size_kb)
 
 
 @dataclass(frozen=True)
@@ -353,7 +373,7 @@ class NemesisTrialSpec:
     """One composed-fault nemesis trial (``repro nemesis``).
 
     The schedule is not stored in the spec — it is re-drawn from
-    ``seed * 1_000_003 + trial`` (the campaign trial-stream convention)
+    :func:`trial_stream_root` (the campaign trial-stream convention)
     with the ``max_*`` envelope below, so the spec stays a flat record
     of JSON scalars and a failing trial reproduces from its index alone.
     Every trial runs with the integrity oracle attached; there is no
@@ -425,6 +445,7 @@ class NemesisTrialSpec:
             raise ConfigurationError(
                 f"negative restart delay {self.restart_delay_ms}"
             )
+        _access_units(self.size_kb)
         # Envelope validation (ranges, rates, windows) lives in
         # NemesisSchedule.draw/validate; draw the schedule now so bad
         # specs fail at construction, not mid-campaign in a worker.
@@ -435,7 +456,7 @@ class NemesisTrialSpec:
         from repro.faults.nemesis import NemesisSchedule
 
         return NemesisSchedule.draw(
-            seed=self.seed * 1_000_003 + self.trial,
+            seed=trial_stream_root(self.seed, self.trial),
             n_disks=self.disks,
             rows=self.rows,
             horizon_ms=self.horizon_ms,
@@ -539,6 +560,7 @@ class OpenLoopSpec:
             raise ConfigurationError(
                 f"bad failed disk {self.failed_disk}"
             )
+        _access_units(self.size_kb)
         SloPolicy(p99_ms=self.slo_p99_ms, p999_ms=self.slo_p999_ms)
 
 
@@ -643,6 +665,7 @@ class FailSlowTrialSpec:
             raise ConfigurationError(
                 f"horizon must be positive, got {self.horizon_ms}"
             )
+        _access_units(self.size_kb)
         SloPolicy(p99_ms=self.slo_p99_ms, p999_ms=self.slo_p999_ms)
         HedgePolicy(deferral_ms=self.hedge_deferral_ms)
 
@@ -730,9 +753,10 @@ class CorruptionTrialSpec:
                 f"read fraction must be in [0, 1],"
                 f" got {self.read_fraction}"
             )
-        if self.span_units < 1:
+        if self.span_units < _access_units(self.size_kb):
             raise ConfigurationError(
-                f"need >= 1 span unit, got {self.span_units}"
+                f"a span of {self.span_units} units cannot hold one"
+                f" {self.size_kb} KB access"
             )
         if not 0 <= self.failed_disk < self.disks:
             raise ConfigurationError(

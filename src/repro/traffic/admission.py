@@ -7,6 +7,9 @@ slots (the controller-level concurrency window) and a bounded FIFO of
 waiting requests; an arrival that finds the FIFO full is **shed** and
 accounted, never silently dropped.  Reported response times span offer
 to completion, so admission wait is part of the latency a request sees.
+:class:`OpenLoopRun` is the run every open-loop trial shares: seeded
+arrivals of uniform accesses, offered through one queue until each is
+resolved or the horizon.
 
 The :class:`OverloadDetector` watches the waiting-queue depth: if the
 *minimum* depth over each detection window keeps strictly growing for a
@@ -18,6 +21,7 @@ time land in the trial results.
 
 from __future__ import annotations
 
+import random
 from collections import deque
 from typing import Callable, Deque, Optional, Tuple
 
@@ -25,6 +29,8 @@ from repro.array.controller import ArrayController, LogicalAccess
 from repro.errors import ConfigurationError
 from repro.sim.instrument import DepthTimeline
 from repro.traffic.arrivals import ArrivalProcess
+from repro.workload.generators import UniformGenerator
+from repro.workload.spec import AccessSpec
 
 #: ``on_response(access, total_ms, wait_ms)`` — total latency from offer
 #: to completion, and the admission-queue share of it.
@@ -200,28 +206,95 @@ class AdmissionQueue:
         }
 
 
-def offer_arrivals(
-    queue: AdmissionQueue,
-    process: ArrivalProcess,
-    make_access: Callable[[int], LogicalAccess],
-    count: int,
-    start_ms: float,
-    on_shed: Callable[[], None],
-) -> None:
-    """Schedule ``count`` open-loop arrivals into ``queue``.
+class OpenLoopRun:
+    """``count`` open-loop arrivals offered through an
+    :class:`AdmissionQueue` built from ``queue_options``, whose
+    completions go to ``on_response``.
 
-    The first arrival lands one drawn gap after ``start_ms``; each
-    arrival draws the gap to the next.  ``make_access(i)`` builds the
-    ``i``-th access, and a shed arrival calls ``on_shed`` (it is
-    resolved without a response).  The number offered so far is
-    ``queue.offered``.
+    Each arrival is one ``spec`` access starting uniformly over the
+    first ``total_units`` data units (default: all of them), drawn from
+    the stream named ``location_stream``.  With ``rw_stream`` set, an
+    access is a write when that stream draws at least ``read_fraction``.
+    The run stops once every arrival is resolved (completed or shed)
+    and ``done()``, if given, holds; call :meth:`check_stop` again when
+    ``done()`` may have turned true.
     """
-    engine = queue.controller.engine
 
-    def arrive() -> None:
-        if not queue.offer(make_access(queue.offered)):
-            on_shed()
-        if queue.offered < count:
-            engine.schedule(process.next_delay_ms(), arrive)
+    def __init__(
+        self,
+        controller: ArrayController,
+        process: ArrivalProcess,
+        count: int,
+        spec: AccessSpec,
+        location_stream: str,
+        on_response: ResponseCallback,
+        total_units: Optional[int] = None,
+        rw_stream: Optional[str] = None,
+        read_fraction: float = 0.0,
+        done: Optional[Callable[[], bool]] = None,
+        **queue_options,
+    ):
+        self.engine = controller.engine
+        self.process = process
+        self.count = count
+        self.on_response = on_response
+        self.done = done
+        self.queue = AdmissionQueue(
+            controller, self._responded, **queue_options
+        )
+        if total_units is None:
+            total_units = controller.addressable_data_units
+        units = spec.units()
+        next_start = UniformGenerator(
+            total_units, units, random.Random(location_stream)
+        ).next_start
+        if rw_stream is None:
+            is_write = spec.is_write
 
-    engine.schedule_at(start_ms + process.next_delay_ms(), arrive)
+            def make_access(access_id: int) -> LogicalAccess:
+                return LogicalAccess(access_id, next_start(), units, is_write)
+
+        else:
+            draw = random.Random(rw_stream).random
+
+            def make_access(access_id: int) -> LogicalAccess:
+                return LogicalAccess(
+                    access_id, next_start(), units, draw() >= read_fraction
+                )
+
+        self._make_access = make_access
+
+    @property
+    def resolved(self) -> int:
+        """Arrivals completed or shed so far."""
+        return self.queue.completed + self.queue.shed
+
+    def check_stop(self) -> None:
+        queue = self.queue
+        if queue.completed + queue.shed >= self.count and (
+            self.done is None or self.done()
+        ):
+            self.engine.stop()
+
+    def _responded(self, access, total_ms, wait_ms) -> None:
+        self.on_response(access, total_ms, wait_ms)
+        if self.queue.completed + self.queue.shed >= self.count:
+            self.check_stop()
+
+    def run(self, start_ms: float, horizon_ms: float) -> None:
+        """Offer the first arrival one drawn gap after ``start_ms`` (each
+        draws the gap to the next), and run until the stop or
+        ``horizon_ms``."""
+        engine, queue, count = self.engine, self.queue, self.count
+        next_delay_ms = self.process.next_delay_ms
+        make_access = self._make_access
+
+        def arrive() -> None:
+            if not queue.offer(make_access(queue.offered)):
+                self.check_stop()
+            if queue.offered < count:
+                engine.schedule(next_delay_ms(), arrive)
+
+        engine.schedule_at(start_ms + next_delay_ms(), arrive)
+        engine.schedule_at(horizon_ms, engine.stop)
+        engine.run()

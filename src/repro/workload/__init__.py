@@ -6,7 +6,7 @@ and immediately repeat.  Sequential and Zipf generators are provided for
 the extension benchmarks.
 """
 
-from repro.workload.client import ClosedLoopClient
+from repro.workload.client import ClosedLoopClient, start_clients
 from repro.workload.generators import (
     SequentialGenerator,
     UniformGenerator,
@@ -20,4 +20,5 @@ __all__ = [
     "SequentialGenerator",
     "UniformGenerator",
     "ZipfGenerator",
+    "start_clients",
 ]

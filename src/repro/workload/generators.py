@@ -34,29 +34,17 @@ class LocationGenerator(abc.ABC):
 
 
 class UniformGenerator(LocationGenerator):
-    """Uniform over all valid aligned starts (the paper's workload).
+    """Uniform over all valid starts (the paper's workload).
 
-    Starts are aligned to the access span when ``aligned`` is true, matching
-    Table 2's "alignment: 8 KB (stripe unit boundary)" — every access starts
-    on a stripe-unit boundary by construction of the unit address space, and
-    span alignment additionally mimics the RAIDframe harness.
+    Table 2's "alignment: 8 KB (stripe unit boundary)" holds by
+    construction: the address space counts whole stripe units.
     """
 
-    def __init__(
-        self,
-        total_units: int,
-        span_units: int,
-        rng: random.Random,
-        aligned: bool = False,
-    ):
+    def __init__(self, total_units: int, span_units: int, rng: random.Random):
         super().__init__(total_units, span_units)
         self.rng = rng
-        self.aligned = aligned
 
     def next_start(self) -> int:
-        if self.aligned:
-            slots = self.total_units // self.span_units
-            return self.rng.randrange(slots) * self.span_units
         return self.rng.randrange(self.total_units - self.span_units + 1)
 
 

@@ -4,7 +4,11 @@ import pytest
 
 from repro.array.controller import ArrayController, LogicalAccess
 from repro.array.journal import StripeJournal
-from repro.array.resync import Resynchronizer, classify_stripe
+from repro.array.resync import (
+    Resynchronizer,
+    classify_stripe,
+    resync_region_units,
+)
 from repro.errors import SimulationError
 from repro.faults.crash import CrashInjector
 from repro.faults.oracle import IntegrityOracle
@@ -165,3 +169,25 @@ class TestResynchronizer:
         resync.start()
         with pytest.raises(SimulationError):
             resync.start()
+
+
+class TestResyncRegion:
+    @pytest.mark.parametrize(
+        "name,width", [("pddl", 4), ("datum", 4), ("raid5", 13)]
+    )
+    def test_client_region_is_the_full_sweep_region(self, name, width):
+        engine = SimulationEngine()
+        layout = make_layout(name, 13, width)
+        controller = ArrayController(engine, layout)
+        units = resync_region_units(controller, 26)
+        swept = set(Resynchronizer(controller, rows=26).sweep)
+        assert {layout.stripe_of_data_unit(u) for u in range(units)} <= swept
+        assert layout.stripe_of_data_unit(units) not in swept
+
+    def test_region_is_capped_at_the_array(self):
+        engine = SimulationEngine()
+        controller = ArrayController(engine, make_layout("raid5", 5, 5))
+        assert (
+            resync_region_units(controller, 10**9)
+            == controller.addressable_data_units
+        )

@@ -114,6 +114,28 @@ class TestModeAt:
         assert lifecycle.mode_at(rebuilt_at + 1) == "post-reconstruction"
 
 
+class TestRebuildProgress:
+    def test_rebuild_progress_before_and_after_the_sweep(self):
+        engine, controller = build()
+        lifecycle = ArrayLifecycle(
+            controller, FaultScenario(fault_time_ms=10.0, rebuild_rows=13)
+        )
+        assert lifecycle.rebuild_progress() == {
+            "duration_ms": None,
+            "steps_completed": 0,
+            "total_steps": 0,
+            "skipped_steps": 0,
+            "fraction": 0.0,
+        }
+        lifecycle.arm()
+        engine.run()
+        recon = lifecycle.reconstructor
+        progress = lifecycle.rebuild_progress()
+        assert progress["duration_ms"] == recon.duration_ms > 0
+        assert progress["steps_completed"] == recon.total_steps > 0
+        assert progress["fraction"] == 1.0
+
+
 class TestGuards:
     def test_requires_a_fault_free_controller(self):
         engine, controller = build()

@@ -4,19 +4,16 @@ These tie together the analytic tools, the planner, and the simulator —
 the invariants that make the figure reproductions trustworthy.
 """
 
-import random
-
 import pytest
 
 from repro import (
     AccessSpec,
     ArrayController,
-    ClosedLoopClient,
     LogicalAccess,
     Reconstructor,
     SimulationEngine,
-    UniformGenerator,
     make_layout,
+    start_clients,
 )
 from repro.array.raidops import ArrayMode
 from repro.experiments.config import paper_layout
@@ -36,13 +33,9 @@ def run_clients(
             engine.stop()  # exactly once; later strays must not re-stop
         return stats.count < samples
 
-    units = spec.units()
-    for c in range(clients):
-        gen = UniformGenerator(
-            controller.addressable_data_units, units,
-            random.Random(f"{seed}/{c}"),
-        )
-        ClosedLoopClient(c, controller, gen, spec, on_response).start()
+    start_clients(
+        controller, spec, on_response, (f"{seed}/{c}" for c in range(clients))
+    )
     engine.run()
     return stats
 
@@ -92,14 +85,13 @@ class TestEndToEndRecovery:
             state["n"] += 1
             return state["n"] < 400 or controller.mode.value == "degraded"
 
-        for c in range(4):
-            gen = UniformGenerator(
-                controller.addressable_data_units, 3,
-                random.Random(f"x/{c}"),
-            )
-            ClosedLoopClient(
-                100 + c, controller, gen, AccessSpec(24, False), on_response
-            ).start()
+        start_clients(
+            controller,
+            AccessSpec(24, False),
+            on_response,
+            (f"x/{c}" for c in range(4)),
+            first_id=100,
+        )
         engine.run()
 
         assert recon.finished_ms is not None

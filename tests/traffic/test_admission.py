@@ -6,7 +6,12 @@ from repro.array.controller import LogicalAccess
 from repro.errors import ConfigurationError
 from repro.sim.engine import SimulationEngine
 from repro.sim.instrument import DepthTimeline
-from repro.traffic.admission import AdmissionQueue, OverloadDetector
+from repro.traffic.admission import (
+    AdmissionQueue,
+    OpenLoopRun,
+    OverloadDetector,
+)
+from repro.workload.spec import AccessSpec
 
 
 class StubController:
@@ -20,6 +25,16 @@ class StubController:
         self.engine.schedule(
             self.service_ms, lambda: on_complete(access, self.service_ms)
         )
+
+
+class FixedGap:
+    """An arrival every ``gap_ms``."""
+
+    def __init__(self, gap_ms=1.0):
+        self.gap_ms = gap_ms
+
+    def next_delay_ms(self):
+        return self.gap_ms
 
 
 def access(i):
@@ -100,6 +115,73 @@ class TestAdmissionQueue:
             AdmissionQueue(controller, lambda *a: None, depth=0)
         with pytest.raises(ConfigurationError):
             AdmissionQueue(controller, lambda *a: None, service_slots=0)
+
+
+def open_loop(count, depth=2, slots=1, **options):
+    engine = SimulationEngine()
+    controller = StubController(engine)
+    controller.addressable_data_units = 100
+    responses = []
+    run = OpenLoopRun(
+        controller,
+        FixedGap(),
+        count,
+        AccessSpec(16, False),
+        "loc",
+        lambda a, total, wait: responses.append(a),
+        depth=depth,
+        service_slots=slots,
+        **options,
+    )
+    return engine, run, responses
+
+
+class TestOpenLoopRun:
+    def test_stops_once_every_arrival_is_resolved(self):
+        # Arrivals at 1..6 ms: one served, two wait, three shed; the
+        # waiting two finish at 21 and 31 ms.
+        engine, run, responses = open_loop(6)
+        run.run(0.0, horizon_ms=1000.0)
+        assert run.queue.shed == 3
+        assert [a.access_id for a in responses] == [0, 1, 2]
+        assert run.resolved == 6
+        assert engine.now == 31.0
+
+    def test_horizon_truncates(self):
+        engine, run, responses = open_loop(6)
+        run.run(0.0, horizon_ms=15.0)
+        assert engine.now == 15.0
+        assert run.resolved == 4  # one completion, three shed
+
+    def test_done_holds_the_stop_until_rechecked(self):
+        state = {"done": False}
+        engine, run, _ = open_loop(2, done=lambda: state["done"])
+
+        def finish():
+            state["done"] = True
+            run.check_stop()
+
+        engine.schedule_at(100.0, finish)
+        run.run(0.0, horizon_ms=1000.0)
+        assert run.resolved == 2
+        assert engine.now == 100.0
+
+    def test_accesses_follow_the_spec_and_region(self):
+        engine, run, responses = open_loop(40, slots=40, total_units=10)
+        run.run(0.0, horizon_ms=1000.0)
+        assert len(responses) == 40
+        for a in responses:
+            assert not a.is_write
+            assert a.unit_count == 2
+            assert 0 <= a.first_unit <= 8
+
+    def test_rw_stream_mixes_reads_and_writes(self):
+        engine, run, responses = open_loop(
+            40, slots=40, rw_stream="rw", read_fraction=0.5
+        )
+        run.run(0.0, horizon_ms=1000.0)
+        writes = sum(a.is_write for a in responses)
+        assert 0 < writes < 40
 
 
 class TestOverloadDetector:

@@ -25,16 +25,13 @@ class TestDeterminism:
         seed=st.integers(min_value=0, max_value=2**32 - 1),
         total=st.integers(min_value=64, max_value=100_000),
         span=st.integers(min_value=1, max_value=12),
-        aligned=st.booleans(),
     )
-    def test_uniform_same_seed_same_stream(self, seed, total, span, aligned):
-        a = UniformGenerator(total, span, random.Random(seed), aligned)
-        b = UniformGenerator(total, span, random.Random(seed), aligned)
+    def test_uniform_same_seed_same_stream(self, seed, total, span):
+        a = UniformGenerator(total, span, random.Random(seed))
+        b = UniformGenerator(total, span, random.Random(seed))
         stream = _stream(a)
         assert stream == _stream(b)
         assert all(0 <= s <= total - span for s in stream)
-        if aligned:
-            assert all(s % span == 0 for s in stream)
 
     @settings(max_examples=25, deadline=None)
     @given(

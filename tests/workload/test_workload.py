@@ -8,7 +8,11 @@ from repro.array.controller import ArrayController
 from repro.errors import ConfigurationError
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
-from repro.workload.client import ClosedLoopClient
+from repro.workload.client import (
+    CLIENT_ID_STRIDE,
+    ClosedLoopClient,
+    start_clients,
+)
 from repro.workload.generators import (
     SequentialGenerator,
     UniformGenerator,
@@ -51,11 +55,6 @@ class TestGenerators:
         for _ in range(500):
             start = gen.next_start()
             assert 0 <= start <= 988
-
-    def test_uniform_aligned(self):
-        gen = UniformGenerator(1000, 12, random.Random(1), aligned=True)
-        for _ in range(200):
-            assert gen.next_start() % 12 == 0
 
     def test_sequential_wraps(self):
         gen = SequentialGenerator(30, 10)
@@ -106,43 +105,6 @@ class TestClosedLoopClient:
         assert len(responses) == 5
         assert controller.completed_accesses == 5
 
-    def test_park_stops_after_inflight(self):
-        engine, controller = self._build()
-        responses = []
-        client_box = {}
-
-        def on_response(client, access, ms):
-            responses.append(ms)
-            client.park()
-            return True
-
-        gen = UniformGenerator(
-            controller.addressable_data_units, 1, random.Random(0)
-        )
-        client = ClosedLoopClient(
-            0, controller, gen, AccessSpec(8, False), on_response
-        )
-        client_box["c"] = client
-        client.start()
-        engine.run()
-        assert len(responses) == 1
-
-    def test_think_time_delays_next_issue(self):
-        engine, controller = self._build()
-        times = []
-
-        def on_response(client, access, ms):
-            times.append(engine.now)
-            return len(times) < 2
-
-        gen = SequentialGenerator(controller.addressable_data_units, 1)
-        ClosedLoopClient(
-            0, controller, gen, AccessSpec(8, False), on_response,
-            think_time_ms=100.0,
-        ).start()
-        engine.run()
-        assert times[1] - times[0] > 100.0
-
     def test_distinct_access_ids_across_clients(self):
         engine, controller = self._build()
         seen = set()
@@ -161,3 +123,55 @@ class TestClosedLoopClient:
             ).start()
         engine.run()
         assert len(seen) >= 6
+
+
+class TestStartClients:
+    @staticmethod
+    def _trace(start):
+        engine = SimulationEngine()
+        controller = ArrayController(engine, make_layout("raid5", 13, 13))
+        seen = []
+
+        def on_response(client, access, ms):
+            seen.append((access, engine.now))
+            return len(seen) < 30
+
+        start(controller, on_response)
+        engine.run()
+        return seen
+
+    def test_matches_hand_built_clients(self):
+        spec = AccessSpec(16, True)
+
+        def by_hand(controller, on_response):
+            for c in range(3):
+                gen = UniformGenerator(500, 2, random.Random(f"s/{c}"))
+                ClosedLoopClient(
+                    4 + c, controller, gen, spec, on_response
+                ).start()
+
+        def shared(controller, on_response):
+            start_clients(
+                controller,
+                spec,
+                on_response,
+                (f"s/{c}" for c in range(3)),
+                total_units=500,
+                first_id=4,
+            )
+
+        seen = self._trace(shared)
+        assert seen == self._trace(by_hand)
+        assert {a.access_id // CLIENT_ID_STRIDE for a, _ in seen} == {
+            4, 5, 6
+        }
+        assert all(a.first_unit + 2 <= 500 for a, _ in seen)
+
+    def test_defaults_span_every_data_unit(self):
+        def shared(controller, on_response):
+            start_clients(
+                controller, AccessSpec(8, False), on_response, ["only"]
+            )
+
+        seen = self._trace(shared)
+        assert [a.access_id for a, _ in seen] == list(range(30))
