@@ -176,6 +176,22 @@ def pinned_specs() -> dict:
             degraded_dwell_ms=50.0, rebuild_rows=26, post_samples=20,
             max_samples=800, timelines=True,
         ),
+        # A rebuild read hits a seeded latent sector error on every
+        # attempt (the read plus the media retries): the trial is lost.
+        "campaign-lse-rebuild-loss": CampaignTrialSpec(
+            layout="pddl", trial=0, seed=3, mttf_hours=0.03, faults=1,
+            degraded_dwell_ms=50.0, rebuild_rows=26, lse_per_gb=3000.0,
+        ),
+        # Bit-rot onsets drawn over the rot window land in the trial and
+        # are detected and repaired.
+        "corruption-bitrot": CorruptionTrialSpec(
+            layout="pddl", defense="checksum", arrivals=200,
+            bitrot_cells=2.0,
+        ),
+        # The AIMD rebuild throttle without hedging: backoffs and sprints.
+        "failslow-adaptive": FailSlowTrialSpec(
+            layout="raid5", defense="adaptive", arrivals=300
+        ),
     }
 
 
