@@ -10,10 +10,8 @@ executes plans on the event engine against mechanical drives;
 
 from repro.array.controller import (
     ArrayController,
-    HedgePolicy,
     IoRecoveryStats,
     LogicalAccess,
-    RetryPolicy,
     SlowDiskDetector,
 )
 from repro.array.journal import StripeJournal
@@ -26,13 +24,11 @@ __all__ = [
     "AdaptiveThrottle",
     "ArrayController",
     "ArrayMode",
-    "HedgePolicy",
     "IoRecoveryStats",
     "SlowDiskDetector",
     "LogicalAccess",
     "Reconstructor",
     "Resynchronizer",
-    "RetryPolicy",
     "StripeJournal",
     "UnitOp",
     "classify_stripe",

@@ -23,7 +23,7 @@ from repro.array.raidops import (
 )
 from repro.backoff import capped_exponential
 from repro.disk.drive import DiskDrive, DiskRequest, TransientErrorModel
-from repro.disk.hp2247 import make_hp2247
+from repro.disk.hp2247 import SECTOR_BYTES, make_hp2247
 from repro.disk.scheduler import Scheduler, make_scheduler
 from repro.disk.stats import DiskOpClass, DiskStats
 from repro.errors import ConfigurationError, SimulationError
@@ -49,96 +49,31 @@ SCRUB_ID_BASE = 1 << 45  # media and parity-audit scrubbing
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Controller-level recovery knobs for transient I/O errors.
+#: Transient-error recovery.  A failed operation is retried up to
+#: ``RETRIES`` times with capped exponential backoff
+#: (``RETRY_BACKOFF_BASE_MS * 2**(attempt-1)``, capped at
+#: ``RETRY_BACKOFF_CAP_MS``).  When the budget is exhausted: client
+#: reads escalate to on-the-fly reconstruction from the stripe's
+#: surviving members (plus a repair rewrite of the bad sector); client
+#: writes succeed via firmware sector remapping; background (raw)
+#: operations give up and complete as-is — they never escalate, which
+#: bounds recursion since escalation itself issues raw operations.
+RETRIES = 3
+RETRY_BACKOFF_BASE_MS = 1.0
+RETRY_BACKOFF_CAP_MS = 50.0
 
-    A failed operation is retried up to ``retries`` times with capped
-    exponential backoff (``backoff_base_ms * 2**(attempt-1)``, capped at
-    ``backoff_cap_ms``).  ``op_timeout_ms``, when set, treats an
-    operation whose queueing + service exceeded the timeout as failed
-    even if the drive eventually returned it.  When the budget is
-    exhausted: client reads escalate to on-the-fly reconstruction from
-    the stripe's surviving members (plus a repair rewrite of the bad
-    sector); client writes succeed via firmware sector remapping;
-    background (raw) operations give up and complete as-is — they never
-    escalate, which bounds recursion since escalation itself issues raw
-    operations.
-    """
-
-    retries: int = 3
-    backoff_base_ms: float = 1.0
-    backoff_cap_ms: float = 50.0
-    op_timeout_ms: Optional[float] = None
-
-    def __post_init__(self):
-        if self.retries < 0:
-            raise ConfigurationError(f"negative retries {self.retries}")
-        if self.backoff_base_ms < 0:
-            raise ConfigurationError(
-                f"negative backoff base {self.backoff_base_ms}"
-            )
-        if self.backoff_cap_ms < self.backoff_base_ms:
-            raise ConfigurationError(
-                "backoff cap below base:"
-                f" {self.backoff_cap_ms} < {self.backoff_base_ms}"
-            )
-        if self.op_timeout_ms is not None and self.op_timeout_ms <= 0:
-            raise ConfigurationError(
-                f"op timeout must be positive, got {self.op_timeout_ms}"
-            )
-
-
-@dataclass(frozen=True)
-class HedgePolicy:
-    """Tail-tolerance knobs: slow-disk detection plus hedged reads.
-
-    A client read that has not completed ``deferral_ms`` after issue is
-    *hedged*: the controller launches the on-the-fly reconstruction path
-    (reads of the other stripe members) and delivers whichever side
-    finishes first, with cancel-the-loser accounting in
-    :class:`IoRecoveryStats`.  Reads aimed at a quarantined disk skip
-    the deferral and hedge immediately.
-
-    The detector half: each completed operation updates its disk's
-    latency EWMA (``ewma_alpha``); once a disk has ``min_samples``
-    observations, its EWMA is compared to the array-median EWMA.
-    ``hysteresis`` consecutive observations above
-    ``quarantine_factor`` x median quarantine the disk; ``hysteresis``
-    consecutive observations back at or below ``unquarantine_factor`` x
-    median release it.
-    """
-
-    deferral_ms: float = 30.0
-    ewma_alpha: float = 0.2
-    quarantine_factor: float = 3.0
-    unquarantine_factor: float = 1.5
-    min_samples: int = 8
-    hysteresis: int = 4
-
-    def __post_init__(self):
-        if self.deferral_ms <= 0:
-            raise ConfigurationError(
-                f"hedge deferral must be positive, got {self.deferral_ms}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ConfigurationError(
-                f"EWMA alpha must be in (0, 1], got {self.ewma_alpha}"
-            )
-        if self.quarantine_factor <= 1.0:
-            raise ConfigurationError(
-                "quarantine factor must exceed 1.0, got"
-                f" {self.quarantine_factor}"
-            )
-        if not 0.0 < self.unquarantine_factor <= self.quarantine_factor:
-            raise ConfigurationError(
-                "unquarantine factor must be in (0, quarantine_factor],"
-                f" got {self.unquarantine_factor}"
-            )
-        if self.min_samples < 1 or self.hysteresis < 1:
-            raise ConfigurationError(
-                "min_samples and hysteresis must be >= 1"
-            )
+#: Slow-disk detection.  Each completed operation updates its disk's
+#: latency EWMA (weight ``EWMA_ALPHA``); once a disk has
+#: ``DETECTOR_MIN_SAMPLES`` observations, its EWMA is compared to the
+#: array-median EWMA.  ``DETECTOR_HYSTERESIS`` consecutive observations
+#: above ``QUARANTINE_FACTOR`` x median quarantine the disk; as many
+#: consecutive observations back at or below ``UNQUARANTINE_FACTOR`` x
+#: median release it.
+EWMA_ALPHA = 0.2
+QUARANTINE_FACTOR = 3.0
+UNQUARANTINE_FACTOR = 1.5
+DETECTOR_MIN_SAMPLES = 8
+DETECTOR_HYSTERESIS = 4
 
 
 class SlowDiskDetector:
@@ -149,8 +84,7 @@ class SlowDiskDetector:
     machinery *reads* its quarantine verdicts.
     """
 
-    def __init__(self, n_disks: int, policy: HedgePolicy):
-        self.policy = policy
+    def __init__(self, n_disks: int):
         self.ewma: List[Optional[float]] = [None] * n_disks
         self.samples = [0] * n_disks
         self.quarantined = [False] * n_disks
@@ -164,9 +98,7 @@ class SlowDiskDetector:
         if previous is None:
             self.ewma[disk] = latency_ms
         else:
-            self.ewma[disk] = previous + self.policy.ewma_alpha * (
-                latency_ms - previous
-            )
+            self.ewma[disk] = previous + EWMA_ALPHA * (latency_ms - previous)
         self.samples[disk] += 1
         self._evaluate(disk)
 
@@ -175,7 +107,7 @@ class SlowDiskDetector:
             ewma
             for disk, ewma in enumerate(self.ewma)
             if ewma is not None
-            and self.samples[disk] >= self.policy.min_samples
+            and self.samples[disk] >= DETECTOR_MIN_SAMPLES
         )
         if not values:
             return None
@@ -185,26 +117,25 @@ class SlowDiskDetector:
         return 0.5 * (values[mid - 1] + values[mid])
 
     def _evaluate(self, disk: int) -> None:
-        if self.samples[disk] < self.policy.min_samples:
+        if self.samples[disk] < DETECTOR_MIN_SAMPLES:
             return
         median = self._median_ewma()
         if median is None or median <= 0.0:
             return
         ratio = self.ewma[disk] / median
-        policy = self.policy
         if not self.quarantined[disk]:
-            if ratio > policy.quarantine_factor:
+            if ratio > QUARANTINE_FACTOR:
                 self._streak[disk] += 1
-                if self._streak[disk] >= policy.hysteresis:
+                if self._streak[disk] >= DETECTOR_HYSTERESIS:
                     self.quarantined[disk] = True
                     self._streak[disk] = 0
                     self.quarantines += 1
             else:
                 self._streak[disk] = 0
         else:
-            if ratio <= policy.unquarantine_factor:
+            if ratio <= UNQUARANTINE_FACTOR:
                 self._streak[disk] += 1
-                if self._streak[disk] >= policy.hysteresis:
+                if self._streak[disk] >= DETECTOR_HYSTERESIS:
                     self.quarantined[disk] = False
                     self._streak[disk] = 0
                     self.unquarantines += 1
@@ -233,11 +164,11 @@ class IoRecoveryStats:
 
     The hedge counters ride along but are emitted only on request
     (``include_hedges``): the base eight keys are pinned in committed
-    bench baselines that predate hedging.
+    bench baselines that predate hedging.  Those keys include
+    ``timeouts``, always 0: no per-op deadline is enforced.
     """
 
     transient_failures: int = 0
-    timeouts: int = 0
     retries: int = 0
     remapped_writes: int = 0
     escalated_reads: int = 0
@@ -252,7 +183,7 @@ class IoRecoveryStats:
     def to_dict(self, include_hedges: bool = False) -> dict:
         data = {
             "transient_failures": self.transient_failures,
-            "timeouts": self.timeouts,
+            "timeouts": 0,
             "retries": self.retries,
             "remapped_writes": self.remapped_writes,
             "escalated_reads": self.escalated_reads,
@@ -503,7 +434,6 @@ class ArrayController:
         scheduler_name: str = "sstf",
         scheduler_window: int = 20,
         stripe_unit_kb: int = 8,
-        sector_bytes: int = 512,
         coalesce: bool = True,
         record_timelines: bool = False,
     ):
@@ -517,7 +447,7 @@ class ArrayController:
         # failure, it becomes a RelocatedView folding the finished
         # relocation in (see :meth:`relocate_and_fail`).
         self._plan_layout = layout
-        self.stripe_unit_sectors = stripe_unit_kb * 1024 // sector_bytes
+        self.stripe_unit_sectors = stripe_unit_kb * 1024 // SECTOR_BYTES
         self.mode = ArrayMode.FAULT_FREE
         self.failed_disk: Optional[int] = None
         #: Every disk that has ever failed, in failure order (history —
@@ -566,20 +496,20 @@ class ArrayController:
         self.on_phase_boundary: Optional[
             Callable[[LogicalAccess, int, int], None]
         ] = None
-        self.retry_policy: Optional[RetryPolicy] = None
+        #: Transient-error retries, installed by
+        #: :meth:`enable_transient_errors`.
+        self.retrying = False
         self.io_stats = IoRecoveryStats()
-        self._track_deadlines = False
         self._op_attempts: Dict[Tuple[int, DiskRequest], int] = {}
         self._op_submitted: Dict[Tuple[int, DiskRequest], float] = {}
         self._escalations = 0
         self.crashes = 0
         self.torn_writes = 0
-        #: Tail-tolerance attachments (default-off like the journal):
-        #: per-op submit times are tracked when either deadlines or
-        #: hedging need them.
-        self.hedge_policy: Optional[HedgePolicy] = None
+        #: Tail-tolerance attachments (default-off like the journal),
+        #: installed by :meth:`enable_hedging`: per-op submit times are
+        #: tracked while hedging is on.
+        self.hedge_deferral_ms: Optional[float] = None
         self.slow_disk_detector: Optional[SlowDiskDetector] = None
-        self._track_ops = False
         self._hedges: Dict[Tuple[int, DiskRequest], dict] = {}
         self._hedge_counter = 0
         #: Silent-corruption attachments (default-off like the journal):
@@ -772,6 +702,7 @@ class ArrayController:
 
         An attached model with all-zero rates draws nothing and keeps
         results byte-identical (the model's determinism contract).
+        Nothing detaches a model.
         """
         self.corruption = model
         self._select_completion()
@@ -802,80 +733,61 @@ class ArrayController:
         self.write_verify = write_verify
         self.checksum_latency_ms = metadata_latency_ms
 
-    def set_retry_policy(self, policy: Optional[RetryPolicy]) -> None:
-        self.retry_policy = policy
-        self._track_deadlines = (
-            policy is not None and policy.op_timeout_ms is not None
-        )
-        self._track_ops = (
-            self._track_deadlines or self.hedge_policy is not None
-        )
-        self._select_completion()
+    def enable_hedging(self, deferral_ms: float) -> None:
+        """Install tail-tolerant hedged reads and the slow-disk detector.
 
-    def set_hedge_policy(self, policy: Optional[HedgePolicy]) -> None:
-        """Install (or remove) tail-tolerant hedged reads.
-
-        Installing a policy attaches a :class:`SlowDiskDetector` and
-        takes client reads off the direct read path (hedges need the
-        per-op submit times that path skips).
+        A client read that has not completed ``deferral_ms`` after issue
+        is *hedged*: the controller launches the on-the-fly
+        reconstruction path (reads of the other stripe members) and
+        delivers whichever side finishes first, with cancel-the-loser
+        accounting in :class:`IoRecoveryStats`.  Reads aimed at a disk
+        the :class:`SlowDiskDetector` quarantined skip the deferral and
+        hedge immediately.  Client reads leave the direct read path
+        (hedges need the per-op submit times that path skips).
         """
-        self.hedge_policy = policy
-        self.slow_disk_detector = (
-            SlowDiskDetector(self.layout.n, policy)
-            if policy is not None
-            else None
-        )
-        self._track_ops = self._track_deadlines or policy is not None
+        if deferral_ms <= 0:
+            raise ConfigurationError(
+                f"hedge deferral must be positive, got {deferral_ms}"
+            )
+        self.hedge_deferral_ms = deferral_ms
+        self.slow_disk_detector = SlowDiskDetector(self.layout.n)
         self._select_completion()
 
     def _select_completion(self) -> None:
-        """Give every server the completion handler the attachments need.
+        """Put every server on the defended completion handler.
 
-        Servers complete ops through the core :meth:`_op_done` unless a
-        retry policy, hedge policy or corruption model is attached; then
-        through :meth:`_request_done`, which runs those steps and ends
-        in the core.  The switch happens between events: an op issued
-        under the core may complete under the defended handler, whose
-        lookups tolerate ops they never saw (nemesis storms install a
-        retry policy mid-run).
+        Servers complete ops through the core :meth:`_op_done` until
+        transient-error retries, hedging or a corruption model is
+        installed; from then on through :meth:`_request_done`, which
+        runs those steps and ends in the core.  Nothing uninstalls a
+        defense.  The switch happens between events: an op issued under
+        the core may complete under the defended handler, whose lookups
+        tolerate ops they never saw (nemesis storms enable transient
+        errors mid-run).
         """
-        handler = (
-            self._request_done
-            if self.retry_policy is not None
-            or self.hedge_policy is not None
-            or self.corruption is not None
-            else self._op_done
-        )
         for server in self.servers:
-            server._on_done = handler
+            server._on_done = self._request_done
 
-    def enable_transient_errors(
-        self,
-        rate: float,
-        seed: object,
-        policy: Optional[RetryPolicy] = None,
-    ) -> None:
+    def enable_transient_errors(self, rate: float, seed: object) -> None:
         """Inject seeded per-operation transient failures on every drive.
 
         Each disk draws from its own named stream
         (``"{seed}/transient-{disk}"``), so rates and outcomes are stable
-        under array-size changes.  A retry policy is installed alongside
-        (the default one unless ``policy`` is given) — injecting errors
-        with no recovery path would just lose operations.
+        under array-size changes.  The retry budget (``RETRIES``) is
+        installed alongside — injecting errors with no recovery path
+        would just lose operations.
         """
         for disk_id, server in enumerate(self.servers):
             server.drive.transient_errors = TransientErrorModel(
                 rate, f"{seed}/transient-{disk_id}"
             )
-        if policy is not None:
-            self.set_retry_policy(policy)
-        elif self.retry_policy is None:
-            self.set_retry_policy(RetryPolicy())
+        self.retrying = True
+        self._select_completion()
 
     def disable_transient_errors(self) -> None:
         """End an error storm: drives stop drawing transient failures.
 
-        The retry policy stays installed — recovering an operation issued
+        The retries stay installed — recovering an operation issued
         during the storm must still work after it passes.
         """
         for server in self.servers:
@@ -969,8 +881,8 @@ class ArrayController:
             )
         if (
             not access.is_write
-            and self.retry_policy is None
-            and self.hedge_policy is None
+            and not self.retrying
+            and self.hedge_deferral_ms is None
         ):
             # Direct read (the dominant hot path, in every mode): one
             # phase, no recovery bookkeeping.  The cells go straight to
@@ -1116,13 +1028,14 @@ class ArrayController:
         if not live:
             self._advance(state)
             return
-        if self._track_ops:
+        hedging = self.hedge_deferral_ms is not None
+        if hedging:
             now = self.engine.now
             for disk, request in live:
                 self._op_submitted[(disk, request)] = now
         for disk, request in live:
             self.servers[disk].submit(request)
-        if self.hedge_policy is not None:
+        if hedging:
             for disk, request in live:
                 if not request.is_write:
                     self._arm_hedge(disk, request)
@@ -1202,7 +1115,7 @@ class ArrayController:
         request = _new(
             DiskRequest, (offset * sectors, sectors, is_write, access_id, tag)
         )
-        if self._track_ops:
+        if self.hedge_deferral_ms is not None:
             self._op_submitted[(disk, request)] = self.engine.now
         self.servers[disk].submit(request)
 
@@ -1220,7 +1133,7 @@ class ArrayController:
             self._launch_hedge(disk, request, entry)
             return
         self.engine.schedule(
-            self.hedge_policy.deferral_ms,
+            self.hedge_deferral_ms,
             partial(self._maybe_hedge, disk, request, entry),
         )
 
@@ -1325,25 +1238,14 @@ class ArrayController:
     def _request_done(
         self, disk: int, request: DiskRequest, failed: bool
     ) -> None:
-        if self._track_ops:
+        if self.hedge_deferral_ms is not None:
             submitted = self._op_submitted.pop((disk, request), None)
         else:
             submitted = None
-        policy = self.retry_policy
-        if policy is not None:
-            if (
-                self._track_deadlines
-                and not failed
-                and submitted is not None
-                and self.engine.now - submitted > policy.op_timeout_ms
-            ):
-                # The drive did finish, but past the deadline: the
-                # controller already gave up on this attempt.
-                self.io_stats.timeouts += 1
-                failed = True
+        if self.retrying:
             if failed:
                 self.io_stats.transient_failures += 1
-                if self._handle_failed_op(policy, disk, request):
+                if self._handle_failed_op(disk, request):
                     return  # a retry or escalation owns the op now
             elif self._op_attempts:
                 self._op_attempts.pop((disk, request), None)
@@ -1497,9 +1399,7 @@ class ArrayController:
             for check_disk, row in stripes[index][1]:
                 corruption.pollute(check_disk, row + cycle * period)
 
-    def _handle_failed_op(
-        self, policy: RetryPolicy, disk: int, request: DiskRequest
-    ) -> bool:
+    def _handle_failed_op(self, disk: int, request: DiskRequest) -> bool:
         """Route one failed operation: retry, escalate, or give up.
 
         Returns True when recovery has taken ownership of the operation
@@ -1509,11 +1409,11 @@ class ArrayController:
         """
         key = (disk, request)
         attempt = self._op_attempts.get(key, 0) + 1
-        if attempt <= policy.retries:
+        if attempt <= RETRIES:
             self._op_attempts[key] = attempt
             self.io_stats.retries += 1
             delay = capped_exponential(
-                attempt, policy.backoff_base_ms, policy.backoff_cap_ms
+                attempt, RETRY_BACKOFF_BASE_MS, RETRY_BACKOFF_CAP_MS
             )
             self.engine.schedule(
                 delay, partial(self._resubmit, disk, request)
@@ -1543,7 +1443,7 @@ class ArrayController:
             self._op_attempts.pop((disk, request), None)
             self._request_done(disk, request, False)
             return
-        if self._track_ops:
+        if self.hedge_deferral_ms is not None:
             self._op_submitted[(disk, request)] = self.engine.now
         server.submit(request)
 
@@ -1739,9 +1639,10 @@ class ArrayController:
         # inactive-default runs stay byte-identical with existing caches.
         if self.journal is not None:
             record["journal"] = self.journal.to_dict()
-        if self.retry_policy is not None or self.hedge_policy is not None:
+        hedging = self.hedge_deferral_ms is not None
+        if self.retrying or hedging:
             record["io_recovery"] = self.io_stats.to_dict(
-                include_hedges=self.hedge_policy is not None
+                include_hedges=hedging
             )
         if self.slow_disk_detector is not None:
             record["slow_disks"] = self.slow_disk_detector.report()

@@ -31,67 +31,56 @@ from repro.errors import SimulationError
 from repro.layouts.address import PhysicalAddress, Role
 
 
+#: Adaptive throttle constants.  The throttle opens at its ceiling
+#: (slow-start) and sprints down ``SPRINT_STEP_MS`` per healthy window:
+#: opening fast would let the rebuild outrun its own violation signal —
+#: the completions proving the tail blew out only arrive after a slow
+#: disk's queue drains, well after the damage is done.  A window whose
+#: last ``LOOKBACK_WINDOWS`` windows hold more than ``VIOLATION_FRACTION``
+#: of responses over the p99 ceiling doubles the gap
+#: (``BACKOFF_FACTOR``, from at least ``GROWTH_FLOOR_MS``); at tens of
+#: arrivals per second a single 100 ms window holds too few completions
+#: for a stable fraction, and the 500 ms lookback keeps the signal from
+#: flapping.
+BACKOFF_FACTOR = 2.0
+SPRINT_STEP_MS = 2.0
+GROWTH_FLOOR_MS = 0.5
+VIOLATION_FRACTION = 0.01
+LOOKBACK_WINDOWS = 5
+
+#: Re-reads of a rebuild read that hits a latent sector error before the
+#: step fails (real firmware retries before declaring a medium error).
+MEDIA_RETRIES = 2
+
+
 class AdaptiveThrottle:
     """AIMD rebuild-rate control from a foreground-latency signal.
 
     Replaces a static ``throttle_ms`` with SLO feedback: once per SLA
     window the controller asks the tracker what fraction of recent
     foreground responses broke the p99 ceiling.  Over
-    ``violation_fraction`` means client traffic is hurting — back off
+    ``VIOLATION_FRACTION`` means client traffic is hurting — back off
     multiplicatively (the idle gap between rebuild steps doubles, i.e.
-    the rebuild *rate* halves).  A healthy or idle window recovers
-    additively (``recover_step_ms`` shaved off the gap), sprinting the
-    rebuild when the foreground can absorb it.
+    the rebuild *rate* halves, up to ``max_ms``).  A healthy or idle
+    window recovers additively (``SPRINT_STEP_MS`` shaved off the gap,
+    down to zero), sprinting the rebuild when the foreground can absorb
+    it.  The gap starts at ``max_ms``.
 
     ``tracker`` is duck-typed to :class:`repro.traffic.sla.SlaTracker`:
     it needs ``window_ms`` and ``recent_over_fraction(now_ms, windows)``.
     """
 
-    def __init__(
-        self,
-        tracker,
-        initial_ms: float = 2.0,
-        *,
-        min_ms: float = 0.0,
-        max_ms: float = 32.0,
-        backoff_factor: float = 2.0,
-        recover_step_ms: float = 0.25,
-        growth_floor_ms: float = 0.5,
-        violation_fraction: float = 0.01,
-        windows: int = 1,
-    ):
-        if initial_ms < 0 or min_ms < 0:
-            raise SimulationError("throttle values cannot be negative")
-        if not min_ms <= initial_ms <= max_ms:
+    def __init__(self, tracker, max_ms: float):
+        if max_ms < 0:
             raise SimulationError(
-                f"need min <= initial <= max throttle, got"
-                f" {min_ms}/{initial_ms}/{max_ms}"
-            )
-        if backoff_factor <= 1.0:
-            raise SimulationError(
-                f"backoff factor must exceed 1.0, got {backoff_factor}"
-            )
-        if recover_step_ms <= 0 or growth_floor_ms <= 0:
-            raise SimulationError(
-                "recover step and growth floor must be positive"
-            )
-        if not 0.0 <= violation_fraction < 1.0:
-            raise SimulationError(
-                f"violation fraction must be in [0, 1), got"
-                f" {violation_fraction}"
+                f"throttle ceiling cannot be negative, got {max_ms}"
             )
         self.tracker = tracker
-        self.throttle_ms = initial_ms
-        self.min_ms = min_ms
+        self.throttle_ms = max_ms
         self.max_ms = max_ms
-        self.backoff_factor = backoff_factor
-        self.recover_step_ms = recover_step_ms
-        self.growth_floor_ms = growth_floor_ms
-        self.violation_fraction = violation_fraction
-        self.windows = windows
         self.backoffs = 0
         self.sprints = 0
-        self.peak_ms = initial_ms
+        self.peak_ms = max_ms
         self._last_window: Optional[int] = None
 
     def current_ms(self, now_ms: float) -> float:
@@ -104,22 +93,17 @@ class AdaptiveThrottle:
 
     def _decide(self, now_ms: float) -> None:
         over = self.tracker.recent_over_fraction(
-            now_ms, windows=self.windows
+            now_ms, windows=LOOKBACK_WINDOWS
         )
-        if over is not None and over > self.violation_fraction:
+        if over is not None and over > VIOLATION_FRACTION:
             # Foreground p99 locally broken: halve the rebuild rate.
-            grown = max(
-                self.throttle_ms * self.backoff_factor,
-                self.growth_floor_ms,
-            )
+            grown = max(self.throttle_ms * BACKOFF_FACTOR, GROWTH_FLOOR_MS)
             self.throttle_ms = min(grown, self.max_ms)
             self.peak_ms = max(self.peak_ms, self.throttle_ms)
             self.backoffs += 1
-        elif self.throttle_ms > self.min_ms:
+        elif self.throttle_ms > 0.0:
             # Healthy (or idle) foreground: sprint a little.
-            self.throttle_ms = max(
-                self.throttle_ms - self.recover_step_ms, self.min_ms
-            )
+            self.throttle_ms = max(self.throttle_ms - SPRINT_STEP_MS, 0.0)
             self.sprints += 1
 
     def report(self) -> dict:
@@ -158,7 +142,6 @@ class Reconstructor(PacedSweep):
         on_step: Optional[Callable[["Reconstructor"], None]] = None,
         allow_replacement: bool = False,
         media=None,
-        media_retries: int = 2,
         on_unreadable: Optional[
             Callable[["Reconstructor", RebuildStep, PhysicalAddress], None]
         ] = None,
@@ -172,8 +155,6 @@ class Reconstructor(PacedSweep):
             on_finished=on_finished,
             adaptive_throttle=adaptive_throttle,
         )
-        if media_retries < 0:
-            raise SimulationError(f"negative media retries {media_retries}")
         if controller.failed_disk is None:
             raise SimulationError("no failed disk to reconstruct")
         layout = controller.plan_layout
@@ -186,7 +167,6 @@ class Reconstructor(PacedSweep):
             )
         self.on_step = on_step
         self.media = media
-        self.media_retries = media_retries
         self.on_unreadable = on_unreadable
         self.total_rows = (
             rows if rows is not None else controller.periods * layout.period
@@ -345,9 +325,8 @@ class Reconstructor(PacedSweep):
             if self.media is not None and self.media.is_bad(
                 addr.disk, addr.offset
             ):
-                if attempt < self.media_retries:
-                    # Retry the sector in place (real firmware retries
-                    # before declaring a medium error).
+                if attempt < MEDIA_RETRIES:
+                    # Retry the sector in place.
                     issue_read(addr, attempt + 1)
                     return
                 remaining["failed"] = True

@@ -91,10 +91,10 @@ class Resynchronizer(PacedSweep):
     swept stripe as torn (the conservative default, and exact for
     journal replay since the dirty set *is* the torn set).
 
-    ``parallel_stripes`` bounds concurrent stripe recomputations and
-    ``throttle_ms`` idles each slot between stripes, mirroring the
-    rebuild throttle, so resync interference with client traffic is
-    tunable.
+    ``parallel_stripes`` bounds concurrent stripe recomputations; a
+    freed slot takes the next stripe at once.  Torn stripes with a lost
+    data member are terminal data loss: the sweep aborts and the
+    controller records the reason.
     """
 
     kind = "resync"
@@ -106,20 +106,15 @@ class Resynchronizer(PacedSweep):
         suspect: Optional[Set[int]] = None,
         rows: Optional[int] = None,
         parallel_stripes: int = 1,
-        throttle_ms: float = 0.0,
         on_finished: Optional[Callable[[float], None]] = None,
-        on_data_loss: Optional[
-            Callable[["Resynchronizer", List[int]], None]
-        ] = None,
         rebuilt: Optional[RebuiltPredicate] = None,
     ):
         super().__init__(
-            controller, parallel_stripes, throttle_ms, on_finished=on_finished
+            controller, parallel_stripes, 0.0, on_finished=on_finished
         )
         self.layout = controller.plan_layout
         self.journal = journal
         self.suspect = suspect
-        self.on_data_loss = on_data_loss
         self.rebuilt = rebuilt
         layout = self.layout
         if journal is not None:
@@ -175,9 +170,6 @@ class Resynchronizer(PacedSweep):
     def _handle_data_loss(self) -> None:
         """Torn stripes with a lost data member: the write hole ate data."""
         stripes = self.data_lost_stripes
-        if self.on_data_loss is not None:
-            self.on_data_loss(self, stripes)
-            return
         self.abort()
         self.controller.declare_data_loss(
             f"write hole: {len(stripes)} dirty stripe(s) with a data"

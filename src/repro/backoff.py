@@ -1,9 +1,8 @@
 """Capped exponential backoff shared by every retry loop in the repo.
 
 Two retry loops grew the same arithmetic independently — the
-controller's :class:`~repro.array.controller.RetryPolicy` (milliseconds,
-simulated clock) and the hardened worker pool's requeue path (seconds,
-wall clock).  Both sequences are pinned by regression tests and by
+controller's transient-error retries (milliseconds, simulated clock)
+and the hardened worker pool's requeue path (seconds, wall clock).  Both sequences are pinned by regression tests and by
 byte-determinism contracts (the controller's delays feed the event
 engine, so changing them changes golden traces), so the helper must
 reproduce ``min(base * 2**(attempt-1), cap)`` exactly — same operation

@@ -162,7 +162,7 @@ def _print_tally(
 def _print_io_recovery(summary: dict) -> None:
     """One line of aggregate transient-recovery counters.
 
-    Sweeps that never installed a retry or hedge policy have no
+    Sweeps that never enabled retries or hedging have no
     ``io_recovery`` block and print nothing.
     """
     stats = summary.get("io_recovery")

@@ -1,9 +1,9 @@
 """Fail-slow trials: tail-tolerance defenses under a gray failure.
 
 One trial offers open-loop Poisson arrivals to an array that is
-rebuilding one failed disk while *another* disk fail-slows (a seeded
-service-time multiplier — the gray failure the fault model in
-:mod:`repro.faults.failslow` scripts).  The ``defense`` axis switches
+rebuilding one failed disk while *another* disk fail-slows (a constant
+service-time multiplier from time zero — the gray failure the fault
+model in :mod:`repro.faults.failslow` scripts).  The ``defense`` axis switches
 the two tail-tolerance mechanisms on and off independently:
 
 - ``none``      — no defense: unthrottled rebuild, no hedging;
@@ -30,18 +30,16 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, List
 
-from repro.array.controller import HedgePolicy
 from repro.array.reconstructor import AdaptiveThrottle
 from repro.experiments.config import build_array
 from repro.experiments.iorecovery import aggregate_io_recovery
-from repro.experiments.openloop import FAULT_AT_MS, SETTLE_MS
+from repro.experiments.openloop import FAULT_AT_MS, SETTLE_MS, slo_tracker
 from repro.faults.failslow import FailSlowModel
 from repro.faults.scrubber import aggregate_scrub
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.scenario import FaultScenario
 from repro.traffic.admission import OpenLoopRun
 from repro.traffic.arrivals import PoissonArrivals
-from repro.traffic.sla import SlaTracker, SloPolicy
 from repro.workload.spec import AccessSpec
 
 if TYPE_CHECKING:
@@ -66,32 +64,11 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
     hedging = spec.defense in ("hedge", "both")
     adapting = spec.defense in ("adaptive", "both")
     if hedging:
-        controller.set_hedge_policy(
-            HedgePolicy(deferral_ms=spec.hedge_deferral_ms)
-        )
+        controller.enable_hedging(spec.hedge_deferral_ms)
 
-    tracker = SlaTracker(
-        SloPolicy(p99_ms=spec.slo_p99_ms, p999_ms=spec.slo_p999_ms),
-        window_ms=spec.window_ms,
-    )
+    tracker = slo_tracker(spec)
     adaptive = (
-        AdaptiveThrottle(
-            tracker,
-            # Slow-start: open at the ceiling and sprint down while the
-            # foreground stays healthy.  Opening fast would let the
-            # rebuild outrun its own violation signal — the completions
-            # proving the tail blew out only arrive after the slow
-            # disk's queue drains, well after the damage is done.
-            initial_ms=spec.adaptive_max_ms,
-            max_ms=spec.adaptive_max_ms,
-            recover_step_ms=2.0,
-            # At tens of arrivals per second a single 100ms window holds
-            # too few completions for a stable violation fraction; a
-            # 500ms lookback keeps the AIMD signal from flapping.
-            windows=5,
-        )
-        if adapting
-        else None
+        AdaptiveThrottle(tracker, spec.adaptive_max_ms) if adapting else None
     )
 
     # The gray failure: active from time zero, constant multiplier.

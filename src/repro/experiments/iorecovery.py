@@ -2,8 +2,8 @@
 
 Campaign, crash, nemesis, open-loop, and fail-slow trials all run the
 controller's transient-error machinery; a trial record carries its
-:class:`repro.array.controller.IoRecoveryStats` dump only when a retry
-or hedge policy was installed — top-level ``"io_recovery"`` for the
+:class:`repro.array.controller.IoRecoveryStats` dump only when retries
+or hedging were enabled — top-level ``"io_recovery"`` for the
 fault campaigns, nested under ``"instrumentation"`` for the traffic
 trials.  The summarizers fold those into one totals block
 *conditionally*: sweeps that never enabled the machinery must keep

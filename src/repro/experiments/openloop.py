@@ -61,6 +61,15 @@ FAULT_AT_MS = 1.0
 SETTLE_MS = 9.0
 
 
+def slo_tracker(spec) -> SlaTracker:
+    """The SLA tracker of an open-loop or fail-slow spec: its p99 and
+    p999 ceilings over ``window_ms`` windows."""
+    return SlaTracker(
+        SloPolicy(p99_ms=spec.slo_p99_ms, p999_ms=spec.slo_p999_ms),
+        window_ms=spec.window_ms,
+    )
+
+
 def _build_arrivals(spec: OpenLoopSpec, rng: random.Random) -> ArrivalProcess:
     if spec.arrival == "poisson":
         return PoissonArrivals(spec.rate_per_s, rng)
@@ -120,10 +129,7 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
         if spec.phase == "rebuild":
             traffic_start_ms += spec.degraded_dwell_ms
 
-    tracker = SlaTracker(
-        SloPolicy(p99_ms=spec.slo_p99_ms, p999_ms=spec.slo_p999_ms),
-        window_ms=spec.window_ms,
-    )
+    tracker = slo_tracker(spec)
     detector = OverloadDetector(
         window_ms=spec.window_ms, windows=spec.overload_windows
     )

@@ -10,9 +10,9 @@ loop; an :class:`ArrayLifecycle` drives the controller through
 fault-free -> degraded -> reconstruction -> post-reconstruction with
 timestamped transitions.
 
-Scenarios are pure data and content-hashable, so whole lifecycle sweeps
-plug into the ``repro.runner`` cache/parallel machinery (see
-``LifecycleSpec`` in :mod:`repro.runner.spec` and RUNNER.md).
+Scenarios are pure data built from runner specs (see ``LifecycleSpec``
+in :mod:`repro.runner.spec` and RUNNER.md), so whole lifecycle sweeps
+plug into the ``repro.runner`` cache/parallel machinery.
 
 Multi-fault campaigns build on the same pieces: scenarios can script or
 draw failure *sequences*, :mod:`repro.faults.multifault` classifies a
@@ -39,14 +39,13 @@ from repro.faults.multifault import (
     second_failure_repair_steps,
 )
 from repro.faults.oracle import IntegrityOracle, StripeParityModel
-from repro.faults.scenario import FAULT_SCENARIO_VERSION, FaultScenario
+from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import SCRUB_ID_BASE, Scrubber
 
 __all__ = [
     "ActiveFaultTracker",
     "ArrayLifecycle",
     "CrashInjector",
-    "FAULT_SCENARIO_VERSION",
     "FailSlowModel",
     "FaultInjector",
     "FaultScenario",

@@ -45,6 +45,9 @@ CORRUPTION_KINDS = ("lost-write", "misdirected-write", "bit-rot")
 #: read-modify-write whose pre-read consumed stale data.
 ALL_CORRUPTION_KINDS = CORRUPTION_KINDS + ("parity-pollution",)
 
+#: Bit-rot onsets are drawn uniform over ``[0, BITROT_WINDOW_MS)``.
+BITROT_WINDOW_MS = 60_000.0
+
 _EMPTY: tuple = ()
 
 
@@ -55,7 +58,7 @@ class CorruptionModel:
     operation (one draw per completed write request, from the target
     disk's named stream); ``bitrot_cells`` is the Poisson mean of decayed
     cells per disk, each with an onset drawn uniform over
-    ``[0, bitrot_window_ms)``.  ``rows`` bounds the per-disk offset
+    ``[0, BITROT_WINDOW_MS)``.  ``rows`` bounds the per-disk offset
     domain — misdirected victims never escape ``[0, rows)``.
 
     >>> model = CorruptionModel(4, 100, seed=7, lost_rate=1.0)
@@ -73,7 +76,6 @@ class CorruptionModel:
         lost_rate: float = 0.0,
         misdirected_rate: float = 0.0,
         bitrot_cells: float = 0.0,
-        bitrot_window_ms: float = 60_000.0,
     ):
         if n_disks < 1 or rows < 1:
             raise ConfigurationError("need >= 1 disk and >= 1 row")
@@ -92,10 +94,6 @@ class CorruptionModel:
         if bitrot_cells < 0:
             raise ConfigurationError(
                 f"negative bitrot_cells {bitrot_cells}"
-            )
-        if bitrot_window_ms <= 0:
-            raise ConfigurationError(
-                f"bitrot window must be positive, got {bitrot_window_ms}"
             )
         self.n_disks = n_disks
         self.rows = rows
@@ -119,7 +117,7 @@ class CorruptionModel:
                 if count:
                     for offset in rng.sample(range(rows), count):
                         pending.append(
-                            (rng.uniform(0.0, bitrot_window_ms), disk, offset)
+                            (rng.uniform(0.0, BITROT_WINDOW_MS), disk, offset)
                         )
             pending.sort()
         self.injected = {kind: 0 for kind in ALL_CORRUPTION_KINDS}

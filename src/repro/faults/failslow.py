@@ -7,122 +7,47 @@ retries, firmware recalibration storms, vibration) while still
 completing every request.  :class:`FailSlowModel` attaches to one
 :class:`~repro.disk.drive.DiskDrive` (like ``TransientErrorModel``) and
 inflates the mechanical service-time components of each operation by a
-time-varying multiplier.
+constant multiplier from a scripted onset.
 
 Determinism contract, matching the other optional fault hooks:
 
 - a drive with no model attached (the default) is byte-identical to one
   that never imported this module;
-- an attached model draws randomness only at *construction* (the
-  optional drawn onset), never on the service hot path — the per-service
-  multiplier is a pure function of the simulated clock;
-- before onset (and after the optional ``duration_ms`` window closes)
-  the multiplier is exactly 1.0 and the drive's arithmetic is untouched.
+- an attached model draws no randomness — the per-service multiplier is
+  a pure function of the simulated clock;
+- before onset the multiplier is exactly 1.0 and the drive's arithmetic
+  is untouched.  The episode ends when the owner detaches the model.
 """
 
 from __future__ import annotations
 
-import random
-from typing import Optional
-
 from repro.errors import ConfigurationError
-
-#: Legal shapes for the slowdown once it is active.
-PROFILES = ("constant", "ramp", "intermittent")
 
 
 class FailSlowModel:
-    """Per-spindle service-time inflation with a scripted or drawn onset.
+    """Per-spindle service-time inflation from a scripted onset.
 
-    ``multiplier`` is the peak inflation factor (>= 1.0).  The onset is
-    either scripted (``onset_ms``) or drawn once at construction from a
-    seeded stream uniform over ``[0, onset_window_ms)``; ``duration_ms``
-    optionally ends the episode (the disk heals).  Profiles:
-
-    - ``constant``: the full multiplier from onset;
-    - ``ramp``: linear climb from 1.0 to the multiplier over ``ramp_ms``
-      — the classic slowly-degrading spindle;
-    - ``intermittent``: a deterministic duty cycle (``period_ms``,
-      ``duty`` fraction slow) — recalibration storms that come and go.
+    ``multiplier`` (>= 1.0) inflates every operation that starts at or
+    after ``onset_ms``.
 
     >>> model = FailSlowModel(5.0, onset_ms=100.0)
     >>> model.multiplier_at(50.0), model.multiplier_at(150.0)
     (1.0, 5.0)
     """
 
-    def __init__(
-        self,
-        multiplier: float,
-        onset_ms: Optional[float] = None,
-        *,
-        profile: str = "constant",
-        ramp_ms: float = 0.0,
-        period_ms: float = 0.0,
-        duty: float = 0.5,
-        duration_ms: Optional[float] = None,
-        seed: object = None,
-        onset_window_ms: Optional[float] = None,
-    ):
+    def __init__(self, multiplier: float, onset_ms: float = 0.0):
         if multiplier < 1.0:
             raise ConfigurationError(
                 f"fail-slow multiplier must be >= 1.0, got {multiplier}"
             )
-        if profile not in PROFILES:
-            raise ConfigurationError(
-                f"unknown fail-slow profile {profile!r}; expected one of"
-                f" {PROFILES}"
-            )
-        if profile == "ramp" and ramp_ms <= 0:
-            raise ConfigurationError(
-                f"ramp profile needs ramp_ms > 0, got {ramp_ms}"
-            )
-        if profile == "intermittent":
-            if period_ms <= 0:
-                raise ConfigurationError(
-                    f"intermittent profile needs period_ms > 0,"
-                    f" got {period_ms}"
-                )
-            if not 0.0 < duty <= 1.0:
-                raise ConfigurationError(
-                    f"intermittent duty must be in (0, 1], got {duty}"
-                )
-        if duration_ms is not None and duration_ms <= 0:
-            raise ConfigurationError(
-                f"fail-slow duration must be positive, got {duration_ms}"
-            )
-        if onset_ms is None:
-            if onset_window_ms is None:
-                onset_ms = 0.0
-            else:
-                if onset_window_ms <= 0:
-                    raise ConfigurationError(
-                        f"onset window must be positive,"
-                        f" got {onset_window_ms}"
-                    )
-                # The model's only randomness: one construction-time draw
-                # from a named stream, so trial replay is exact.
-                onset_ms = random.Random(seed).uniform(0.0, onset_window_ms)
-        elif onset_ms < 0:
+        if onset_ms < 0:
             raise ConfigurationError(
                 f"fail-slow onset must be >= 0, got {onset_ms}"
             )
         self.multiplier = multiplier
         self.onset_ms = onset_ms
-        self.profile = profile
-        self.ramp_ms = ramp_ms
-        self.period_ms = period_ms
-        self.duty = duty
-        self.duration_ms = duration_ms
         #: Operations whose service time was actually inflated.
         self.applications = 0
-
-    def active_at(self, now_ms: float) -> bool:
-        """True while the episode window covers ``now_ms``."""
-        if now_ms < self.onset_ms:
-            return False
-        if self.duration_ms is not None:
-            return now_ms < self.onset_ms + self.duration_ms
-        return True
 
     def multiplier_at(self, now_ms: float) -> float:
         """The inflation factor for an operation starting at ``now_ms``.
@@ -130,18 +55,7 @@ class FailSlowModel:
         Pure function of the clock — no randomness, no state mutation —
         so serial and worker execution see identical service times.
         """
-        if not self.active_at(now_ms):
-            return 1.0
-        since = now_ms - self.onset_ms
-        if self.profile == "constant":
-            return self.multiplier
-        if self.profile == "ramp":
-            if since >= self.ramp_ms:
-                return self.multiplier
-            return 1.0 + (self.multiplier - 1.0) * (since / self.ramp_ms)
-        # intermittent: slow for the first `duty` fraction of each period
-        phase = (since % self.period_ms) / self.period_ms
-        return self.multiplier if phase < self.duty else 1.0
+        return self.multiplier if now_ms >= self.onset_ms else 1.0
 
     def scale(self, now_ms: float) -> float:
         """``multiplier_at`` plus application accounting (drive hook)."""
@@ -151,24 +65,17 @@ class FailSlowModel:
         return m
 
     def report(self) -> dict:
-        """JSON-able summary for trial records."""
-        data = {
+        """JSON-able summary for trial records (committed baselines
+        carry the ``profile`` key)."""
+        return {
             "multiplier": self.multiplier,
             "onset_ms": self.onset_ms,
-            "profile": self.profile,
+            "profile": "constant",
             "applications": self.applications,
         }
-        if self.profile == "ramp":
-            data["ramp_ms"] = self.ramp_ms
-        elif self.profile == "intermittent":
-            data["period_ms"] = self.period_ms
-            data["duty"] = self.duty
-        if self.duration_ms is not None:
-            data["duration_ms"] = self.duration_ms
-        return data
 
     def __repr__(self) -> str:
         return (
-            f"FailSlowModel(x{self.multiplier:g} {self.profile}"
+            f"FailSlowModel(x{self.multiplier:g} constant"
             f" @{self.onset_ms:g}ms)"
         )

@@ -66,8 +66,8 @@ class FaultInjector:
         """
         if self._armed:
             raise ConfigurationError(
-                f"fault injector for scenario"
-                f" {self.scenario.content_hash()[:12]} is already armed;"
+                f"fault injector for the disk {self.fault_disk} failure at"
+                f" {self.fault_time_ms} ms is already armed;"
                 " arm() must be called exactly once"
             )
         if self.fired_count:

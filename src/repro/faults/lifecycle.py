@@ -73,7 +73,6 @@ class ArrayLifecycle:
         on_transition: Optional[TransitionCallback] = None,
         on_rebuild_step: Optional[Callable[[Reconstructor], None]] = None,
         media: Optional[MediaErrorMap] = None,
-        on_data_loss: Optional[Callable[[str, float], None]] = None,
         adaptive_throttle=None,
     ):
         if controller.mode is not ArrayMode.FAULT_FREE:
@@ -86,7 +85,6 @@ class ArrayLifecycle:
         self.on_transition = on_transition
         self.on_rebuild_step = on_rebuild_step
         self.media = media
-        self.on_data_loss = on_data_loss
         #: Optional :class:`~repro.array.reconstructor.AdaptiveThrottle`
         #: threaded into every rebuild sweep this lifecycle starts; None
         #: keeps the scenario's static ``rebuild_throttle_ms``.
@@ -388,5 +386,3 @@ class ArrayLifecycle:
         self.data_loss_ms = self.controller.engine.now
         self.controller.declare_data_loss(reason)
         self._record(ArrayMode.DATA_LOSS)
-        if self.on_data_loss is not None:
-            self.on_data_loss(reason, self.data_loss_ms)

@@ -1,9 +1,9 @@
 """Declarative fault scenarios.
 
-A :class:`FaultScenario` is pure data: JSON-scalar fields only, frozen,
-with a stable content hash — the same discipline as the runner's
-experiment specs, so scenarios can key result caches and cross
-``multiprocessing`` boundaries without surprises.
+A :class:`FaultScenario` is pure data: JSON-scalar fields only, frozen —
+the same discipline as the runner's experiment specs, so scenarios
+cross ``multiprocessing`` boundaries without surprises.  Drivers build
+them from their specs; no record, cache key or sweep hash carries one.
 
 Fault timing comes in two flavours:
 
@@ -17,31 +17,12 @@ Fault timing comes in two flavours:
 
 from __future__ import annotations
 
-import hashlib
-import json
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.reliability.mttdl import exponential_lifetime_ms
-
-#: Part of every scenario content hash; bump on semantic changes.
-FAULT_SCENARIO_VERSION = 1
-
-#: Multi-fault/media/scrub fields added after v1 shipped, with their
-#: inactive defaults.  :meth:`FaultScenario.to_dict` omits them while
-#: they hold these values, so every single-fault scenario hashes exactly
-#: as it did before the fields existed (pinned by the scenario tests).
-_V1_OPTIONAL_DEFAULTS = {
-    "second_fault_time_ms": None,
-    "second_failed_disk": None,
-    "max_faults": 1,
-    "lse_per_gb": 0.0,
-    "scrub_interval_ms": None,
-    "scrub_throttle_ms": 0.0,
-    "transient_io_rate": 0.0,
-}
 
 
 @dataclass(frozen=True)
@@ -56,9 +37,8 @@ class FaultScenario:
     ``rebuild_throttle_ms`` idles each rebuild slot between steps so the
     client/rebuild interference is tunable.
 
-    >>> FaultScenario(fault_time_ms=100.0).content_hash() == \\
-    ...     FaultScenario(fault_time_ms=100.0).content_hash()
-    True
+    >>> FaultScenario(fault_time_ms=100.0, failed_disk=3).draw_faults(13)
+    [(100.0, 3)]
     """
 
     failed_disk: int = 0
@@ -69,8 +49,7 @@ class FaultScenario:
     rebuild_rows: Optional[int] = None
     rebuild_parallel: int = 1
     rebuild_throttle_ms: float = 0.0
-    # Multi-fault extensions (all inactive by default; see
-    # _V1_OPTIONAL_DEFAULTS for the hash-compatibility contract).
+    # Multi-fault extensions (all inactive by default).
     # A scripted second whole-disk failure, and/or further stochastic
     # failures: with ``mttf_hours`` set, ``max_faults`` of the per-disk
     # lifetime draws are scheduled in time order instead of only the
@@ -89,7 +68,7 @@ class FaultScenario:
     # per-disk named streams ``"{fault_seed}/transient-{disk}"`` (distinct
     # from the *persistent* latent sector errors above; recovered by the
     # controller's retry/escalation machinery, see
-    # :class:`repro.array.controller.RetryPolicy`).
+    # ``ArrayController.enable_transient_errors``).
     transient_io_rate: float = 0.0
 
     def __post_init__(self):
@@ -180,35 +159,6 @@ class FaultScenario:
     # Fault timing.
     # ------------------------------------------------------------------
 
-    def draw_fault(self, n_disks: int) -> Tuple[float, int]:
-        """``(time_ms, disk)`` of the scenario's failure.
-
-        Deterministic scenarios return their pinned values; stochastic
-        ones draw one exponential lifetime per disk from independent
-        named streams and fail the earliest.
-        """
-        if self.fault_time_ms is not None:
-            if not 0 <= self.failed_disk < n_disks:
-                raise ConfigurationError(
-                    f"failed disk {self.failed_disk} outside"
-                    f" 0..{n_disks - 1}"
-                )
-            return self.fault_time_ms, self.failed_disk
-        lifetimes = [
-            exponential_lifetime_ms(
-                self.mttf_hours,
-                random.Random(f"{self.fault_seed}/disk-{disk}"),
-            )
-            for disk in range(n_disks)
-        ]
-        time_ms = min(lifetimes)
-        return time_ms, lifetimes.index(time_ms)
-
-    @property
-    def multi_fault(self) -> bool:
-        """Does this scenario schedule more than one whole-disk failure?"""
-        return self.second_fault_time_ms is not None or self.max_faults > 1
-
     def draw_faults(self, n_disks: int) -> List[Tuple[float, int]]:
         """Every scheduled failure as ``(time_ms, disk)``, in time order.
 
@@ -247,39 +197,3 @@ class FaultScenario:
         ]
         lifetimes.sort()
         return lifetimes[: self.max_faults]
-
-    # ------------------------------------------------------------------
-    # Serialization and hashing.
-    # ------------------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Flat JSON-able form.
-
-        Fields added after v1 are omitted while at their inactive
-        defaults, so pre-existing scenarios keep their original content
-        hashes (and old serialized scenarios round-trip unchanged).
-        """
-        data = asdict(self)
-        for name, default in _V1_OPTIONAL_DEFAULTS.items():
-            if data[name] == default:
-                del data[name]
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FaultScenario":
-        names = {f.name for f in fields(cls)}
-        unknown = set(data) - names
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario fields {sorted(unknown)}"
-            )
-        return cls(**data)
-
-    def content_hash(self) -> str:
-        """Stable SHA-256 over the canonical JSON of the fields."""
-        payload = {"schema": FAULT_SCENARIO_VERSION}
-        payload.update(self.to_dict())
-        canonical = json.dumps(
-            payload, sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -18,7 +18,7 @@ client and rebuild traffic, so its cost shows up in the same statistics.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.array.controller import SCRUB_ID_BASE, ArrayController
 from repro.array.raidops import ArrayMode
@@ -35,8 +35,7 @@ class Scrubber:
 
     ``rows`` bounds the sweep per disk (``None`` = the controller's full
     period count — use the same bound as the rebuild domain so scrub and
-    rebuild describe the same array).  ``on_repair(disk, offset)`` fires
-    for every latent error the scrub fixes.  ``id_base`` overrides the
+    rebuild describe the same array).  ``id_base`` overrides the
     access-id block — a harness that replaces a stalled scrubber (e.g.
     after a crash wiped its in-flight reads) hands each generation a
     distinct block so their ids never collide.
@@ -60,7 +59,6 @@ class Scrubber:
         interval_ms: float,
         throttle_ms: float = 0.0,
         rows: Optional[int] = None,
-        on_repair: Optional[Callable[[int, int], None]] = None,
         id_base: Optional[int] = None,
         audit: bool = False,
     ):
@@ -84,7 +82,6 @@ class Scrubber:
         self.interval_ms = interval_ms
         self.throttle_ms = throttle_ms
         self.rows = total_rows
-        self.on_repair = on_repair
         self.passes_completed = 0
         self.cells_read = 0
         self.found = 0
@@ -229,8 +226,6 @@ class Scrubber:
     def _rewrite_done(self, disk: int, offset: int) -> None:
         if self.media.repair(disk, offset):
             self.repaired += 1
-            if self.on_repair is not None:
-                self.on_repair(disk, offset)
         self._advance()
 
     def _audit_repair_done(self) -> None:

@@ -132,10 +132,6 @@ class PrimeField:
         """Iterate over all field elements, 0 first."""
         return iter(range(self.order))
 
-    def nonzero_elements(self) -> Iterator[int]:
-        """Iterate over the multiplicative group."""
-        return iter(range(1, self.order))
-
     def element_order(self, a: int) -> int:
         """Multiplicative order of a nonzero element.
 

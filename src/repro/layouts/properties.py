@@ -148,14 +148,12 @@ def check_goal7(layout: Layout) -> Optional[GoalResult]:
     return _uniform(counts, "spare units per disk")
 
 
-def check_goal8(
-    layout: Layout, failed_disk: int = 0, aligned_only: bool = True
-) -> Optional[GoalResult]:
+def check_goal8(layout: Layout, failed_disk: int = 0) -> Optional[GoalResult]:
     """Degraded read parallelism: an ``n - g - 1``-unit read touches that
     many disks during reconstruction-mode operation.
 
-    With ``aligned_only`` the read starts are row-aligned ("super stripes"),
-    the case the paper says PDDL satisfies.
+    The read starts are row-aligned ("super stripes"), the case the paper
+    says PDDL satisfies.
     """
     spares = layout.spare_addresses_in_period()
     if not spares:
@@ -164,7 +162,7 @@ def check_goal8(
     span = layout.n - g - 1
     if span <= 0:
         return None
-    step = g * (layout.k - 1) if aligned_only else 1
+    step = g * (layout.k - 1)
     per_period = layout.stripes_per_period
     stripes = layout.stripe_table().stripes
     worst = span

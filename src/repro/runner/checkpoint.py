@@ -1,7 +1,10 @@
 """Crash-tolerant run checkpoints.
 
 A checkpoint is an append-only JSONL file: one completed result record
-per line, keyed by the record's ``spec_hash``.  Appends are flushed and
+per line, keyed by the record's ``spec_hash``.  Each line stamps the
+record with the :func:`~repro.runner.cache.source_fingerprint` of the
+tree that simulated it, beside the record (``{"source": ..., "record":
+...}``), so the record itself is unchanged.  Appends are flushed and
 fsynced, so a run killed mid-campaign loses at most the record being
 written; on resume, completed specs are served from the checkpoint and
 only the remainder is simulated.  Records are byte-identical to what an
@@ -10,7 +13,9 @@ kill/resume cycle changes nothing about the output.
 
 Loading is tolerant: a truncated final line (the kill landed mid-write)
 or any other unparsable line is skipped and counted, never raised —
-a damaged checkpoint costs recomputation, not correctness.
+a damaged checkpoint costs recomputation, not correctness.  A line
+stamped by other source is a miss too (skipped, not counted): after a
+code change its record is simulated again, as the result cache does.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro.runner.cache import source_fingerprint
 
 
 class RunCheckpoint:
@@ -41,18 +48,22 @@ class RunCheckpoint:
     def _load(self) -> None:
         if not self.path.exists():
             return
+        source = source_fingerprint()
         with open(self.path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
+                    entry = json.loads(line)
+                    stamp = entry["source"]
+                    record = entry["record"]
                     key = record["spec_hash"]
                 except (ValueError, TypeError, KeyError):
                     self.corrupt_lines += 1
                     continue
-                self._records[key] = record
+                if stamp == source:
+                    self._records[key] = record
 
     def get(self, key: str) -> Optional[dict]:
         return self._records.get(key)
@@ -63,8 +74,9 @@ class RunCheckpoint:
         if not key:
             raise ValueError("checkpoint records need a spec_hash")
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        entry = {"source": source_fingerprint(), "record": record}
         with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True))
+            handle.write(json.dumps(entry, sort_keys=True))
             handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())

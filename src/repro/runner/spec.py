@@ -31,7 +31,7 @@ SPEC_SCHEMA_VERSION = 1
 #: values, so specs predating the fields keep the ``spec`` block of
 #: their records, and with it the record digests the repo benchmark
 #: pins (``benchmarks/perf/expected.json``) and the committed sweep
-#: hashes (same contract as ``FaultScenario._V1_OPTIONAL_DEFAULTS``).
+#: hashes.
 _V1_SPEC_OPTIONAL = {
     "lifecycle": {"oracle": False},
     "campaign-trial": {"oracle": False, "transient_io_rate": 0.0},
@@ -68,6 +68,25 @@ def _access_units(size_kb: int) -> int:
     whole stripe units fails at construction, not mid-sweep in a
     worker."""
     return AccessSpec(size_kb, False).units()
+
+
+def _check_open_loop(spec) -> None:
+    """The checks every open-loop trial spec shares: arrival rate and
+    count, admission-queue geometry, horizon and failed disk."""
+    if spec.rate_per_s <= 0:
+        raise ConfigurationError(
+            f"arrival rate must be positive, got {spec.rate_per_s}"
+        )
+    if spec.arrivals < 1:
+        raise ConfigurationError(f"need >= 1 arrival, got {spec.arrivals}")
+    if spec.queue_depth < 1 or spec.service_slots < 1:
+        raise ConfigurationError("need positive queue geometry")
+    if spec.horizon_ms <= 0:
+        raise ConfigurationError(
+            f"horizon must be positive, got {spec.horizon_ms}"
+        )
+    if not 0 <= spec.failed_disk < spec.disks:
+        raise ConfigurationError(f"bad failed disk {spec.failed_disk}")
 
 
 def mode_name(mode: ArrayMode) -> str:
@@ -540,26 +559,9 @@ class OpenLoopSpec:
                 f"arrival model must be one of {ARRIVALS},"
                 f" got {self.arrival!r}"
             )
-        if self.rate_per_s <= 0:
-            raise ConfigurationError(
-                f"arrival rate must be positive, got {self.rate_per_s}"
-            )
-        if self.arrivals < 1:
-            raise ConfigurationError(
-                f"need >= 1 arrival, got {self.arrivals}"
-            )
-        if self.queue_depth < 1 or self.service_slots < 1:
-            raise ConfigurationError("need positive queue geometry")
+        _check_open_loop(self)
         if self.window_ms <= 0 or self.overload_windows < 1:
             raise ConfigurationError("need positive detection windows")
-        if self.horizon_ms <= 0:
-            raise ConfigurationError(
-                f"horizon must be positive, got {self.horizon_ms}"
-            )
-        if not 0 <= self.failed_disk < self.disks:
-            raise ConfigurationError(
-                f"bad failed disk {self.failed_disk}"
-            )
         _access_units(self.size_kb)
         SloPolicy(p99_ms=self.slo_p99_ms, p999_ms=self.slo_p999_ms)
 
@@ -614,9 +616,8 @@ class FailSlowTrialSpec:
     horizon_ms: float = 120000.0
 
     def __post_init__(self):
-        # Exercise the defense/policy constructors now so bad specs
-        # fail at construction, not mid-sweep in a worker.
-        from repro.array.controller import HedgePolicy
+        # Exercise the SLO policy constructor now so bad specs fail at
+        # construction, not mid-sweep in a worker.
         from repro.experiments.failslow import DEFENSES
         from repro.traffic.sla import SloPolicy
 
@@ -625,18 +626,7 @@ class FailSlowTrialSpec:
                 f"defense must be one of {DEFENSES},"
                 f" got {self.defense!r}"
             )
-        if self.rate_per_s <= 0:
-            raise ConfigurationError(
-                f"arrival rate must be positive, got {self.rate_per_s}"
-            )
-        if self.arrivals < 1:
-            raise ConfigurationError(
-                f"need >= 1 arrival, got {self.arrivals}"
-            )
-        if not 0 <= self.failed_disk < self.disks:
-            raise ConfigurationError(
-                f"bad failed disk {self.failed_disk}"
-            )
+        _check_open_loop(self)
         if not 0 <= self.slow_disk < self.disks:
             raise ConfigurationError(f"bad slow disk {self.slow_disk}")
         if self.slow_disk == self.failed_disk:
@@ -655,19 +645,17 @@ class FailSlowTrialSpec:
             )
         if self.rebuild_throttle_ms < 0 or self.adaptive_max_ms < 0:
             raise ConfigurationError("throttle gaps must be >= 0")
-        if self.queue_depth < 1 or self.service_slots < 1:
-            raise ConfigurationError("need positive queue geometry")
+        if self.hedge_deferral_ms <= 0:
+            raise ConfigurationError(
+                "hedge deferral must be positive, got"
+                f" {self.hedge_deferral_ms}"
+            )
         if self.window_ms <= 0:
             raise ConfigurationError(
                 f"window must be positive, got {self.window_ms}"
             )
-        if self.horizon_ms <= 0:
-            raise ConfigurationError(
-                f"horizon must be positive, got {self.horizon_ms}"
-            )
         _access_units(self.size_kb)
         SloPolicy(p99_ms=self.slo_p99_ms, p999_ms=self.slo_p999_ms)
-        HedgePolicy(deferral_ms=self.hedge_deferral_ms)
 
 
 @dataclass(frozen=True)
@@ -740,14 +728,7 @@ class CorruptionTrialSpec:
             raise ConfigurationError(
                 f"negative bitrot_cells {self.bitrot_cells}"
             )
-        if self.rate_per_s <= 0:
-            raise ConfigurationError(
-                f"arrival rate must be positive, got {self.rate_per_s}"
-            )
-        if self.arrivals < 1:
-            raise ConfigurationError(
-                f"need >= 1 arrival, got {self.arrivals}"
-            )
+        _check_open_loop(self)
         if not 0.0 <= self.read_fraction <= 1.0:
             raise ConfigurationError(
                 f"read fraction must be in [0, 1],"
@@ -757,10 +738,6 @@ class CorruptionTrialSpec:
             raise ConfigurationError(
                 f"a span of {self.span_units} units cannot hold one"
                 f" {self.size_kb} KB access"
-            )
-        if not 0 <= self.failed_disk < self.disks:
-            raise ConfigurationError(
-                f"bad failed disk {self.failed_disk}"
             )
         if self.fail_at_ms is not None and self.fail_at_ms < 0:
             raise ConfigurationError(
@@ -773,12 +750,6 @@ class CorruptionTrialSpec:
         if self.scrub_interval_ms <= 0:
             raise ConfigurationError(
                 f"scrub interval must be > 0, got {self.scrub_interval_ms}"
-            )
-        if self.queue_depth < 1 or self.service_slots < 1:
-            raise ConfigurationError("need positive queue geometry")
-        if self.horizon_ms <= 0:
-            raise ConfigurationError(
-                f"horizon must be positive, got {self.horizon_ms}"
             )
 
 

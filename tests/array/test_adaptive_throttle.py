@@ -46,65 +46,58 @@ class TestRecentOverFraction:
 
 class TestAdaptiveThrottle:
     def test_validation(self):
-        t = tracker()
         with pytest.raises(SimulationError):
-            AdaptiveThrottle(t, initial_ms=-1.0)
-        with pytest.raises(SimulationError):
-            AdaptiveThrottle(t, initial_ms=100.0, max_ms=32.0)
-        with pytest.raises(SimulationError):
-            AdaptiveThrottle(t, backoff_factor=1.0)
-        with pytest.raises(SimulationError):
-            AdaptiveThrottle(t, recover_step_ms=0.0)
-        with pytest.raises(SimulationError):
-            AdaptiveThrottle(t, violation_fraction=1.0)
+            AdaptiveThrottle(tracker(), max_ms=-1.0)
 
     def test_backs_off_multiplicatively_under_violation(self):
         t = tracker(p99_ms=50.0, window_ms=100.0)
-        throttle = AdaptiveThrottle(t, initial_ms=2.0, max_ms=32.0)
-        # Every window breaks the p99 promise.
-        for window in range(1, 6):
-            t.record(window * 100.0 - 50.0, 500.0)
+        throttle = AdaptiveThrottle(t, max_ms=32.0)
+        # An idle foreground sprints the gap down from the ceiling.
+        for window in range(1, 15):
             throttle.current_ms(window * 100.0 + 1.0)
-        # 2 -> 4 -> 8 -> 16 -> 32 (clamped).
-        assert throttle.throttle_ms == 32.0
-        assert throttle.backoffs == 5
+        assert throttle.throttle_ms == 4.0
+        # Then every window breaks the p99 promise.
+        gaps = []
+        for window in range(15, 19):
+            t.record(window * 100.0 - 50.0, 500.0)
+            gaps.append(throttle.current_ms(window * 100.0 + 1.0))
+        # 4 -> 8 -> 16 -> 32 -> 32 (clamped).
+        assert gaps == [8.0, 16.0, 32.0, 32.0]
+        assert throttle.backoffs == 4
         assert throttle.peak_ms == 32.0
 
     def test_recovers_additively_when_healthy(self):
         t = tracker(p99_ms=50.0, window_ms=100.0)
-        throttle = AdaptiveThrottle(
-            t, initial_ms=2.0, recover_step_ms=0.5, min_ms=0.0
-        )
+        throttle = AdaptiveThrottle(t, max_ms=8.0)
         for window in range(1, 4):
             t.record(window * 100.0 - 50.0, 1.0)  # fast completions
             throttle.current_ms(window * 100.0 + 1.0)
-        assert throttle.throttle_ms == pytest.approx(0.5)
+        assert throttle.throttle_ms == pytest.approx(2.0)
         assert throttle.sprints == 3
 
     def test_idle_foreground_sprints_to_the_floor(self):
         t = tracker()
-        throttle = AdaptiveThrottle(
-            t, initial_ms=2.0, recover_step_ms=1.0, min_ms=0.0
-        )
+        throttle = AdaptiveThrottle(t, max_ms=8.0)
         for window in range(1, 6):
             throttle.current_ms(window * 100.0 + 1.0)
         assert throttle.throttle_ms == 0.0
+        assert throttle.sprints == 4
 
     def test_growth_floor_escapes_zero(self):
         t = tracker(p99_ms=50.0, window_ms=100.0)
-        throttle = AdaptiveThrottle(
-            t, initial_ms=0.0, growth_floor_ms=0.5
-        )
-        t.record(50.0, 500.0)
-        throttle.current_ms(101.0)
-        assert throttle.throttle_ms == 0.5
+        throttle = AdaptiveThrottle(t, max_ms=2.0)
+        throttle.current_ms(101.0)  # idle: sprints to zero
+        assert throttle.throttle_ms == 0.0
         t.record(150.0, 500.0)
         throttle.current_ms(201.0)
+        assert throttle.throttle_ms == 0.5
+        t.record(250.0, 500.0)
+        throttle.current_ms(301.0)
         assert throttle.throttle_ms == 1.0
 
     def test_one_decision_per_window(self):
         t = tracker(p99_ms=50.0, window_ms=100.0)
-        throttle = AdaptiveThrottle(t, initial_ms=2.0)
+        throttle = AdaptiveThrottle(t, max_ms=8.0)
         t.record(50.0, 500.0)
         first = throttle.current_ms(110.0)
         # Repeated asks inside the same window must not re-decide.
@@ -113,7 +106,7 @@ class TestAdaptiveThrottle:
         assert throttle.backoffs == 1
 
     def test_report_shape(self):
-        throttle = AdaptiveThrottle(tracker(), initial_ms=2.0)
+        throttle = AdaptiveThrottle(tracker(), max_ms=2.0)
         assert throttle.report() == {
             "throttle_ms": 2.0,
             "peak_ms": 2.0,
@@ -146,8 +139,9 @@ class TestReconstructorIntegration:
         assert run(None) == run(None)
 
     def test_idle_adaptive_beats_static_throttle(self):
-        # No foreground load at all: AIMD sprints to zero gap while the
-        # static throttle keeps paying 20ms per step forever.
+        # No foreground load at all: AIMD sprints from its 20ms ceiling
+        # to zero gap while the static throttle keeps paying 20ms per
+        # step forever.
         def run(adaptive, throttle_ms):
             engine, controller = build_failed()
             recon = Reconstructor(
@@ -163,12 +157,7 @@ class TestReconstructorIntegration:
 
         static = run(None, 20.0)
         t = tracker(window_ms=50.0)
-        adaptive = run(
-            AdaptiveThrottle(
-                t, initial_ms=20.0, max_ms=64.0, recover_step_ms=5.0
-            ),
-            20.0,
-        )
+        adaptive = run(AdaptiveThrottle(t, max_ms=20.0), 20.0)
         assert adaptive < static
 
     def test_violating_foreground_slows_the_sweep(self):
@@ -177,9 +166,7 @@ class TestReconstructorIntegration:
         def run(response_ms):
             engine, controller = build_failed()
             t = tracker(p99_ms=50.0, window_ms=50.0)
-            adaptive = AdaptiveThrottle(
-                t, initial_ms=1.0, max_ms=64.0, recover_step_ms=0.25
-            )
+            adaptive = AdaptiveThrottle(t, max_ms=64.0)
             # A metronome keeps the signal fresh in every window.
             def tick():
                 t.record(engine.now, response_ms)

@@ -11,7 +11,7 @@ invariant over every registered layout, mode and frontier, and pin
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.array.controller import ArrayController, LogicalAccess, RetryPolicy
+from repro.array.controller import ArrayController, LogicalAccess
 from repro.array.raidops import ArrayMode, plan_access
 from repro.disk.drive import DiskRequest
 from repro.experiments.config import layout_for
@@ -158,8 +158,8 @@ def issuing_controller(layout, mode, second_failure, planned):
 
     Disk 0 is the failed one; in reconstruction mode the rebuild frontier
     has passed the even offsets (onto a replacement spindle when the
-    layout has no spare space); ``second_failure`` also fails disk 1.  A
-    retry policy sends reads through ``plan_access`` and
+    layout has no spare space); ``second_failure`` also fails disk 1.
+    Enabled retries send reads through ``plan_access`` and
     ``_launch_phase`` instead of the direct path.
     """
     controller = controller_for(layout)
@@ -174,7 +174,7 @@ def issuing_controller(layout, mode, second_failure, planned):
     if second_failure:
         controller.fail_subsequent_disk(1)
     if planned:
-        controller.set_retry_policy(RetryPolicy())
+        controller.enable_transient_errors(0.0, seed="t")
     controller.attach_oracle(_OracleLog())
     issued = []
     for server in controller.servers:
@@ -185,7 +185,7 @@ def issuing_controller(layout, mode, second_failure, planned):
 
 
 def test_direct_reads_issue_the_planned_requests():
-    """A read with no retry or hedge policy skips ``plan_access`` in every
+    """A read without retries or hedging skips ``plan_access`` in every
     mode but must issue what the planned phase would — same requests,
     same order, none to a failed server — and make the same oracle
     calls, per access shape."""

@@ -2,16 +2,9 @@
 
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import repro.array.controller as controller_module
-from repro.array.controller import (
-    ArrayController,
-    HedgePolicy,
-    LogicalAccess,
-    RetryPolicy,
-)
+from repro.array.controller import ArrayController, LogicalAccess
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError, SimulationError
 from repro.experiments.nemesistrial import _SCRUB_GENERATION_STRIDE
@@ -320,9 +313,8 @@ def handlers(controller):
 
 #: Attachments that put every server on the defended handler.
 ATTACH = {
-    "retry": lambda c: c.set_retry_policy(RetryPolicy()),
     "transient": lambda c: c.enable_transient_errors(0.0, seed="t"),
-    "hedge": lambda c: c.set_hedge_policy(HedgePolicy()),
+    "hedge": lambda c: c.enable_hedging(30.0),
     "corruption": lambda c: c.attach_corruption(
         CorruptionModel(c.layout.n, 100, seed="t")
     ),
@@ -340,56 +332,17 @@ class TestCompletionHandlerSelection:
         ATTACH[attachment](controller)
         assert handlers(controller) == {controller._request_done}
 
-    def test_removing_the_last_policy_switches_back(self):
-        _engine, controller = build()
-        controller.set_retry_policy(RetryPolicy())
-        controller.set_hedge_policy(HedgePolicy())
-        controller.set_retry_policy(None)
-        assert handlers(controller) == {controller._request_done}
-        controller.set_hedge_policy(None)
-        assert handlers(controller) == {controller._op_done}
-
     def test_an_attached_corruption_model_keeps_the_defended_handler(self):
         _engine, controller = build()
         ATTACH["corruption"](controller)
-        controller.set_retry_policy(RetryPolicy())
-        controller.set_retry_policy(None)
+        ATTACH["transient"](controller)
+        ATTACH["hedge"](controller)
         assert handlers(controller) == {controller._request_done}
-        controller.attach_corruption(None)
-        assert handlers(controller) == {controller._op_done}
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        steps=st.lists(
-            st.sampled_from(
-                sorted(ATTACH) + ["no-retry", "no-hedge", "no-corruption"]
-            ),
-            max_size=12,
-        )
-    )
-    def test_random_attach_and_detach_sequences(self, steps):
-        _engine, controller = build()
-        attached = set()
-        detach = {
-            "no-retry": controller.set_retry_policy,
-            "no-hedge": controller.set_hedge_policy,
-            "no-corruption": controller.attach_corruption,
-        }
-        for step in steps:
-            if step in detach:
-                detach[step](None)
-                attached.discard(step[3:])
-            else:
-                ATTACH[step](controller)
-                attached.add("retry" if step == "transient" else step)
-            expected = (
-                controller._request_done if attached else controller._op_done
-            )
-            assert handlers(controller) == {expected}, steps
 
     def test_ops_issued_under_the_core_complete_under_the_defended(self):
-        """Nemesis storms install a retry policy mid-run: the ops already
-        in flight complete through the defended handler, unchanged."""
+        """Nemesis storms enable transient errors mid-run: the ops
+        already in flight complete through the defended handler,
+        unchanged."""
 
         def responses(switch_at_ms):
             engine, controller = build()
@@ -402,7 +355,7 @@ class TestCompletionHandlerSelection:
             if switch_at_ms is not None:
                 engine.schedule(
                     switch_at_ms,
-                    lambda: controller.set_retry_policy(RetryPolicy()),
+                    lambda: controller.enable_transient_errors(0.0, "t"),
                 )
             engine.run()
             return done
@@ -411,7 +364,7 @@ class TestCompletionHandlerSelection:
         assert len(responses(None)) == 12
 
 
-#: Pinned specs that attach no retry, hedge or corruption defense.
+#: Pinned specs that enable no retries, hedging or corruption model.
 UNDEFENDED_PINS = [
     "response-ff-read",
     "response-f1-read",

@@ -163,8 +163,6 @@ class TestResynchronizer:
         engine, layout, controller, oracle, log = make_array()
         with pytest.raises(SimulationError):
             Resynchronizer(controller, parallel_stripes=0)
-        with pytest.raises(SimulationError):
-            Resynchronizer(controller, throttle_ms=-1.0)
         resync = Resynchronizer(controller, journal=log)
         resync.start()
         with pytest.raises(SimulationError):

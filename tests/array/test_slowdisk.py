@@ -7,8 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.array.controller import (
+    DETECTOR_HYSTERESIS,
+    DETECTOR_MIN_SAMPLES,
+    EWMA_ALPHA,
+    QUARANTINE_FACTOR,
+    UNQUARANTINE_FACTOR,
     ArrayController,
-    HedgePolicy,
     LogicalAccess,
     SlowDiskDetector,
 )
@@ -20,23 +24,24 @@ from repro.sim.engine import SimulationEngine
 
 class TestHedgePolicyValidation:
     def test_defaults_are_valid(self):
-        HedgePolicy()
+        # The detector's constants: a quarantine needs a real outlier,
+        # and a release needs the disk back below the quarantine bar.
+        assert 0.0 < EWMA_ALPHA <= 1.0
+        assert QUARANTINE_FACTOR > 1.0
+        assert 0.0 < UNQUARANTINE_FACTOR <= QUARANTINE_FACTOR
+        assert DETECTOR_MIN_SAMPLES >= 1 and DETECTOR_HYSTERESIS >= 1
 
     def test_rejects_bad_knobs(self):
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(deferral_ms=0.0)
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(ewma_alpha=0.0)
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(ewma_alpha=1.5)
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(quarantine_factor=1.0)
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(unquarantine_factor=5.0, quarantine_factor=3.0)
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(min_samples=0)
-        with pytest.raises(ConfigurationError):
-            HedgePolicy(hysteresis=0)
+        _engine, controller = build()
+        for deferral_ms in (0.0, -1.0):
+            with pytest.raises(ConfigurationError):
+                controller.enable_hedging(deferral_ms)
+        assert controller.hedge_deferral_ms is None
+
+
+def build():
+    engine = SimulationEngine()
+    return engine, ArrayController(engine, make_layout("pddl", 13, 4))
 
 
 def feed(detector, latencies_by_disk, rounds):
@@ -48,44 +53,43 @@ def feed(detector, latencies_by_disk, rounds):
 
 class TestSlowDiskDetector:
     def test_homogeneous_latencies_never_quarantine(self):
-        detector = SlowDiskDetector(5, HedgePolicy())
+        detector = SlowDiskDetector(5)
         feed(detector, [20.0] * 5, rounds=100)
         assert detector.quarantines == 0
         assert detector.report()["quarantined"] == []
 
     def test_slow_outlier_is_quarantined(self):
-        detector = SlowDiskDetector(5, HedgePolicy())
+        detector = SlowDiskDetector(5)
         feed(detector, [20.0, 20.0, 100.0, 20.0, 20.0], rounds=40)
         assert detector.is_quarantined(2)
         assert detector.quarantines == 1
         assert detector.report()["quarantined"] == [2]
 
     def test_no_verdicts_before_min_samples(self):
-        policy = HedgePolicy(min_samples=50)
-        detector = SlowDiskDetector(5, policy)
-        feed(detector, [20.0, 20.0, 500.0, 20.0, 20.0], rounds=10)
+        detector = SlowDiskDetector(5)
+        latencies = [20.0, 20.0, 500.0, 20.0, 20.0]
+        feed(detector, latencies, rounds=DETECTOR_MIN_SAMPLES - 1)
         assert detector.quarantines == 0
+        # The verdicts start with the sample that reaches the minimum.
+        feed(detector, latencies, rounds=DETECTOR_HYSTERESIS)
+        assert detector.is_quarantined(2)
 
     def test_hysteresis_absorbs_a_transient_spike(self):
-        def spike_then_recover(hysteresis):
-            policy = HedgePolicy(min_samples=1, hysteresis=hysteresis)
-            detector = SlowDiskDetector(3, policy)
-            # Warm everyone up to a 20ms baseline.
-            feed(detector, [20.0] * 3, rounds=20)
-            # One outlier sample, then normal service: the EWMA decays
-            # back under the threshold within a few observations.
-            detector.observe(0, 500.0)
-            for _ in range(10):
-                feed(detector, [20.0] * 3, rounds=1)
-            return detector.is_quarantined(0)
-
-        # A trigger-happy detector (streak of 1) quarantines on the
-        # spike; the hysteresis streak rides out the EWMA decay.
-        assert spike_then_recover(hysteresis=1)
-        assert not spike_then_recover(hysteresis=8)
+        detector = SlowDiskDetector(3)
+        # Warm everyone up to a 20ms baseline.
+        feed(detector, [20.0] * 3, rounds=20)
+        # One outlier sample lifts the EWMA past the quarantine bar...
+        detector.observe(0, 300.0)
+        assert detector.ewma[0] > QUARANTINE_FACTOR * 20.0
+        # ...and normal service decays it back under within fewer
+        # observations than the hysteresis streak needs.
+        for _ in range(10):
+            feed(detector, [20.0] * 3, rounds=1)
+        assert not detector.is_quarantined(0)
+        assert detector.quarantines == 0
 
     def test_unquarantine_after_heal(self):
-        detector = SlowDiskDetector(5, HedgePolicy())
+        detector = SlowDiskDetector(5)
         feed(detector, [20.0, 20.0, 100.0, 20.0, 20.0], rounds=40)
         assert detector.is_quarantined(2)
         feed(detector, [20.0] * 5, rounds=60)
@@ -103,7 +107,7 @@ class TestSlowDiskDetector:
     ):
         """Quarantine -> unquarantine always converges once the gray
         failure clears, regardless of how slow the disk was."""
-        detector = SlowDiskDetector(5, HedgePolicy())
+        detector = SlowDiskDetector(5)
         latencies = [base] * 5
         latencies[slow_disk] = base * multiplier
         feed(detector, latencies, rounds=60)
@@ -129,7 +133,7 @@ def run_bursts(
     """Drive bursty single-unit reads through a hedging controller."""
     engine = SimulationEngine()
     controller = ArrayController(engine, make_layout(layout, 13, k))
-    controller.set_hedge_policy(HedgePolicy())
+    controller.enable_hedging(30.0)
     if fail is not None:
         controller.fail_disk(fail)
     if slow_disk is not None:
@@ -223,22 +227,18 @@ class TestHedgedReads:
         assert controller.io_stats.hedges_launched > 0
 
     def test_instrumentation_keys_gated_on_policy(self):
-        engine = SimulationEngine()
-        controller = ArrayController(engine, make_layout("pddl", 13, 4))
+        _engine, controller = build()
         record = controller.instrumentation_record()
         assert "io_recovery" not in record
         assert "slow_disks" not in record
-        controller.set_hedge_policy(HedgePolicy())
+        controller.enable_hedging(30.0)
         record = controller.instrumentation_record()
         assert "hedges_launched" in record["io_recovery"]
         assert record["slow_disks"]["quarantines"] == 0
-        controller.set_hedge_policy(None)
-        assert "io_recovery" not in controller.instrumentation_record()
 
     def test_crash_clears_armed_hedges(self):
-        engine = SimulationEngine()
-        controller = ArrayController(engine, make_layout("pddl", 13, 4))
-        controller.set_hedge_policy(HedgePolicy())
+        engine, controller = build()
+        controller.enable_hedging(30.0)
         controller.submit(
             LogicalAccess(1, 0, 4, is_write=False), lambda a, ms: None
         )

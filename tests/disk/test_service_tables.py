@@ -78,8 +78,8 @@ def request_sequences(draw, total_sectors: int, max_sectors: int):
 def assert_paths_agree(factory, requests, fail_slow: bool) -> None:
     fast, ref = factory(), factory()
     if fail_slow:
-        fast.fail_slow = FailSlowModel(3.5, onset_ms=40.0, duration_ms=900.0)
-        ref.fail_slow = FailSlowModel(3.5, onset_ms=40.0, duration_ms=900.0)
+        fast.fail_slow = FailSlowModel(3.5, onset_ms=40.0)
+        ref.fail_slow = FailSlowModel(3.5, onset_ms=40.0)
     for lba, sectors, is_write, now in requests:
         request = DiskRequest(lba, sectors, is_write, access_id=0)
         assert fast.service(request, now) == ref.service_reference(

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.array.controller import (
+    RETRIES,
+    RETRY_BACKOFF_BASE_MS,
+    RETRY_BACKOFF_CAP_MS,
     ArrayController,
     LogicalAccess,
-    RetryPolicy,
 )
 from repro.array.reconstructor import Reconstructor
 from repro.disk.drive import TransientErrorModel
@@ -41,22 +43,32 @@ class TestTransientErrorModel:
 
 class TestRetryPolicy:
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(retries=-1)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_base_ms=-1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(backoff_base_ms=5.0, backoff_cap_ms=1.0)
-        with pytest.raises(ConfigurationError):
-            RetryPolicy(op_timeout_ms=0.0)
+        # The retry budget is constant; capped_exponential leaves its
+        # argument checks to callers.
+        assert RETRIES >= 0
+        assert 0 <= RETRY_BACKOFF_BASE_MS <= RETRY_BACKOFF_CAP_MS
 
 
-def run_workload(rate, policy=None, accesses=60, is_write=False):
+class _AlwaysFail:
+    """Transient-error stand-in: every operation on the drive fails, so
+    each op fails all of its ``RETRIES + 1`` attempts."""
+
+    def draw(self) -> bool:
+        return True
+
+
+def run_workload(rate, accesses=60, is_write=False, failing_disk=None):
+    """``failing_disk`` fails every operation it serves, with retries
+    installed."""
     engine = SimulationEngine()
     layout = make_layout("raid5", 5, 5)
     controller = ArrayController(engine, layout)
-    if rate > 0:
-        controller.enable_transient_errors(rate, seed=11, policy=policy)
+    if rate > 0 or failing_disk is not None:
+        controller.enable_transient_errors(rate, seed=11)
+    if failing_disk is not None:
+        controller.servers[failing_disk].drive.transient_errors = (
+            _AlwaysFail()
+        )
     done = []
 
     def submit(i):
@@ -83,17 +95,20 @@ class TestControllerRecovery:
         assert stats.escalated_reads == 0
 
     def test_exhausted_reads_escalate_to_reconstruction(self):
-        policy = RetryPolicy(retries=0, backoff_base_ms=0.1)
-        controller, done = run_workload(0.25, policy=policy)
+        controller, done = run_workload(0.0, failing_disk=2)
         stats = controller.io_stats
         assert len(done) == 60
         assert stats.escalated_reads > 0
+        # Each escalated read, and each repair rewrite given up on the
+        # failing disk, spent the whole budget.
+        assert stats.retries == RETRIES * (
+            stats.escalated_reads + stats.raw_give_ups
+        )
         # Escalation repairs the failing sector with a rewrite.
         assert stats.repaired_sectors > 0
 
     def test_exhausted_writes_remap_instead_of_escalating(self):
-        policy = RetryPolicy(retries=0, backoff_base_ms=0.1)
-        controller, done = run_workload(0.25, policy=policy, is_write=True)
+        controller, done = run_workload(0.0, failing_disk=2, is_write=True)
         stats = controller.io_stats
         assert len(done) == 60
         assert stats.remapped_writes > 0
@@ -118,42 +133,32 @@ class TestControllerRecovery:
         }
 
 
-class _FailFirstOp:
-    """Transient-error stand-in: only a drive's first operation fails."""
-
-    def __init__(self):
-        self.fired = False
-
-    def draw(self) -> bool:
-        fail = not self.fired
-        self.fired = True
-        return fail
-
-
 class TestEscalationDuringReplacementRebuild:
     @pytest.mark.parametrize(
         "name, width", [("raid5", 13), ("parity-declustering", 4)]
     )
     def test_unrebuilt_replacement_cells_are_no_redundancy(self, name, width):
         # Disk 0 fails and rebuilds onto a replacement spindle.  A client
-        # read of a unit sharing a stripe with cell (0, 0) fails on its
-        # first try and escalates before the rebuild reaches row 0: the
-        # replacement's cell holds nothing valid yet, so the sector must
-        # count as an escalation failure, not be "repaired" from it.
+        # read of a unit sharing a stripe with cell (0, 0) fails every
+        # attempt and escalates before the rebuild reaches row 0 (its
+        # read of the same disk fails too, and gives up after the
+        # client's last attempt): the replacement's cell holds nothing
+        # valid yet, so the sector must count as an escalation failure,
+        # not be "repaired" from it.
         engine = SimulationEngine()
         layout = make_layout(name, 13, width)
         controller = ArrayController(engine, layout)
         controller.fail_disk(0)
         recon = Reconstructor(controller, rows=13, allow_replacement=True)
         controller.enter_reconstruction(recon.is_rebuilt)
-        controller.set_retry_policy(RetryPolicy(retries=0))
+        controller.enable_transient_errors(0.0, seed=0)
         stripe = layout.locate(0, 0).stripe
         position, cell = next(
             (j, a)
             for j, a in enumerate(stripe_units(layout, stripe).data)
             if a.disk != 0
         )
-        controller.servers[cell.disk].drive.transient_errors = _FailFirstOp()
+        controller.servers[cell.disk].drive.transient_errors = _AlwaysFail()
         unit = layout.data_units_of_stripe(stripe)[position]
         done = []
         controller.submit(

@@ -37,10 +37,9 @@ class TestFaultInjector:
             engine, [], mttf_hours=1000.0, fault_seed=11
         )
         scenario = FaultScenario(mttf_hours=1000.0, fault_seed=11)
-        assert (
-            injector.fault_time_ms,
-            injector.fault_disk,
-        ) == scenario.draw_fault(13)
+        assert [
+            (injector.fault_time_ms, injector.fault_disk)
+        ] == scenario.draw_faults(13)
 
     def test_rejects_double_arm(self):
         # Double-arming is a caller bug, not a simulation outcome: the
@@ -48,7 +47,10 @@ class TestFaultInjector:
         engine = SimulationEngine()
         injector = make_injector(engine, [], fault_time_ms=10.0)
         injector.arm()
-        with pytest.raises(ConfigurationError, match="already armed"):
+        with pytest.raises(
+            ConfigurationError,
+            match="disk 0 failure at 10.0 ms is already armed",
+        ):
             injector.arm()
 
     def test_rejects_arm_after_fired(self):

@@ -1,10 +1,12 @@
-"""FaultScenario: validation, fault resolution, content hashing."""
+"""FaultScenario: validation and fault resolution."""
+
+import random
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultScenario
-from repro.faults.scenario import FAULT_SCENARIO_VERSION
+from repro.reliability import exponential_lifetime_ms
 
 
 class TestValidation:
@@ -30,29 +32,27 @@ class TestValidation:
 
 
 class TestDrawFault:
+    """Single-fault scenarios: ``draw_faults`` returns one failure."""
+
     def test_deterministic_scenario_is_literal(self):
         scenario = FaultScenario(failed_disk=3, fault_time_ms=250.0)
-        assert scenario.draw_fault(13) == (250.0, 3)
+        assert scenario.draw_faults(13) == [(250.0, 3)]
 
     def test_seeded_draw_is_reproducible(self):
         scenario = FaultScenario(mttf_hours=1000.0, fault_seed=7)
-        assert scenario.draw_fault(13) == scenario.draw_fault(13)
+        assert scenario.draw_faults(13) == scenario.draw_faults(13)
 
     def test_seed_changes_the_draw(self):
-        a = FaultScenario(mttf_hours=1000.0, fault_seed=1).draw_fault(13)
-        b = FaultScenario(mttf_hours=1000.0, fault_seed=2).draw_fault(13)
+        a = FaultScenario(mttf_hours=1000.0, fault_seed=1).draw_faults(13)
+        b = FaultScenario(mttf_hours=1000.0, fault_seed=2).draw_faults(13)
         assert a != b
 
     def test_earliest_disk_wins(self):
         scenario = FaultScenario(mttf_hours=1000.0, fault_seed=3)
-        time_ms, disk = scenario.draw_fault(13)
+        [(time_ms, disk)] = scenario.draw_faults(13)
         assert 0 <= disk < 13
         assert time_ms > 0
         # The winning lifetime is the minimum over per-disk draws.
-        import random
-
-        from repro.reliability import exponential_lifetime_ms
-
         draws = [
             exponential_lifetime_ms(
                 1000.0, random.Random(f"3/disk-{d}")
@@ -61,68 +61,6 @@ class TestDrawFault:
         ]
         assert time_ms == min(draws)
         assert disk == draws.index(min(draws))
-
-
-class TestHashing:
-    def test_round_trip(self):
-        scenario = FaultScenario(
-            failed_disk=2,
-            fault_time_ms=100.0,
-            degraded_dwell_ms=50.0,
-            rebuild_rows=40,
-            rebuild_parallel=2,
-            rebuild_throttle_ms=5.0,
-        )
-        assert FaultScenario.from_dict(scenario.to_dict()) == scenario
-
-    def test_content_hash_is_stable_and_sensitive(self):
-        a = FaultScenario(fault_time_ms=100.0)
-        b = FaultScenario(fault_time_ms=100.0)
-        c = FaultScenario(fault_time_ms=101.0)
-        assert a.content_hash() == b.content_hash()
-        assert a.content_hash() != c.content_hash()
-        assert len(a.content_hash()) == 64
-
-    def test_version_is_part_of_the_hash(self):
-        assert FAULT_SCENARIO_VERSION == 1
-
-    def test_single_fault_hashes_are_pinned(self):
-        # The multi-fault/media/scrub fields are omitted from the
-        # canonical form at their inactive defaults, so scenarios from
-        # before those fields existed keep their exact hashes (cache
-        # compatibility).  Do not update these values: a mismatch means
-        # every existing result cache silently invalidates.
-        assert FaultScenario(fault_time_ms=100.0).content_hash() == (
-            "161ebf7b6b155b6365a35c738b4a6396"
-            "e2e62f32c07c41722ac77f62cf4fe40c"
-        )
-        assert FaultScenario(
-            mttf_hours=1000.0, fault_seed=7
-        ).content_hash() == (
-            "126853b9774272acc645221c26ff3ae4"
-            "51faa4c1c854c6c5386363fc0cbfc64e"
-        )
-
-    def test_multi_fault_fields_change_the_hash(self):
-        base = FaultScenario(fault_time_ms=100.0)
-        pair = FaultScenario(
-            fault_time_ms=100.0,
-            second_fault_time_ms=200.0,
-            second_failed_disk=3,
-        )
-        lse = FaultScenario(fault_time_ms=100.0, lse_per_gb=10.0)
-        assert len({s.content_hash() for s in (base, pair, lse)}) == 3
-
-    def test_multi_fault_round_trip(self):
-        scenario = FaultScenario(
-            mttf_hours=500.0,
-            fault_seed=9,
-            max_faults=3,
-            lse_per_gb=25.0,
-            scrub_interval_ms=40.0,
-            scrub_throttle_ms=2.0,
-        )
-        assert FaultScenario.from_dict(scenario.to_dict()) == scenario
 
 
 class TestMultiFaultValidation:
@@ -173,12 +111,6 @@ class TestDrawFaults:
             second_failed_disk=7,
         )
         assert scenario.draw_faults(13) == [(100.0, 2), (250.0, 7)]
-        assert scenario.multi_fault
-
-    def test_single_fault_matches_draw_fault(self):
-        scenario = FaultScenario(mttf_hours=1000.0, fault_seed=5)
-        assert scenario.draw_faults(13) == [scenario.draw_fault(13)]
-        assert not scenario.multi_fault
 
     def test_stochastic_draws_are_the_earliest_lifetimes(self):
         scenario = FaultScenario(

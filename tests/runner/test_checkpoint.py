@@ -1,10 +1,13 @@
-"""RunCheckpoint: tolerant loads, fsynced appends, kill/resume parity."""
+"""RunCheckpoint: tolerant loads, fsynced appends, kill/resume parity,
+source stamps."""
 
 import json
 
 import pytest
 
+import repro.runner.checkpoint as checkpoint_module
 from repro.runner import ParallelRunner, RunCheckpoint, canonical_json
+from repro.runner.cache import source_fingerprint
 from repro.runner.spec import CampaignTrialSpec, LifecycleSpec, spec_hash
 
 
@@ -23,6 +26,11 @@ def quick_specs(trials=6):
     ]
 
 
+def stamped(record) -> str:
+    """One checkpoint line written by this source tree."""
+    return json.dumps({"source": source_fingerprint(), "record": record})
+
+
 class TestLoad:
     def test_missing_file_is_an_empty_checkpoint(self, tmp_path):
         cp = RunCheckpoint(tmp_path / "run.jsonl")
@@ -38,9 +46,9 @@ class TestLoad:
         ]
         with open(path, "w", encoding="utf-8") as handle:
             for record in good:
-                handle.write(json.dumps(record) + "\n")
+                handle.write(stamped(record) + "\n")
             # A kill mid-write leaves a torn final line.
-            handle.write('{"spec_hash": "cc')
+            handle.write(stamped({"spec_hash": "cc" * 32})[:40])
         cp = RunCheckpoint(path)
         assert len(cp) == 2
         assert cp.corrupt_lines == 1
@@ -49,7 +57,10 @@ class TestLoad:
 
     def test_records_without_a_hash_count_as_corrupt(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        path.write_text('{"x": 1}\n[1, 2, 3]\n', encoding="utf-8")
+        path.write_text(
+            stamped({"x": 1}) + "\n" + stamped([1, 2, 3]) + "\n",
+            encoding="utf-8",
+        )
         cp = RunCheckpoint(path)
         assert len(cp) == 0
         assert cp.corrupt_lines == 2
@@ -107,6 +118,42 @@ class TestResume:
         ).run(specs)
         assert second.executed == 0
         assert second.checkpoint_hits == 4
+        assert canonical_json(second.records) == canonical_json(
+            first.records
+        )
+
+
+class TestSourceStamp:
+    def test_lines_keep_the_record_beside_the_source_stamp(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        record = {"spec_hash": "ab" * 32, "x": 1}
+        RunCheckpoint(path).append(record)
+        assert json.loads(path.read_text(encoding="utf-8")) == {
+            "source": source_fingerprint(),
+            "record": record,
+        }
+
+    def test_records_from_other_source_are_simulated_again(
+        self, tmp_path, monkeypatch
+    ):
+        specs = quick_specs(4)
+        path = tmp_path / "run.jsonl"
+        first = ParallelRunner(
+            workers=1, checkpoint=RunCheckpoint(path)
+        ).run(specs)
+        assert first.executed == 4
+        # The same checkpoint, resumed by an edited source tree.
+        monkeypatch.setattr(
+            checkpoint_module,
+            "source_fingerprint",
+            lambda: "0" * 64,
+            raising=False,
+        )
+        second = ParallelRunner(
+            workers=1, checkpoint=RunCheckpoint(path)
+        ).run(specs)
+        assert second.checkpoint_hits == 0
+        assert second.executed == 4
         assert canonical_json(second.records) == canonical_json(
             first.records
         )

@@ -7,13 +7,17 @@ engine (so they are part of the byte-determinism contract), and the
 worker pool's delays gate wall-clock retry pacing — neither may drift.
 """
 
+from repro.array.controller import RETRY_BACKOFF_BASE_MS, RETRY_BACKOFF_CAP_MS
 from repro.backoff import capped_exponential
 
 
 class TestCappedExponential:
     def test_controller_retry_policy_default_sequence(self):
-        # RetryPolicy defaults: base 1.0 ms, cap 50.0 ms.
-        delays = [capped_exponential(a, 1.0, 50.0) for a in range(1, 9)]
+        # The controller's retry backoff: base 1.0 ms, cap 50.0 ms.
+        delays = [
+            capped_exponential(a, RETRY_BACKOFF_BASE_MS, RETRY_BACKOFF_CAP_MS)
+            for a in range(1, 9)
+        ]
         assert delays == [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 50.0, 50.0]
 
     def test_worker_pool_default_sequence(self):
