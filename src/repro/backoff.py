@@ -2,11 +2,12 @@
 
 Two retry loops grew the same arithmetic independently — the
 controller's transient-error retries (milliseconds, simulated clock)
-and the hardened worker pool's requeue path (seconds, wall clock).  Both sequences are pinned by regression tests and by
-byte-determinism contracts (the controller's delays feed the event
-engine, so changing them changes golden traces), so the helper must
-reproduce ``min(base * 2**(attempt-1), cap)`` exactly — same operation
-order, same float semantics.
+and the hardened worker pool's requeue path (seconds, wall clock).
+Both sequences are pinned by regression tests and by byte-determinism
+contracts (the controller's delays feed the event engine, so changing
+them changes golden traces), so the helper must reproduce
+``min(base * 2**(attempt-1), cap)`` exactly — same operation order,
+same float semantics.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 One trial offers open-loop Poisson arrivals to an array that is
 rebuilding one failed disk while *another* disk fail-slows (a constant
 service-time multiplier from time zero — the gray failure the fault
-model in :mod:`repro.faults.failslow` scripts).  The ``defense`` axis switches
-the two tail-tolerance mechanisms on and off independently:
+model in :mod:`repro.faults.failslow` scripts).  The ``defense`` axis
+switches the two tail-tolerance mechanisms on and off independently:
 
 - ``none``      — no defense: unthrottled rebuild, no hedging;
 - ``hedge``     — hedged degraded-reads (deferral-timeout reconstruction
