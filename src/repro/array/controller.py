@@ -745,10 +745,6 @@ class ArrayController:
         hedge immediately.  Client reads leave the direct read path
         (hedges need the per-op submit times that path skips).
         """
-        if deferral_ms <= 0:
-            raise ConfigurationError(
-                f"hedge deferral must be positive, got {deferral_ms}"
-            )
         self.hedge_deferral_ms = deferral_ms
         self.slow_disk_detector = SlowDiskDetector(self.layout.n)
         self._select_completion()

@@ -19,6 +19,7 @@ from repro.array.controller import (
 from repro.errors import ConfigurationError
 from repro.faults.failslow import FailSlowModel
 from repro.layouts import make_layout
+from repro.runner.spec import FailSlowTrialSpec
 from repro.sim.engine import SimulationEngine
 
 
@@ -32,11 +33,11 @@ class TestHedgePolicyValidation:
         assert DETECTOR_MIN_SAMPLES >= 1 and DETECTOR_HYSTERESIS >= 1
 
     def test_rejects_bad_knobs(self):
-        _engine, controller = build()
+        # The deferral, hedging's one setting, is checked where it
+        # enters: the fail-slow spec.
         for deferral_ms in (0.0, -1.0):
-            with pytest.raises(ConfigurationError):
-                controller.enable_hedging(deferral_ms)
-        assert controller.hedge_deferral_ms is None
+            with pytest.raises(ConfigurationError, match="hedge deferral"):
+                FailSlowTrialSpec(layout="pddl", hedge_deferral_ms=deferral_ms)
 
 
 def build():
