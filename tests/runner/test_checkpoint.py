@@ -26,9 +26,10 @@ def quick_specs(trials=6):
     ]
 
 
-def stamped(record) -> str:
+def stamped(record, key=None) -> str:
     """One checkpoint line written by this source tree."""
-    return json.dumps({"source": source_fingerprint(), "record": record})
+    key = key or record["spec_hash"]
+    return f'["{key}","{source_fingerprint()}",{json.dumps(record)}]'
 
 
 class TestLoad:
@@ -58,12 +59,27 @@ class TestLoad:
     def test_records_without_a_hash_count_as_corrupt(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_text(
-            stamped({"x": 1}) + "\n" + stamped([1, 2, 3]) + "\n",
+            stamped({"x": 1}, "aa" * 32) + "\n"
+            + stamped([1, 2, 3], "bb" * 32) + "\n",
+            encoding="utf-8",
+        )
+        cp = RunCheckpoint(path)
+        assert cp.get("aa" * 32) is None
+        assert cp.get("bb" * 32) is None
+        assert len(cp) == 0
+        assert cp.corrupt_lines == 2
+
+    def test_lines_of_the_older_form_count_as_corrupt(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        record = {"spec_hash": "ab" * 32, "x": 1}
+        path.write_text(
+            json.dumps({"source": source_fingerprint(), "record": record})
+            + "\n",
             encoding="utf-8",
         )
         cp = RunCheckpoint(path)
         assert len(cp) == 0
-        assert cp.corrupt_lines == 2
+        assert cp.corrupt_lines == 1
 
 
 class TestAppend:
@@ -128,10 +144,11 @@ class TestSourceStamp:
         path = tmp_path / "run.jsonl"
         record = {"spec_hash": "ab" * 32, "x": 1}
         RunCheckpoint(path).append(record)
-        assert json.loads(path.read_text(encoding="utf-8")) == {
-            "source": source_fingerprint(),
-            "record": record,
-        }
+        assert json.loads(path.read_text(encoding="utf-8")) == [
+            "ab" * 32,
+            source_fingerprint(),
+            record,
+        ]
 
     def test_records_from_other_source_are_simulated_again(
         self, tmp_path, monkeypatch

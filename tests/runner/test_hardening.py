@@ -204,16 +204,18 @@ class TestCacheCorruption:
         assert first.executed == 1
         reference = first.records
 
-        # Simulate a kill mid-write landing under the final name.
-        entry = cache.path_for(key)
-        entry.write_text('{"spec_hash": "', encoding="utf-8")
+        # Simulate a kill mid-write: the log ends inside the record.
+        log = cache.path
+        torn = log.read_bytes()[:-100]
+        log.write_bytes(torn)
 
+        cache = ResultCache(tmp_path / "cache")
         assert cache.get(key) is None
         assert cache.quarantined == 1
-        assert entry.with_suffix(".corrupt").exists()
+        assert log.read_bytes() == torn  # left in place for inspection
 
         second = ParallelRunner(workers=1, cache=cache).run([spec])
         assert second.executed == 1  # recomputed, not served corrupt
         assert canonical_json(second.records) == canonical_json(reference)
-        # The recompute healed the entry in place.
-        assert cache.get(key) == reference[0]
+        # The recompute healed the entry after the torn line.
+        assert ResultCache(tmp_path / "cache").get(key) == reference[0]
