@@ -10,21 +10,20 @@ sets) both consume these plans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.errors import ConfigurationError
-from repro.layouts.address import PhysicalAddress, Role
+from repro.layouts.address import PhysicalAddress
 from repro.layouts.base import Layout
 
 
-#: Builds a :class:`PhysicalAddress` without the namedtuple's
-#: Python-level ``__new__`` (the rebuild sweep makes one per cell).
+#: Builds a :class:`PhysicalAddress` or :class:`RebuildStep` without the
+#: namedtuple's Python-level ``__new__`` (the rebuild sweep makes one
+#: step per lost unit and one address per cell).
 _new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class RebuildStep:
+class RebuildStep(NamedTuple):
     """Work to rebuild one lost stripe unit.
 
     ``lost`` is the failed cell; ``reads`` the surviving cells of its stripe;
@@ -39,6 +38,22 @@ class RebuildStep:
     write: Optional[PhysicalAddress]
 
 
+def _stripe_rows(layout: Layout, failed_disk: int) -> List[Optional[int]]:
+    """Per row of one period: the period stripe whose cell on
+    ``failed_disk`` sits there, or ``None`` where the disk holds no
+    stripe unit (a spare cell).  The rows are those of the disk's
+    :meth:`~repro.layouts.base.Layout.failure_table` entries."""
+    if not 0 <= failed_disk < layout.n:
+        raise ConfigurationError(
+            f"failed disk {failed_disk} outside 0..{layout.n - 1}"
+        )
+    stripe_at: List[Optional[int]] = [None] * layout.stripe_table().period
+    for index, lost in enumerate(layout.failure_table(failed_disk)):
+        if lost is not None:
+            stripe_at[lost.row] = index
+    return stripe_at
+
+
 def rebuild_plan(
     layout: Layout, failed_disk: int, rows: Optional[int] = None
 ) -> Iterator[RebuildStep]:
@@ -47,34 +62,37 @@ def rebuild_plan(
     ``rows`` defaults to one layout period — by periodicity, per-disk load
     ratios over any whole number of periods equal the one-period ratios.
     """
-    if not 0 <= failed_disk < layout.n:
-        raise ConfigurationError(
-            f"failed disk {failed_disk} outside 0..{layout.n - 1}"
-        )
-    if rows is None:
-        rows = layout.period
+    stripe_at = _stripe_rows(layout, failed_disk)
     period, per_period, _, _ = layout.stripe_table()
+    if rows is None:
+        rows = period
+    if rows > 0:
+        # A relocated view's own disk holds nothing; its locate raises.
+        layout.locate(failed_disk, 0)
     lost_cells = layout.failure_table(failed_disk)
     sparing = layout.has_sparing
     for offset in range(rows):
-        info = layout.locate(failed_disk, offset)
-        if info.role is Role.SPARE:
+        cycle, row = divmod(offset, period)
+        index = stripe_at[row]
+        if index is None:
             continue
-        cycle, index = divmod(info.stripe, per_period)
         shift = cycle * period
         lost = lost_cells[index]
         # Every cell of the rebuilt stripe but the rebuilt unit's home:
         # its same-row spare with sparing, the lost cell itself without.
         reads = [
-            _new(PhysicalAddress, (disk, row + shift))
-            for disk, row in lost.data + lost.check
+            _new(PhysicalAddress, (disk, cell_row + shift))
+            for disk, cell_row in lost.data + lost.check
         ]
         home = reads.pop(lost.position)
-        yield RebuildStep(
-            lost=PhysicalAddress(failed_disk, offset),
-            stripe=info.stripe,
-            reads=reads,
-            write=home if sparing else None,
+        yield _new(
+            RebuildStep,
+            (
+                _new(PhysicalAddress, (failed_disk, offset)),
+                index + cycle * per_period,
+                reads,
+                home if sparing else None,
+            ),
         )
 
 
@@ -83,28 +101,20 @@ def count_lost_units(
 ) -> int:
     """How many rebuild steps :func:`rebuild_plan` will yield.
 
-    Counts the failed disk's non-spare cells over ``rows`` offsets
+    Counts the failed disk's stripe rows over ``rows`` offsets
     arithmetically (no plan materialization), so a reconstructor can
     report progress against a known total.
     """
-    if not 0 <= failed_disk < layout.n:
-        raise ConfigurationError(
-            f"failed disk {failed_disk} outside 0..{layout.n - 1}"
-        )
+    stripe_at = _stripe_rows(layout, failed_disk)
     if rows is None:
-        rows = layout.period
+        rows = len(stripe_at)
     if rows < 0:
         raise ConfigurationError(f"negative row count {rows}")
-    spare_offsets = [
-        addr.offset
-        for addr in layout.spare_addresses_in_period()
-        if addr.disk == failed_disk
-    ]
-    full_periods, remainder = divmod(rows, layout.period)
-    spares = full_periods * len(spare_offsets) + sum(
-        1 for offset in spare_offsets if offset < remainder
+    full_periods, remainder = divmod(rows, len(stripe_at))
+    per_period = len(stripe_at) - stripe_at.count(None)
+    return full_periods * per_period + sum(
+        1 for index in stripe_at[:remainder] if index is not None
     )
-    return rows - spares
 
 
 def rebuild_read_tally(

@@ -25,8 +25,9 @@ from repro.array.raidops import ArrayMode
 from repro.array.resync import Resynchronizer, classify_stripe
 from repro.core.layout import PDDLLayout
 from repro.core.permutation import BasePermutation
-from repro.core.reconstruction import rebuild_plan
+from repro.core.reconstruction import count_lost_units, rebuild_plan
 from repro.core.wrapping import wrapped_layout
+from repro.errors import MappingError
 from repro.faults.multifault import (
     _period_profile,
     evaluate_second_failure,
@@ -126,6 +127,20 @@ def test_rebuild_plan_matches_reference(case):
                     lambda: list(rebuild_plan(layout, disk, rows)),
                     lambda: list(ref.rebuild_plan(layout, disk, rows)),
                 )
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_lost_unit_count_matches_the_plan(case):
+    # The reconstructor's total_steps: a count above the plan leaves
+    # fraction_complete short of 1.0 when the sweep ends.
+    for layout in _layouts(case):
+        for disk in _failed_disks(layout):
+            for rows in (None, 26, layout.period + 1):
+                try:
+                    steps = len(list(rebuild_plan(layout, disk, rows)))
+                except MappingError:
+                    continue  # a relocated view's own disk
+                assert count_lost_units(layout, disk, rows) == steps
 
 
 @pytest.mark.parametrize("case", _CASES)
