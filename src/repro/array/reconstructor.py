@@ -282,7 +282,7 @@ class Reconstructor(PacedSweep):
         access_id = self._next_id
         self._next_id += 1
         self._inflight[access_id] = step
-        remaining = {"reads": len(step.reads), "failed": False}
+        reads_left = len(step.reads)
 
         def write_done() -> None:
             self._inflight.pop(access_id, None)
@@ -309,33 +309,45 @@ class Reconstructor(PacedSweep):
         # address on the replacement spindle without.
         target = step.write if step.write is not None else step.lost
 
-        def all_reads_good() -> None:
-            controller.submit_raw(
-                target.disk,
-                target.offset,
-                True,
-                access_id,
-                write_done,
-                tag="rebuild-write",
-            )
+        def read_done() -> None:
+            nonlocal reads_left
+            reads_left -= 1
+            if reads_left == 0:
+                controller.submit_raw(
+                    target.disk,
+                    target.offset,
+                    True,
+                    access_id,
+                    write_done,
+                    tag="rebuild-write",
+                )
 
-        def read_done(addr: PhysicalAddress, attempt: int) -> None:
-            if remaining["failed"]:
+        media = self.media
+        if media is None:
+            # One callback serves every survivor read of the step.
+            for disk, offset in step.reads:
+                controller.submit_raw(
+                    disk, offset, False, access_id, read_done,
+                    tag="rebuild-read",
+                )
+            return
+
+        failed = False
+
+        def media_read_done(addr: PhysicalAddress, attempt: int) -> None:
+            nonlocal failed
+            if failed:
                 return  # step already failed on a sibling read
-            if self.media is not None and self.media.is_bad(
-                addr.disk, addr.offset
-            ):
+            if media.is_bad(addr.disk, addr.offset):
                 if attempt < MEDIA_RETRIES:
                     # Retry the sector in place.
                     issue_read(addr, attempt + 1)
                     return
-                remaining["failed"] = True
+                failed = True
                 self._inflight.pop(access_id, None)
                 self._fail_step(step, addr)
                 return
-            remaining["reads"] -= 1
-            if remaining["reads"] == 0:
-                all_reads_good()
+            read_done()
 
         def issue_read(addr: PhysicalAddress, attempt: int) -> None:
             controller.submit_raw(
@@ -343,7 +355,7 @@ class Reconstructor(PacedSweep):
                 addr.offset,
                 False,
                 access_id,
-                lambda: read_done(addr, attempt),
+                lambda: media_read_done(addr, attempt),
                 tag="rebuild-read",
             )
 
