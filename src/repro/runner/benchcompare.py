@@ -28,17 +28,8 @@ import json
 from typing import List, Optional
 
 from repro.errors import RunnerError
+from repro.experiments.sweep import sweep_for
 
-#: Bench kinds with committed baselines (BENCH_<kind>.json at the root).
-KNOWN_BENCHES = (
-    "campaign",
-    "corruption",
-    "crash",
-    "failslow",
-    "lifecycle",
-    "nemesis",
-    "traffic",
-)
 
 def load_report(path: str) -> dict:
     """One ``BENCH_*.json`` report, or a clean error."""
@@ -60,222 +51,16 @@ def _version(report: dict) -> str:
     return report.get("provenance", {}).get("source_version", "unversioned")
 
 
-def _check_provenance(report: dict, problems: List[str]) -> None:
-    provenance = report.get("provenance")
-    if provenance is None:
-        problems.append(f"{report['bench']} report lacks a provenance block")
-    elif "sweep_hash" not in provenance:
-        problems.append("provenance block lacks sweep_hash")
-
-
-def _check_admission(label: str, trial: dict, problems: List[str]) -> None:
-    """Every offered arrival was either completed or shed."""
-    if trial["completed"] + trial["shed"] != trial["offered"]:
-        problems.append(
-            f"{label}: completed {trial['completed']} + shed"
-            f" {trial['shed']} != offered {trial['offered']}"
-        )
-
-
-def _check_tail_order(label: str, tail: dict, problems: List[str]) -> None:
-    if tail["count"]:
-        ordered = (
-            tail["p50_ms"]
-            <= tail["p99_ms"]
-            <= tail["p999_ms"]
-            <= tail["max_ms"] * 1.05  # bucketed p999 vs exact max
-        )
-        if not ordered:
-            problems.append(f"{label}: tail percentiles out of order")
-
-
-def _check_campaign(report: dict, problems: List[str]) -> None:
-    summary = report["summary"]
-    trials = summary["trials"]
-    if not 0 <= summary["losses"] <= trials:
-        problems.append(f"losses {summary['losses']} outside [0, {trials}]")
-    if not 0.0 <= summary["loss_probability"] <= 1.0:
-        problems.append(
-            f"loss probability {summary['loss_probability']} outside [0, 1]"
-        )
-    if not summary["ci_low"] <= summary["loss_probability"] <= summary["ci_high"]:
-        problems.append(
-            f"CI [{summary['ci_low']}, {summary['ci_high']}] does not"
-            f" bracket the estimate {summary['loss_probability']}"
-        )
-    oracle = report.get("oracle")
-    if oracle is not None and oracle["corruption_events"] != 0:
-        problems.append(
-            f"{oracle['corruption_events']} silent corruption event(s)"
-        )
-
-
-def _check_crash(report: dict, problems: List[str]) -> None:
-    summary = report["summary"]
-    if summary["corruption_events"] != 0:
-        problems.append(
-            f"{summary['corruption_events']} silent corruption event(s)"
-        )
-    if summary["resync_speedup"] <= 1.0:
-        problems.append(
-            "journaled resync no faster than the full sweep"
-            f" (speedup {summary['resync_speedup']})"
-        )
-    for trial in report["trials"]:
-        if trial["corruption_events"] != 0:
-            problems.append(
-                f"trial {trial['layout']}/{trial['clients']} clients has"
-                f" {trial['corruption_events']} corruption event(s)"
-            )
-
-
-def _check_nemesis(report: dict, problems: List[str]) -> None:
-    summary = report["summary"]
-    if summary["silent_corruption"] != 0:
-        problems.append(
-            f"{summary['silent_corruption']} SILENT_CORRUPTION trial(s):"
-            f" {summary['failing_trials']}"
-        )
-    if summary["corruption_events"] != 0:
-        problems.append(
-            f"{summary['corruption_events']} oracle corruption event(s)"
-        )
-    counted = (
-        summary["survived"]
-        + summary["data_loss"]
-        + summary["silent_corruption"]
-    )
-    if counted != summary["trials"]:
-        problems.append(
-            f"outcomes sum to {counted}, not {summary['trials']}"
-        )
-
-
-def _check_lifecycle(report: dict, problems: List[str]) -> None:
-    if not report["runs"]:
-        problems.append("no lifecycle runs recorded")
-
-
-def _check_traffic(report: dict, problems: List[str]) -> None:
-    summary = report["summary"]
-    trials = report["trials"]
-    overloaded = sum(1 for t in trials if t["overloaded"])
-    if overloaded != summary["overloaded_trials"]:
-        problems.append(
-            f"summary says {summary['overloaded_trials']} overloaded"
-            f" trial(s) but the trials show {overloaded}"
-        )
-    for trial in trials:
-        label = f"{trial['layout']}/{trial['phase']}@{trial['rate_per_s']}"
-        _check_admission(label, trial, problems)
-        _check_tail_order(label, trial["tail"], problems)
-
-
-def _check_failslow(report: dict, problems: List[str]) -> None:
-    summary = report["summary"]
-    trials = report["trials"]
-    for trial in trials:
-        label = f"{trial['layout']}/{trial['defense']}"
-        _check_admission(label, trial, problems)
-        _check_tail_order(label, trial["tail"], problems)
-        hedging = trial.get("hedging")
-        if trial["defense"] in ("hedge", "both"):
-            if hedging is None:
-                problems.append(f"{label}: hedging defense lacks counters")
-            elif hedging["won"] + hedging["lost"] > hedging["launched"]:
-                problems.append(
-                    f"{label}: hedge wins {hedging['won']} + losses"
-                    f" {hedging['lost']} exceed launches"
-                    f" {hedging['launched']}"
-                )
-        elif hedging is not None:
-            problems.append(
-                f"{label}: hedge counters on a non-hedging defense"
-            )
-    for layout, entry in summary.get("hedging", {}).items():
-        launched, won = entry["launched"], entry["won"]
-        if won > launched:
-            problems.append(
-                f"summary.hedging.{layout}: {won} wins from"
-                f" {launched} launches"
-            )
-        rate = entry["win_rate"]
-        if launched and (rate is None or not 0.0 <= rate <= 1.0):
-            problems.append(
-                f"summary.hedging.{layout}: win rate {rate} outside [0, 1]"
-            )
-
-
-def _check_corruption(report: dict, problems: List[str]) -> None:
-    summary = report["summary"]
-    trials = report["trials"]
-    # The defense invariant the whole bench exists to assert: no
-    # checksummed tier ever serves corrupt data as good.
-    if summary["defended_silent_total"] != 0:
-        problems.append(
-            f"{summary['defended_silent_total']} silent corruption"
-            " event(s) served by defended tiers"
-        )
-    for defense, count in summary["silent_by_defense"].items():
-        if defense != "none" and count != 0:
-            problems.append(
-                f"defense {defense!r} served {count} silent"
-                " corruption event(s)"
-            )
-    for trial in trials:
-        label = f"{trial['layout']}/{trial['defense']}#{trial['trial']}"
-        _check_admission(label, trial, problems)
-        ledger = trial["corruption"]
-        if ledger["silent_total"] != sum(ledger["silent"].values()):
-            problems.append(
-                f"{label}: silent_total {ledger['silent_total']}"
-                " is not the sum of the per-kind silent ledger"
-            )
-        if trial["defense"] != "none":
-            if ledger["silent_total"] != 0:
-                problems.append(
-                    f"{label}: defended trial served"
-                    f" {ledger['silent_total']} silent corruption"
-                    " event(s)"
-                )
-            if trial["classification"] == "silent_corruption":
-                problems.append(
-                    f"{label}: defended trial classified"
-                    " silent_corruption"
-                )
-
-
-_CHECKERS = {
-    "campaign": _check_campaign,
-    "corruption": _check_corruption,
-    "crash": _check_crash,
-    "nemesis": _check_nemesis,
-    "lifecycle": _check_lifecycle,
-    "traffic": _check_traffic,
-    "failslow": _check_failslow,
-}
-
-
 def check_invariants(report: dict) -> List[str]:
-    """Internal-consistency problems of one report (empty = healthy)."""
+    """Internal-consistency problems of one report (empty = healthy):
+    the checks its bench kind's sweep declares."""
     kind = report["bench"]
-    checker = _CHECKERS.get(kind)
-    if checker is None:
+    sweep = sweep_for(kind)
+    if sweep is None:
         return [f"unknown bench kind {kind!r}"]
     problems: List[str] = []
     try:
-        if kind != "lifecycle":
-            # Every other kind is a trial sweep: summary + trials, with
-            # the provenance block that the compare mode's sweep-hash
-            # stop relies on.
-            claimed, recorded = report["summary"]["trials"], report["trials"]
-            if claimed != len(recorded):
-                problems.append(
-                    f"summary says {claimed} trials but {len(recorded)}"
-                    " are recorded"
-                )
-            _check_provenance(report, problems)
-        checker(report, problems)
+        sweep.check(report, problems)
     except (KeyError, TypeError) as exc:
         problems.append(f"malformed {kind} report: missing {exc}")
     return problems
