@@ -143,8 +143,6 @@ class ParallelRunner:
             computed = self._execute(todo)
             for (key, _), record in zip(todo, computed):
                 resolved[key] = record
-                if self.cache is not None:
-                    self.cache.put(key, record)
 
         return RunReport(
             records=[resolved[key] for key in keys],
@@ -152,6 +150,15 @@ class ParallelRunner:
             cache_hits=cache_hits,
             checkpoint_hits=checkpoint_hits,
         )
+
+    def _landed(self, record: dict) -> None:
+        """Keep one simulated record the moment it lands, so a kill
+        between specs (or a spec that raises) loses nothing already
+        computed."""
+        if self.checkpoint is not None:
+            self.checkpoint.append(record)
+        if self.cache is not None:
+            self.cache.put(record["spec_hash"], record)
 
     def _execute(self, todo: List[tuple]) -> List[dict]:
         specs = [spec for _, spec in todo]
@@ -163,18 +170,11 @@ class ParallelRunner:
                 retries=self.retries,
                 backoff_base_s=self.backoff_base_s,
                 backoff_cap_s=self.backoff_cap_s,
-                on_record=(
-                    self.checkpoint.append
-                    if self.checkpoint is not None
-                    else None
-                ),
+                on_record=self._landed,
             )
-        # Serial path: checkpoint incrementally so a kill between specs
-        # (or a spec that raises) loses nothing already computed.
         computed = []
         for spec in specs:
             record = execute_spec(spec)
-            if self.checkpoint is not None:
-                self.checkpoint.append(record)
+            self._landed(record)
             computed.append(record)
         return computed

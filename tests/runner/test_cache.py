@@ -10,7 +10,10 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import repro.runner.cache as cache_module
+from repro.errors import ReproError
 from repro.runner import (
     ExperimentSpec,
     ParallelRunner,
@@ -86,6 +89,41 @@ while not os.path.exists(os.path.join(root, "go")):
 cache = ResultCache(os.path.join(root, "cache"))
 ParallelRunner(workers=1, cache=cache).run(specs)
 """
+
+
+def _campaign_trial(trial, disks=13):
+    from repro.runner import CampaignTrialSpec
+
+    # PDDL needs a prime + 1 disk count, so disks=12 raises mid-run.
+    return CampaignTrialSpec(layout="pddl", disks=disks, trial=trial,
+                             seed=5, mttf_hours=0.03, faults=2,
+                             degraded_dwell_ms=4000.0, rebuild_rows=26)
+
+
+class TestRecordsLandAsTheyComplete:
+    """A run that dies part-way keeps every record it finished."""
+
+    def _run_then_reopen(self, tmp_path, workers):
+        good = [_campaign_trial(0), _campaign_trial(1)]
+        reference = ParallelRunner(workers=1).run(good).records
+        runner = ParallelRunner(workers=workers,
+                                cache=ResultCache(tmp_path))
+        with pytest.raises(ReproError):
+            runner.run([*good, _campaign_trial(2, disks=12)])
+        fresh = ResultCache(tmp_path)
+        return [fresh.get(spec_hash(s)) for s in good], reference
+
+    def test_serial_run_keeps_what_it_finished(self, tmp_path):
+        served, reference = self._run_then_reopen(tmp_path, workers=1)
+        assert served == reference
+
+    def test_pool_run_keeps_what_it_finished(self, tmp_path):
+        # The failing third spec is assigned only after a worker has
+        # delivered a record, so at least that record is in the cache.
+        served, reference = self._run_then_reopen(tmp_path, workers=2)
+        assert any(record is not None for record in served)
+        for record, expected in zip(served, reference):
+            assert record in (None, expected)
 
 
 class TestConcurrentWriters:
