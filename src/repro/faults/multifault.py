@@ -70,19 +70,21 @@ def _period_profile(layout, first_disk: int, second_disk: int):
     original cell on a replacement spindle otherwise.
     """
     period, _, _, stripes = layout.stripe_table()
-    lost_cells = layout.failure_table(first_disk)
-    is_spare: List[bool] = [False] * period
+    # A relocated view's own disk holds nothing; its locate raises.
+    layout.locate(first_disk, 0)
+    # Rows the failure table names hold stripe units; the rest spares.
+    is_spare: List[bool] = [True] * period
     touches: List[bool] = [False] * period
     target_disk: List[int] = [first_disk] * period
     target_offset: List[int] = list(range(period))
-    for row in range(period):
-        info = layout.locate(first_disk, row)
-        if info.role is Role.SPARE:
-            is_spare[row] = True
+    for index, lost in enumerate(layout.failure_table(first_disk)):
+        if lost is None:
             continue
-        data, check = stripes[info.stripe]
+        row = lost.row
+        is_spare[row] = False
+        data, check = stripes[index]
         touches[row] = any(disk == second_disk for disk, _ in data + check)
-        target_disk[row], target_offset[row] = lost_cells[info.stripe].home
+        target_disk[row], target_offset[row] = lost.home
     return is_spare, touches, target_disk, target_offset
 
 
