@@ -12,6 +12,7 @@ import abc
 import random
 
 from repro.errors import ConfigurationError
+from repro.stats.summary import ordered_sum
 
 
 class LocationGenerator(abc.ABC):
@@ -81,7 +82,7 @@ class ZipfGenerator(LocationGenerator):
             raise ConfigurationError("need at least one bucket")
         self.rng = rng
         weights = [1.0 / (rank + 1) ** theta for rank in range(buckets)]
-        total = sum(weights)
+        total = ordered_sum(weights)
         self._cdf = []
         acc = 0.0
         for w in weights:
