@@ -1658,9 +1658,3 @@ class ArrayController:
 
     def disk_stats(self) -> List[DiskStats]:
         return [server.stats for server in self.servers]
-
-    def total_stats(self) -> DiskStats:
-        total = DiskStats()
-        for server in self.servers:
-            total.merge(server.stats)
-        return total

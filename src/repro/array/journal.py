@@ -79,9 +79,6 @@ class StripeJournal:
     def dirty_count(self) -> int:
         return len(self._dirty)
 
-    def is_dirty(self, stripe: int) -> bool:
-        return stripe in self._dirty
-
     def dirty_stripes(self) -> List[int]:
         """The suspect set a post-crash resync must replay, sorted."""
         return sorted(self._dirty)

@@ -35,9 +35,7 @@ RUNNER.md "The bench-regression gate").
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
-import inspect
 import sys
 import time
 from typing import List, Optional, Tuple
@@ -56,7 +54,6 @@ from repro.runner import (
     ExperimentSpec,
     ParallelRunner,
     ResultCache,
-    RunCheckpoint,
     RunReport,
     cells_from_records,
     curves_from_records,
@@ -65,7 +62,6 @@ from repro.runner import (
     run_compare,
     table1_specs,
 )
-from repro.runner import spec as spec_module
 from repro.runner.spec import MODES as _MODES
 
 
@@ -75,9 +71,9 @@ def _add_runner_flags(
     """The runner flags every sweep command shares.
 
     A trial command passes its default report path as ``out`` and also
-    gets the hardened-pool flags (``--timeout``, ``--retries``,
-    ``--checkpoint``) and ``--out``; ``bench`` and ``lifecycle`` take
-    only ``--workers``, ``--cache-dir`` and ``--no-cache``.
+    gets the hardened-pool flags (``--timeout``, ``--retries``) and
+    ``--out``; ``bench`` and ``lifecycle`` take only ``--workers``,
+    ``--cache-dir`` and ``--no-cache``.
     """
     parser.add_argument(
         "--workers", type=int, default=None,
@@ -92,10 +88,6 @@ def _add_runner_flags(
             "--retries", type=int, default=0,
             help="crash/timeout retries per trial (capped exponential"
             " backoff)",
-        )
-        parser.add_argument(
-            "--checkpoint", default=None,
-            help="JSONL checkpoint file; a killed run resumes from it",
         )
     parser.add_argument(
         "--cache-dir", default=None,
@@ -118,13 +110,11 @@ def _run(
     if not args.no_cache:
         cache = ResultCache(args.cache_dir or default_cache_dir())
     # bench and lifecycle have no hardened-pool flags.
-    checkpoint = getattr(args, "checkpoint", None)
     runner = ParallelRunner(
         workers=args.workers,
         cache=cache,
         timeout_s=getattr(args, "timeout", None),
         retries=getattr(args, "retries", 0),
-        checkpoint=RunCheckpoint(checkpoint) if checkpoint else None,
     )
     started = time.perf_counter()
     report = runner.run(specs)
@@ -132,20 +122,14 @@ def _run(
 
 
 def _print_tally(
-    runner: ParallelRunner,
-    report: RunReport,
-    elapsed: float,
-    noun: str,
-    checkpoint: bool,
+    runner: ParallelRunner, report: RunReport, elapsed: float, noun: str
 ) -> None:
     """A sweep's closing lines: where each of its points came from."""
-    tally = (
+    print(
         f"{len(report.records)} {noun}: {report.executed} simulated,"
         f" {report.cache_hits} from cache"
+        f" ({runner.workers} workers, {elapsed:.2f}s)"
     )
-    if checkpoint:
-        tally += f", {report.checkpoint_hits} from checkpoint"
-    print(f"{tally} ({runner.workers} workers, {elapsed:.2f}s)")
     if runner.cache is not None:
         print(f"cache dir: {runner.cache.root}")
 
@@ -386,7 +370,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f" heap high-water {heap_high},"
         f" per-disk queue high-water {queue_high}"
     )
-    _print_tally(runner, report, elapsed, "points", checkpoint=False)
+    _print_tally(runner, report, elapsed, "points")
     return 0
 
 
@@ -405,9 +389,7 @@ def _cmd_sweep(sweep: Sweep, args: argparse.Namespace) -> int:
         print(line)
     _print_io_recovery(summary)
     _print_scrub(summary)
-    _print_tally(
-        runner, report, elapsed, sweep.noun, checkpoint=bool(sweep.out)
-    )
+    _print_tally(runner, report, elapsed, sweep.noun)
     code = sweep.finish(args, config, summary)
     if args.out:
         # Deterministic payload modulo the provenance version stamp:
@@ -434,23 +416,13 @@ def _add_sweep(sub, sweep: Sweep, quick: bool) -> None:
     annotation, else its default's.  With ``quick``, the sweep's
     ``--quick`` values replace the defaults.
     """
-    spec_fields = {
-        field.name: field
-        for field in dataclasses.fields(getattr(spec_module, sweep.spec))
-    }
-    keywords = inspect.signature(sweep.specs).parameters
+    spec_fields = sweep.spec_fields()
     parser = sub.add_parser(sweep.bench, help=sweep.help)
     parser.add_argument("--quick", action="store_true", help=sweep.quick_help)
 
     def add(flag: Flag) -> None:
         field = spec_fields.get(flag.field)
-        default = flag.default
-        if default is DERIVED:
-            keyword = keywords.get(flag.field)
-            if keyword is not None and keyword.default is not keyword.empty:
-                default = keyword.default
-            else:
-                default = field.default
+        default = sweep.default(flag)
         if isinstance(default, tuple):
             default = list(default)
         names = [flag.flag] + ([flag.short] if flag.short else [])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import abc
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional, Tuple
 
 from repro.disk.drive import DiskRequest
 from repro.disk.geometry import DiskGeometry
@@ -55,10 +55,6 @@ class Scheduler(abc.ABC):
 
     def __len__(self) -> int:
         return len(self._queue)
-
-    def peek_all(self) -> List[DiskRequest]:
-        """Queued requests, oldest first (arrival order)."""
-        return [req for _, req in self._queue]
 
     def clear(self) -> int:
         """Drop every queued request (controller crash); returns count."""

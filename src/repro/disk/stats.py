@@ -82,11 +82,3 @@ class DiskStats:
         self.transfer_ms += transfer_ms
         self.busy_ms += seek_ms + latency_ms + transfer_ms
 
-    def merge(self, other: "DiskStats") -> None:
-        self.operations += other.operations
-        self.busy_ms += other.busy_ms
-        self.seek_ms += other.seek_ms
-        self.latency_ms += other.latency_ms
-        self.transfer_ms += other.transfer_ms
-        for cls, count in other.by_class.items():
-            self.by_class[cls] += count

@@ -20,8 +20,8 @@ into an MTTDL.
 
 Every trial is a pure function of its spec — seeded fault draws, seeded
 media errors, a deterministic event loop — so campaign records plug into
-the runner's byte-determinism contract (cache, checkpoint/resume,
-parallel workers all produce identical bytes).
+the runner's byte-determinism contract (cache replay, resume after a
+kill, parallel workers all produce identical bytes).
 """
 
 from __future__ import annotations

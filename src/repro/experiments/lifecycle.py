@@ -53,19 +53,6 @@ class LifecycleRun:
     #: with ``spec.oracle``); ``corruption_events`` must be zero.
     oracle: Optional[dict] = None
 
-    def mode_summary_rows(self) -> List[str]:
-        rows = []
-        for mode, _ in self.transitions:
-            if self.by_mode.samples(mode) == 0:
-                continue
-            histogram = self.by_mode.histogram(mode)
-            rows.append(
-                f"{mode:20s} n={histogram.count:<5d}"
-                f" mean={histogram.mean:8.2f} ms"
-                f" p95={histogram.percentile(95):8.2f} ms"
-            )
-        return rows
-
 
 def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
     """Run one full-lifecycle :class:`~repro.runner.spec.LifecycleSpec`.

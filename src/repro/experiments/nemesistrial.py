@@ -867,10 +867,22 @@ class NemesisSweep(Sweep):
         if not failing:
             return 0
         # One self-contained repro command per failing schedule, for
-        # the CI artifact and for running locally.
+        # the CI artifact and for running locally: the run's layout,
+        # disks and seed, every option it set off its default, and
+        # --trial in place of --trials.
+        options = []
+        for flag in self.flags:
+            value = getattr(args, flag.dest)
+            if flag.dest in ("trials", "trial"):
+                continue
+            if flag.dest in ("layout", "disks", "seed") or (
+                value != self.default(flag)
+            ):
+                options.append(
+                    flag.flag if value is True else f"{flag.flag} {value}"
+                )
         commands = [
-            f"python -m repro nemesis --layout {config['layout']}"
-            f" --disks {config['disks']} --seed {config['seed']}"
+            f"python -m repro nemesis {' '.join(options)}"
             f" --trial {t} --no-cache"
             for t in failing
         ]

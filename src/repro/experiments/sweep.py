@@ -15,7 +15,9 @@ report shape.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
+import inspect
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -117,6 +119,21 @@ class Sweep:
     @staticmethod
     def summarize(trials: List[dict]) -> dict:
         return {}
+
+    def spec_fields(self) -> Dict[str, dataclasses.Field]:
+        """The fields of the sweep's spec class, by name."""
+        spec = getattr(importlib.import_module("repro.runner.spec"), self.spec)
+        return {field.name: field for field in dataclasses.fields(spec)}
+
+    def default(self, flag: Flag) -> Any:
+        """A flag's default: its own, else the builder keyword's, else
+        the spec field's."""
+        if flag.default is not DERIVED:
+            return flag.default
+        keyword = inspect.signature(self.specs).parameters.get(flag.field)
+        if keyword is not None and keyword.default is not keyword.empty:
+            return keyword.default
+        return self.spec_fields()[flag.field].default
 
     def config(self, args) -> dict:
         """The builder keywords the parsed options set."""

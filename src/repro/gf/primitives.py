@@ -8,7 +8,7 @@ appendix works n = 16 with x^4 + x^3 + x^2 + x + 1 and generator x + 1).
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import List, Optional
 
 from repro.errors import FieldError
 from repro.gf.polynomial import Polynomial
@@ -46,11 +46,6 @@ def primitive_root(p: int) -> int:
         if is_primitive_root(candidate, p):
             return candidate
     raise FieldError(f"no primitive root found for {p}")  # pragma: no cover
-
-
-def primitive_roots(p: int) -> Iterator[int]:
-    """All primitive roots modulo the prime ``p``, ascending."""
-    return (c for c in range(1, p) if is_primitive_root(c, p))
 
 
 def find_irreducible(p: int, degree: int) -> Polynomial:

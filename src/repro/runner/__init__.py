@@ -14,7 +14,6 @@ from repro.runner.benchcompare import (
     run_compare,
 )
 from repro.runner.cache import ResultCache, default_cache_dir
-from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.execute import (
     canonical_json,
     cell_from_record,
@@ -61,7 +60,6 @@ __all__ = [
     "OpenLoopSpec",
     "ParallelRunner",
     "ResultCache",
-    "RunCheckpoint",
     "RunReport",
     "Table1Spec",
     "canonical_json",

@@ -21,7 +21,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 #: ``["<spec_hash>","<fingerprint>",`` — the fixed-width line prefix.
 _PREFIX = re.compile(rb'\["([0-9a-f]{64})","([0-9a-f]{64})",')
@@ -49,26 +49,32 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro"
 
 
-class RecordLog:
-    """Append-only spec-hash -> record log stamped by one source tree.
+class ResultCache:
+    """Spec-hash -> result-record store for this source tree.
 
     The index (key -> line offset and length) is built on first access
     from each line's prefix and extended by each put; a get reads one
     line.  Lines stamped by other source are skipped.  A torn or
     malformed line, or one whose record is not a dict carrying its key,
-    counts in ``corrupt_lines`` and is a miss.
+    counts in ``quarantined`` and is a miss.
+
+    >>> import tempfile
+    >>> cache = ResultCache(tempfile.mkdtemp())
+    >>> cache.get("ab" * 32) is None
+    True
+    >>> cache.put("ab" * 32, {"spec_hash": "ab" * 32, "x": 1})
+    >>> cache.get("ab" * 32)["x"]
+    1
     """
 
     _fd: Optional[int] = None
 
-    def __init__(
-        self, path: Union[str, Path], stamp: str, fsync: bool = False
-    ):
-        self.path = Path(path)
-        self.stamp = stamp
-        self._fsync = fsync
+    def __init__(self, root: Union[str, Path]):
+        self.root = Path(root)
+        self.stamp = source_fingerprint()
+        self.path = self.root / f"{self.stamp}.jsonl"
         self._index: Optional[Dict[str, Tuple[int, int]]] = None
-        self._corrupt = 0
+        self._quarantined = 0
         self._torn = False  # the log ends mid-line (a killed writer)
 
     def _entries(self) -> Dict[str, Tuple[int, int]]:
@@ -81,7 +87,7 @@ class RecordLog:
                     for line in handle:
                         match = _PREFIX.match(line)
                         if match is None or not line.endswith(b"]\n"):
-                            self._corrupt += 1
+                            self._quarantined += 1
                         elif match[2] == stamp:
                             key = match[1].decode()
                             self._index[key] = (offset, len(line))
@@ -110,37 +116,35 @@ class RecordLog:
                 raise ValueError("log line filed under another key")
         except (OSError, ValueError, TypeError, LookupError):
             del self._index[key]  # left in place; the next put supersedes it
-            self._corrupt += 1
+            self._quarantined += 1
             return None
         return record
 
     def put(self, key: str, record: dict) -> None:
-        """Append one line; a log left mid-line gets a newline first."""
+        """Append one line; a log left mid-line gets a newline first.
+
+        One ``write`` and no fsync: a killed process loses nothing the
+        kernel took, and a tail an OS crash loses or tears is a miss
+        that is simulated again bit for bit.
+        """
         index = self._entries()
         line = f'["{key}","{self.stamp}",'.encode()
         line += json.dumps(record, sort_keys=True).encode() + b"]\n"
         if _PREFIX.match(line) is None:
-            raise ValueError(f"keys and stamps are 64 hex digits: {key!r}")
+            raise ValueError(f"keys are 64 hex digits: {key!r}")
         fd = self._handle()
         os.write(fd, b"\n" + line if self._torn else line)
         self._torn = False
-        if self._fsync:
-            os.fsync(fd)
         index[key] = (os.lseek(fd, 0, os.SEEK_CUR) - len(line), len(line))
 
     @property
-    def corrupt_lines(self) -> int:
+    def quarantined(self) -> int:
+        """Damaged lines seen so far (each one a miss, left in place)."""
         self._entries()
-        return self._corrupt
-
-    def keys(self) -> List[str]:
-        return list(self._entries())
+        return self._quarantined
 
     def __len__(self) -> int:
         return len(self._entries())
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._entries()
 
     def close(self) -> None:
         if self._fd is not None:
@@ -148,34 +152,3 @@ class RecordLog:
             self._fd = None
 
     __del__ = close
-
-
-class ResultCache(RecordLog):
-    """Spec-hash -> result-record store for this source tree.
-
-    >>> import tempfile
-    >>> cache = ResultCache(tempfile.mkdtemp())
-    >>> cache.get("ab" * 32) is None
-    True
-    >>> cache.put("ab" * 32, {"spec_hash": "ab" * 32, "x": 1})
-    >>> cache.get("ab" * 32)["x"]
-    1
-    """
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        stamp = source_fingerprint()
-        super().__init__(self.root / f"{stamp}.jsonl", stamp)
-
-    quarantined = RecordLog.corrupt_lines
-
-    def iter_keys(self) -> Iterator[str]:
-        return iter(sorted(self._entries()))
-
-    def clear(self) -> int:
-        """Delete this tree's log; returns how many records it held."""
-        removed = len(self)
-        self.close()
-        self.path.unlink(missing_ok=True)
-        self._index, self._torn = {}, False
-        return removed

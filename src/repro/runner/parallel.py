@@ -11,11 +11,11 @@ suite).  With a :class:`~repro.runner.cache.ResultCache` attached,
 previously computed specs are served from disk and only the misses are
 simulated; duplicate specs within one call are computed once.
 
-Long campaigns opt into hardening: a per-spec ``timeout_s``, crash/hang
-``retries`` with capped exponential backoff, and a
-:class:`~repro.runner.checkpoint.RunCheckpoint` that persists each
-completed record so a killed run resumes where it stopped — with
-byte-identical final records either way.
+Each simulated record goes into the cache the moment it lands, so a
+killed run resumes from the cache where it stopped, with byte-identical
+final records either way.  Long campaigns opt into hardening: a
+per-spec ``timeout_s`` and crash/hang ``retries`` with capped
+exponential backoff, which run every miss on the worker pool.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.runner.cache import ResultCache
-from repro.runner.checkpoint import RunCheckpoint
 from repro.runner.execute import execute_spec
 from repro.runner.spec import Spec, spec_hash
 from repro.runner.workers import run_hardened
@@ -63,25 +62,23 @@ class RunReport:
     """What one :meth:`ParallelRunner.run` call did.
 
     ``records`` is in spec order; ``executed`` counts simulations
-    actually run, ``cache_hits`` counts unique specs served from the
-    cache, and ``checkpoint_hits`` counts those resumed from a
-    checkpoint file (in-call duplicates resolve to the first occurrence
-    and count as none of the three).
+    actually run and ``cache_hits`` counts unique specs served from the
+    cache (in-call duplicates resolve to the first occurrence and count
+    as neither).
     """
 
     records: List[dict]
     executed: int
     cache_hits: int
-    checkpoint_hits: int = 0
 
 
 class ParallelRunner:
     """Run experiment specs, possibly in parallel, possibly cached.
 
     ``workers=None`` reads ``$REPRO_BENCH_WORKERS`` (default serial).
-    ``timeout_s``/``retries``/``backoff_*`` harden multi-worker runs
-    against crashed or wedged workers (see :mod:`repro.runner.workers`);
-    ``checkpoint`` makes the run resumable after a kill.
+    ``timeout_s``/``retries`` harden a run against crashed or wedged
+    workers (see :mod:`repro.runner.workers`): with either set, every
+    miss runs on the pool, even with one worker.
     """
 
     def __init__(
@@ -90,9 +87,6 @@ class ParallelRunner:
         cache: Optional[ResultCache] = None,
         timeout_s: Optional[float] = None,
         retries: int = 0,
-        backoff_base_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
-        checkpoint: Optional[RunCheckpoint] = None,
     ):
         self.workers = default_workers() if workers is None else int(workers)
         if self.workers < 1:
@@ -103,14 +97,9 @@ class ParallelRunner:
             raise ConfigurationError(f"timeout must be > 0, got {timeout_s}")
         if retries < 0:
             raise ConfigurationError(f"negative retry budget {retries}")
-        if backoff_base_s < 0 or backoff_cap_s < 0:
-            raise ConfigurationError("backoff times must be >= 0")
         self.cache = cache
         self.timeout_s = timeout_s
         self.retries = retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self.checkpoint = checkpoint
 
     def run(self, specs: Sequence[Spec]) -> RunReport:
         specs = list(specs)
@@ -120,17 +109,10 @@ class ParallelRunner:
         todo: List[tuple] = []  # (key, spec), unique, in first-seen order
         seen = set()
         cache_hits = 0
-        checkpoint_hits = 0
         for key, spec in zip(keys, specs):
             if key in seen:
                 continue
             seen.add(key)
-            if self.checkpoint is not None:
-                record = self.checkpoint.get(key)
-                if record is not None:
-                    resolved[key] = record
-                    checkpoint_hits += 1
-                    continue
             if self.cache is not None:
                 record = self.cache.get(key)
                 if record is not None:
@@ -148,28 +130,24 @@ class ParallelRunner:
             records=[resolved[key] for key in keys],
             executed=len(todo),
             cache_hits=cache_hits,
-            checkpoint_hits=checkpoint_hits,
         )
 
     def _landed(self, record: dict) -> None:
-        """Keep one simulated record the moment it lands, so a kill
+        """Cache one simulated record the moment it lands, so a kill
         between specs (or a spec that raises) loses nothing already
         computed."""
-        if self.checkpoint is not None:
-            self.checkpoint.append(record)
         if self.cache is not None:
             self.cache.put(record["spec_hash"], record)
 
     def _execute(self, todo: List[tuple]) -> List[dict]:
         specs = [spec for _, spec in todo]
-        if self.workers > 1 and len(specs) > 1:
+        hardened = self.timeout_s is not None or self.retries > 0
+        if hardened or (self.workers > 1 and len(specs) > 1):
             return run_hardened(
                 specs,
                 workers=self.workers,
                 timeout_s=self.timeout_s,
                 retries=self.retries,
-                backoff_base_s=self.backoff_base_s,
-                backoff_cap_s=self.backoff_cap_s,
                 on_record=self._landed,
             )
         computed = []

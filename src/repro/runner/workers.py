@@ -55,6 +55,11 @@ HANG_ONCE_ENV = "REPRO_RUNNER_HANG_ONCE_FILE"
 
 _POLL_S = 0.1
 
+#: A retried task waits ``min(BACKOFF_BASE_S * 2**(attempt-1),
+#: BACKOFF_CAP_S)`` seconds before it is assigned again.
+BACKOFF_BASE_S = 0.5
+BACKOFF_CAP_S = 30.0
+
 
 def _claim_marker(path: str) -> bool:
     """Atomically claim a one-shot marker file (exclusive create)."""
@@ -147,21 +152,19 @@ def run_hardened(
     workers: int,
     timeout_s: Optional[float] = None,
     retries: int = 0,
-    backoff_base_s: float = 0.5,
-    backoff_cap_s: float = 30.0,
     on_record: Optional[Callable[[dict], None]] = None,
 ) -> List[dict]:
     """Execute every spec, surviving worker crashes and hangs.
 
     Returns records in spec order.  ``on_record`` fires in *completion*
-    order as each record arrives (checkpoint appends hook in here).
+    order as each record arrives (the runner's cache puts hook in here).
     Raises :class:`RunnerError` when a spec exhausts its retry budget or
     fails deterministically.
     """
     if workers < 1:
         raise RunnerError(f"need >= 1 worker, got {workers}")
-    if retries < 0 or backoff_base_s < 0 or backoff_cap_s < 0:
-        raise RunnerError("retry/backoff parameters must be >= 0")
+    if retries < 0:
+        raise RunnerError(f"negative retry budget {retries}")
     specs = list(specs)
     if not specs:
         return []
@@ -193,7 +196,7 @@ def run_hardened(
                 f"spec {index} ({specs[index]!r}) failed {attempt}x,"
                 f" retry budget {retries} exhausted; last failure: {why}"
             )
-        delay = capped_exponential(attempt, backoff_base_s, backoff_cap_s)
+        delay = capped_exponential(attempt, BACKOFF_BASE_S, BACKOFF_CAP_S)
         heapq.heappush(retry_heap, (time.monotonic() + delay, index))
 
     try:
@@ -220,7 +223,13 @@ def run_hardened(
                 raise fail_everything(
                     "runner stalled: tasks outstanding but none assigned"
                 )
-            for conn in connection_wait(list(busy), timeout=_POLL_S):
+            # Wake no later than the first deadline, so a task that
+            # blows it is reaped even when no other task completes.
+            wait_s = _POLL_S
+            for handle in busy.values():
+                if handle.deadline is not None:
+                    wait_s = min(wait_s, handle.deadline - now)
+            for conn in connection_wait(list(busy), timeout=max(wait_s, 0)):
                 handle = busy[conn]
                 try:
                     message = conn.recv()

@@ -53,10 +53,6 @@ class LatencyByMode:
     def mean(self, mode: str) -> float:
         return self.histogram(mode).mean
 
-    @property
-    def total_samples(self) -> int:
-        return sum(h.count for h in self._histograms.values())
-
     def to_dict(self) -> dict:
         """JSON-able ``{mode: histogram dict}``; exact round-trip."""
         return {

@@ -9,7 +9,7 @@ run length, with <= 5% relative error per percentile query.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence, Tuple
+from typing import List
 
 from repro.errors import ConfigurationError
 
@@ -82,11 +82,6 @@ class LatencyHistogram:
             if seen >= target:
                 return self._bucket_upper(index)
         return self._bucket_upper(len(self._counts) - 1)  # pragma: no cover
-
-    def percentiles(
-        self, ps: Sequence[float] = (50, 90, 95, 99)
-    ) -> List[Tuple[float, float]]:
-        return [(p, self.percentile(p)) for p in ps]
 
     def describe(self) -> dict:
         """Tail-complete summary: count/mean, p50-p999, exact max.
@@ -173,15 +168,3 @@ class LatencyHistogram:
         self.total_ms += other.total_ms
         if other.max_sample_ms > self.max_sample_ms:
             self.max_sample_ms = other.max_sample_ms
-
-    def summary_row(self) -> str:
-        if self.count == 0:
-            return "empty"
-        p50, p95, p99, p999 = (
-            self.percentile(p) for p in (50, 95, 99, 99.9)
-        )
-        return (
-            f"n={self.count} mean={self.mean:.2f}ms"
-            f" p50={p50:.2f} p95={p95:.2f} p99={p99:.2f}"
-            f" p999={p999:.2f} max={self.max_sample_ms:.2f}"
-        )

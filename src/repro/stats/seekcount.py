@@ -33,10 +33,6 @@ class SeekMix:
             + self.no_switch
         )
 
-    @property
-    def local(self) -> float:
-        return self.total - self.non_local
-
     def as_row(self) -> str:
         return (
             f"nonlocal={self.non_local:5.2f}  cyl={self.cylinder_switch:5.2f}"

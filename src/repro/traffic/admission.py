@@ -187,10 +187,6 @@ class AdmissionQueue:
 
         self.controller.submit(access, completed)
 
-    @property
-    def waiting(self) -> int:
-        return len(self._waiting)
-
     def stats(self) -> dict:
         return {
             "depth": self.depth,

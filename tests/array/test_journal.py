@@ -12,7 +12,8 @@ class TestStripeJournal:
         journal.mark([3, 7, 1])
         assert journal.dirty_stripes() == [1, 3, 7]
         assert journal.dirty_count == 3
-        assert journal.is_dirty(7) and not journal.is_dirty(2)
+        assert 7 in journal.dirty_stripes()
+        assert 2 not in journal.dirty_stripes()
         journal.clear([3, 7, 1])
         assert journal.dirty_stripes() == []
         assert journal.dirty_count == 0
@@ -24,7 +25,6 @@ class TestStripeJournal:
         journal.mark([3, 4])
         journal.mark([4, 5])
         journal.clear([3, 4])
-        assert journal.is_dirty(4)
         assert journal.dirty_stripes() == [4, 5]
         journal.clear([4, 5])
         assert journal.dirty_stripes() == []

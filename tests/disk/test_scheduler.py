@@ -20,6 +20,11 @@ def req(cylinder, access_id=0):
     return DiskRequest(cylinder * 10, 1, False, access_id)
 
 
+def queued(scheduler):
+    """The queued requests, oldest first (arrival order)."""
+    return [request for _, request in scheduler._queue]
+
+
 class TestFifo:
     def test_order_preserved(self):
         s = FifoScheduler(GEOMETRY)
@@ -63,7 +68,7 @@ class TestSstf:
         s.push(req(5))
         s.push(req(6))
         assert len(s) == 2
-        assert len(s.peek_all()) == 2
+        assert [r.lba for r in queued(s)] == [50, 60]
 
 
 class TestLook:

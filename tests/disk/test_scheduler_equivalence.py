@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from repro.disk.drive import DiskRequest
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.disk.scheduler import make_scheduler
+from tests.disk.test_scheduler import queued
 
 GEOMETRY = DiskGeometry(heads=2, zones=[Zone(0, 60, 12), Zone(60, 60, 8)])
 
@@ -120,7 +121,7 @@ def _run_both(scheduler, reference, operations) -> None:
                 f"pop(cylinder={value}) diverged:"
                 f" got {got}, reference {want}"
             )
-    assert scheduler.peek_all() == reference.peek_all()
+    assert queued(scheduler) == reference.peek_all()
 
 
 @settings(deadline=None)

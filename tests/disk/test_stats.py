@@ -41,11 +41,3 @@ class TestDiskStats:
         assert s.by_class[DiskOpClass.NO_SWITCH] == 1
         assert s.by_class[DiskOpClass.NON_LOCAL_SEEK] == 1
 
-    def test_merge(self):
-        a, b = DiskStats(), DiskStats()
-        a.record(DiskOpClass.TRACK_SWITCH, 0.8, 1.0, 1.0)
-        b.record(DiskOpClass.TRACK_SWITCH, 0.8, 2.0, 1.0)
-        a.merge(b)
-        assert a.operations == 2
-        assert a.by_class[DiskOpClass.TRACK_SWITCH] == 2
-        assert a.latency_ms == 3.0

@@ -12,6 +12,7 @@ from repro.errors import RunnerError
 from repro.runner import ParallelRunner, ResultCache, canonical_json
 from repro.runner.parallel import default_workers
 from repro.runner.spec import CampaignTrialSpec, spec_hash
+from repro.runner import workers
 from repro.runner.workers import CRASH_ONCE_ENV, HANG_ONCE_ENV, run_hardened
 
 
@@ -30,37 +31,50 @@ def quick_specs(trials=4):
     ]
 
 
+@pytest.fixture
+def fast_backoff(monkeypatch):
+    """Retry after 10 ms instead of the pool's half-second base."""
+    monkeypatch.setattr(workers, "BACKOFF_BASE_S", 0.01)
+
+
 class TestFaultInjection:
     def test_crashed_worker_costs_a_retry_not_the_run(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fast_backoff
     ):
         specs = quick_specs()
         reference = ParallelRunner(workers=1).run(specs).records
 
         marker = tmp_path / "crash.marker"
         monkeypatch.setenv(CRASH_ONCE_ENV, str(marker))
-        records = run_hardened(
-            specs, workers=2, retries=2, backoff_base_s=0.01
-        )
+        records = run_hardened(specs, workers=2, retries=2)
         assert marker.exists()  # the injected crash actually fired
         assert canonical_json(records) == canonical_json(reference)
 
     def test_hung_worker_blows_its_deadline_and_retries(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, fast_backoff
     ):
         specs = quick_specs(3)
         reference = ParallelRunner(workers=1).run(specs).records
 
         marker = tmp_path / "hang.marker"
         monkeypatch.setenv(HANG_ONCE_ENV, str(marker))
-        records = run_hardened(
-            specs,
-            workers=2,
-            timeout_s=3.0,
-            retries=1,
-            backoff_base_s=0.01,
-        )
+        records = run_hardened(specs, workers=2, timeout_s=3.0, retries=1)
         assert marker.exists()
+        assert canonical_json(records) == canonical_json(reference)
+
+    def test_one_worker_deadline_runs_on_the_pool(
+        self, tmp_path, monkeypatch, fast_backoff
+    ):
+        # A deadline or a retry budget takes the pool at any worker
+        # count: in-process, a wedged spec would hang the run.
+        specs = quick_specs(3)
+        reference = ParallelRunner(workers=1).run(specs).records
+
+        marker = tmp_path / "hang.marker"
+        monkeypatch.setenv(HANG_ONCE_ENV, str(marker))
+        runner = ParallelRunner(workers=1, timeout_s=1.0, retries=1)
+        records = runner.run(specs).records
+        assert marker.exists()  # the hang fired and was reaped
         assert canonical_json(records) == canonical_json(reference)
 
     def test_exhausted_retry_budget_raises(self, tmp_path, monkeypatch):
@@ -73,11 +87,14 @@ class TestFaultInjection:
 
 
 class TestDeterministicFailure:
-    def test_deterministic_failure_skips_backoff_entirely(self):
+    def test_deterministic_failure_skips_backoff_entirely(
+        self, monkeypatch
+    ):
         # A ReproError is a pure function of the spec: the batch must
         # abort without ever entering the capped-exponential backoff
         # schedule.  With a 30s base delay, one slept backoff would blow
         # this timing wall by an order of magnitude.
+        monkeypatch.setattr(workers, "BACKOFF_BASE_S", 30.0)
         bad = CampaignTrialSpec(
             layout="pddl",
             disks=12,  # pddl needs a prime+1 disk count
@@ -87,13 +104,7 @@ class TestDeterministicFailure:
         )
         started = time.monotonic()
         with pytest.raises(RunnerError, match="not retried"):
-            run_hardened(
-                [bad],
-                workers=1,
-                retries=5,
-                backoff_base_s=30.0,
-                backoff_cap_s=30.0,
-            )
+            run_hardened([bad], workers=1, retries=5)
         assert time.monotonic() - started < 10.0
 
     def test_environmental_failure_is_retried_with_backoff(self, tmp_path):
@@ -130,14 +141,14 @@ class TestDeterministicFailure:
             [str(site_dir)] + sys.path
         )
         script = (
-            "from repro.runner.workers import run_hardened\n"
+            "from repro.runner import workers\n"
             "from repro.runner import canonical_json\n"
             "from repro.runner.spec import CampaignTrialSpec\n"
             "specs = [CampaignTrialSpec(layout='pddl', trial=t, seed=5,"
             " mttf_hours=0.03, faults=2, degraded_dwell_ms=4000.0,"
             " rebuild_rows=26) for t in range(2)]\n"
-            "records = run_hardened(specs, workers=1, retries=2,"
-            " backoff_base_s=0.01)\n"
+            "workers.BACKOFF_BASE_S = 0.01\n"
+            "records = workers.run_hardened(specs, workers=1, retries=2)\n"
             "print(canonical_json(records))\n"
         )
         proc = subprocess.run(
@@ -151,7 +162,7 @@ class TestDeterministicFailure:
         assert flaky.exists()  # the injected failure actually fired
         assert proc.stdout.strip() == canonical_json(reference)
 
-    def test_spec_that_raises_is_not_retried(self):
+    def test_spec_that_raises_is_not_retried(self, fast_backoff):
         # pddl needs a prime+1 disk count; 12 fails inside the worker
         # identically every time, so the batch aborts instead of
         # burning the retry budget.
@@ -163,12 +174,7 @@ class TestDeterministicFailure:
             rebuild_rows=26,
         )
         with pytest.raises(RunnerError, match="not retried"):
-            run_hardened(
-                [bad, *quick_specs(2)],
-                workers=2,
-                retries=3,
-                backoff_base_s=0.01,
-            )
+            run_hardened([bad, *quick_specs(2)], workers=2, retries=3)
 
     def test_parameter_validation(self):
         with pytest.raises(RunnerError):

@@ -90,7 +90,10 @@ sys.stdout.write(canonical_json(records))
 def cold_records() -> str:
     root = SRC.parent
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(root)])
+    caller = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC), str(root)] + ([caller] if caller else [])
+    )
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_SCRIPT],
         cwd=root,

@@ -16,7 +16,8 @@ class TestLatencyByMode:
         assert by_mode.samples("degraded") == 1
         assert by_mode.samples("reconstruction") == 0
         assert by_mode.mean("fault-free") == 15.0
-        assert by_mode.total_samples == 3
+        counts = [h["count"] for h in by_mode.to_dict().values()]
+        assert sum(counts) == 3
 
     def test_unknown_mode_histogram_raises(self):
         with pytest.raises(ConfigurationError):

@@ -113,15 +113,6 @@ class TestMerge:
         assert a.max_sample_ms == 250.0
         assert a.describe()["max_ms"] == 250.0
 
-    def test_summary_row(self):
-        h = LatencyHistogram()
-        assert h.summary_row() == "empty"
-        h.record(5.0)
-        row = h.summary_row()
-        assert "p95" in row
-        assert "p999" in row
-        assert "max" in row
-
 
 class TestDescribe:
     def test_empty_describe_is_all_none(self):

@@ -171,9 +171,7 @@ class TestWorkConservation:
             run_clients(
                 controller, engine, AccessSpec(48, is_write), 4, 150
             )
-            return (
-                controller.total_stats().operations
-                / controller.completed_accesses
-            )
+            operations = sum(s.operations for s in controller.disk_stats())
+            return operations / controller.completed_accesses
 
         assert total_ops(True) > total_ops(False) * 1.5

@@ -121,3 +121,27 @@ class TestNemesisFailures:
         assert written["failing_trials"] == [3, 7]
         assert written["commands"][0] == command
         assert sweep.finish(args, {}, {"failing_trials": []}) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--no-journal", "--clients", "4"],
+            ["--quick", "--scrub-interval", "0", "--rows", "13"],
+            ["--layout", "raid5", "--disks", "5", "--seed", "3",
+             "--samples", "90", "--transient-io-rate", "0.05",
+             "--lse-per-gb", "1.5"],
+        ],
+    )
+    def test_repro_commands_replay_the_failing_trial(self, argv, capsys):
+        from repro.experiments.nemesistrial import SWEEP, nemesis_specs
+
+        args = parse_args(["nemesis", *argv, "--failures-out", ""])
+        config = SWEEP.config(args)
+        assert SWEEP.finish(args, config, {"failing_trials": [7]}) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("reproduce: ")
+        command = lines[0].split()[1:]
+        assert command[:3] == ["python", "-m", "repro"]
+        replay = parse_args(command[3:])
+        original = [s for s in nemesis_specs(**config) if s.trial == 7]
+        assert nemesis_specs(**SWEEP.config(replay)) == original

@@ -62,7 +62,7 @@ class TestAdmissionQueue:
         assert queue.offer(access(0))
         assert queue.offer(access(1))
         assert queue.in_service == 2
-        assert queue.waiting == 0
+        assert not queue._waiting
         engine.run()
         assert [r[0] for r in responses] == [0, 1]
         assert all(wait == 0.0 for _, _, wait in responses)
@@ -106,7 +106,7 @@ class TestAdmissionQueue:
             queue.offer(access(i))
         assert queue.stats()["queue_high_water"] == 4
         engine.run()
-        assert queue.waiting == 0
+        assert not queue._waiting
 
     def test_validation(self):
         engine = SimulationEngine()
