@@ -1,5 +1,7 @@
 """Tests for the Bose construction."""
 
+import hashlib
+
 import pytest
 
 from repro.core.bose import (
@@ -11,6 +13,29 @@ from repro.core.development import XorDevelopment
 from repro.designs.difference import is_difference_family
 from repro.errors import ConfigurationError
 from repro.gf.binary import PAPER_GF16_MODULUS, BinaryField
+from repro.gf.prime import factorize, is_prime
+
+#: sha256 of :func:`permutation_lines` over :func:`bose_configurations`.
+BOSE_DIGEST = "cb80c5b89561e5f0e6e082b8d4b3fa4dda85d5b655b4b96837fca1526adb844a"
+
+
+def bose_configurations():
+    """``(g, k)`` of every prime power ``n = g*k + 1`` below 200, k >= 2."""
+    return [
+        ((n - 1) // k, k)
+        for n in range(3, 200)
+        if len(factorize(n)) == 1
+        for k in range(2, n)
+        if (n - 1) % k == 0
+    ]
+
+
+def permutation_lines(build):
+    """One ``"g k values..."`` line per configuration."""
+    return "".join(
+        f"{g} {k} {' '.join(map(str, build(g, k).values))}\n"
+        for g, k in bose_configurations()
+    )
 
 
 class TestPrimeConstruction:
@@ -140,3 +165,16 @@ class TestGFPrimePowerConstruction:
         layout.validate()
         assert isinstance(layout.dev, DigitDevelopment)
         assert reconstruction_deviation(layout) == 0
+
+
+class TestPins:
+    def test_configurations(self):
+        sizes = [g * k + 1 for g, k in bose_configurations()]
+        assert len(sizes) == 386
+        assert sum(is_prime(n) for n in sizes) == 308
+        assert sum(n & (n - 1) == 0 for n in sizes) == 12
+        assert len(sizes) - 308 - 12 == 66
+
+    def test_every_prime_power_permutation(self):
+        lines = permutation_lines(satisfactory_permutation)
+        assert hashlib.sha256(lines.encode()).hexdigest() == BOSE_DIGEST

@@ -1,11 +1,19 @@
 """Tests for the PRIME layout reconstruction and its published properties."""
 
+import json
+
 import pytest
 
 from repro.core.reconstruction import reconstruction_deviation
 from repro.errors import ConfigurationError
 from repro.layouts.prime import PrimeLayout
 from repro.layouts.properties import check_layout
+from tests.layouts.prime_pins import (
+    PINS_PATH,
+    compute_digests,
+    prime_pairs,
+    tier1_pairs,
+)
 
 
 class TestStructure:
@@ -73,3 +81,23 @@ class TestProperties:
 
     def test_tableless(self):
         assert PrimeLayout(13, 4).mapping_table_entries() == 0
+
+
+class TestPins:
+    """Stripe tables pinned in ``tests/data/prime_stripe_tables.json``."""
+
+    def test_pins_cover_every_prime_below_60_and_every_width(self):
+        with open(PINS_PATH, "r", encoding="utf-8") as handle:
+            pinned = json.load(handle)
+        assert sorted(pinned) == sorted(f"{n}-{k}" for n, k in prime_pairs())
+        assert len(pinned) == 406
+
+    def test_stripe_tables_match_their_pins(self):
+        with open(PINS_PATH, "r", encoding="utf-8") as handle:
+            pinned = json.load(handle)
+        for key, digest in compute_digests(tier1_pairs()).items():
+            assert digest == pinned[key], (
+                f"PRIME {key}: the stripe table moved.  If the mapping"
+                " changed on purpose, regenerate with"
+                " `python -m tests.layouts.prime_pins`."
+            )

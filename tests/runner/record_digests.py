@@ -84,6 +84,11 @@ def pinned_specs() -> dict:
             max_corruption_bursts=1,
         ),
         "table1-search": Table1Spec(k=5, g=4, restarts=20, max_steps=2000),
+        # The constructive cells: the Bose construction over GF(13),
+        # GF(2^4) (XOR development) and GF(3^2) (digit development).
+        "table1-bose": Table1Spec(k=4, g=3),
+        "table1-gf2": Table1Spec(k=5, g=3),
+        "table1-gf": Table1Spec(k=4, g=2),
         "crash": CrashTrialSpec(
             layout="pddl", clients=2, crash_boundary=30,
             max_pre_samples=60, post_samples=20,
