@@ -1,8 +1,9 @@
 """Table 1 — satisfactory base permutations for k = 5..10, g = 1..10.
 
-Reruns the paper's methodology: Bose for prime n, the GF(2^m) construction
-for powers of two, and hill-climbing search for the rest.  Prime cells
-must produce 1 (they always do — the construction is a theorem).  For
+Reruns the paper's methodology: the Bose construction over GF(n) for
+prime-power n (labelled "bose" for prime n, "gf2" for powers of two and
+"gf" for odd prime powers), and hill-climbing search for the rest.  Prime
+cells must produce 1 (they always do — the construction is a theorem).  For
 composite cells we print our group size next to the paper's; search is
 stochastic and budget-bound, so cells may come out '?' where the paper
 found a group (and occasionally vice versa).
@@ -67,7 +68,7 @@ def test_table1_base_permutation_search(benchmark, bench_scale):
     for (k, g), cell in cells.items():
         if is_prime(g * k + 1):
             assert cell.group_size == 1, (k, g)
-            assert cell.method in ("bose", "gf2")
+            assert cell.method == "bose"
             if PAPER_TABLE1.get((k, g)) is not None:
                 assert PAPER_TABLE1[(k, g)] == 1
 

@@ -67,13 +67,20 @@ def test_table3_summary(benchmark):
     assert not rows["parity-declustering"].sparing
     assert rows["pseudo-random"].period_rows is None
 
-    # PDDL's translation ties the cheapest declustered mappings (25%
-    # tolerance absorbs interpreter timing noise; the precise per-scheme
-    # ns come from the dedicated test_table3_translation_time benchmarks).
-    pddl_ns = rows["pddl"].translation_ns
-    assert pddl_ns <= rows["datum"].translation_ns * 1.25
-    assert pddl_ns <= rows["prime"].translation_ns * 1.25
-
     # Periods: Parity Declustering k(n-1)/(k-1); PDDL p*n.
     assert rows["parity-declustering"].period_rows == 16
     assert rows["pddl"].period_rows == 13
+
+
+def test_table3_translation_ratio():
+    """PDDL's translation ties the cheapest declustered mappings (25%
+    tolerance absorbs interpreter timing noise; the precise per-scheme ns
+    come from the dedicated test_table3_translation_time benchmarks).
+
+    A wall-clock ratio, so CI deselects this test and runs the structural
+    claims of :func:`test_table3_summary`.
+    """
+    rows = table3_rows(iterations=50_000)
+    pddl_ns = rows["pddl"].translation_ns
+    assert pddl_ns <= rows["datum"].translation_ns * 1.25
+    assert pddl_ns <= rows["prime"].translation_ns * 1.25

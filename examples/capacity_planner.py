@@ -1,8 +1,8 @@
 """Plan a PDDL deployment for a given array shape.
 
 Given a disk count and stripe width, finds a satisfactory base permutation
-(Bose construction, GF(2^m), the paper's published groups, or
-hill-climbing search — the Table 1 pipeline), reports capacity overheads,
+(the paper's published groups, the Bose construction over GF(n) for
+prime-power n, or hill-climbing search — the Table 1 pipeline), reports capacity overheads,
 verifies the layout goals, and summarizes per-survivor rebuild load.
 
 Run:  python examples/capacity_planner.py [disks] [stripe_width]

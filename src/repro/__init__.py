@@ -2,7 +2,7 @@
 declustering, reproduced.
 
 A full reimplementation of Schwarz, Steinberg & Burkhard's HPCA 1999 paper:
-the PDDL layout family (Bose construction, GF(2^m) variant, permutation
+the PDDL layout family (Bose construction over GF(p^m), permutation
 search, distributed sparing, wrapping), the comparison layouts (DATUM,
 PRIME, Parity Declustering, left-symmetric RAID-5, Pseudo-Random), a
 mechanical disk-array simulator in the RAIDframe mold, and drivers that
@@ -27,7 +27,6 @@ from repro.core import (
     PDDLLayout,
     PermutationGroup,
     bose_base_permutation,
-    bose_gf2_base_permutation,
     pddl_for,
     search_permutation_group,
     wrapped_layout,
@@ -62,7 +61,6 @@ __all__ = [
     "UniformGenerator",
     "available_layouts",
     "bose_base_permutation",
-    "bose_gf2_base_permutation",
     "check_layout",
     "make_layout",
     "pddl_for",

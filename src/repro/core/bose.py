@@ -1,193 +1,95 @@
 """The Bose construction of satisfactory base permutations (paper §3).
 
-For a prime number of disks ``n = g*k + 1``:
+For ``n = g*k + 1`` disks, ``n = p**m`` a prime power:
 
 1. find a primitive element ``w`` of GF(n),
 2. deal the nonzero elements round-robin into blocks
    ``B_i = { w**(i-1), w**(g+i-1), ..., w**(g(k-1)+i-1) }``,
 3. the base permutation is ``(0, B_1, B_2, ..., B_g)``.
 
-The resulting blocks form a difference family, hence a near-resolvable
-design, hence the developed layout distributes reconstruction evenly.  The
-GF(2^m) analogue replaces powers mod ``n`` with powers of a primitive field
-element and modular development with XOR.
+The blocks form a difference family under GF(n)'s addition, hence a
+near-resolvable design, hence the layout developed with that addition
+distributes reconstruction evenly.  The paper: the construction "also
+works when n is a power of a prime", with the addition "within the
+underlying finite field GF(n)": modulo ``n`` for prime ``n``, XOR for
+powers of two, digit-wise mod ``p`` otherwise
+(:func:`~repro.core.development.development_for`).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.development import XorDevelopment
+from repro.core.development import development_for
 from repro.core.permutation import BasePermutation
 from repro.errors import ConfigurationError
-from repro.gf.binary import BinaryField
-from repro.gf.prime import is_prime
-from repro.gf.primitives import primitive_root
+from repro.gf.polynomial import Polynomial
+from repro.gf.prime import PrimeField, factorize
+from repro.gf.primitives import (
+    element_powers,
+    find_irreducible,
+    find_primitive_element,
+    is_primitive_element,
+)
 
 
 def bose_base_permutation(
     g: int,
     k: int,
     omega: Optional[int] = None,
-    check_values: Optional[list] = None,
+    modulus: Optional[int] = None,
 ) -> BasePermutation:
-    """Bose base permutation for ``n = g*k + 1`` prime.
+    """Bose base permutation for ``n = g*k + 1`` a prime power ``p**m``.
 
-    ``omega`` overrides the primitive root (the paper uses 3 for n = 7).
-
-    ``check_values`` optionally names, per block, which element serves as
-    the check unit (it is rotated to the block's last position).  Any
-    choice preserves goals #1-#3 and #7 — the stripe *sets* are unchanged
-    and development still hits every disk once per column — but the choice
-    shapes large-access working sets, since it decides which disks of a row
-    hold no client data.  The default keeps the paper's natural block
-    order (the worked n = 7 example (0 1 2 4 3 6 5)).
+    GF(n) is GF(p)[x] modulo ``modulus``, an irreducible polynomial of
+    degree ``m``; ``omega`` is the primitive element whose powers are
+    dealt.  Both are base-``p`` encoded polynomials, so for prime ``n``
+    they are residues: the paper uses omega = 3 for n = 7.  By default
+    the modulus is the first irreducible polynomial and omega the first
+    primitive element that :mod:`repro.gf.primitives` finds.  The
+    appendix's GF(16) takes modulus x^4+x^3+x^2+x+1 (0b11111), whose
+    first primitive element is x + 1.
 
     >>> bose_base_permutation(2, 3).values
     (0, 1, 2, 4, 3, 6, 5)
-    """
-    if g < 1 or k < 2:
-        raise ConfigurationError(f"need g >= 1 and k >= 2, got g={g}, k={k}")
-    n = g * k + 1
-    if not is_prime(n):
-        raise ConfigurationError(
-            f"Bose construction needs n = g*k + 1 prime; {n} is not"
-        )
-    if omega is None:
-        omega = primitive_root(n)
-    else:
-        from repro.gf.primitives import is_primitive_root
-
-        if not is_primitive_root(omega, n):
-            raise ConfigurationError(f"{omega} is not primitive mod {n}")
-    blocks = [
-        [pow(omega, j * g + i, n) for j in range(k)] for i in range(g)
-    ]
-    if check_values is not None:
-        if len(check_values) != g:
-            raise ConfigurationError(
-                f"need one check value per block, got {len(check_values)}"
-            )
-        reordered = []
-        for block, check in zip(blocks, check_values):
-            if check not in block:
-                raise ConfigurationError(
-                    f"{check} is not in Bose block {sorted(block)}"
-                )
-            reordered.append([x for x in block if x != check] + [check])
-        blocks = reordered
-    values = [0]
-    for block in blocks:
-        values.extend(block)
-    perm = BasePermutation(values, k, spares=1)
-    assert perm.is_satisfactory(), "Bose construction must be satisfactory"
-    return perm
-
-
-def bose_gf2_base_permutation(
-    g: int, k: int, field: Optional[BinaryField] = None
-) -> BasePermutation:
-    """Bose base permutation for ``n = 2**m = g*k + 1`` via GF(2^m).
-
-    Developed with XOR.  The paper's appendix example is n = 16, g = 3,
-    k = 5 with modulus x^4+x^3+x^2+x+1 and generator x+1:
-
-    >>> from repro.gf.binary import PAPER_GF16_MODULUS
-    >>> f = BinaryField(4, modulus=PAPER_GF16_MODULUS)
-    >>> bose_gf2_base_permutation(3, 5, field=f).values
+    >>> bose_base_permutation(3, 5, modulus=0b11111).values
     (0, 1, 15, 8, 4, 2, 3, 14, 7, 12, 6, 5, 13, 9, 11, 10)
     """
     if g < 1 or k < 2:
         raise ConfigurationError(f"need g >= 1 and k >= 2, got g={g}, k={k}")
     n = g * k + 1
-    if n & (n - 1):
-        raise ConfigurationError(f"n = {n} is not a power of two")
-    m = n.bit_length() - 1
-    if field is None:
-        field = BinaryField(m)
-    elif field.order != n:
+    factors = factorize(n)
+    if len(factors) != 1:
         raise ConfigurationError(
-            f"field order {field.order} does not match n = {n}"
+            f"Bose construction needs n = g*k + 1 a prime power; {n} is not"
         )
-    powers = field.generator_powers()
+    ((p, m),) = factors.items()
+    field = PrimeField(p)
+    if modulus is None:
+        poly = find_irreducible(p, m)
+    elif n <= modulus < n * p and (
+        Polynomial.from_int(field, modulus).is_irreducible()
+    ):
+        poly = Polynomial.from_int(field, modulus)
+    else:
+        raise ConfigurationError(
+            f"{modulus} is not an irreducible degree-{m} polynomial over"
+            f" GF({p})"
+        )
+    if omega is None:
+        generator = find_primitive_element(poly)
+    elif 0 <= omega < n and is_primitive_element(
+        Polynomial.from_int(field, omega), poly
+    ):
+        generator = Polynomial.from_int(field, omega)
+    else:
+        raise ConfigurationError(f"{omega} is not primitive in GF({n})")
+    powers = element_powers(generator, poly)
     values = [0]
     for i in range(g):
-        for j in range(k):
-            values.append(powers[j * g + i])
-    return BasePermutation(values, k, spares=1)
-
-
-def bose_gf_base_permutation(
-    g: int, k: int, p: int, m: int
-) -> BasePermutation:
-    """Bose base permutation for ``n = p**m = g*k + 1`` via GF(p^m).
-
-    The general prime-power case the paper's §3 sketches: "the Bose
-    construction also works when n is a power of a prime" with "the
-    addition operation ... within the underlying finite field GF(n)".
-    Elements are base-``p`` digit-encoded integers; development is
-    digit-wise addition mod ``p``
-    (:class:`~repro.core.development.DigitDevelopment`).
-
-    >>> perm = bose_gf_base_permutation(2, 4, p=3, m=2)  # n = 9
-    >>> from repro.core.development import DigitDevelopment
-    >>> perm.is_satisfactory(DigitDevelopment(3, 2))
-    True
-    """
-    if g < 1 or k < 2:
-        raise ConfigurationError(f"need g >= 1 and k >= 2, got g={g}, k={k}")
-    n = g * k + 1
-    if p**m != n:
-        raise ConfigurationError(f"{p}**{m} != n = {n}")
-    if not is_prime(p):
-        raise ConfigurationError(f"{p} is not prime")
-    from repro.gf.primitives import (
-        element_powers,
-        find_irreducible,
-        find_primitive_element,
-    )
-
-    modulus = find_irreducible(p, m)
-    generator = find_primitive_element(modulus)
-    powers = element_powers(generator, modulus)
-    values = [0]
-    for i in range(g):
-        for j in range(k):
-            values.append(powers[j * g + i])
+        values.extend(powers[j * g + i] for j in range(k))
     perm = BasePermutation(values, k, spares=1)
-    from repro.core.development import DigitDevelopment
-
-    assert perm.is_satisfactory(DigitDevelopment(p, m)), (
-        "GF(p^m) Bose construction must be satisfactory"
+    assert perm.is_satisfactory(development_for(n)), (
+        "Bose construction must be satisfactory"
     )
     return perm
-
-
-def satisfactory_permutation(g: int, k: int) -> BasePermutation:
-    """Best-effort constructive satisfactory permutation for ``n = g*k + 1``.
-
-    Uses Bose for prime ``n``, the GF(2^m) variant for powers of two, and
-    the general GF(p^m) variant for odd prime powers (satisfactory under
-    digit-wise development); raises
-    :class:`~repro.errors.ConfigurationError` otherwise — callers then fall
-    back to :func:`repro.core.search.search_permutation_group`.
-    """
-    from repro.gf.prime import factorize
-
-    n = g * k + 1
-    if is_prime(n):
-        return bose_base_permutation(g, k)
-    if n & (n - 1) == 0:
-        perm = bose_gf2_base_permutation(g, k)
-        if perm.is_satisfactory(XorDevelopment(n)):
-            return perm
-        raise ConfigurationError(
-            f"GF(2^m) Bose permutation for n={n} is not satisfactory"
-        )
-    factors = factorize(n)
-    if len(factors) == 1:
-        ((p, m),) = factors.items()
-        return bose_gf_base_permutation(g, k, p, m)
-    raise ConfigurationError(
-        f"no constructive satisfactory permutation for n = {n}; use search"
-    )

@@ -77,9 +77,10 @@ class XorDevelopment(Development):
 class DigitDevelopment(Development):
     """Coefficient-wise addition mod ``p`` — addition in GF(p^m).
 
-    Encodes elements as base-``p`` integers, matching how
-    :class:`repro.gf.binary.BinaryField` encodes GF(2^m) (of which this is
-    the general-characteristic version).
+    Encodes elements as base-``p`` integers, as
+    :meth:`repro.gf.polynomial.Polynomial.to_int` encodes the powers the
+    Bose construction deals (for p = 2 this is XOR,
+    :class:`XorDevelopment`).
 
     >>> DigitDevelopment(3, 2).shift(5, 4)  # (1,2)+(1,1) = (2,0) -> 2*3+0
     6

@@ -16,7 +16,7 @@ generalized to XOR/GF(p^m) development and to permutation groups.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
 from repro.core.development import Development, development_for
 from repro.core.permutation import BasePermutation, PermutationGroup
@@ -110,27 +110,20 @@ class PDDLLayout(Layout):
                 )
         return out
 
-    def relocation_target(
-        self, addr: PhysicalAddress, spare_column: int = 0
-    ) -> PhysicalAddress:
-        """Spare cell (same row) that receives ``addr``'s rebuilt contents.
-
-        With multiple distributed spares (§5: PDDL "can even be altered to
-        have more than one spare disk"), ``spare_column`` selects which
-        spare column absorbs this failure — the i-th concurrent failure
-        rebuilds into spare column i.
+    def relocation_target(self, addr: PhysicalAddress) -> PhysicalAddress:
+        """Spare cell (same row) that receives ``addr``'s rebuilt contents:
+        spare column 0's.  With more than one spare column (§5: PDDL "can
+        even be altered to have more than one spare disk"),
+        :func:`~repro.core.multifailure.multi_rebuild_plan` rebuilds the
+        i-th concurrent failure into spare column i.
         """
         if self.spares == 0:
             raise MappingError("this PDDL instance was built without spares")
-        if not 0 <= spare_column < self.spares:
-            raise MappingError(
-                f"spare column {spare_column} outside 0..{self.spares - 1}"
-            )
         row = addr.offset % self.period
         perm, t = self._row_context(row)
         if self.locate(addr.disk, addr.offset).role is Role.SPARE:
             raise MappingError(f"{addr} is spare space; nothing to relocate")
-        spare_disk = perm.disk_of_column(spare_column, t, self.dev)
+        spare_disk = perm.disk_of_column(0, t, self.dev)
         return PhysicalAddress(spare_disk, addr.offset)
 
     def mapping_table_entries(self) -> int:
@@ -187,23 +180,18 @@ def pddl_for(
     """Build a satisfactory PDDL layout for ``g`` stripes of width ``k``.
 
     Resolution order: paper-published / calibrated permutations
-    (:mod:`repro.core.tables`), Bose construction (prime ``n``), GF(2^m)
-    construction (``n`` a power of two), then hill-climbing search for a
-    solitary permutation or a small group.
+    (:mod:`repro.core.tables`), the Bose construction (``n`` a prime
+    power), then hill-climbing search for a solitary permutation or a
+    small group.
     """
     from repro.core import tables
-    from repro.core.bose import satisfactory_permutation
+    from repro.core.bose import bose_base_permutation
     from repro.core.search import search_permutation_group
 
-    n = g * k + 1
-    published = tables.published_group(n, k)
-    if published is not None:
-        perm: PermutationLike = published
-    else:
+    perm = tables.published_group(g * k + 1, k)
+    if perm is None:
         try:
-            perm = satisfactory_permutation(g, k)
+            perm = bose_base_permutation(g, k)
         except ConfigurationError:
             perm = search_permutation_group(g, k, seed=search_seed)
-    if isinstance(perm, BasePermutation) and n & (n - 1) == 0:
-        return PDDLLayout(perm, development or None)
     return PDDLLayout(perm, development)

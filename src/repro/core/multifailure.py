@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.core.layout import PDDLLayout
+from repro.core.reconstruction import _stripe_rows
 from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, Role
+from repro.layouts.address import PhysicalAddress
 
 
 @dataclass(frozen=True)
@@ -69,33 +70,41 @@ def multi_rebuild_plan(
     failed_set = set(failures)
     spare_of = {disk: i for i, disk in enumerate(failures)}
     period, per_period, _, stripes = layout.stripe_table()
+    stripe_rows = [_stripe_rows(layout, disk) for disk in failures]
+    # The i-th failure rebuilds into spare column i of the same row.
+    spare_disks: List[List[int]] = [[] for _ in range(period)]
+    for spare in layout.spare_addresses_in_period():
+        spare_disks[spare.offset].append(spare.disk)
 
     seen_stripes = set()
     for offset in range(rows):
-        for disk in failures:
-            info = layout.locate(disk, offset)
-            if info.role is Role.SPARE or info.stripe in seen_stripes:
+        cycle, row = divmod(offset, period)
+        shift = cycle * period
+        for stripe_at in stripe_rows:
+            index = stripe_at[row]
+            if index is None:
                 continue
-            seen_stripes.add(info.stripe)
-            cycle, index = divmod(info.stripe, per_period)
+            stripe = index + cycle * per_period
+            if stripe in seen_stripes:
+                continue
+            seen_stripes.add(stripe)
             data, check = stripes[index]
             lost: Dict[PhysicalAddress, PhysicalAddress] = {}
             reads: List[PhysicalAddress] = []
-            for member_disk, row in data + check:
-                addr = PhysicalAddress(member_disk, row + cycle * period)
-                if addr.disk in failed_set:
-                    lost[addr] = layout.relocation_target(
-                        addr, spare_column=spare_of[addr.disk]
+            for member_disk, member_row in data + check:
+                addr = PhysicalAddress(member_disk, member_row + shift)
+                if member_disk in failed_set:
+                    lost[addr] = PhysicalAddress(
+                        spare_disks[member_row][spare_of[member_disk]],
+                        addr.offset,
                     )
                 else:
                     reads.append(addr)
             if len(reads) < layout.k - layout.checks:
                 raise MappingError(
-                    f"stripe {info.stripe} lost too many units to decode"
+                    f"stripe {stripe} lost too many units to decode"
                 )
-            yield MultiRebuildStep(
-                stripe=info.stripe, lost=lost, reads=reads
-            )
+            yield MultiRebuildStep(stripe=stripe, lost=lost, reads=reads)
 
 
 def multi_rebuild_read_tally(

@@ -15,7 +15,7 @@ permutations whose individual tallies cancel (the n = 10 and n = 55 examples).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.development import Development, ModularDevelopment
 from repro.errors import ConfigurationError
@@ -143,12 +143,10 @@ class BasePermutation:
         return tally
 
     def reconstruction_write_tally(
-        self,
-        failed: int = 0,
-        dev: Optional[Development] = None,
-        spare_column: int = 0,
+        self, failed: int = 0, dev: Optional[Development] = None
     ) -> Dict[int, int]:
-        """Writes of reconstructed units into spare space, per survivor."""
+        """Writes of reconstructed units into spare space (spare column
+        0), per survivor."""
         if self.spares == 0:
             raise ConfigurationError("layout has no spare space")
         dev = dev or ModularDevelopment(self.n)
@@ -157,7 +155,7 @@ class BasePermutation:
             column = self.column_of_disk(failed, t, dev)
             if self.column_group(column) < 0:
                 continue
-            target = self.disk_of_column(spare_column, t, dev)
+            target = self.disk_of_column(0, t, dev)
             tally[target] += 1
         return tally
 

@@ -1,9 +1,11 @@
 """Table 1 driver: satisfactory base permutation search.
 
-For each (stripe width, stripe count) cell: constructive routes first (Bose
-for prime n — always a solitary '1'), then hill-climbing for groups of
-growing size under a bounded budget.  Cells the search cannot settle within
-budget are reported as '?', exactly like the paper's table.
+For each (stripe width, stripe count) cell: the Bose construction first
+when n is a prime power (always a solitary '1'; labelled "bose" for prime
+n, "gf2" for powers of two and "gf" for odd prime powers), then
+hill-climbing for groups of growing size under a bounded budget.  Cells
+the search cannot settle within budget are reported as '?', exactly like
+the paper's table.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from repro.core.bose import satisfactory_permutation
+from repro.core.bose import bose_base_permutation
 from repro.core.permutation import BasePermutation
 from repro.core.search import search_permutation_group
 from repro.core.tables import PAPER_TABLE1
@@ -30,7 +32,7 @@ class Table1Cell:
     g: int
     n: int
     group_size: Optional[int]  # None = not found ('?')
-    method: str                # "bose", "gf2", "search", "none"
+    method: str                # "bose", "gf2", "gf", "search", "none"
     paper_value: Optional[int]
 
     def rendered(self) -> str:
@@ -44,17 +46,17 @@ def solve_cell(spec: Table1Spec) -> Table1Cell:
     n = g * k + 1
     paper = PAPER_TABLE1.get((k, g))
     try:
-        perm = satisfactory_permutation(g, k)
+        bose_base_permutation(g, k)
+    except ConfigurationError:
+        pass
+    else:
         if is_prime(n):
             method = "bose"
         elif n & (n - 1) == 0:
             method = "gf2"
         else:
-            method = "gf"  # odd prime power via GF(p^m)
-        assert isinstance(perm, BasePermutation)
+            method = "gf"
         return Table1Cell(k, g, n, 1, method, paper)
-    except ConfigurationError:
-        pass
     try:
         result = search_permutation_group(
             g, k, seed=spec.seed, restarts=spec.restarts,

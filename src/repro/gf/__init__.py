@@ -1,36 +1,35 @@
 """Finite-field arithmetic used by PDDL constructions.
 
-The PDDL mapping develops a base permutation by repeated addition inside a
-finite field: addition modulo ``n`` when the number of disks is prime, and
-bitwise XOR (addition in GF(2^m)) when it is a power of two.  The Bose
-construction of satisfactory base permutations needs primitive elements of
-those fields.
+The PDDL mapping develops a base permutation by repeated addition inside
+GF(n), ``n = p**m``: addition modulo ``n`` when the number of disks is
+prime, bitwise XOR when it is a power of two, digit-wise addition mod
+``p`` otherwise (:mod:`repro.core.development`).  The Bose construction
+of satisfactory base permutations deals the powers of a primitive element
+of GF(n), found here with GF(n) taken as GF(p)[x] modulo an irreducible
+polynomial of degree ``m``.
 
 Public surface:
 
 - :class:`~repro.gf.prime.PrimeField` — GF(p) arithmetic.
-- :class:`~repro.gf.binary.BinaryField` — GF(2^m) with log/antilog tables.
 - :mod:`~repro.gf.polynomial` — dense polynomials over GF(p).
-- :func:`~repro.gf.primitives.primitive_root` and friends.
+- :func:`~repro.gf.primitives.find_irreducible`,
+  :func:`~repro.gf.primitives.find_primitive_element` and
+  :func:`~repro.gf.primitives.element_powers`.
 """
 
-from repro.gf.binary import BinaryField
-from repro.gf.extension import ExtensionField
 from repro.gf.polynomial import Polynomial
 from repro.gf.prime import PrimeField, is_prime
 from repro.gf.primitives import (
+    element_powers,
     find_irreducible,
-    is_primitive_root,
-    primitive_root,
+    find_primitive_element,
 )
 
 __all__ = [
-    "BinaryField",
-    "ExtensionField",
     "Polynomial",
     "PrimeField",
+    "element_powers",
     "find_irreducible",
+    "find_primitive_element",
     "is_prime",
-    "is_primitive_root",
-    "primitive_root",
 ]

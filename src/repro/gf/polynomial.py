@@ -151,9 +151,6 @@ class Polynomial:
     def __mod__(self, divisor: "Polynomial") -> "Polynomial":
         return self.divmod(divisor)[1]
 
-    def __floordiv__(self, divisor: "Polynomial") -> "Polynomial":
-        return self.divmod(divisor)[0]
-
     def pow_mod(self, exponent: int, modulus: "Polynomial") -> "Polynomial":
         """Compute ``self**exponent mod modulus`` by square-and-multiply."""
         if exponent < 0:

@@ -1,14 +1,12 @@
 """Arithmetic in the prime field GF(p).
 
 The PDDL layout for a prime number of disks develops its base permutation with
-addition modulo ``n``; the Bose construction multiplies powers of a primitive
-root modulo ``n``.  This module provides those operations behind a small,
-explicit class so that the modular and GF(2^m) cases share one interface.
+addition modulo ``n``.  :class:`PrimeField` holds the coefficient arithmetic
+of :class:`~repro.gf.polynomial.Polynomial`, which builds GF(p^m) for the
+Bose construction.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 from repro.errors import FieldError
 
@@ -85,7 +83,6 @@ class PrimeField:
         if not is_prime(p):
             raise FieldError(f"PrimeField order must be prime, got {p}")
         self.order = p
-        self.characteristic = p
 
     def _check(self, *values: int) -> None:
         for v in values:
@@ -114,39 +111,12 @@ class PrimeField:
         self._check(a, b)
         return a * b % self.order
 
-    def pow(self, a: int, e: int) -> int:
-        """Exponentiation ``a**e`` in the field; ``e`` may be negative."""
-        self._check(a)
-        if e < 0:
-            return pow(self.inverse(a), -e, self.order)
-        return pow(a, e, self.order)
-
     def inverse(self, a: int) -> int:
         """Multiplicative inverse of a nonzero element."""
         self._check(a)
         if a == 0:
             raise FieldError("0 has no multiplicative inverse")
         return pow(a, self.order - 2, self.order)
-
-    def elements(self) -> Iterator[int]:
-        """Iterate over all field elements, 0 first."""
-        return iter(range(self.order))
-
-    def element_order(self, a: int) -> int:
-        """Multiplicative order of a nonzero element.
-
-        >>> PrimeField(7).element_order(3)
-        6
-        """
-        self._check(a)
-        if a == 0:
-            raise FieldError("0 has no multiplicative order")
-        group = self.order - 1
-        order = group
-        for prime in factorize(group):
-            while order % prime == 0 and pow(a, order // prime, self.order) == 1:
-                order //= prime
-        return order
 
     def __repr__(self) -> str:
         return f"PrimeField({self.order})"

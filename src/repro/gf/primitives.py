@@ -1,51 +1,21 @@
-"""Primitive roots and irreducible/primitive polynomials.
+"""Irreducible polynomials and primitive elements of GF(p^m).
 
-The Bose construction (paper §3) needs a primitive element of GF(n): for prime
-``n`` that is a primitive root modulo ``n``; for ``n = 2**m`` it is a root of a
-primitive polynomial, whose successive powers give the base permutation (the
-appendix works n = 16 with x^4 + x^3 + x^2 + x + 1 and generator x + 1).
+The Bose construction (paper §3) needs a primitive element of GF(n) for a
+prime power ``n = p**m``: GF(n) is GF(p)[x] modulo an irreducible
+polynomial of degree ``m``, and the successive powers of a primitive
+element give the base permutation.  For prime ``n`` the modulus has
+degree 1 and the primitive element is a primitive root modulo ``n`` (the
+paper's 3 for n = 7); the appendix works n = 16 with x^4 + x^3 + x^2 +
+x + 1 and generator x + 1.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import FieldError
 from repro.gf.polynomial import Polynomial
-from repro.gf.prime import PrimeField, factorize, is_prime
-
-
-def is_primitive_root(candidate: int, p: int) -> bool:
-    """True if ``candidate`` generates the multiplicative group of GF(p).
-
-    >>> is_primitive_root(3, 7)
-    True
-    >>> is_primitive_root(2, 7)
-    False
-    """
-    if not is_prime(p):
-        raise FieldError(f"{p} is not prime")
-    candidate %= p
-    if candidate == 0:
-        return False
-    group = p - 1
-    return all(pow(candidate, group // q, p) != 1 for q in factorize(group))
-
-
-def primitive_root(p: int) -> int:
-    """Smallest primitive root modulo the prime ``p``.
-
-    >>> primitive_root(7)
-    3
-    >>> primitive_root(13)
-    2
-    """
-    if p == 2:
-        return 1
-    for candidate in range(2, p):
-        if is_primitive_root(candidate, p):
-            return candidate
-    raise FieldError(f"no primitive root found for {p}")  # pragma: no cover
+from repro.gf.prime import PrimeField, factorize
 
 
 def find_irreducible(p: int, degree: int) -> Polynomial:
@@ -92,44 +62,48 @@ def polynomial_order(element: Polynomial, modulus: Polynomial) -> int:
 
 
 def is_primitive_element(element: Polynomial, modulus: Polynomial) -> bool:
-    """True if ``element`` generates the multiplicative group of GF(p^m)."""
+    """True if ``element`` generates the multiplicative group of GF(p^m).
+
+    >>> gf7 = PrimeField(7)
+    >>> x = Polynomial.x(gf7)  # GF(7) = GF(7)[x] / (x)
+    >>> [is_primitive_element(Polynomial(gf7, [c]), x) for c in (0, 2, 3)]
+    [False, False, True]
+    """
+    if (element % modulus).is_zero():
+        return False
     p = element.field.order
     return polynomial_order(element, modulus) == p ** modulus.degree - 1
 
 
-def find_primitive_element(
-    modulus: Polynomial, start: Optional[Polynomial] = None
-) -> Polynomial:
-    """Find a primitive element of GF(p^m) defined by ``modulus``.
+def find_primitive_element(modulus: Polynomial) -> Polynomial:
+    """The first primitive element of GF(p^m) defined by ``modulus``.
 
-    Scans low-weight candidates first (x, x+1, x+2, ...), matching the paper's
+    Scans base-p encodings upwards from 1: the constants first, so a
+    degree-1 modulus gives the smallest primitive root modulo ``p``, then
+    low-weight polynomials (x, x+1, x+2, ...), matching the paper's
     appendix choice of ``x + 1`` for GF(16) with x^4+x^3+x^2+x+1.
+
+    >>> find_primitive_element(find_irreducible(7, 1)).to_int()
+    3
     """
     field = modulus.field
-    p = field.order
-    m = modulus.degree
-    for value in range(p, p ** m):
+    for value in range(1, field.order ** modulus.degree):
         candidate = Polynomial.from_int(field, value)
         if is_primitive_element(candidate, modulus):
             return candidate
     raise FieldError("no primitive element found")  # pragma: no cover
 
 
-def element_powers(
-    generator: Polynomial, modulus: Polynomial, count: Optional[int] = None
-) -> List[int]:
-    """Successive powers of ``generator`` in GF(p^m), as base-p integers.
+def element_powers(generator: Polynomial, modulus: Polynomial) -> List[int]:
+    """The ``p**m - 1`` successive powers of ``generator`` in GF(p^m), from
+    1, as base-p integers.
 
     The PDDL appendix lists these for GF(16): ``1 3 5 15 14 13 8 7 9 4 12 11
     2 6 10`` for generator x+1 and modulus x^4+x^3+x^2+x+1.
     """
-    p = generator.field.order
-    group = p ** modulus.degree - 1
-    if count is None:
-        count = group
     powers = []
     current = Polynomial.one(generator.field)
-    for _ in range(count):
+    for _ in range(generator.field.order ** modulus.degree - 1):
         powers.append(current.to_int())
         current = (current * generator) % modulus
     return powers

@@ -1,38 +1,24 @@
 """PRIME (Alvarez, Burkhard, Stockmeyer & Cristian, ISCA 1998) —
 reconstructed from its published properties.
 
-The ISCA'98 construction itself is not reproduced verbatim here (the full
-text was unavailable); this implementation is built to satisfy exactly the
-properties the PDDL paper's comparison relies on, and the test suite checks
-each of them:
-
-- ``n`` prime; on-demand arithmetic mapping, zero tables (Table 3),
-- distributed parity: every disk carries the same number of check units,
-- (near-)maximal read parallelism: ``n`` contiguous data units always touch
-  ``n`` distinct disks,
-- large-write optimization: each stripe holds ``k - 1`` contiguous client
-  units,
-- reconstruction load spread over all survivors across the full pattern.
-
-Construction: the pattern has ``n - 1`` *sections* with multipliers
-``z = 1 .. n - 1``.  A section is ``k`` rows: ``k - 1`` data rows filled
-row-major by client units (unit ``u`` of the section sits in row ``u // n``
-at physical disk ``z * (u % n) mod n``) and one parity row.  Stripe ``j`` of
-the section holds client units ``j*(k-1) .. j*(k-1)+k-2`` and its parity at
-logical column ``(j+1)*(k-1) mod n`` of the parity row.  The multiplier
-makes successive sections stripe the same logical neighbourhoods across
-different physical disks, which is what spreads reconstruction load.
+PRIME is :class:`~repro.layouts.relpr.RelprLayout`'s multiplier
+construction at a prime number of disks, where every nonzero residue is a
+multiplier.  The ISCA'98 construction itself is not reproduced verbatim
+here (the full text was unavailable); the test suite checks the
+properties the PDDL paper's comparison relies on: on-demand arithmetic
+mapping with zero tables (Table 3), exactly distributed parity and
+reconstruction, (near-)maximal read parallelism, and ``k - 1`` contiguous
+client units per stripe.
 """
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import ConfigurationError
 from repro.gf.prime import is_prime
-from repro.layouts.address import PhysicalAddress, StripeUnits
-from repro.layouts.base import Layout
+from repro.layouts.relpr import RelprLayout
 
 
-class PrimeLayout(Layout):
+class PrimeLayout(RelprLayout):
     """PRIME-style declustered layout for a prime number of disks.
 
     >>> lay = PrimeLayout(13, 4)
@@ -43,46 +29,6 @@ class PrimeLayout(Layout):
     name = "PRIME"
 
     def __init__(self, n: int, k: int):
-        super().__init__(n=n, k=k)
         if not is_prime(n):
             raise ConfigurationError(f"PRIME needs a prime disk count, got {n}")
-        if k >= n:
-            raise ConfigurationError(
-                f"PRIME declusters; needs k < n, got k={k}, n={n}"
-            )
-
-    @property
-    def sections(self) -> int:
-        return self.n - 1
-
-    @property
-    def period(self) -> int:
-        return self.sections * self.k
-
-    @property
-    def stripes_per_period(self) -> int:
-        return self.sections * self.n
-
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        if not 0 <= stripe_index < self.stripes_per_period:
-            raise MappingError(f"stripe {stripe_index} outside pattern")
-        section, j = divmod(stripe_index, self.n)
-        z = section + 1
-        base_row = section * self.k
-        data = []
-        for i in range(self.k - 1):
-            unit = j * (self.k - 1) + i
-            row, column = divmod(unit, self.n)
-            data.append(
-                PhysicalAddress(z * column % self.n, base_row + row)
-            )
-        parity_column = (j + 1) * (self.k - 1) % self.n
-        check = [
-            PhysicalAddress(
-                z * parity_column % self.n, base_row + self.k - 1
-            )
-        ]
-        return StripeUnits(data=data, check=check)
-
-    def mapping_table_entries(self) -> int:
-        return 0  # purely arithmetic (Table 3)
+        super().__init__(n, k)

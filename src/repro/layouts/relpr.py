@@ -1,20 +1,28 @@
-"""RELPR (Alvarez, Burkhard, Stockmeyer & Cristian, ISCA 1998) —
-reconstructed from its published role.
+"""RELPR and PRIME (Alvarez, Burkhard, Stockmeyer & Cristian, ISCA 1998)
+— reconstructed from their published roles.
 
-RELPR is PRIME's companion for arrays whose size is not prime: the
-multiplier set shrinks from all nonzero residues to the units of Z_n
-(residues RELatively PRime to n — the name), trading exactness for
-generality.  Like our PRIME reconstruction (see
-:mod:`repro.layouts.prime`), this is built to the properties the PDDL
-paper attributes to the scheme: on-demand arithmetic mapping, zero tables,
-near-optimal parallelism, and *approximately* balanced parity and
-reconstruction for general ``n`` — the approximation being what the paper
-means by "near-optimal" for these layouts.
+The two schemes share one multiplier construction.  PRIME
+(:class:`~repro.layouts.prime.PrimeLayout`) takes a prime number of disks
+and every nonzero residue as a multiplier; RELPR is its companion for
+arrays whose size is not prime: the multiplier set shrinks to the units
+of Z_n (residues RELatively PRime to n — the name), trading exactness for
+generality.  Both are built to the properties the PDDL paper attributes
+to the schemes: on-demand arithmetic mapping, zero tables, near-optimal
+parallelism, and balanced parity and reconstruction — exactly for prime
+``n``, *approximately* for general ``n``, the approximation being what
+the paper means by "near-optimal" for these layouts.
 
-Construction: identical to :class:`~repro.layouts.prime.PrimeLayout`, with
-sections for each multiplier ``z`` coprime to ``n``; requires
+Construction: the pattern has one *section* per multiplier ``z`` coprime
+to ``n`` (``z = 1 .. n - 1`` for prime ``n``).  A section is ``k`` rows:
+``k - 1`` data rows filled row-major by client units (unit ``u`` of the
+section sits in row ``u // n`` at physical disk ``z * (u % n) mod n``)
+and one parity row.  Stripe ``j`` of the section holds client units
+``j*(k-1) .. j*(k-1)+k-2`` and its parity at logical column
+``(j+1)*(k-1) mod n`` of the parity row, which requires
 ``gcd(k - 1, n) == 1`` so the per-section parity assignment stays a
-bijection.
+bijection.  The multiplier makes successive sections stripe the same
+logical neighbourhoods across different physical disks, which is what
+spreads reconstruction load.
 
 Known limitation (documented in DESIGN.md): per-failure reconstruction
 load covers only survivors reachable as ``failed + z*delta`` with ``z`` a
@@ -47,11 +55,11 @@ class RelprLayout(Layout):
         super().__init__(n=n, k=k)
         if k >= n:
             raise ConfigurationError(
-                f"RELPR declusters; needs k < n, got k={k}, n={n}"
+                f"{self.name} declusters; needs k < n, got k={k}, n={n}"
             )
         if math.gcd(k - 1, n) != 1:
             raise ConfigurationError(
-                f"RELPR needs gcd(k - 1, n) = 1; gcd({k - 1}, {n}) ="
+                f"{self.name} needs gcd(k - 1, n) = 1; gcd({k - 1}, {n}) ="
                 f" {math.gcd(k - 1, n)}"
             )
         self.multipliers: List[int] = [

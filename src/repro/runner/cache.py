@@ -143,9 +143,6 @@ class ResultCache:
         self._entries()
         return self._quarantined
 
-    def __len__(self) -> int:
-        return len(self._entries())
-
     def close(self) -> None:
         if self._fd is not None:
             os.close(self._fd)

@@ -155,16 +155,3 @@ class LatencyHistogram:
         )
         return hist
 
-    def merge(self, other: "LatencyHistogram") -> None:
-        if (
-            other.min_ms != self.min_ms
-            or other._scale != self._scale
-            or len(other._counts) != len(self._counts)
-        ):
-            raise ConfigurationError("histogram shapes differ")
-        for i, c in enumerate(other._counts):
-            self._counts[i] += c
-        self.count += other.count
-        self.total_ms += other.total_ms
-        if other.max_sample_ms > self.max_sample_ms:
-            self.max_sample_ms = other.max_sample_ms

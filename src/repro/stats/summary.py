@@ -98,25 +98,6 @@ class SummaryStats:
             return math.inf
         return self.ci_halfwidth(confidence) / abs(mean)
 
-    def merge(self, other: "SummaryStats") -> None:
-        """Fold another summary in (parallel Welford combination)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            self.minimum = other.minimum
-            self.maximum = other.maximum
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._mean += delta * other.count / total
-        self.count = total
-        self.minimum = min(self.minimum, other.minimum)
-        self.maximum = max(self.maximum, other.maximum)
-
     def __repr__(self) -> str:
         if self.count == 0:
             return "SummaryStats(empty)"

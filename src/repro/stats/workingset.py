@@ -12,7 +12,7 @@ determined independently").
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.array.raidops import ArrayMode, plan_access
 from repro.errors import ConfigurationError

@@ -11,8 +11,8 @@ from repro.core.multifailure import (
     worst_case_tally_deviation,
 )
 from repro.core.permutation import BasePermutation
-from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import Role
+from repro.errors import ConfigurationError
+from repro.layouts.address import PhysicalAddress, Role
 from repro.layouts.properties import check_layout
 
 
@@ -72,21 +72,33 @@ class TestPQLayout:
         assert set(per_row.values()) == {2}
 
     def test_relocation_per_spare_column(self, pq_layout):
-        addr = pq_layout.stripe_units_in_period(0).data[0]
-        t0 = pq_layout.relocation_target(addr, spare_column=0)
-        t1 = pq_layout.relocation_target(addr, spare_column=1)
-        assert t0 != t1
-        for t in (t0, t1):
-            assert pq_layout.locate(*t).role is Role.SPARE
-        with pytest.raises(MappingError):
-            pq_layout.relocation_target(addr, spare_column=2)
+        # The i-th concurrent failure rebuilds into virtual spare column i
+        # of the lost cell's row; one failure uses column 0, the column
+        # relocation_target gives.
+        for failed in ([0, 1], [1, 0], [2, 7], [4]):
+            targets = set()
+            for step in multi_rebuild_plan(pq_layout, failed):
+                for cell, target in step.lost.items():
+                    column = failed.index(cell.disk)
+                    assert target == PhysicalAddress(
+                        pq_layout.virtual_to_physical(column, cell.offset),
+                        cell.offset,
+                    )
+                    assert pq_layout.locate(*target).role is Role.SPARE
+                    if column == 0:
+                        assert pq_layout.relocation_target(cell) == target
+                    targets.add((column, target))
+            assert {column for column, _ in targets} == set(
+                range(len(failed))
+            )
+        # Two spare columns: a third failure has none to rebuild into.
+        with pytest.raises(ConfigurationError):
+            list(multi_rebuild_plan(pq_layout, [0, 1, 2]))
 
     def test_virtual_disk_interface_consistent(self, pq_layout):
         for unit in range(pq_layout.data_units_per_period):
             column, offset = pq_layout.virtual_disk_of(unit)
             disk = pq_layout.virtual_to_physical(column, offset)
-            from repro.layouts.address import PhysicalAddress
-
             assert pq_layout.data_unit_address(unit) == PhysicalAddress(
                 disk, offset
             )

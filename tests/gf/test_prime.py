@@ -5,7 +5,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import FieldError
+from repro.gf.polynomial import Polynomial
 from repro.gf.prime import PrimeField, factorize, is_prime
+from repro.gf.primitives import polynomial_order
 
 PRIMES = [2, 3, 5, 7, 11, 13, 31, 61, 97]
 
@@ -76,20 +78,27 @@ class TestPrimeField:
             f.mul(-1, 3)
 
     def test_pow_negative_exponent(self):
+        # Powers go through GF(p)[x] modulo x: a^(p-2) is a's inverse,
+        # and negative exponents are refused.
         f = PrimeField(11)
-        assert f.pow(3, -1) == f.inverse(3)
-        assert f.mul(f.pow(3, -2), f.pow(3, 2)) == 1
+        x = Polynomial.x(f)
+        three = Polynomial(f, [3])
+        assert three.pow_mod(9, x).to_int() == f.inverse(3)
+        with pytest.raises(FieldError):
+            three.pow_mod(-1, x)
 
     def test_element_order_divides_group(self):
         f = PrimeField(31)
+        x = Polynomial.x(f)
         for a in range(1, 31):
-            order = f.element_order(a)
+            order = polynomial_order(Polynomial(f, [a]), x)
             assert 30 % order == 0
-            assert f.pow(a, order) == 1
+            assert Polynomial(f, [a]).pow_mod(order, x).to_int() == 1
 
     def test_element_order_of_generator(self):
         f = PrimeField(7)
-        assert f.element_order(3) == 6  # 3 is a primitive root mod 7
+        # 3 is a primitive root mod 7.
+        assert polynomial_order(Polynomial(f, [3]), Polynomial.x(f)) == 6
 
     def test_equality_and_hash(self):
         assert PrimeField(7) == PrimeField(7)

@@ -1,51 +1,79 @@
-"""Tests for primitive roots and irreducible polynomial search."""
+"""Tests for irreducible polynomial search and primitive elements."""
 
 import pytest
 
 from repro.errors import FieldError
 from repro.gf.polynomial import Polynomial
-from repro.gf.prime import PrimeField
+from repro.gf.prime import PrimeField, is_prime
 from repro.gf.primitives import (
     element_powers,
     find_irreducible,
     find_primitive_element,
     is_primitive_element,
-    is_primitive_root,
     polynomial_order,
-    primitive_root,
 )
 
 
+def residue_field(p):
+    """GF(p) as GF(p)[x] modulo the degree-1 polynomial x."""
+    return find_irreducible(p, 1)
+
+
+def constant(p, c):
+    return Polynomial.from_int(PrimeField(p), c)
+
+
 class TestPrimitiveRoot:
+    """Primitive roots modulo p: primitive elements over degree-1 moduli."""
+
     def test_paper_example_mod7(self):
         # Paper §3: "3 is a primitive element since 3^0=1, 3^1=3, 3^2=2,
         # 3^3=6, 3^4=4, 3^5=5".
-        assert is_primitive_root(3, 7)
-        powers = [pow(3, e, 7) for e in range(6)]
+        assert is_primitive_element(constant(7, 3), residue_field(7))
+        powers = element_powers(constant(7, 3), residue_field(7))
         assert powers == [1, 3, 2, 6, 4, 5]
 
     def test_smallest_roots(self):
-        assert primitive_root(7) == 3
-        assert primitive_root(13) == 2
-        assert primitive_root(11) == 2
-        assert primitive_root(41) == 6
+        def smallest(p):
+            return find_primitive_element(residue_field(p)).to_int()
+
+        assert smallest(7) == 3
+        assert smallest(13) == 2
+        assert smallest(11) == 2
+        assert smallest(41) == 6
+        assert smallest(2) == 1
+        # The smallest primitive root of every prime below 400.
+        primes = [p for p in range(2, 400) if is_prime(p)]
+        assert [smallest(p) for p in primes] == [
+            1, 2, 2, 3, 2, 2, 3, 2, 5, 2, 3, 2, 6, 3, 5, 2, 2, 2, 2, 7,
+            5, 3, 2, 3, 5, 2, 5, 2, 6, 3, 3, 2, 3, 2, 2, 6, 5, 2, 5, 2,
+            2, 2, 19, 5, 2, 3, 2, 3, 2, 6, 3, 7, 7, 6, 3, 5, 2, 6, 5, 3,
+            3, 2, 5, 17, 10, 2, 3, 10, 2, 2, 3, 7, 6, 2, 2, 5, 2, 5,
+        ]
 
     def test_root_generates_whole_group(self):
         for p in [5, 7, 11, 13, 23, 31]:
-            w = primitive_root(p)
-            assert {pow(w, e, p) for e in range(p - 1)} == set(range(1, p))
+            modulus = residue_field(p)
+            w = find_primitive_element(modulus)
+            assert sorted(element_powers(w, modulus)) == list(range(1, p))
 
     def test_count_of_primitive_roots(self):
         # phi(phi(13)) = phi(12) = 4 primitive roots mod 13.
-        assert sum(is_primitive_root(c, 13) for c in range(1, 13)) == 4
+        modulus = residue_field(13)
+        assert sum(
+            is_primitive_element(constant(13, c), modulus)
+            for c in range(1, 13)
+        ) == 4
 
     def test_nonprime_rejected(self):
         with pytest.raises(FieldError):
-            is_primitive_root(2, 8)
+            find_irreducible(8, 1)
 
     def test_zero_is_not_primitive(self):
-        assert not is_primitive_root(0, 7)
-        assert not is_primitive_root(7, 7)
+        modulus = residue_field(7)
+        assert not is_primitive_element(constant(7, 0), modulus)
+        # 7 encodes x, which is 0 modulo x.
+        assert not is_primitive_element(constant(7, 7), modulus)
 
 
 class TestFindIrreducible:

@@ -4,7 +4,9 @@ kept as references.
 Each function is the per-stripe implementation the simulator used when
 ``Layout.stripe_units`` served stripes one at a time and each lost cell's
 spare came from its own ``relocation_target`` call.  The only change is
-that stripes now come from ``tests.layouts.reference_layout.stripe_units``.
+that stripes now come from ``tests.layouts.reference_layout.stripe_units``
+(``multi_rebuild_plan`` always read the stripe table; its reference keeps
+the ``locate`` per offset and the per-column :func:`relocation_target`).
 ``tests/layouts/test_consumer_reference.py`` compares the table-driven
 code in ``src/`` with these step for step.  Never edit a reference to
 make it match.
@@ -12,11 +14,12 @@ make it match.
 
 from __future__ import annotations
 
-from typing import Container, Iterator, List, Optional, Tuple
+from typing import Container, Dict, Iterator, List, Optional, Tuple
 
 from repro.array.raidops import RebuiltPredicate
+from repro.core.multifailure import MultiRebuildStep
 from repro.core.reconstruction import RebuildStep
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress, Role
 from tests.layouts.reference_layout import stripe_units
 
@@ -275,3 +278,75 @@ def planned_write_meanings(
                     stripe,
                 )
     return meanings
+
+
+def relocation_target(layout, addr: PhysicalAddress, spare_column: int):
+    """``PDDLLayout.relocation_target(addr, spare_column=...)``: the spare
+    cell of column ``spare_column`` in ``addr``'s row."""
+    if layout.spares == 0:
+        raise MappingError("this PDDL instance was built without spares")
+    if not 0 <= spare_column < layout.spares:
+        raise MappingError(
+            f"spare column {spare_column} outside 0..{layout.spares - 1}"
+        )
+    row = addr.offset % layout.period
+    perm, t = layout._row_context(row)
+    if layout.locate(addr.disk, addr.offset).role is Role.SPARE:
+        raise MappingError(f"{addr} is spare space; nothing to relocate")
+    spare_disk = perm.disk_of_column(spare_column, t, layout.dev)
+    return PhysicalAddress(spare_disk, addr.offset)
+
+
+def multi_rebuild_plan(
+    layout, failed_disks, rows: int = 0
+) -> Iterator[MultiRebuildStep]:
+    """``repro.core.multifailure.multi_rebuild_plan``: a ``locate`` per
+    (offset, failed disk) pair and a :func:`relocation_target` per lost
+    cell."""
+    failures = list(dict.fromkeys(failed_disks))
+    if len(failures) != len(failed_disks):
+        raise ConfigurationError(f"duplicate failed disks in {failed_disks}")
+    for disk in failures:
+        if not 0 <= disk < layout.n:
+            raise ConfigurationError(f"no disk {disk}")
+    if len(failures) > layout.checks:
+        raise ConfigurationError(
+            f"{len(failures)} failures exceed the {layout.checks}-failure"
+            f" tolerance of a {layout.checks}-check stripe"
+        )
+    if len(failures) > layout.spares:
+        raise ConfigurationError(
+            f"{len(failures)} failures exceed the {layout.spares}"
+            " distributed spare column(s)"
+        )
+    rows = rows or layout.period
+    failed_set = set(failures)
+    spare_of = {disk: i for i, disk in enumerate(failures)}
+    period, per_period, _, stripes = layout.stripe_table()
+
+    seen_stripes = set()
+    for offset in range(rows):
+        for disk in failures:
+            info = layout.locate(disk, offset)
+            if info.role is Role.SPARE or info.stripe in seen_stripes:
+                continue
+            seen_stripes.add(info.stripe)
+            cycle, index = divmod(info.stripe, per_period)
+            data, check = stripes[index]
+            lost: Dict[PhysicalAddress, PhysicalAddress] = {}
+            reads: List[PhysicalAddress] = []
+            for member_disk, row in data + check:
+                addr = PhysicalAddress(member_disk, row + cycle * period)
+                if addr.disk in failed_set:
+                    lost[addr] = relocation_target(
+                        layout, addr, spare_of[addr.disk]
+                    )
+                else:
+                    reads.append(addr)
+            if len(reads) < layout.k - layout.checks:
+                raise MappingError(
+                    f"stripe {info.stripe} lost too many units to decode"
+                )
+            yield MultiRebuildStep(
+                stripe=info.stripe, lost=lost, reads=reads
+            )

