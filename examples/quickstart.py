@@ -9,7 +9,7 @@ Run:  python examples/quickstart.py
 
 from repro import bose_base_permutation, check_layout, PDDLLayout
 from repro.core.reconstruction import rebuild_plan
-from repro.layouts.address import PhysicalAddress, Role
+from repro.layouts.address import Role
 
 
 def cell_label(layout: PDDLLayout, disk: int, row: int) -> str:
@@ -62,9 +62,11 @@ def main() -> None:
         physical = layout.virtual_to_physical(disk, offset)
         print(f"  virtual (disk {disk}, offset {offset}) -> disk {physical}")
 
-    # And the relocation map used after reconstruction completes.
-    target = layout.relocation_target(PhysicalAddress(4, 0))
-    print(f"\nPA (disk 4, row 0) relocates to spare at disk {target.disk}")
+    # And the relocation map used after reconstruction completes: disk
+    # 4's failure table names where each of its stripes' units is
+    # rebuilt, and stripe 0 is A, whose check unit PA sits in row 0.
+    home_disk, _ = layout.failure_table(4)[0].home
+    print(f"\nPA (disk 4, row 0) relocates to spare at disk {home_disk}")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ from repro.core.development import (
 )
 from repro.core.layout import PDDLLayout, pddl_for
 from repro.core.permutation import BasePermutation, PermutationGroup
-from repro.core.search import search_base_permutation, search_permutation_group
+from repro.core.search import search_permutation_group
 from repro.core.wrapping import WrappedLayout, wrapped_layout
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "bose_base_permutation",
     "development_for",
     "pddl_for",
-    "search_base_permutation",
     "search_permutation_group",
     "wrapped_layout",
 ]

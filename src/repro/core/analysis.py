@@ -130,10 +130,6 @@ def super_stripe_units(layout: Layout) -> int:
 
 def rebuild_reads_per_pattern(layout: Layout) -> int:
     """Total reconstruction reads one failed disk costs per pattern."""
-    spare_cells = sum(
-        1
-        for addr in layout.spare_addresses_in_period()
-        if addr.disk == 0
-    )
+    spare_cells = sum(1 for disk, _ in layout.spare_cells() if disk == 0)
     lost_units = layout.period - spare_cells
     return lost_units * (layout.k - 1)

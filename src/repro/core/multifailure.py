@@ -71,10 +71,8 @@ def multi_rebuild_plan(
     spare_of = {disk: i for i, disk in enumerate(failures)}
     period, per_period, _, stripes = layout.stripe_table()
     stripe_rows = [_stripe_rows(layout, disk) for disk in failures]
-    # The i-th failure rebuilds into spare column i of the same row.
-    spare_disks: List[List[int]] = [[] for _ in range(period)]
-    for spare in layout.spare_addresses_in_period():
-        spare_disks[spare.offset].append(spare.disk)
+    # The i-th failure rebuilds into the i-th spare cell of the same row.
+    spare_disks = layout.spares_by_row()
 
     seen_stripes = set()
     for offset in range(rows):

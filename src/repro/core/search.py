@@ -8,7 +8,8 @@ into small groups."  We implement that directly: the state is a group of
 reconstruction-read tally, and moves swap two entries inside one
 permutation.  Local optima are escaped with small random kicks before a
 full restart, which is what makes the larger composite-``n`` cells of
-Table 1 tractable.
+Table 1 tractable.  Every searched layout has one spare column (column
+0), so ``n = g*k + 1``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,13 @@ from repro.core.development import Development, ModularDevelopment
 from repro.core.permutation import BasePermutation, PermutationGroup
 from repro.errors import SearchError
 
+#: Random-kick escapes from local optima per hill climb before a restart.
+KICKS = 8
+
 
 def _tally_badness(
     perms: Sequence[Sequence[int]],
     k: int,
-    spares: int,
     dev: Development,
 ) -> int:
     """Sum of squared deviations of the combined tally from ``p*(k-1)``.
@@ -33,7 +36,6 @@ def _tally_badness(
     search evaluates this tens of thousands of times.
     """
     n = dev.n
-    g = (n - spares) // k
     tally = [0] * n
     for values in perms:
         inverse = [0] * n
@@ -41,10 +43,9 @@ def _tally_badness(
             inverse[disk] = column
         for t in range(n):
             column = inverse[dev.unshift(0, t)]
-            group = -1 if column < spares else (column - spares) // k
-            if group < 0:
-                continue
-            start = spares + group * k
+            if column == 0:
+                continue  # the spare column
+            start = 1 + (column - 1) // k * k
             for other in range(start, start + k):
                 if other == column:
                     continue
@@ -58,18 +59,16 @@ def _climb(
     rng: random.Random,
     perms: List[List[int]],
     k: int,
-    spares: int,
     dev: Development,
     max_steps: int,
-    kicks: int,
 ) -> int:
     """First-improvement hill climbing with random kicks; mutates
     ``perms`` in place and returns the final badness."""
     n = dev.n
     p = len(perms)
-    badness = _tally_badness(perms, k, spares, dev)
+    badness = _tally_badness(perms, k, dev)
     steps = 0
-    kicks_left = kicks
+    kicks_left = KICKS
     while badness > 0 and steps < max_steps:
         improved = False
         which = rng.randrange(p)
@@ -79,7 +78,7 @@ def _climb(
         for i, j in pairs:
             steps += 1
             values[i], values[j] = values[j], values[i]
-            candidate = _tally_badness(perms, k, spares, dev)
+            candidate = _tally_badness(perms, k, dev)
             if candidate < badness:
                 badness = candidate
                 improved = True
@@ -95,7 +94,7 @@ def _climb(
             for _ in range(3):
                 a, b = rng.randrange(n), rng.randrange(n)
                 values[a], values[b] = values[b], values[a]
-            badness = _tally_badness(perms, k, spares, dev)
+            badness = _tally_badness(perms, k, dev)
     return badness
 
 
@@ -103,13 +102,11 @@ def search_permutation_group(
     g: int,
     k: int,
     p: int = 0,
-    spares: int = 1,
     dev: Optional[Development] = None,
     seed: int = 0,
     restarts: int = 40,
     max_steps: int = 3000,
     p_max: int = 4,
-    kicks: int = 8,
 ) -> Union[BasePermutation, PermutationGroup]:
     """Find a satisfactory base permutation or group for ``(g, k)``.
 
@@ -124,7 +121,7 @@ def search_permutation_group(
     found within the budget — the paper's Table 1 records such cells as
     "?".
     """
-    n = g * k + spares
+    n = g * k + 1
     dev = dev or ModularDevelopment(n)
     sizes = [p] if p > 0 else list(range(1, p_max + 1))
     rng = random.Random(seed)
@@ -135,10 +132,10 @@ def search_permutation_group(
                 values = list(range(n))
                 rng.shuffle(values)
                 perms.append(values)
-            badness = _climb(rng, perms, k, spares, dev, max_steps, kicks)
+            badness = _climb(rng, perms, k, dev, max_steps)
             if badness == 0:
                 group = PermutationGroup(
-                    [BasePermutation(v, k, spares) for v in perms]
+                    [BasePermutation(v, k) for v in perms]
                 )
                 assert group.is_satisfactory(dev)
                 if group.p == 1:
@@ -146,33 +143,6 @@ def search_permutation_group(
                 return group
     raise SearchError(
         f"no satisfactory permutation group (p <= {max(sizes)}) found for"
-        f" g={g}, k={k}, spares={spares} within budget"
+        f" g={g}, k={k}, spares=1 within budget"
     )
 
-
-def search_base_permutation(
-    g: int,
-    k: int,
-    spares: int = 1,
-    dev: Optional[Development] = None,
-    seed: int = 0,
-    restarts: int = 40,
-    max_steps: int = 3000,
-) -> BasePermutation:
-    """Search for a *solitary* satisfactory base permutation.
-
-    Raises :class:`~repro.errors.SearchError` when none is found — some
-    configurations genuinely require groups (e.g. n = 10, k = 3).
-    """
-    result = search_permutation_group(
-        g,
-        k,
-        p=1,
-        spares=spares,
-        dev=dev,
-        seed=seed,
-        restarts=restarts,
-        max_steps=max_steps,
-    )
-    assert isinstance(result, BasePermutation)
-    return result

@@ -19,8 +19,7 @@ from typing import List, Optional, Tuple
 
 from repro.core.layout import PDDLLayout, PermutationLike
 from repro.errors import ConfigurationError
-from repro.layouts.address import PhysicalAddress, StripeUnits
-from repro.layouts.base import Layout
+from repro.layouts.base import Cell, Layout, Stripe
 
 
 class WrappedLayout(Layout):
@@ -72,53 +71,39 @@ class WrappedLayout(Layout):
     def stripes_per_period(self) -> int:
         return len(self.outer_blocks) * self.inner.stripes_per_period
 
-    def _band(self, stripe_index: int) -> Tuple[int, int]:
-        return divmod(stripe_index, self.inner.stripes_per_period)
-
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        band, inner_index = self._band(stripe_index)
-        members = self.outer_blocks[band]
-        base = self.inner.stripe_units_in_period(inner_index)
-        shift = band * self.inner.period
-        return StripeUnits(
-            data=[
-                PhysicalAddress(members[d], o + shift) for d, o in base.data
-            ],
-            check=[
-                PhysicalAddress(members[d], o + shift) for d, o in base.check
-            ],
-        )
-
-    def spare_addresses_in_period(self) -> List[PhysicalAddress]:
-        out: List[PhysicalAddress] = []
+    def _build_stripes(self) -> List[Stripe]:
+        inner = self.inner.stripe_table().stripes
+        stripes = []
         for band, members in enumerate(self.outer_blocks):
             shift = band * self.inner.period
+            for data, check in inner:
+                stripes.append(
+                    (
+                        tuple((members[d], o + shift) for d, o in data),
+                        tuple((members[d], o + shift) for d, o in check),
+                    )
+                )
+        return stripes
+
+    def spare_cells(self) -> List[Cell]:
+        """Per band: the inner layout's spare cells on their member
+        disks, then the band's filler cells row by row.  A lost unit is
+        rebuilt into the inner spare column's cell of its row, or into
+        the row's first filler cell when the inner layout has no
+        spares."""
+        inner_spares = self.inner.spare_cells()
+        out: List[Cell] = []
+        for band, members in enumerate(self.outer_blocks):
+            shift = band * self.inner.period
+            out += [(members[d], o + shift) for d, o in inner_spares]
             member_set = set(members)
-            for d, o in self.inner.spare_addresses_in_period():
-                out.append(PhysicalAddress(members[d], o + shift))
-            for row in range(self.inner.period):
-                for disk in range(self.n):
-                    if disk not in member_set:
-                        out.append(PhysicalAddress(disk, row + shift))
+            for row in range(shift, shift + self.inner.period):
+                out += [
+                    (disk, row)
+                    for disk in range(self.n)
+                    if disk not in member_set
+                ]
         return out
-
-    def relocation_target(self, addr: PhysicalAddress) -> PhysicalAddress:
-        row = addr.offset % self.period
-        band, inner_row = divmod(row, self.inner.period)
-        members = self.outer_blocks[band]
-        if addr.disk not in members:
-            from repro.errors import MappingError
-
-            raise MappingError(f"{addr} is filler spare space")
-        inner_disk = members.index(addr.disk)
-        cycle_base = addr.offset - row
-        target = self.inner.relocation_target(
-            PhysicalAddress(inner_disk, inner_row)
-        )
-        return PhysicalAddress(
-            members[target.disk],
-            cycle_base + band * self.inner.period + target.offset,
-        )
 
     def mapping_table_entries(self) -> int:
         return self.inner.mapping_table_entries()

@@ -61,6 +61,8 @@ class Polynomial:
         >>> Polynomial.from_int(PrimeField(2), 0b1011).coeffs
         (1, 1, 0, 1)
         """
+        if value < 0:
+            raise FieldError(f"no polynomial encodes negative {value}")
         coeffs = []
         p = field.order
         while value:

@@ -10,7 +10,7 @@ the machine-checkable layout goals #1-#8
 experiment harness.  PDDL itself lives in :mod:`repro.core`.
 """
 
-from repro.layouts.address import PhysicalAddress, Role, StripeUnits, UnitInfo
+from repro.layouts.address import PhysicalAddress, Role, UnitInfo
 from repro.layouts.base import Layout
 from repro.layouts.datum import DatumLayout
 from repro.layouts.parity_decluster import ParityDeclusteringLayout
@@ -30,7 +30,6 @@ __all__ = [
     "PseudoRandomLayout",
     "RelprLayout",
     "Role",
-    "StripeUnits",
     "UnitInfo",
     "available_layouts",
     "make_layout",

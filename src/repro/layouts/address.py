@@ -8,7 +8,7 @@ role is client data, check (parity), or distributed spare space.
 from __future__ import annotations
 
 import enum
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 
 class Role(enum.Enum):
@@ -31,23 +31,6 @@ class PhysicalAddress(NamedTuple):
 
     disk: int
     offset: int
-
-
-class StripeUnits(NamedTuple):
-    """All physical cells of one stripe, data units in client order.
-
-    ``data[j]`` holds the j-th contiguous client data unit of the stripe
-    (large-write optimization, goal #4), ``check`` the parity unit(s).
-    """
-
-    data: List[PhysicalAddress]
-    check: List[PhysicalAddress]
-
-    def all_units(self) -> List[PhysicalAddress]:
-        return list(self.data) + list(self.check)
-
-    def disks(self) -> List[int]:
-        return [addr.disk for addr in self.all_units()]
 
 
 class UnitInfo(NamedTuple):

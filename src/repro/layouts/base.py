@@ -7,41 +7,48 @@ disks.  Within one period there are ``stripes_per_period`` stripes, each
 holding ``data_per_stripe`` contiguous client data units plus check unit(s),
 and optionally distributed spare cells.
 
-The shared machinery here (global/periodic address translation, the inverse
-``locate`` table, structural validation) is what lets the simulator, the
-analytic working-set tool, and the property checker treat PDDL and every
-baseline uniformly.
+A layout is its stripes and its spare cells: a subclass declares one
+period's stripes (:meth:`Layout._build_stripes`) and spare cells
+(:meth:`Layout.spare_cells`), both as plain ``(disk, row)`` cells, and
+the shared machinery here derives everything else — global/periodic
+address translation, the inverse ``locate`` table, structural
+validation, and where a lost cell's unit is rebuilt.  That is what lets
+the simulator, the analytic working-set tool, and the property checker
+treat PDDL and every baseline uniformly.
 
 Hot-path representation: every consumer reads one per-period table,
-:meth:`Layout.stripe_table` — each stripe of the pattern as plain
-``(disk, row)`` data and check cells, built once per layout at first
-use.  Stripe ``s + c * stripes_per_period`` is stripe ``s`` shifted down
-``c * period`` rows, so a global cell is a table cell plus ``cycle *
-period`` and no stripe is ever materialised.  Two flat tables derive
-from it in the same build, together with the check that the stripes and
-the spare cells use every cell of the pattern exactly once: ``locate``
-indexes a list-of-lists ``[disk][row]`` grid and ``data_unit_cell`` a
-flat per-period array of data cells, so the simulator's address
-translations are two integer indexings each.
+:meth:`Layout.stripe_table` — the declared stripes, built once per
+layout at first use.  Stripe ``s + c * stripes_per_period`` is stripe
+``s`` shifted down ``c * period`` rows, so a global cell is a table cell
+plus ``cycle * period`` and no stripe is ever materialised.  Two flat
+tables derive from it in the same build, together with the check that
+the stripes and the spare cells use every cell of the pattern exactly
+once: ``locate`` indexes a list-of-lists ``[disk][row]`` grid and
+``data_unit_cell`` a flat per-period array of data cells, so the
+simulator's address translations are two integer indexings each.
 :meth:`Layout.failure_table` adds what one failed disk does to each
-stripe of the table: its lost cell and, with sparing, the same-row spare
-that holds the rebuilt unit.  The access planner, the rebuild sweep,
-resync, the integrity oracle, second-failure evaluation and the
-controller's stripe peers all read these two tables.  A per-stripe
-reference model in ``tests/layouts/reference_layout.py`` pins them
-cell for cell, registry-wide.
+stripe of the table: its lost cell and, with sparing, the spare cell
+that holds the rebuilt unit — the first spare cell the layout lists for
+the lost cell's row (:meth:`Layout.spares_by_row`), so a rebuilt unit
+never leaves its row.  The access planner, the rebuild sweep, resync,
+the integrity oracle, second-failure evaluation and the controller's
+stripe peers all read these two tables.  A per-stripe reference model
+in ``tests/layouts/reference_layout.py`` pins them cell for cell,
+registry-wide.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, Role, StripeUnits, UnitInfo
+from repro.layouts.address import PhysicalAddress, Role, UnitInfo
 
 #: A cell of one period as a plain ``(disk, row)`` tuple.
 Cell = Tuple[int, int]
+#: One stripe as ``(data cells, check cells)``.
+Stripe = Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]
 
 
 class StripeTable(NamedTuple):
@@ -52,7 +59,7 @@ class StripeTable(NamedTuple):
     stripes_per_period: int
     data_per_stripe: int
     #: ``stripes[i]`` is ``(data cells, check cells)`` of period stripe ``i``.
-    stripes: List[Tuple[Tuple[Cell, ...], Tuple[Cell, ...]]]
+    stripes: List[Stripe]
 
 
 class LostCell(NamedTuple):
@@ -64,8 +71,9 @@ class LostCell(NamedTuple):
     #: a check cell at ``data_per_stripe`` and above.
     position: int
     #: The stripe's data and check cells once the lost cell is rebuilt:
-    #: with sparing it is replaced by its same-row spare cell, without
-    #: sparing it stays (the replacement spindle serves the old address).
+    #: with sparing it is replaced by the first spare cell of its row,
+    #: without sparing it stays (the replacement spindle serves the old
+    #: address).
     data: Tuple[Cell, ...]
     check: Tuple[Cell, ...]
     #: Where the rebuilt unit lives: ``(data + check)[position]``.
@@ -75,14 +83,15 @@ class LostCell(NamedTuple):
 def lost_cells(
     table: StripeTable,
     disk: int,
-    relocation_target: Optional[Callable[[PhysicalAddress], PhysicalAddress]],
+    spares_by_row: Optional[List[List[int]]],
 ) -> List[Optional[LostCell]]:
     """Per period stripe of ``table``: its :class:`LostCell` when ``disk``
     fails, or ``None`` if the stripe has no cell on ``disk``.
 
-    ``relocation_target`` (``None`` without sparing) gives each lost
-    cell's spare.  A stripe uses a disk at most once (goal #1), so the
-    first cell found on ``disk`` is the only one.
+    ``spares_by_row`` (``None`` without sparing) lists each row's spare
+    disks; a lost cell's unit is rebuilt into the first of its row.  A
+    stripe uses a disk at most once (goal #1), so the first cell found on
+    ``disk`` is the only one.
     """
     per_stripe = table.data_per_stripe
     out: List[Optional[LostCell]] = []
@@ -92,17 +101,15 @@ def lost_cells(
         for position, (cell_disk, row) in enumerate(cells):
             if cell_disk != disk:
                 continue
-            if relocation_target is not None:
-                target = relocation_target(PhysicalAddress(disk, row))
-                if target.offset != row:
-                    # A cross-row target would break the cycle shift.
+            if spares_by_row is not None:
+                spares = spares_by_row[row]
+                if not spares:
                     raise MappingError(
-                        f"cell ({disk}, {row}) relocates to {target},"
-                        " outside its row"
+                        f"cell ({disk}, {row}) has no spare cell in its row"
                     )
                 cells = (
                     cells[:position]
-                    + ((target.disk, row),)
+                    + ((spares[0], row),)
                     + cells[position + 1:]
                 )
             lost = LostCell(
@@ -120,10 +127,11 @@ def lost_cells(
 class Layout(abc.ABC):
     """Abstract data layout over ``n`` disks with stripe width ``k``.
 
-    Subclasses implement :meth:`stripe_units_in_period` (the forward map for
-    one layout pattern) and :meth:`spare_addresses_in_period`; everything
-    else — global stripe addressing, client data-unit translation, the
-    inverse map — derives from those.
+    Subclasses declare one layout pattern: its stripes
+    (:meth:`_build_stripes`) and, with distributed sparing, its spare
+    cells (:meth:`spare_cells`).  Everything else — global stripe
+    addressing, client data-unit translation, the inverse map, the
+    failure tables — derives from those.
     """
 
     #: Human-readable scheme name, overridden per subclass.
@@ -151,9 +159,10 @@ class Layout(abc.ABC):
         # (every stripe decision consults it) and the spare list it is
         # derived from is fixed at construction.
         self._sparing: Optional[bool] = None
-        # Stripe tables (built lazily at first use, see stripe_table /
-        # failure_table).
+        # Tables built lazily at first use (see stripe_table,
+        # spares_by_row and failure_table).
         self._stripe_table: Optional[StripeTable] = None
+        self._spares_by_row: Optional[List[List[int]]] = None
         self._failure_tables: Dict[int, List[Optional[LostCell]]] = {}
 
     # ------------------------------------------------------------------
@@ -171,12 +180,15 @@ class Layout(abc.ABC):
         """Number of stripes in one layout pattern."""
 
     @abc.abstractmethod
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        """Physical cells of stripe ``stripe_index`` (0-based within the
-        pattern); all offsets must lie in ``range(period)``."""
+    def _build_stripes(self) -> List[Stripe]:
+        """Every stripe of one pattern, in stripe order, as ``(data
+        cells, check cells)``; data cells in client order, every row in
+        ``range(period)``."""
 
-    def spare_addresses_in_period(self) -> List[PhysicalAddress]:
-        """Distributed-spare cells of one pattern (empty if no sparing)."""
+    def spare_cells(self) -> List[Cell]:
+        """Distributed-spare cells of one pattern (empty if no sparing);
+        the first one listed in a row receives that row's rebuilt
+        units."""
         return []
 
     # ------------------------------------------------------------------
@@ -200,7 +212,7 @@ class Layout(abc.ABC):
     def has_sparing(self) -> bool:
         cached = self._sparing
         if cached is None:
-            cached = self._sparing = bool(self.spare_addresses_in_period())
+            cached = self._sparing = bool(self.spare_cells())
         return cached
 
     @property
@@ -212,7 +224,7 @@ class Layout(abc.ABC):
     @property
     def spare_overhead(self) -> float:
         """Fraction of array cells holding spare units."""
-        return len(self.spare_addresses_in_period()) / (self.period * self.n)
+        return len(self.spare_cells()) / (self.period * self.n)
 
     # ------------------------------------------------------------------
     # Global (multi-period) addressing.
@@ -236,30 +248,31 @@ class Layout(abc.ABC):
         with ``c * period`` added to every row."""
         table = self._stripe_table
         if table is None:
-            stripes = []
-            for s in range(self.stripes_per_period):
-                units = self.stripe_units_in_period(s)
-                stripes.append(
-                    (
-                        tuple((d, o) for d, o in units.data),
-                        tuple((d, o) for d, o in units.check),
-                    )
-                )
             table = self._stripe_table = StripeTable(
-                *self._layout_consts(), stripes
+                *self._layout_consts(), self._build_stripes()
             )
         return table
 
+    def spares_by_row(self) -> List[List[int]]:
+        """Per row of one period: the disks of its spare cells, in the
+        order :meth:`spare_cells` lists them (built once)."""
+        rows = self._spares_by_row
+        if rows is None:
+            rows = self._spares_by_row = [[] for _ in range(self.period)]
+            for disk, row in self.spare_cells():
+                rows[row].append(disk)
+        return rows
+
     def failure_table(self, disk: int) -> List[Optional[LostCell]]:
         """:func:`lost_cells` of :meth:`stripe_table` for failed ``disk``,
-        with the spare redirect when the layout has sparing (derived once
-        per disk)."""
+        rebuilding into :meth:`spares_by_row` when the layout has sparing
+        (derived once per disk)."""
         table = self._failure_tables.get(disk)
         if table is None:
             table = self._failure_tables[disk] = lost_cells(
                 self.stripe_table(),
                 disk,
-                self.relocation_target if self.has_sparing else None,
+                self.spares_by_row() if self.has_sparing else None,
             )
         return table
 
@@ -377,7 +390,7 @@ class Layout(abc.ABC):
                 for j, c in enumerate(check, per_stripe)
             ]
         spare = UnitInfo(Role.SPARE, -1, -1)
-        cells += [(c, spare) for c in self.spare_addresses_in_period()]
+        cells += [(c, spare) for c in self.spare_cells()]
         grid = [[None] * period for _ in range(self.n)]
         for (disk, row), info in cells:
             addr = PhysicalAddress(disk, row)
@@ -396,18 +409,6 @@ class Layout(abc.ABC):
         self._locate_grid = grid
         self._data_cells = [cell for data, _ in stripes for cell in data]
         return self._locate_grid, self._data_cells
-
-    # ------------------------------------------------------------------
-    # Sparing hooks (overridden by layouts with distributed spare space).
-    # ------------------------------------------------------------------
-
-    def relocation_target(self, addr: PhysicalAddress) -> PhysicalAddress:
-        """Spare cell that receives the reconstructed copy of ``addr``.
-
-        Only meaningful for layouts with distributed sparing; the default
-        raises.
-        """
-        raise MappingError(f"{self.name} has no spare space")
 
     # ------------------------------------------------------------------
     # Validation and reporting.

@@ -16,8 +16,7 @@ from math import comb
 from typing import List, Tuple
 
 from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, StripeUnits
-from repro.layouts.base import Layout
+from repro.layouts.base import Layout, Stripe
 
 
 def colex_rank(block: Tuple[int, ...]) -> int:
@@ -148,21 +147,16 @@ class DatumLayout(Layout):
     def stripes_per_period(self) -> int:
         return comb(self.n, self.k)
 
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        if not 0 <= stripe_index < self.stripes_per_period:
-            raise MappingError(f"stripe {stripe_index} outside pattern")
-        block = colex_unrank(stripe_index, self.k)
-        check_pos = self._check_positions[stripe_index]
-        data = []
-        check = []
-        for position, disk in enumerate(block):
-            offset = colex_count_containing(disk, stripe_index, self.k)
-            addr = PhysicalAddress(disk, offset)
-            if position == check_pos:
-                check.append(addr)
-            else:
-                data.append(addr)
-        return StripeUnits(data=data, check=check)
+    def _build_stripes(self) -> List[Stripe]:
+        stripes = []
+        for s, check_pos in enumerate(self._check_positions):
+            cells = [
+                (disk, colex_count_containing(disk, s, self.k))
+                for disk in colex_unrank(s, self.k)
+            ]
+            check = cells.pop(check_pos)
+            stripes.append((tuple(cells), (check,)))
+        return stripes
 
     def mapping_table_entries(self) -> int:
         return 0  # purely arithmetic (Table 3)

@@ -9,13 +9,12 @@ typical representation of BIBD-based layouts".
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.designs.bibd import BlockDesign
 from repro.designs.catalog import known_bibd
-from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, StripeUnits
-from repro.layouts.base import Layout
+from repro.errors import ConfigurationError
+from repro.layouts.base import Layout, Stripe
 
 
 class ParityDeclusteringLayout(Layout):
@@ -43,17 +42,6 @@ class ParityDeclusteringLayout(Layout):
         design.validate_bibd()
         self.design = design
         self._replication = design.replication_counts()[0]
-        # Offset of each (copy, block, position) unit: within a copy, disk
-        # d's units stack in block order.
-        self._offsets = {}
-        for copy in range(k):
-            seen = [0] * n
-            for j, block in enumerate(design.blocks):
-                for disk in block:
-                    self._offsets[(copy, j, disk)] = (
-                        copy * self._replication + seen[disk]
-                    )
-                    seen[disk] += 1
 
     @property
     def period(self) -> int:
@@ -63,21 +51,19 @@ class ParityDeclusteringLayout(Layout):
     def stripes_per_period(self) -> int:
         return self.k * self.design.b
 
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        if not 0 <= stripe_index < self.stripes_per_period:
-            raise MappingError(f"stripe {stripe_index} outside pattern")
-        copy, j = divmod(stripe_index, self.design.b)
-        block = self.design.blocks[j]
-        check_pos = (j + copy) % self.k
-        data = []
-        check = []
-        for position, disk in enumerate(block):
-            addr = PhysicalAddress(disk, self._offsets[(copy, j, disk)])
-            if position == check_pos:
-                check.append(addr)
-            else:
-                data.append(addr)
-        return StripeUnits(data=data, check=check)
+    def _build_stripes(self) -> List[Stripe]:
+        stripes = []
+        for copy in range(self.k):
+            # Within a copy, disk d's units stack in block order.
+            next_row = [copy * self._replication] * self.n
+            for j, block in enumerate(self.design.blocks):
+                cells = []
+                for disk in block:
+                    cells.append((disk, next_row[disk]))
+                    next_row[disk] += 1
+                check = cells.pop((j + copy) % self.k)
+                stripes.append((tuple(cells), (check,)))
+        return stripes
 
     def mapping_table_entries(self) -> int:
         """Table 3: the stored design, ``b * k`` entries (= n(n-1)/(k-1)

@@ -67,8 +67,8 @@ def _uniform(counts: Dict[int, int], label: str) -> GoalResult:
 def check_goal1(layout: Layout) -> GoalResult:
     """No two stripe units of a stripe share a disk."""
     worst = 0
-    for s in range(layout.stripes_per_period):
-        disks = layout.stripe_units_in_period(s).disks()
+    for data, check in layout.stripe_table().stripes:
+        disks = [disk for disk, _ in data + check]
         worst = max(worst, len(disks) - len(set(disks)))
     return GoalResult(worst == 0, worst, f"max same-disk collisions: {worst}")
 
@@ -76,9 +76,9 @@ def check_goal1(layout: Layout) -> GoalResult:
 def check_goal2(layout: Layout) -> GoalResult:
     """Check units per disk are uniform over the pattern."""
     counts = {d: 0 for d in range(layout.n)}
-    for s in range(layout.stripes_per_period):
-        for addr in layout.stripe_units_in_period(s).check:
-            counts[addr.disk] += 1
+    for _, check in layout.stripe_table().stripes:
+        for disk, _ in check:
+            counts[disk] += 1
     return _uniform(counts, "check units per disk")
 
 
@@ -103,8 +103,8 @@ def check_goal4(layout: Layout) -> GoalResult:
     by construction), so the check verifies the stripe's data arity.
     """
     ok = all(
-        len(layout.stripe_units_in_period(s).data) == layout.data_per_stripe
-        for s in range(layout.stripes_per_period)
+        len(data) == layout.data_per_stripe
+        for data, _ in layout.stripe_table().stripes
     )
     return GoalResult(
         ok, 0 if ok else 1, "contiguous data units fill each stripe"
@@ -139,12 +139,12 @@ def check_goal6(layout: Layout) -> GoalResult:
 
 def check_goal7(layout: Layout) -> Optional[GoalResult]:
     """Spare units per disk are uniform (layouts with sparing only)."""
-    spares = layout.spare_addresses_in_period()
+    spares = layout.spare_cells()
     if not spares:
         return None
     counts = {d: 0 for d in range(layout.n)}
-    for addr in spares:
-        counts[addr.disk] += 1
+    for disk, _ in spares:
+        counts[disk] += 1
     return _uniform(counts, "spare units per disk")
 
 
@@ -155,7 +155,7 @@ def check_goal8(layout: Layout, failed_disk: int = 0) -> Optional[GoalResult]:
     The read starts are row-aligned ("super stripes"), the case the paper
     says PDDL satisfies.
     """
-    spares = layout.spare_addresses_in_period()
+    spares = layout.spare_cells()
     if not spares:
         return None
     g = len(spares) and (layout.n - 1) // layout.k

@@ -18,9 +18,8 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Tuple
 
-from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, StripeUnits
-from repro.layouts.base import Layout
+from repro.errors import ConfigurationError
+from repro.layouts.base import Cell, Layout, Stripe
 
 
 class PseudoRandomLayout(Layout):
@@ -74,33 +73,22 @@ class PseudoRandomLayout(Layout):
             self._row_perms[row] = perm
         return perm
 
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        if not 0 <= stripe_index < self.stripes_per_period:
-            raise MappingError(f"stripe {stripe_index} outside pattern")
-        row, group = divmod(stripe_index, self.g)
-        perm = self._row_permutation(row)
-        start = self.spares + group * self.k
-        columns = range(start, start + self.k)
-        data = [PhysicalAddress(perm[c], row) for c in list(columns)[:-1]]
-        check = [PhysicalAddress(perm[start + self.k - 1], row)]
-        return StripeUnits(data=data, check=check)
+    def _build_stripes(self) -> List[Stripe]:
+        stripes = []
+        for row in range(self.rows):
+            perm = self._row_permutation(row)
+            for start in range(self.spares, self.n, self.k):
+                check = start + self.k - 1
+                data = tuple((perm[c], row) for c in range(start, check))
+                stripes.append((data, ((perm[check], row),)))
+        return stripes
 
-    def spare_addresses_in_period(self) -> List[PhysicalAddress]:
+    def spare_cells(self) -> List[Cell]:
         return [
-            PhysicalAddress(self._row_permutation(row)[column], row)
+            (self._row_permutation(row)[column], row)
             for row in range(self.rows)
             for column in range(self.spares)
         ]
-
-    def relocation_target(self, addr: PhysicalAddress) -> PhysicalAddress:
-        from repro.layouts.address import Role
-
-        if self.spares == 0:
-            raise MappingError("built without spare space")
-        if self.locate(addr.disk, addr.offset).role is Role.SPARE:
-            raise MappingError(f"{addr} is spare space; nothing to relocate")
-        row = addr.offset % self.rows
-        return PhysicalAddress(self._row_permutation(row)[0], addr.offset)
 
     def mapping_table_entries(self) -> int:
         return 2  # key + row-count state (Table 3: log n + log D bits)

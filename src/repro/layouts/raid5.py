@@ -9,17 +9,18 @@ RAID-5 "satisfies the maximal parallelism property optimally" (paper §4).
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, StripeUnits
-from repro.layouts.base import Layout
+from typing import List
+
+from repro.errors import ConfigurationError
+from repro.layouts.base import Layout, Stripe
 
 
 class LeftSymmetricRaid5Layout(Layout):
     """Left-symmetric RAID-5 over ``n`` disks.
 
     >>> lay = LeftSymmetricRaid5Layout(5)
-    >>> lay.stripe_units_in_period(0)
-    StripeUnits(data=[PhysicalAddress(disk=0, offset=0), PhysicalAddress(disk=1, offset=0), PhysicalAddress(disk=2, offset=0), PhysicalAddress(disk=3, offset=0)], check=[PhysicalAddress(disk=4, offset=0)])
+    >>> lay.stripe_table().stripes[0]
+    (((0, 0), (1, 0), (2, 0), (3, 0)), ((4, 0),))
     """
 
     name = "RAID-5"
@@ -39,14 +40,13 @@ class LeftSymmetricRaid5Layout(Layout):
     def stripes_per_period(self) -> int:
         return self.n
 
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        if not 0 <= stripe_index < self.n:
-            raise MappingError(f"stripe {stripe_index} outside pattern")
-        parity_disk = (self.n - 1 - stripe_index) % self.n
-        data = [
-            PhysicalAddress((parity_disk + 1 + j) % self.n, stripe_index)
-            for j in range(self.n - 1)
-        ]
-        return StripeUnits(
-            data=data, check=[PhysicalAddress(parity_disk, stripe_index)]
-        )
+    def _build_stripes(self) -> List[Stripe]:
+        n = self.n
+        stripes = []
+        for row in range(n):
+            parity_disk = n - 1 - row
+            data = tuple(
+                ((parity_disk + 1 + j) % n, row) for j in range(n - 1)
+            )
+            stripes.append((data, ((parity_disk, row),)))
+        return stripes

@@ -1,15 +1,16 @@
 """A layout view with one completed spare relocation folded in.
 
 After a distributed-sparing rebuild finishes, the failed disk's units
-live permanently in their same-row spare cells.  If a *second* disk then
-fails, the planner does not need multi-failure logic: from the array's
-point of view the completed relocation is simply the new mapping, and
-the new failure is an ordinary single failure against that mapping.
-:class:`RelocatedView` is that mapping — it wraps the base layout,
-redirects every address on the relocated disk to its spare target, and
-reports ``has_sparing = False`` (the spare space is spent), so the
-planner and reconstructor drive the second repair cycle onto a
-replacement spindle exactly like any no-sparing layout.
+live permanently in spare cells: each in the first spare cell the base
+layout lists for its row.  If a *second* disk then fails, the planner
+does not need multi-failure logic: from the array's point of view the
+completed relocation is simply the new mapping, and the new failure is
+an ordinary single failure against that mapping.  :class:`RelocatedView`
+is that mapping — it wraps the base layout, moves every unit of the
+relocated disk to its spare cell, and reports ``has_sparing = False``
+(the spare space is spent), so the planner and reconstructor drive the
+second repair cycle onto a replacement spindle exactly like any
+no-sparing layout.
 
 The view is duck-typed rather than a :class:`~repro.layouts.base.Layout`
 subclass: the base class validates that a pattern covers the full
@@ -101,12 +102,6 @@ class RelocatedView:
     def has_sparing(self) -> bool:
         # The spare space is consumed by the folded-in relocation.
         return False
-
-    def spare_addresses_in_period(self) -> List[PhysicalAddress]:
-        return []
-
-    def relocation_target(self, addr: PhysicalAddress) -> PhysicalAddress:
-        raise MappingError(f"{self.name} has no spare space left")
 
     # ------------------------------------------------------------------
     # Forward mapping.

@@ -36,9 +36,8 @@ from __future__ import annotations
 import math
 from typing import List
 
-from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, StripeUnits
-from repro.layouts.base import Layout
+from repro.errors import ConfigurationError
+from repro.layouts.base import Layout, Stripe
 
 
 class RelprLayout(Layout):
@@ -78,26 +77,20 @@ class RelprLayout(Layout):
     def stripes_per_period(self) -> int:
         return self.sections * self.n
 
-    def stripe_units_in_period(self, stripe_index: int) -> StripeUnits:
-        if not 0 <= stripe_index < self.stripes_per_period:
-            raise MappingError(f"stripe {stripe_index} outside pattern")
-        section, j = divmod(stripe_index, self.n)
-        z = self.multipliers[section]
-        base_row = section * self.k
-        data = []
-        for i in range(self.k - 1):
-            unit = j * (self.k - 1) + i
-            row, column = divmod(unit, self.n)
-            data.append(
-                PhysicalAddress(z * column % self.n, base_row + row)
-            )
-        parity_column = (j + 1) * (self.k - 1) % self.n
-        check = [
-            PhysicalAddress(
-                z * parity_column % self.n, base_row + self.k - 1
-            )
-        ]
-        return StripeUnits(data=data, check=check)
+    def _build_stripes(self) -> List[Stripe]:
+        n, k = self.n, self.k
+        stripes = []
+        for section, z in enumerate(self.multipliers):
+            base_row = section * k
+            for j in range(n):
+                data = []
+                for unit in range(j * (k - 1), (j + 1) * (k - 1)):
+                    row, column = divmod(unit, n)
+                    data.append((z * column % n, base_row + row))
+                parity_column = (j + 1) * (k - 1) % n
+                check = (z * parity_column % n, base_row + k - 1)
+                stripes.append((tuple(data), (check,)))
+        return stripes
 
     def mapping_table_entries(self) -> int:
         return 0  # purely arithmetic

@@ -3,8 +3,10 @@
 A verbatim copy of ``plan_access`` and its helpers from the era when
 ``repro.array.raidops`` planned every write and degraded read by
 materialising ``StripeUnits`` through ``Layout.stripe_units`` (now
-``tests.layouts.reference_layout.stripe_units``) and grouping units
-through dicts and sets.  It is kept only as the reference
+``tests.layouts.reference_layout.stripe_units``), relocating lost cells
+through ``Layout.relocation_target`` (now
+``tests.layouts.reference_layout.relocation_target``) and grouping
+units through dicts and sets.  It is kept only as the reference
 the property tests in ``test_planner_reference.py`` compare the
 table-driven planner against, phase by phase and op by op.  Do not edit
 it to follow the live planner: a difference between the two is a bug in
@@ -20,6 +22,7 @@ from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress
 from repro.layouts.base import Layout
 from tests.layouts import reference_layout
+from tests.layouts.reference_layout import relocation_target as relocate
 
 
 def plan_access(
@@ -106,7 +109,7 @@ def _plan_read(
             # Lost unit already swept: read the rebuilt copy — the spare
             # cell (distributed sparing) or the replacement spindle.
             if layout.has_sparing:
-                spare = layout.relocation_target(addr)
+                spare = relocate(layout, addr)
                 ops.append(UnitOp(spare.disk, spare.offset, False))
             else:
                 ops.append(UnitOp(addr.disk, addr.offset, False))
@@ -140,7 +143,7 @@ def _redirect(
     layout: Layout, addr: PhysicalAddress, mode: ArrayMode, failed: Optional[int]
 ) -> PhysicalAddress:
     if mode is ArrayMode.POST_RECONSTRUCTION and addr.disk == failed:
-        return layout.relocation_target(addr)
+        return relocate(layout, addr)
     return addr
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.core.bose import bose_base_permutation
 from repro.core.layout import PDDLLayout, pddl_for
 from repro.core.permutation import BasePermutation, PermutationGroup
+from repro.core.reconstruction import rebuild_plan
 from repro.core.tables import PAPER_N10_K3_PAIR, PAPER_N16_K5
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress, Role
@@ -23,24 +24,24 @@ class TestFigure2:
     # group 0, etc.
     def test_row0(self, seven):
         # S  A0  A1  B0  PA  PB  B1
-        a = seven.stripe_units_in_period(0)   # stripe A
-        b = seven.stripe_units_in_period(1)   # stripe B
-        assert a.data == [PhysicalAddress(1, 0), PhysicalAddress(2, 0)]
-        assert a.check == [PhysicalAddress(4, 0)]
-        assert b.data == [PhysicalAddress(3, 0), PhysicalAddress(6, 0)]
-        assert b.check == [PhysicalAddress(5, 0)]
-        assert seven.spare_addresses_in_period()[0] == PhysicalAddress(0, 0)
+        stripes = seven.stripe_table().stripes
+        a_data, a_check = stripes[0]   # stripe A
+        b_data, b_check = stripes[1]   # stripe B
+        assert a_data == ((1, 0), (2, 0))
+        assert a_check == ((4, 0),)
+        assert b_data == ((3, 0), (6, 0))
+        assert b_check == ((5, 0),)
+        assert seven.spare_cells()[0] == (0, 0)
 
     def test_row1(self, seven):
         # D1 lands on disk 0, PD on disk 6 (paper §2 text).
-        d = seven.stripe_units_in_period(3)   # stripe D = row 1, group 1
-        assert d.data[1] == PhysicalAddress(0, 1)
-        assert d.check == [PhysicalAddress(6, 1)]
+        d_data, d_check = seven.stripe_table().stripes[3]   # stripe D
+        assert d_data[1] == (0, 1)
+        assert d_check == ((6, 1),)
 
     def test_spare_diagonal(self, seven):
         # Spare space runs down the main diagonal: disk t in row t.
-        spares = seven.spare_addresses_in_period()
-        assert spares == [PhysicalAddress(t, t) for t in range(7)]
+        assert seven.spare_cells() == [(t, t) for t in range(7)]
 
     def test_every_cell_used_once(self, seven):
         seven.validate()
@@ -90,22 +91,27 @@ class TestMappingFunctions:
 
 class TestRelocation:
     def test_targets_same_row_spare(self, seven):
-        for offset in range(7):
-            for disk in range(7):
-                info = seven.locate(disk, offset)
-                if info.role is Role.SPARE:
-                    with pytest.raises(MappingError):
-                        seven.relocation_target(PhysicalAddress(disk, offset))
+        for disk in range(7):
+            homes = {
+                lost.row: lost.home
+                for lost in seven.failure_table(disk)
+                if lost is not None
+            }
+            for offset in range(7):
+                if seven.locate(disk, offset).role is Role.SPARE:
+                    # A spare cell holds nothing to rebuild.
+                    assert offset not in homes
                 else:
-                    target = seven.relocation_target(
-                        PhysicalAddress(disk, offset)
-                    )
-                    assert target.offset == offset
-                    assert seven.locate(*target).role is Role.SPARE
+                    assert homes[offset] == (offset, offset)
+                    assert seven.locate(*homes[offset]).role is Role.SPARE
 
     def test_extends_across_periods(self, seven):
-        target = seven.relocation_target(PhysicalAddress(1, 14))
-        assert target == PhysicalAddress(0, 14)
+        (step,) = [
+            step
+            for step in rebuild_plan(seven, 1, rows=21)
+            if step.lost == PhysicalAddress(1, 14)
+        ]
+        assert step.write == PhysicalAddress(0, 14)
 
 
 class TestMultiPermutation:
@@ -124,9 +130,9 @@ class TestMultiPermutation:
         )
         layout = PDDLLayout(group)
         # Row 0 uses perm A (spare at disk 0), row 10 perm B (spare disk 0).
-        spares = layout.spare_addresses_in_period()
-        assert spares[0].disk == PAPER_N10_K3_PAIR[0][0]
-        assert spares[10].disk == PAPER_N10_K3_PAIR[1][0]
+        spares = layout.spare_cells()
+        assert spares[0][0] == PAPER_N10_K3_PAIR[0][0]
+        assert spares[10][0] == PAPER_N10_K3_PAIR[1][0]
 
 
 class TestXorLayout:

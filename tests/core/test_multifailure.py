@@ -65,16 +65,15 @@ class TestPQLayout:
             assert goal in met, goal
 
     def test_two_spare_cells_per_row(self, pq_layout):
-        spares = pq_layout.spare_addresses_in_period()
         per_row = {}
-        for addr in spares:
-            per_row[addr.offset] = per_row.get(addr.offset, 0) + 1
+        for _, row in pq_layout.spare_cells():
+            per_row[row] = per_row.get(row, 0) + 1
         assert set(per_row.values()) == {2}
 
     def test_relocation_per_spare_column(self, pq_layout):
         # The i-th concurrent failure rebuilds into virtual spare column i
         # of the lost cell's row; one failure uses column 0, the column
-        # relocation_target gives.
+        # the failure table rebuilds into.
         for failed in ([0, 1], [1, 0], [2, 7], [4]):
             targets = set()
             for step in multi_rebuild_plan(pq_layout, failed):
@@ -86,7 +85,11 @@ class TestPQLayout:
                     )
                     assert pq_layout.locate(*target).role is Role.SPARE
                     if column == 0:
-                        assert pq_layout.relocation_target(cell) == target
+                        lost = pq_layout.failure_table(cell.disk)[
+                            pq_layout.locate(*cell).stripe
+                            % pq_layout.stripes_per_period
+                        ]
+                        assert lost.home == (target.disk, lost.row)
                     targets.add((column, target))
             assert {column for column, _ in targets} == set(
                 range(len(failed))

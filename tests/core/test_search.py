@@ -4,26 +4,28 @@ import pytest
 
 from repro.core.development import XorDevelopment
 from repro.core.permutation import BasePermutation, PermutationGroup
-from repro.core.search import search_base_permutation, search_permutation_group
+from repro.core.search import search_permutation_group
 from repro.errors import SearchError
 
 
 class TestSolitarySearch:
     def test_finds_for_prime_n(self):
-        perm = search_base_permutation(2, 3, seed=1)
+        perm = search_permutation_group(2, 3, p=1, seed=1)
         assert perm.is_satisfactory()
         assert perm.n == 7
 
     def test_finds_for_composite_n(self):
         # n = 21 = 4*5 + 1; Table 1 records a solitary solution (k=5, g=4).
-        perm = search_base_permutation(4, 5, seed=1)
+        perm = search_permutation_group(4, 5, p=1, seed=1)
         assert perm.is_satisfactory()
 
     def test_fails_where_group_needed(self):
         # n = 10, k = 3: the paper needed a pair; solitary search with a
         # small budget must raise rather than return junk.
         with pytest.raises(SearchError):
-            search_base_permutation(3, 3, seed=1, restarts=6, max_steps=400)
+            search_permutation_group(
+                3, 3, p=1, seed=1, restarts=6, max_steps=400
+            )
 
 
 class TestGroupSearch:

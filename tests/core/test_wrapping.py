@@ -4,10 +4,11 @@ import pytest
 
 from repro.core.bose import bose_base_permutation
 from repro.core.layout import PDDLLayout
+from repro.core.permutation import BasePermutation
 from repro.core.reconstruction import rebuild_read_tally
 from repro.core.wrapping import WrappedLayout, wrapped_layout
-from repro.errors import ConfigurationError, MappingError
-from repro.layouts.address import PhysicalAddress, Role
+from repro.errors import ConfigurationError
+from repro.layouts.address import Role
 from repro.layouts.properties import check_goal1, check_goal2, check_goal4
 
 
@@ -32,10 +33,9 @@ class TestStructure:
         assert check_goal4(nine_over_seven).satisfied
 
     def test_sparing_uniform(self, nine_over_seven):
-        spares = nine_over_seven.spare_addresses_in_period()
         counts = [0] * 9
-        for addr in spares:
-            counts[addr.disk] += 1
+        for disk, _ in nine_over_seven.spare_cells():
+            counts[disk] += 1
         assert len(set(counts)) == 1
 
     def test_inner_must_be_smaller(self):
@@ -47,17 +47,50 @@ class TestStructure:
 class TestRelocation:
     def test_member_relocation(self, nine_over_seven):
         lay = nine_over_seven
-        # Find a data cell in band 0 (members are disks 0..6).
-        addr = PhysicalAddress(1, 0)
-        assert lay.locate(*addr).role is not Role.SPARE
-        target = lay.relocation_target(addr)
-        assert lay.locate(*target).role is Role.SPARE
-        assert target.offset // lay.inner.period == 0  # same band
+        # Disk 1 holds a data cell in row 0 of band 0 (members 0..6).
+        assert lay.locate(1, 0).role is not Role.SPARE
+        (lost,) = [
+            lost for lost in lay.failure_table(1)
+            if lost is not None and lost.row == 0
+        ]
+        # Rebuilt into the inner spare column's cell of the row, on a
+        # member disk, not into a filler cell.
+        assert lay.locate(*lost.home).role is Role.SPARE
+        assert lost.home == (lay.outer_blocks[0][0], 0)
 
     def test_filler_relocation_rejected(self, nine_over_seven):
-        # Disks 7, 8 are non-members of band 0 -> filler spare cells.
-        with pytest.raises(MappingError):
-            nine_over_seven.relocation_target(PhysicalAddress(8, 0))
+        # Disks 7, 8 are non-members of band 0 -> filler spare cells,
+        # which hold nothing to rebuild.
+        assert _lost_rows(nine_over_seven, 8).isdisjoint(
+            range(nine_over_seven.inner.period)
+        )
+
+
+def _lost_rows(layout, disk):
+    """Rows of one period where ``disk`` loses a stripe unit."""
+    return {
+        lost.row for lost in layout.failure_table(disk) if lost is not None
+    }
+
+
+class TestSparelessInner:
+    def test_lost_units_go_to_the_first_filler_cell_of_their_row(self):
+        # An inner PDDL without spares leaves the filler cells as the
+        # only spare space: each lost unit is rebuilt into its row's
+        # first filler cell, on a disk outside the band.
+        lay = WrappedLayout(
+            9, PDDLLayout(BasePermutation(tuple(range(7)), k=7, spares=0))
+        )
+        assert lay.has_sparing
+        for disk in range(9):
+            for lost in lay.failure_table(disk):
+                if lost is None:
+                    continue
+                band = lost.row // lay.inner.period
+                members = lay.outer_blocks[band]
+                filler = min(set(range(9)) - set(members))
+                assert lost.home == (filler, lost.row)
+                assert lay.locate(*lost.home).role is Role.SPARE
 
 
 class TestReconstruction:

@@ -22,10 +22,9 @@ def brute_force_lost(layout, first, second, rebuilt, rows):
         touches = any(a.disk == second for a in members)
         if offset in rebuilt:
             if layout.has_sparing:
-                target = layout.relocation_target(
-                    type(members[0])(first, offset)
-                )
-                if target.disk == second and touches:
+                # Rebuilt into the first spare cell of the lost row.
+                target = layout.spares_by_row()[offset % layout.period][0]
+                if target == second and touches:
                     lost += 2
         elif touches:
             lost += 2
@@ -77,12 +76,8 @@ class TestEvaluate:
             # Re-lost rows are exactly those whose spare target sits on
             # the second disk.
             for offset in outcome.relost_offsets:
-                target = layout.relocation_target(
-                    stripe_units(
-                        layout, layout.locate(0, offset).stripe
-                    ).all_units()[0].__class__(0, offset)
-                )
-                assert target.disk == second
+                row = offset % layout.period
+                assert layout.spares_by_row()[row][0] == second
             assert lost_rows == sorted(lost_rows)
 
     def test_is_deterministic(self):

@@ -1,5 +1,7 @@
 """Tests for polynomial arithmetic over GF(p)."""
 
+import signal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -41,6 +43,22 @@ class TestConstruction:
             assert Polynomial.from_int(GF2, value).to_int() == value
         for value in range(81):
             assert Polynomial.from_int(GF3, value).to_int() == value
+
+    def test_negative_int_rejected(self):
+        # A negative value once looped forever; the alarm turns a
+        # regression into a failure instead of a stalled suite.
+        def timed_out(signum, frame):
+            raise AssertionError("from_int(-1) did not return")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(2)
+        try:
+            for field in (GF2, GF3):
+                with pytest.raises(FieldError):
+                    Polynomial.from_int(field, -1)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestArithmetic:

@@ -56,11 +56,10 @@ class TestDatumLayout:
     def test_offsets_are_occurrence_counts(self):
         lay = DatumLayout(7, 3)
         seen = [0] * 7
-        for s in range(lay.stripes_per_period):
-            units = lay.stripe_units_in_period(s)
-            for addr in units.all_units():
-                assert addr.offset == seen[addr.disk]
-                seen[addr.disk] += 1
+        for data, check in lay.stripe_table().stripes:
+            for disk, row in data + check:
+                assert row == seen[disk]
+                seen[disk] += 1
         assert set(seen) == {lay.period}
 
     def test_goal_profile(self):
@@ -79,8 +78,8 @@ class TestDatumLayout:
     def test_parity_exactly_balanced_for_paper_config(self):
         lay = DatumLayout(13, 4)
         counts = [0] * 13
-        for s in range(lay.stripes_per_period):
-            counts[lay.stripe_units_in_period(s).check[0].disk] += 1
+        for _, ((disk, _),) in lay.stripe_table().stripes:
+            counts[disk] += 1
         assert set(counts) == {comb(13, 4) // 13}
 
     def test_smallest_working_set(self):

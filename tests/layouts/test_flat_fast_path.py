@@ -12,15 +12,17 @@ layout added to the registry is automatically held to the same contract.
 The stripe tables are held to the same standard: the one-period stripe
 table, shifted by ``c * period`` rows, must equal the reference
 ``stripe_units(s + c * stripes_per_period)``, and each failed disk's
-table must name the lost cell and its spare exactly as ``stripe_units``
-and ``relocation_target`` do, in every cycle — for every layout and for
-the relocated view of every sparing one.
+table must name the lost cell and its spare exactly as the reference
+``stripe_units`` of the layout and of its relocated view do (the latter
+moves the lost cell with each layout class's own relocation rule,
+restated in the reference module), in every cycle — for every layout
+and for the relocated view of every sparing one.
 """
 
 import pytest
 
 from repro.errors import MappingError
-from repro.layouts.address import PhysicalAddress, Role, StripeUnits
+from repro.layouts.address import PhysicalAddress, Role
 from repro.layouts.base import Layout
 from repro.layouts.registry import available_layouts, make_layout
 from repro.layouts.relocated import RelocatedView
@@ -89,6 +91,7 @@ def test_failure_tables_match_stripe_units(layout):
     period, per_period, per_stripe, _ = layout.stripe_table()
     for disk in range(layout.n):
         lost_cells = layout.failure_table(disk)
+        moved = RelocatedView(layout, disk) if layout.has_sparing else None
         for c in _CYCLES:
             for s, lost in enumerate(lost_cells):
                 members = stripe_units(layout, s + c * per_period).all_units()
@@ -103,8 +106,10 @@ def test_failure_tables_match_stripe_units(layout):
                     position,
                     addr.offset,
                 )
-                if layout.has_sparing:
-                    members[position] = layout.relocation_target(addr)
+                if moved is not None:
+                    members = stripe_units(
+                        moved, s + c * per_period
+                    ).all_units()
                 shift = c * period
                 assert _shifted(lost.data, shift) == members[:per_stripe]
                 assert _shifted(lost.check, shift) == members[per_stripe:]
@@ -164,9 +169,10 @@ def test_relocated_data_unit_cells_match_the_mapping(view):
     units = int(view.data_units_per_period * _PERIODS)
     cells = view.data_unit_cells(0, units)
     for unit, cell in enumerate(cells):
-        addr = base.data_unit_address(unit)
-        if addr.disk == view.relocated_disk:
-            addr = base.relocation_target(addr)
+        addr = data_unit_address_reference(view, unit)
+        assert addr.disk != view.relocated_disk
+        if base.data_unit_address(unit).disk != view.relocated_disk:
+            assert addr == base.data_unit_address(unit)
         assert cell == (addr.disk, addr.offset) == view.data_unit_cell(unit)
     assert view.data_unit_cells(5, 9) == cells[5:14]
     with pytest.raises(MappingError):
@@ -181,16 +187,16 @@ class _Pattern(Layout):
 
     def __init__(self, cells, spares=()):
         super().__init__(n=2, k=2)
-        self.cells = [PhysicalAddress(*c) for c in cells]
-        self.spares = [PhysicalAddress(*c) for c in spares]
+        self.cells = tuple(cells)
+        self.spares = list(spares)
 
     period = 2
     stripes_per_period = 1
 
-    def stripe_units_in_period(self, stripe_index):
-        return StripeUnits(data=self.cells[:1], check=self.cells[1:])
+    def _build_stripes(self):
+        return [(self.cells[:1], self.cells[1:])]
 
-    def spare_addresses_in_period(self):
+    def spare_cells(self):
         return list(self.spares)
 
 

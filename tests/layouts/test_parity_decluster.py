@@ -43,8 +43,8 @@ class TestProperties:
     def test_parity_rotation_balances_checks(self):
         lay = ParityDeclusteringLayout(13, 4)
         counts = [0] * 13
-        for s in range(lay.stripes_per_period):
-            counts[lay.stripe_units_in_period(s).check[0].disk] += 1
+        for _, ((disk, _),) in lay.stripe_table().stripes:
+            counts[disk] += 1
         assert len(set(counts)) == 1
 
     def test_reconstruction_balanced(self):
@@ -54,8 +54,8 @@ class TestProperties:
     def test_offsets_stack_contiguously(self):
         lay = ParityDeclusteringLayout(7, 3)
         seen = {d: set() for d in range(7)}
-        for s in range(lay.stripes_per_period):
-            for addr in lay.stripe_units_in_period(s).all_units():
-                seen[addr.disk].add(addr.offset)
+        for data, check in lay.stripe_table().stripes:
+            for disk, row in data + check:
+                seen[disk].add(row)
         for d in range(7):
             assert seen[d] == set(range(lay.period))

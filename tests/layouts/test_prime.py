@@ -48,8 +48,8 @@ class TestProperties:
     def test_distributed_parity_exact(self):
         lay = PrimeLayout(13, 4)
         counts = [0] * 13
-        for s in range(lay.stripes_per_period):
-            counts[lay.stripe_units_in_period(s).check[0].disk] += 1
+        for _, ((disk, _),) in lay.stripe_table().stripes:
+            counts[disk] += 1
         assert set(counts) == {12}  # one per section
 
     def test_reconstruction_exactly_distributed(self):

@@ -11,7 +11,7 @@ class TestLeftSymmetric:
     def test_parity_rotates_right_to_left(self):
         lay = LeftSymmetricRaid5Layout(5)
         parity_disks = [
-            lay.stripe_units_in_period(s).check[0].disk for s in range(5)
+            check[0][0] for _, check in lay.stripe_table().stripes
         ]
         assert parity_disks == [4, 3, 2, 1, 0]
 

@@ -40,9 +40,10 @@ class TestConstruction:
 
     def test_sparing_is_spent(self, view):
         assert view.has_sparing is False
-        assert view.spare_addresses_in_period() == []
-        with pytest.raises(MappingError):
-            view.relocation_target(PhysicalAddress(1, 0))
+        # A second failure is rebuilt in place, on a replacement spindle.
+        for lost in view.failure_table(1):
+            if lost is not None:
+                assert lost.home == (1, lost.row)
 
 
 class TestForwardMapping:
@@ -52,8 +53,11 @@ class TestForwardMapping:
             assert addr.disk != 0, unit
             base_addr = base.data_unit_address(unit)
             if base_addr.disk == 0:
-                # Relocated unit: its new home is the base spare target.
-                assert addr == base.relocation_target(base_addr)
+                # Relocated unit: its new home is the first spare cell of
+                # its row.
+                row = base_addr.offset % base.period
+                spare = base.spares_by_row()[row][0]
+                assert addr == (spare, base_addr.offset)
             else:
                 assert addr == base_addr
 
@@ -83,13 +87,13 @@ class TestInverseMapping:
             ), unit
 
     def test_spare_cells_resolve_to_relocated_units(self, base, view):
-        for spare in base.spare_addresses_in_period():
-            if spare.disk == 0:
+        for disk, row in base.spare_cells():
+            if disk == 0:
                 continue
-            info = view.locate(spare.disk, spare.offset)
+            info = view.locate(disk, row)
             # The cell now holds whatever disk 0 relocated into it.
             assert info.role is not Role.SPARE
-            src = base.locate(0, spare.offset % base.period)
+            src = base.locate(0, row % base.period)
             assert info.role is src.role
 
     def test_later_cycles_shift_with_the_period(self, base, view):
