@@ -3,7 +3,7 @@ stripe width 2 <= k < n (and their regenerator).
 
 Each entry is the sha256 of ``repr(tuple(layout.stripe_table()))``, so
 every cell of every stripe of one period is pinned across commits.
-Building all 406 tables takes about 25 s, so tier-1
+Building all 406 tables takes about 11 s, so tier-1
 (``tests/layouts/test_prime.py``) checks the pairs that
 :func:`tier1_pairs` names, and CI regenerates the whole file and diffs
 it like the golden traces.
@@ -36,11 +36,11 @@ def prime_pairs() -> List[Tuple[int, int]]:
 
 
 def tier1_pairs() -> List[Tuple[int, int]]:
-    """Every pair below n = 40, and k in {2, 3, n // 2, n - 1} above."""
+    """Every pair below n = 42, and k in {2, 3, n // 2, n - 1} above."""
     return [
         (n, k)
         for n, k in prime_pairs()
-        if n < 40 or k in (2, 3, n // 2, n - 1)
+        if n < 42 or k in (2, 3, n // 2, n - 1)
     ]
 
 
