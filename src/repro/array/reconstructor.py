@@ -1,7 +1,8 @@
 """On-line background reconstruction into distributed spare space.
 
 Sweeps the failed disk's lost units in offset order: read each stripe's
-survivors, then write the rebuilt unit to its spare cell, with a bounded
+survivors, then write the rebuilt unit to its spare cell (or, without
+distributed sparing, back to a replacement spindle), with a bounded
 number of rebuild steps in flight.  When the sweep finishes the controller
 flips to post-reconstruction mode — the paper's Figure 18 regimes
 (reconstruction vs post-reconstruction) are the before/after of this
@@ -123,11 +124,15 @@ class Reconstructor(PacedSweep):
     unit has a rebuilt copy, ``on_step(reconstructor)`` after every
     completed rebuild step (progress timelines hook in here).
 
-    Layouts with distributed sparing rebuild into their spare cells; for
-    layouts without sparing, ``allow_replacement=True`` rebuilds onto a
-    replacement spindle installed in the failed disk's slot (otherwise
-    such layouts are rejected — a RAID-5 with no spare and no replacement
-    genuinely has no recovery path).
+    Layouts with distributed sparing rebuild into their spare cells;
+    layouts without sparing rebuild onto a replacement spindle installed
+    in the failed disk's slot when the sweep starts.
+
+    ``media`` (a :class:`~repro.faults.media.MediaErrorMap`) makes every
+    survivor read consult the latent sector errors, and comes with
+    ``on_unreadable(step, addr)``: a read still unreadable after
+    ``MEDIA_RETRIES`` re-reads leaves the stripe without redundancy, so
+    the sweep aborts and reports the step and the bad address there.
     """
 
     kind = "rebuild"
@@ -140,10 +145,9 @@ class Reconstructor(PacedSweep):
         rows: Optional[int] = None,
         throttle_ms: float = 0.0,
         on_step: Optional[Callable[["Reconstructor"], None]] = None,
-        allow_replacement: bool = False,
         media=None,
         on_unreadable: Optional[
-            Callable[["Reconstructor", RebuildStep, PhysicalAddress], None]
+            Callable[[RebuildStep, PhysicalAddress], None]
         ] = None,
         already_rebuilt: Optional[Iterable[int]] = None,
         adaptive_throttle: Optional[AdaptiveThrottle] = None,
@@ -159,12 +163,6 @@ class Reconstructor(PacedSweep):
             raise SimulationError("no failed disk to reconstruct")
         layout = controller.plan_layout
         self.into_spare = layout.has_sparing
-        if not self.into_spare and not allow_replacement:
-            raise SimulationError(
-                f"{layout.name} has no spare space to rebuild"
-                " into (pass allow_replacement=True to rebuild onto a"
-                " replacement spindle)"
-            )
         self.on_step = on_step
         self.media = media
         self.on_unreadable = on_unreadable
@@ -186,8 +184,6 @@ class Reconstructor(PacedSweep):
             self.total_steps = len(steps)
             self._queue = iter(steps)
         self.steps_completed = 0
-        self.skipped_steps = 0
-        self.unreadable: List[PhysicalAddress] = []
         self._rebuilt_offsets: Set[int] = done
         self._inflight: Dict[int, RebuildStep] = {}
         self._next_id = REBUILD_ID_BASE
@@ -260,11 +256,6 @@ class Reconstructor(PacedSweep):
         self._queue = iter(())
         self._exhausted = True
         return list(self._inflight.values()) + remaining
-
-    @property
-    def progress(self) -> int:
-        """Rebuild steps completed so far."""
-        return self.steps_completed
 
     @property
     def fraction_complete(self) -> float:
@@ -343,9 +334,12 @@ class Reconstructor(PacedSweep):
                     # Retry the sector in place.
                     issue_read(addr, attempt + 1)
                     return
+                # The stripe has no redundancy left: the unit is lost.
                 failed = True
                 self._inflight.pop(access_id, None)
-                self._fail_step(step, addr)
+                self._active -= 1
+                self.abort()
+                self.on_unreadable(step, addr)
                 return
             read_done()
 
@@ -361,30 +355,6 @@ class Reconstructor(PacedSweep):
 
         for addr in step.reads:
             issue_read(addr, 0)
-
-    def _fail_step(self, step: RebuildStep, addr: PhysicalAddress) -> None:
-        """A rebuild read hit an unreadable sector after all retries.
-
-        The stripe being rebuilt has no redundancy left, so the lost unit
-        is gone.  By default that is terminal data loss (the sweep aborts
-        and the controller records the reason); an ``on_unreadable``
-        handler can instead account the loss and let the sweep continue
-        (``skipped_steps`` then counts the abandoned units).
-        """
-        self._active -= 1
-        self.unreadable.append(addr)
-        if self.on_unreadable is not None:
-            self.on_unreadable(self, step, addr)
-        else:
-            self.abort()
-            self.controller.declare_data_loss(
-                f"unreadable sector at disk {addr.disk} offset"
-                f" {addr.offset} during rebuild of"
-                f" ({step.lost.disk}, {step.lost.offset})"
-            )
-        if not self._aborted:
-            self.skipped_steps += 1
-            self._refill_slot()
 
     def _on_finish(self) -> None:
         self.controller.finish_reconstruction()

@@ -132,11 +132,10 @@ def run_campaign_trial(
         if mode is ArrayMode.DATA_LOSS:
             finish("lost")
         elif mode is ArrayMode.POST_RECONSTRUCTION:
-            injector = lifecycle.injector
-            if injector.fired_count == len(injector.faults):
+            if lifecycle.fired_count == len(lifecycle.faults):
                 finish("survived")
 
-    injector = lifecycle.arm()
+    lifecycle.arm()
     if scrubber is not None:
         scrubber.start()
 
@@ -164,7 +163,7 @@ def run_campaign_trial(
         )
 
     survived = done["classification"] == "survived"
-    first_fault_ms = injector.faults[0][0]
+    first_fault_ms = lifecycle.faults[0][0]
     first_completion_ms = next(
         (
             t
@@ -189,8 +188,8 @@ def run_campaign_trial(
         "classification": done["classification"],
         "survived": survived,
         "loss_reason": controller.data_loss_reason,
-        "fault_times_ms": [t for t, _ in injector.faults],
-        "fault_disks": [d for _, d in injector.faults],
+        "fault_times_ms": [t for t, _ in lifecycle.faults],
+        "fault_disks": [d for _, d in lifecycle.faults],
         "first_fault_ms": first_fault_ms,
         "data_loss_ms": lifecycle.data_loss_ms,
         "completed_ms": first_completion_ms if survived else None,

@@ -81,7 +81,7 @@ def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
             engine.now, recon.fraction_complete
         ),
     )
-    injector = lifecycle.arm()
+    lifecycle.arm()
 
     by_mode = LatencyByMode()
     totals = {"samples": 0, "post": 0}
@@ -113,12 +113,13 @@ def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
     engine.run()
 
     rebuild = lifecycle.rebuild_progress()
+    fault_time_ms, fault_disk = lifecycle.faults[0]
     return LifecycleRun(
         layout=spec.layout,
         spec_label=access_spec.label(),
         clients=spec.clients,
-        fault_time_ms=injector.fault_time_ms,
-        fault_disk=injector.fault_disk,
+        fault_time_ms=fault_time_ms,
+        fault_disk=fault_disk,
         transitions=list(lifecycle.transitions),
         complete=lifecycle.complete,
         rebuild_duration_ms=rebuild["duration_ms"],

@@ -112,16 +112,10 @@ def run_nemesis_trial(
         else MediaErrorMap({})
     )
 
-    # The scenario carries the lifecycle's repair knobs; its fault list
-    # is never armed — the schedule below injects failures itself.
-    first_failure = next(
-        (e for e in schedule.events if e.kind == "disk-failure"), None
-    )
+    # The scenario carries the lifecycle's repair knobs; its fault is
+    # never armed — the schedule below injects failures itself.
     scenario = FaultScenario(
-        failed_disk=first_failure.disk if first_failure is not None else 0,
-        fault_time_ms=(
-            first_failure.time_ms if first_failure is not None else 0.0
-        ),
+        fault_time_ms=0.0,
         degraded_dwell_ms=spec.degraded_dwell_ms,
         rebuild_rows=rows,
         rebuild_parallel=spec.rebuild_parallel,

@@ -5,8 +5,8 @@ rebuild traffic *competing* with client traffic.  This package closes the
 loop: a :class:`FaultScenario` declares *when* a disk dies (a fixed
 timestamp, or a seeded-exponential draw from the MTTDL parameters of
 :mod:`repro.reliability`) and how the rebuild behaves (parallelism,
-throttle); a :class:`FaultInjector` schedules the failure on the event
-loop; an :class:`ArrayLifecycle` drives the controller through
+throttle); an :class:`ArrayLifecycle` schedules those failures on the
+event loop, builds each rebuild sweep, and drives the controller through
 fault-free -> degraded -> reconstruction -> post-reconstruction with
 timestamped transitions.
 
@@ -14,8 +14,9 @@ Scenarios are pure data built from runner specs (see ``LifecycleSpec``
 in :mod:`repro.runner.spec` and RUNNER.md), so whole lifecycle sweeps
 plug into the ``repro.runner`` cache/parallel machinery.
 
-Multi-fault campaigns build on the same pieces: scenarios can script or
-draw failure *sequences*, :mod:`repro.faults.multifault` classifies a
+Multi-fault campaigns build on the same pieces: scenarios draw failure
+*sequences* (a harness with its own schedule hands each failure to the
+lifecycle), :mod:`repro.faults.multifault` classifies a
 second whole-disk failure exactly against the rebuild frontier,
 :class:`MediaErrorMap` seeds latent sector errors, and a
 :class:`Scrubber` finds and repairs them before they can ambush a
@@ -24,7 +25,6 @@ rebuild.
 
 from repro.faults.crash import CrashInjector
 from repro.faults.failslow import FailSlowModel
-from repro.faults.injector import FaultInjector
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
 from repro.faults.nemesis import (
@@ -47,7 +47,6 @@ __all__ = [
     "ArrayLifecycle",
     "CrashInjector",
     "FailSlowModel",
-    "FaultInjector",
     "FaultScenario",
     "IntegrityOracle",
     "MediaErrorMap",

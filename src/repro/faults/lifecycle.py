@@ -24,21 +24,25 @@ frontier (:mod:`repro.faults.multifault`):
   (:class:`~repro.layouts.relocated.RelocatedView`), rebuilding onto a
   replacement spindle since the spare space is spent.
 
-An unreadable latent sector discovered by a rebuild read is handled the
-same way: the stripe being rebuilt has no redundancy left, so the unit
-is unrecoverable and the array declares data loss.
+The lifecycle draws the scenario's failures and schedules them itself
+(:meth:`ArrayLifecycle.arm`); a harness that scripts its own failures
+delivers each through :meth:`ArrayLifecycle.inject_failure` instead.
+It builds every rebuild sweep, and is the one handler of an unreadable
+latent sector that a rebuild read finds: the stripe being rebuilt has
+no redundancy left, so the unit is unrecoverable and the array declares
+data loss.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.array.reconstructor import Reconstructor
 from repro.core.reconstruction import RebuildStep
 from repro.errors import SimulationError
-from repro.faults.injector import FaultInjector
 from repro.faults.media import MediaErrorMap
 from repro.faults.multifault import (
     evaluate_second_failure,
@@ -89,7 +93,10 @@ class ArrayLifecycle:
         #: threaded into every rebuild sweep this lifecycle starts; None
         #: keeps the scenario's static ``rebuild_throttle_ms``.
         self.adaptive_throttle = adaptive_throttle
-        self.injector: Optional[FaultInjector] = None
+        #: Every failure :meth:`arm` scheduled, as ``(time_ms, disk)`` in
+        #: time order, and how many of them have landed so far.
+        self.faults: List[Tuple[float, int]] = []
+        self.fired_count = 0
         self.reconstructor: Optional[Reconstructor] = None
         self.transitions: List[Transition] = [
             (ArrayMode.FAULT_FREE.value, controller.engine.now)
@@ -103,10 +110,6 @@ class ArrayLifecycle:
         # during the degraded dwell, before any sweep exists; the next
         # :meth:`_start_rebuild` folds them in.
         self._pending_steps: List[RebuildStep] = []
-
-    @property
-    def mode(self) -> ArrayMode:
-        return self.controller.mode
 
     @property
     def complete(self) -> bool:
@@ -145,31 +148,45 @@ class ArrayLifecycle:
             ),
             "steps_completed": recon.steps_completed,
             "total_steps": recon.total_steps,
-            "skipped_steps": recon.skipped_steps,
+            # An unreadable read ends the sweep, so none is ever skipped.
+            "skipped_steps": 0,
             "fraction": recon.fraction_complete,
         }
 
-    def arm(self) -> FaultInjector:
-        """Resolve the scenario's faults and schedule them on the engine."""
-        if self.injector is not None:
+    def arm(self) -> None:
+        """Draw the scenario's failures and schedule each on the engine."""
+        if self.faults:
             raise SimulationError("lifecycle already armed")
-        self.injector = FaultInjector(
-            self.controller.engine,
-            self.scenario,
-            self.controller.layout.n,
-            self._on_failure,
-        )
-        self.injector.arm()
-        return self.injector
+        engine = self.controller.engine
+        faults = self.scenario.draw_faults(self.controller.layout.n)
+        if faults[0][0] < engine.now:
+            raise SimulationError(
+                f"fault time {faults[0][0]} already in the past"
+                f" (now = {engine.now})"
+            )
+        self.faults = faults
+        for time_ms, disk in faults:
+            engine.schedule_at(time_ms, partial(self._fire, disk))
+
+    def _fire(self, disk: int) -> None:
+        self.fired_count += 1
+        self.inject_failure(disk)
 
     def inject_failure(self, disk: int) -> None:
-        """Deliver one whole-disk failure now, from an external injector.
+        """Deliver one whole-disk failure now.
 
-        The nemesis harness schedules failures itself instead of
-        :meth:`arm`-ing the scenario; this routes the failure through the
-        same first/subsequent classification path the injector uses.
+        :meth:`arm`'s events land here, and so does every failure the
+        nemesis harness schedules itself: the first failure degrades the
+        array, a later one is classified against the rebuild frontier.
         """
-        self._on_failure(disk, self.controller.engine.now)
+        if self.controller.mode is not ArrayMode.FAULT_FREE:
+            self._on_subsequent_failure(disk)
+            return
+        self.controller.fail_disk(disk)
+        self._record(ArrayMode.DEGRADED)
+        self.controller.engine.schedule(
+            self.scenario.degraded_dwell_ms, self._start_rebuild
+        )
 
     def resume_after_crash(self) -> None:
         """Re-arm lifecycle work a controller crash wiped off the engine.
@@ -206,20 +223,7 @@ class ArrayLifecycle:
             for s in old.outstanding_steps()
             if s.lost.disk != controller.failed_disk
         ]
-        recon = Reconstructor(
-            controller,
-            parallel_steps=self.scenario.rebuild_parallel,
-            rows=self.scenario.rebuild_rows,
-            throttle_ms=self.scenario.rebuild_throttle_ms,
-            on_finished=self._on_rebuilt,
-            on_step=self.on_rebuild_step,
-            allow_replacement=True,
-            media=self.media,
-            on_unreadable=self._on_unreadable,
-            already_rebuilt=frontier,
-            adaptive_throttle=self.adaptive_throttle,
-        )
-        self.reconstructor = recon
+        recon = self._new_sweep(already_rebuilt=frontier)
         if carried:
             recon.requeue(carried)
         controller.resume_reconstruction(recon.is_rebuilt)
@@ -244,16 +248,6 @@ class ArrayLifecycle:
         if self.on_transition is not None:
             self.on_transition(mode, now)
 
-    def _on_failure(self, disk: int, now_ms: float) -> None:
-        if self.controller.mode is not ArrayMode.FAULT_FREE:
-            self._on_subsequent_failure(disk, now_ms)
-            return
-        self.controller.fail_disk(disk)
-        self._record(ArrayMode.DEGRADED)
-        self.controller.engine.schedule(
-            self.scenario.degraded_dwell_ms, self._start_rebuild
-        )
-
     def _repair_rows(self) -> int:
         """The repair domain, identical to the sweep's row bound."""
         if self.reconstructor is not None:
@@ -262,8 +256,9 @@ class ArrayLifecycle:
             return self.scenario.rebuild_rows
         return self.controller.periods * self.controller.plan_layout.period
 
-    def _on_subsequent_failure(self, disk: int, now_ms: float) -> None:
+    def _on_subsequent_failure(self, disk: int) -> None:
         controller = self.controller
+        now_ms = controller.engine.now
         mode = controller.mode
         if mode is ArrayMode.DATA_LOSS:
             return  # the array is already lost; further failures are moot
@@ -339,21 +334,7 @@ class ArrayLifecycle:
     def _start_rebuild(self) -> None:
         if self.controller.mode is ArrayMode.DATA_LOSS:
             return  # a second failure during the dwell was fatal
-        recon = Reconstructor(
-            self.controller,
-            parallel_steps=self.scenario.rebuild_parallel,
-            rows=self.scenario.rebuild_rows,
-            throttle_ms=self.scenario.rebuild_throttle_ms,
-            on_finished=self._on_rebuilt,
-            on_step=self.on_rebuild_step,
-            # Layouts without distributed sparing rebuild onto a
-            # replacement spindle instead of spare cells.
-            allow_replacement=True,
-            media=self.media,
-            on_unreadable=self._on_unreadable,
-            adaptive_throttle=self.adaptive_throttle,
-        )
-        self.reconstructor = recon
+        recon = self._new_sweep()
         if self._pending_steps:
             recon.requeue(self._pending_steps)
             self._pending_steps = []
@@ -363,18 +344,32 @@ class ArrayLifecycle:
         self._record(ArrayMode.RECONSTRUCTION)
         recon.start()
 
+    def _new_sweep(
+        self, already_rebuilt: Optional[Iterable[int]] = None
+    ) -> Reconstructor:
+        """The rebuild sweep of the failed disk, under the scenario's
+        rebuild knobs; ``already_rebuilt`` resumes a crashed sweep."""
+        scenario = self.scenario
+        self.reconstructor = Reconstructor(
+            self.controller,
+            parallel_steps=scenario.rebuild_parallel,
+            rows=scenario.rebuild_rows,
+            throttle_ms=scenario.rebuild_throttle_ms,
+            on_finished=self._on_rebuilt,
+            on_step=self.on_rebuild_step,
+            media=self.media,
+            on_unreadable=self._on_unreadable,
+            already_rebuilt=already_rebuilt,
+            adaptive_throttle=self.adaptive_throttle,
+        )
+        return self.reconstructor
+
     def _on_rebuilt(self, duration_ms: float) -> None:
         self._record(ArrayMode.POST_RECONSTRUCTION)
 
-    def _on_unreadable(
-        self,
-        recon: Reconstructor,
-        step: RebuildStep,
-        addr: PhysicalAddress,
-    ) -> None:
-        """A rebuild read hit a latent sector error: the stripe has no
-        redundancy left, so the unit being rebuilt is unrecoverable."""
-        recon.abort()
+    def _on_unreadable(self, step: RebuildStep, addr: PhysicalAddress) -> None:
+        """A rebuild read hit a latent sector error and the sweep stopped:
+        the stripe has no redundancy left, so the unit is unrecoverable."""
         self._declare_loss(
             f"unreadable sector at disk {addr.disk} offset {addr.offset}"
             f" during rebuild of ({step.lost.disk}, {step.lost.offset})",

@@ -31,11 +31,15 @@ class FaultScenario:
 
     Exactly one of ``fault_time_ms`` (deterministic) and ``mttf_hours``
     (seeded-exponential; ``failed_disk`` is then ignored in favour of the
-    draw) must be set.  ``degraded_dwell_ms`` is the delay between the
-    failure and the rebuild sweep starting (detection + spare-up time);
-    ``rebuild_rows`` bounds the sweep (``None`` = the whole disk);
-    ``rebuild_throttle_ms`` idles each rebuild slot between steps so the
-    client/rebuild interference is tunable.
+    draw) must be set.  A deterministic scenario scripts one failure;
+    failure sequences are drawn (``max_faults``), and a harness that
+    scripts its own delivers each through
+    :meth:`~repro.faults.lifecycle.ArrayLifecycle.inject_failure`.
+    ``degraded_dwell_ms`` is the delay between the failure and the
+    rebuild sweep starting (detection + spare-up time); ``rebuild_rows``
+    bounds the sweep (``None`` = the whole disk); ``rebuild_throttle_ms``
+    idles each rebuild slot between steps so the client/rebuild
+    interference is tunable.
 
     >>> FaultScenario(fault_time_ms=100.0, failed_disk=3).draw_faults(13)
     [(100.0, 3)]
@@ -49,13 +53,9 @@ class FaultScenario:
     rebuild_rows: Optional[int] = None
     rebuild_parallel: int = 1
     rebuild_throttle_ms: float = 0.0
-    # Multi-fault extensions (all inactive by default).
-    # A scripted second whole-disk failure, and/or further stochastic
-    # failures: with ``mttf_hours`` set, ``max_faults`` of the per-disk
-    # lifetime draws are scheduled in time order instead of only the
-    # earliest.
-    second_fault_time_ms: Optional[float] = None
-    second_failed_disk: Optional[int] = None
+    # Further stochastic failures: with ``mttf_hours`` set, ``max_faults``
+    # of the per-disk lifetime draws are scheduled in time order instead
+    # of only the earliest.
     max_faults: int = 1
     # Latent sector errors: expected errors per GB of swept capacity,
     # drawn per disk from seeded Poisson counts (see repro.faults.media).
@@ -99,34 +99,6 @@ class FaultScenario:
             raise ConfigurationError(
                 f"negative rebuild throttle {self.rebuild_throttle_ms}"
             )
-        if self.second_fault_time_ms is not None:
-            if self.fault_time_ms is None:
-                raise ConfigurationError(
-                    "a scripted second fault needs a scripted first fault"
-                    " (set fault_time_ms)"
-                )
-            if self.second_fault_time_ms <= self.fault_time_ms:
-                raise ConfigurationError(
-                    f"second fault at {self.second_fault_time_ms} must land"
-                    f" strictly after the first at {self.fault_time_ms}"
-                )
-            if self.second_failed_disk is None:
-                raise ConfigurationError(
-                    "a scripted second fault needs second_failed_disk"
-                )
-        if self.second_failed_disk is not None:
-            if self.second_fault_time_ms is None:
-                raise ConfigurationError(
-                    "second_failed_disk needs second_fault_time_ms"
-                )
-            if self.second_failed_disk < 0:
-                raise ConfigurationError(
-                    f"bad second failed disk {self.second_failed_disk}"
-                )
-            if self.second_failed_disk == self.failed_disk:
-                raise ConfigurationError(
-                    "second failure must strike a different disk"
-                )
         if self.max_faults < 1:
             raise ConfigurationError(
                 f"need >= 1 fault, got max_faults={self.max_faults}"
@@ -134,8 +106,7 @@ class FaultScenario:
         if self.max_faults > 1 and self.mttf_hours is None:
             raise ConfigurationError(
                 "max_faults > 1 draws extra failures from disk lifetimes"
-                " and needs mttf_hours (script a pair with"
-                " second_fault_time_ms instead)"
+                " and needs mttf_hours"
             )
         if self.lse_per_gb < 0:
             raise ConfigurationError(
@@ -162,29 +133,19 @@ class FaultScenario:
     def draw_faults(self, n_disks: int) -> List[Tuple[float, int]]:
         """Every scheduled failure as ``(time_ms, disk)``, in time order.
 
-        Deterministic scenarios return the scripted first (and optional
-        second) failure; stochastic scenarios draw one exponential
-        lifetime per disk and schedule the ``max_faults`` earliest.
+        Deterministic scenarios return the one scripted failure;
+        stochastic scenarios draw one exponential lifetime per disk and
+        schedule the ``max_faults`` earliest.
         Equal draws break ties by disk id, so the sequence is a pure
         function of the scenario and ``n_disks``.
         """
         if self.fault_time_ms is not None:
-            faults = [(self.fault_time_ms, self.failed_disk)]
-            if self.second_fault_time_ms is not None:
-                if not 0 <= self.second_failed_disk < n_disks:
-                    raise ConfigurationError(
-                        f"second failed disk {self.second_failed_disk}"
-                        f" outside 0..{n_disks - 1}"
-                    )
-                faults.append(
-                    (self.second_fault_time_ms, self.second_failed_disk)
-                )
             if not 0 <= self.failed_disk < n_disks:
                 raise ConfigurationError(
                     f"failed disk {self.failed_disk} outside"
                     f" 0..{n_disks - 1}"
                 )
-            return faults
+            return [(self.fault_time_ms, self.failed_disk)]
         lifetimes = [
             (
                 exponential_lifetime_ms(

@@ -83,13 +83,6 @@ class TestRebuild:
         with pytest.raises(SimulationError):
             Reconstructor(controller)
 
-    def test_requires_sparing(self):
-        engine = SimulationEngine()
-        controller = ArrayController(engine, make_layout("raid5", 13, 13))
-        controller.fail_disk(0)
-        with pytest.raises(SimulationError):
-            Reconstructor(controller)
-
     def test_bad_parallelism(self):
         engine, controller = build_failed()
         with pytest.raises(SimulationError):
@@ -101,9 +94,7 @@ class TestRebuild:
             engine, make_layout("parity-declustering", 13, 4)
         )
         controller.fail_disk(0)
-        recon = Reconstructor(
-            controller, rows=13, allow_replacement=True
-        )
+        recon = Reconstructor(controller, rows=13)
         recon.start()
         engine.run()
         # The rebuild wrote the failed disk's units back to the
@@ -136,15 +127,15 @@ class TestProgress:
             controller,
             rows=13,
             on_step=lambda r: fractions.append(
-                (r.progress, r.fraction_complete)
+                (r.steps_completed, r.fraction_complete)
             ),
         )
-        assert recon.progress == 0
+        assert recon.steps_completed == 0
         assert recon.fraction_complete == 0.0
         assert recon.total_steps == 12
         recon.start()
         engine.run()
-        assert recon.progress == 12
+        assert recon.steps_completed == 12
         assert recon.fraction_complete == 1.0
         assert fractions == [(i + 1, (i + 1) / 12) for i in range(12)]
 

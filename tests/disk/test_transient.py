@@ -149,7 +149,7 @@ class TestEscalationDuringReplacementRebuild:
         layout = make_layout(name, 13, width)
         controller = ArrayController(engine, layout)
         controller.fail_disk(0)
-        recon = Reconstructor(controller, rows=13, allow_replacement=True)
+        recon = Reconstructor(controller, rows=13)
         controller.enter_reconstruction(recon.is_rebuilt)
         controller.enable_transient_errors(0.0, seed=0)
         stripe = layout.locate(0, 0).stripe

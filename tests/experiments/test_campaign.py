@@ -52,13 +52,17 @@ class TestSingleTrial:
         assert record["rebuild"]["steps_completed"] == 24
 
     def test_scripted_double_fault_loss(self):
+        # Seed 9 draws disks 3 and 7, the second inside the first's
+        # degraded dwell: the pair shares stripes, so data is lost.
         scenario = FaultScenario(
-            fault_time_ms=100.0,
-            second_fault_time_ms=101.0,
-            second_failed_disk=7,
+            mttf_hours=0.03,
+            fault_seed=9,
+            max_faults=2,
+            degraded_dwell_ms=4000.0,
             rebuild_rows=26,
         )
         record = run_campaign_trial(PDDL, scenario)
+        assert record["fault_disks"] == [3, 7]
         assert record["classification"] == "lost"
         assert record["lost_units"] > 0
         assert record["loss_reason"]

@@ -1,10 +1,11 @@
-"""ArrayLifecycle: the four-regime state machine over a live controller."""
+"""ArrayLifecycle: failure scheduling and the four-regime state machine
+over a live controller."""
 
 import pytest
 
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults import (
     ArrayLifecycle,
     FaultScenario,
@@ -32,6 +33,87 @@ def run_lifecycle(layout_name="pddl", **scenario_kwargs):
     lifecycle.arm()
     engine.run()
     return engine, controller, lifecycle
+
+
+def run_pair(layout_name, second_ms, second_disk, **scenario_kwargs):
+    """The scenario's failure, then a second one injected at
+    ``second_ms`` the way the nemesis trial delivers its own."""
+    engine, controller = build(layout_name)
+    lifecycle = ArrayLifecycle(controller, FaultScenario(**scenario_kwargs))
+    lifecycle.arm()
+    engine.schedule_at(
+        second_ms, lambda: lifecycle.inject_failure(second_disk)
+    )
+    engine.run()
+    return controller, lifecycle
+
+
+class TestScheduling:
+    def test_fires_at_the_scripted_time(self):
+        engine, controller = build()
+        lifecycle = ArrayLifecycle(
+            controller,
+            FaultScenario(fault_time_ms=42.0, failed_disk=5, rebuild_rows=13),
+        )
+        lifecycle.arm()
+        assert lifecycle.faults == [(42.0, 5)]
+        assert lifecycle.fired_count == 0
+        engine.run()
+        assert lifecycle.fired_count == 1
+        assert lifecycle.transitions[1] == ("degraded", 42.0)
+        assert controller.failed_disk == 5
+
+    def test_draws_stochastic_faults_at_arm(self):
+        scenario = FaultScenario(mttf_hours=1000.0, fault_seed=11)
+        engine, controller = build()
+        lifecycle = ArrayLifecycle(controller, scenario)
+        assert lifecycle.faults == []
+        lifecycle.arm()
+        assert lifecycle.faults == scenario.draw_faults(13)
+
+    def test_drawn_faults_fire_in_time_order(self):
+        # Seed 0 draws three failures, and the array is still degraded
+        # or rebuilding when the later two land, so each leaves a record.
+        engine, controller = build()
+        lifecycle = ArrayLifecycle(
+            controller,
+            FaultScenario(
+                mttf_hours=0.03,
+                fault_seed=0,
+                max_faults=3,
+                rebuild_rows=26,
+            ),
+        )
+        lifecycle.arm()
+        engine.run()
+        faults = lifecycle.faults
+        assert len(faults) == 3
+        assert [t for t, _ in faults] == sorted(t for t, _ in faults)
+        assert lifecycle.fired_count == 3
+        assert lifecycle.transitions[1] == ("degraded", faults[0][0])
+        assert [
+            (record["time_ms"], record["disk"])
+            for record in lifecycle.second_faults
+        ] == faults[1:]
+
+    def test_rejects_fault_in_the_past(self):
+        engine, controller = build()
+        engine.schedule(50.0, lambda: None)
+        engine.run()
+        lifecycle = ArrayLifecycle(
+            controller, FaultScenario(fault_time_ms=10.0)
+        )
+        with pytest.raises(SimulationError, match="already in the past"):
+            lifecycle.arm()
+        assert lifecycle.faults == []
+
+    def test_out_of_range_disk_rejected(self):
+        engine, controller = build()
+        lifecycle = ArrayLifecycle(
+            controller, FaultScenario(fault_time_ms=1.0, failed_disk=13)
+        )
+        with pytest.raises(ConfigurationError):
+            lifecycle.arm()
 
 
 class TestTransitions:
@@ -154,6 +236,17 @@ class TestGuards:
         with pytest.raises(SimulationError):
             lifecycle.arm()
 
+    def test_rejects_arm_after_the_fault_fired(self):
+        engine, controller = build()
+        lifecycle = ArrayLifecycle(
+            controller, FaultScenario(fault_time_ms=1.0, rebuild_rows=13)
+        )
+        lifecycle.arm()
+        engine.run()
+        assert lifecycle.fired_count == 1
+        with pytest.raises(SimulationError, match="already armed"):
+            lifecycle.arm()
+
 
 class TestSecondFailure:
     @pytest.mark.parametrize("layout_name", ALL_LAYOUTS)
@@ -161,20 +254,16 @@ class TestSecondFailure:
         # A second whole-disk failure during the degraded dwell (empty
         # rebuild frontier): the run must terminate (no deadlock), end in
         # a definite state, and agree with the exact evaluation.
-        engine, controller = build(layout_name)
-        lifecycle = ArrayLifecycle(
-            controller,
-            FaultScenario(
-                fault_time_ms=100.0,
-                failed_disk=0,
-                second_fault_time_ms=105.0,
-                second_failed_disk=5,
-                degraded_dwell_ms=10.0,
-                rebuild_rows=13,
-            ),
+        # Returning at all proves no deadlock.
+        controller, lifecycle = run_pair(
+            layout_name,
+            105.0,
+            5,
+            fault_time_ms=100.0,
+            failed_disk=0,
+            degraded_dwell_ms=10.0,
+            rebuild_rows=13,
         )
-        lifecycle.arm()
-        engine.run()  # returning at all proves no deadlock
         expected = evaluate_second_failure(
             make_layout(layout_name, 13, 4), 0, 5, frozenset(), 13
         )
@@ -199,19 +288,14 @@ class TestSecondFailure:
             assert lifecycle.lost_units == 0
 
     def test_raid5_second_failure_is_always_fatal(self):
-        engine, controller = build("raid5")
-        lifecycle = ArrayLifecycle(
-            controller,
-            FaultScenario(
-                fault_time_ms=100.0,
-                failed_disk=0,
-                second_fault_time_ms=101.0,
-                second_failed_disk=7,
-                rebuild_rows=13,
-            ),
+        _, lifecycle = run_pair(
+            "raid5",
+            101.0,
+            7,
+            fault_time_ms=100.0,
+            failed_disk=0,
+            rebuild_rows=13,
         )
-        lifecycle.arm()
-        engine.run()
         assert lifecycle.data_loss
         # Every un-rebuilt row loses two members of the same stripe.
         assert lifecycle.lost_units > 0
@@ -225,19 +309,14 @@ class TestSecondFailure:
         for second in range(1, 13):
             if second == 2:
                 continue
-            engine, controller = build()
-            lifecycle = ArrayLifecycle(
-                controller,
-                FaultScenario(
-                    fault_time_ms=10.0,
-                    failed_disk=2,
-                    second_fault_time_ms=500.0,
-                    second_failed_disk=second,
-                    rebuild_rows=26,
-                ),
+            _, lifecycle = run_pair(
+                "pddl",
+                500.0,
+                second,
+                fault_time_ms=10.0,
+                failed_disk=2,
+                rebuild_rows=26,
             )
-            lifecycle.arm()
-            engine.run()
             assert lifecycle.data_loss or lifecycle.complete
             if lifecycle.data_loss:
                 continue
@@ -255,19 +334,14 @@ class TestSecondFailure:
     def test_post_reconstruction_failure_starts_a_new_cycle(self):
         # After PDDL's rebuild completes, a second failure consumes the
         # relocated mapping and rebuilds onto a replacement spindle.
-        engine, controller = build()
-        lifecycle = ArrayLifecycle(
-            controller,
-            FaultScenario(
-                fault_time_ms=10.0,
-                failed_disk=2,
-                second_fault_time_ms=100000.0,
-                second_failed_disk=7,
-                rebuild_rows=26,
-            ),
+        controller, lifecycle = run_pair(
+            "pddl",
+            100000.0,
+            7,
+            fault_time_ms=10.0,
+            failed_disk=2,
+            rebuild_rows=26,
         )
-        lifecycle.arm()
-        engine.run()
         assert not lifecycle.data_loss
         modes = [mode for mode, _ in lifecycle.transitions]
         assert modes == [
@@ -285,20 +359,15 @@ class TestSecondFailure:
         assert controller.failed_disk is None
 
     def test_fatal_during_dwell_never_starts_a_rebuild(self):
-        engine, controller = build("raid5")
-        lifecycle = ArrayLifecycle(
-            controller,
-            FaultScenario(
-                fault_time_ms=10.0,
-                failed_disk=0,
-                second_fault_time_ms=15.0,
-                second_failed_disk=1,
-                degraded_dwell_ms=50.0,
-                rebuild_rows=13,
-            ),
+        _, lifecycle = run_pair(
+            "raid5",
+            15.0,
+            1,
+            fault_time_ms=10.0,
+            failed_disk=0,
+            degraded_dwell_ms=50.0,
+            rebuild_rows=13,
         )
-        lifecycle.arm()
-        engine.run()
         assert lifecycle.data_loss
         assert lifecycle.reconstructor is None
         modes = [mode for mode, _ in lifecycle.transitions]
@@ -306,19 +375,14 @@ class TestSecondFailure:
 
     def test_second_failure_outcome_is_deterministic(self):
         def run_once():
-            engine, controller = build()
-            lifecycle = ArrayLifecycle(
-                controller,
-                FaultScenario(
-                    fault_time_ms=10.0,
-                    failed_disk=2,
-                    second_fault_time_ms=500.0,
-                    second_failed_disk=7,
-                    rebuild_rows=26,
-                ),
+            _, lifecycle = run_pair(
+                "pddl",
+                500.0,
+                7,
+                fault_time_ms=10.0,
+                failed_disk=2,
+                rebuild_rows=26,
             )
-            lifecycle.arm()
-            engine.run()
             return (
                 lifecycle.transitions,
                 lifecycle.second_faults,

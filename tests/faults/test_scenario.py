@@ -64,29 +64,6 @@ class TestDrawFault:
 
 
 class TestMultiFaultValidation:
-    def test_scripted_second_fault_needs_both_fields(self):
-        with pytest.raises(ConfigurationError):
-            FaultScenario(fault_time_ms=10.0, second_fault_time_ms=20.0)
-        with pytest.raises(ConfigurationError):
-            FaultScenario(fault_time_ms=10.0, second_failed_disk=3)
-
-    def test_second_fault_must_land_after_the_first(self):
-        with pytest.raises(ConfigurationError):
-            FaultScenario(
-                fault_time_ms=10.0,
-                second_fault_time_ms=10.0,
-                second_failed_disk=3,
-            )
-
-    def test_second_fault_must_hit_a_new_disk(self):
-        with pytest.raises(ConfigurationError):
-            FaultScenario(
-                failed_disk=3,
-                fault_time_ms=10.0,
-                second_fault_time_ms=20.0,
-                second_failed_disk=3,
-            )
-
     def test_max_faults_needs_mttf(self):
         with pytest.raises(ConfigurationError):
             FaultScenario(fault_time_ms=10.0, max_faults=2)
@@ -103,15 +80,6 @@ class TestMultiFaultValidation:
 
 
 class TestDrawFaults:
-    def test_scripted_pair_in_order(self):
-        scenario = FaultScenario(
-            failed_disk=2,
-            fault_time_ms=100.0,
-            second_fault_time_ms=250.0,
-            second_failed_disk=7,
-        )
-        assert scenario.draw_faults(13) == [(100.0, 2), (250.0, 7)]
-
     def test_stochastic_draws_are_the_earliest_lifetimes(self):
         scenario = FaultScenario(
             mttf_hours=1000.0, fault_seed=11, max_faults=3

@@ -2,7 +2,7 @@
 
 A short, fixed-seed lifecycle run of the 13-disk PDDL array whose
 mode-transition timestamps, rebuild bookkeeping, and progress timeline
-are pinned in ``tests/data``.  Any change to the fault injector, the
+are pinned in ``tests/data``.  Any change to the failure scheduling, the
 lifecycle state machine, the reconstructor, or the underlying simulation
 that shifts when the array changes regime shows up as a diff here.
 

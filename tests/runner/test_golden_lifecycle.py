@@ -3,8 +3,8 @@
 The canonical 13-disk PDDL lifecycle run must reproduce its pinned
 mode-transition timestamps, rebuild bookkeeping, and progress timeline
 *exactly* — JSON round-trips doubles losslessly, so equality here is
-bit-equality.  Guards the fault injector, the lifecycle state machine,
-and the reconstructor against silent timing drift.
+bit-equality.  Guards the failure scheduling, the lifecycle state
+machine, and the reconstructor against silent timing drift.
 """
 
 import json

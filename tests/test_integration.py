@@ -107,14 +107,18 @@ class TestEndToEndRecovery:
         assert controller.servers[3].stats.operations == ops_after
         assert post.mean > 0 and ff.mean > 0
 
-    def test_raid5_has_no_recovery_path(self):
+    def test_raid5_rebuilds_onto_a_replacement(self):
+        # RAID-5 has no spare space: the sweep installs a replacement
+        # spindle in the failed slot and the array ends whole again.
         engine = SimulationEngine()
         controller = ArrayController(engine, make_layout("raid5", 13, 13))
         controller.fail_disk(0)
-        from repro.errors import SimulationError
-
-        with pytest.raises(SimulationError):
-            Reconstructor(controller)
+        recon = Reconstructor(controller, rows=13)
+        recon.start()
+        engine.run()
+        assert recon.steps_completed == 13
+        assert controller.mode is ArrayMode.FAULT_FREE
+        assert controller.servers[0].stats.operations == 13
 
 
 class TestDeterminism:
