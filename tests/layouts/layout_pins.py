@@ -13,7 +13,7 @@ Each configuration gets one sha256 over the ``repr`` of:
 The configurations are every registry layout that builds at
 ``4 <= n <= 21`` with ``3 <= k <= 5`` (``k = n`` for RAID-5), four
 wrapped layouts (one over a spare-less PDDL), two multi-check PDDLs and
-two pseudo-random layouts.  Building all of them takes about 9 s, so
+the pseudo-random layout of Table 3.  Building all of them takes about 9 s, so
 tier-1 (``tests/layouts/test_layout_pins.py``) checks the configurations
 that :func:`is_tier1` names, and CI regenerates the whole file and
 diffs it like the golden traces.
@@ -86,9 +86,6 @@ def _extra_builders() -> Dict[str, Callable]:
                     ),
                 ]
             )
-        ),
-        "pseudo-random-14-4-spares-2": lambda: PseudoRandomLayout(
-            14, 4, spares=2
         ),
         "pseudo-random-13-4-table3": lambda: PseudoRandomLayout(
             13, 4, rows=128, seed=0
