@@ -16,9 +16,9 @@ generalized to XOR/GF(p^m) development and to permutation groups.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import List, Union
 
-from repro.core.development import Development, development_for
+from repro.core.development import development_for
 from repro.core.permutation import BasePermutation, PermutationGroup
 from repro.errors import ConfigurationError, MappingError
 from repro.layouts.address import PhysicalAddress
@@ -29,6 +29,10 @@ PermutationLike = Union[BasePermutation, PermutationGroup]
 
 class PDDLLayout(Layout):
     """Permutation Development Data Layout.
+
+    Rows develop with :func:`~repro.core.development.development_for`
+    ``(n)``: modular for prime and composite n, XOR for powers of two,
+    digit-wise for odd prime powers.
 
     >>> from repro.core.bose import bose_base_permutation
     >>> layout = PDDLLayout(bose_base_permutation(2, 3))
@@ -42,20 +46,11 @@ class PDDLLayout(Layout):
 
     name = "PDDL"
 
-    def __init__(
-        self,
-        permutations: PermutationLike,
-        development: Optional[Development] = None,
-    ):
+    def __init__(self, permutations: PermutationLike):
         if isinstance(permutations, BasePermutation):
             permutations = PermutationGroup([permutations])
         self.group = permutations
-        self.dev = development or development_for(self.group.n)
-        if self.dev.n != self.group.n:
-            raise ConfigurationError(
-                f"development over {self.dev.n} does not match n = "
-                f"{self.group.n}"
-            )
+        self.dev = development_for(self.group.n)
         super().__init__(n=self.group.n, k=self.group.k)
         self.g = self.group.g
         self.spares = self.group.spares

@@ -62,7 +62,7 @@ def table3_rows(iterations: int = 20_000) -> Dict[str, Table3Row]:
             period_rows=layout.period,
             translation_ns=_time_translation(layout, iterations),
         )
-    pseudo = PseudoRandomLayout(13, 4, rows=128, seed=0)
+    pseudo = PseudoRandomLayout(13, 4)
     rows["pseudo-random"] = Table3Row(
         scheme="pseudo-random",
         table_entries=pseudo.mapping_table_entries(),

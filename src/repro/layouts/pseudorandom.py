@@ -8,9 +8,10 @@ reconstruction load are all *expected* to be even, with no exact guarantees
 
 Merchant & Yu key a Thorpe shuffle per row; we use a seeded Fisher-Yates
 draw, which is an equally deterministic stand-in exposing the same
-statistical behaviour.  The layout repeats after ``rows`` rows (a knob —
-true pseudo-random layouts are aperiodic, so pick it large relative to the
-workload span).
+statistical behaviour.  The template has one spare column, the shuffles
+are seeded with ``SEED`` and the layout repeats after ``ROWS`` rows (true
+pseudo-random layouts are aperiodic; 128 rows is large against the
+reconstruction spans the experiments sweep).
 """
 
 from __future__ import annotations
@@ -21,52 +22,45 @@ from typing import Dict, List, Tuple
 from repro.errors import ConfigurationError
 from repro.layouts.base import Cell, Layout, Stripe
 
+#: Spare columns of the RAID-4 template, rows per period, and the seed of
+#: the per-row shuffles.
+SPARES = 1
+ROWS = 128
+SEED = 0
+
 
 class PseudoRandomLayout(Layout):
     """Per-row pseudo-random shuffles of a RAID-4 template.
 
-    >>> lay = PseudoRandomLayout(13, 4, spares=1, seed=7)
+    >>> lay = PseudoRandomLayout(13, 4)
     >>> lay.stripes_per_period == lay.period * lay.g
     True
     """
 
     name = "Pseudo-Random"
 
-    def __init__(
-        self,
-        n: int,
-        k: int,
-        spares: int = 1,
-        rows: int = 128,
-        seed: int = 0,
-    ):
+    def __init__(self, n: int, k: int):
         super().__init__(n=n, k=k)
-        if spares < 0:
-            raise ConfigurationError(f"spares must be >= 0, got {spares}")
-        if (n - spares) % k != 0 or n - spares <= 0:
+        if (n - SPARES) % k != 0:
             raise ConfigurationError(
-                f"n = {n} does not decompose as g*{k} + {spares}"
+                f"n = {n} does not decompose as g*{k} + {SPARES}"
             )
-        if rows < 1:
-            raise ConfigurationError(f"rows must be >= 1, got {rows}")
-        self.spares = spares
-        self.g = (n - spares) // k
-        self.rows = rows
-        self.seed = seed
+        self.spares = SPARES
+        self.g = (n - SPARES) // k
         self._row_perms: Dict[int, Tuple[int, ...]] = {}
 
     @property
     def period(self) -> int:
-        return self.rows
+        return ROWS
 
     @property
     def stripes_per_period(self) -> int:
-        return self.rows * self.g
+        return ROWS * self.g
 
     def _row_permutation(self, row: int) -> Tuple[int, ...]:
         perm = self._row_perms.get(row)
         if perm is None:
-            rng = random.Random(f"{self.seed}:{row}")
+            rng = random.Random(f"{SEED}:{row}")
             values = list(range(self.n))
             rng.shuffle(values)
             perm = tuple(values)
@@ -75,7 +69,7 @@ class PseudoRandomLayout(Layout):
 
     def _build_stripes(self) -> List[Stripe]:
         stripes = []
-        for row in range(self.rows):
+        for row in range(ROWS):
             perm = self._row_permutation(row)
             for start in range(self.spares, self.n, self.k):
                 check = start + self.k - 1
@@ -86,8 +80,8 @@ class PseudoRandomLayout(Layout):
     def spare_cells(self) -> List[Cell]:
         return [
             (self._row_permutation(row)[column], row)
-            for row in range(self.rows)
-            for column in range(self.spares)
+            for row in range(ROWS)
+            for column in range(SPARES)
         ]
 
     def mapping_table_entries(self) -> int:

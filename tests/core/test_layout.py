@@ -7,7 +7,7 @@ from repro.core.layout import PDDLLayout, pddl_for
 from repro.core.permutation import BasePermutation, PermutationGroup
 from repro.core.reconstruction import rebuild_plan
 from repro.core.tables import PAPER_N10_K3_PAIR, PAPER_N16_K5
-from repro.errors import ConfigurationError, MappingError
+from repro.errors import MappingError
 from repro.layouts.address import PhysicalAddress, Role
 
 
@@ -163,10 +163,3 @@ class TestPddlFor:
         from repro.core.reconstruction import reconstruction_deviation
 
         assert reconstruction_deviation(layout) == 0
-
-    def test_development_mismatch_rejected(self):
-        from repro.core.development import ModularDevelopment
-
-        perm = BasePermutation(PAPER_N16_K5, k=5)
-        with pytest.raises(ConfigurationError):
-            PDDLLayout(perm, ModularDevelopment(13))

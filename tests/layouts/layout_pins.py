@@ -87,9 +87,7 @@ def _extra_builders() -> Dict[str, Callable]:
                 ]
             )
         ),
-        "pseudo-random-13-4-table3": lambda: PseudoRandomLayout(
-            13, 4, rows=128, seed=0
-        ),
+        "pseudo-random-13-4-table3": lambda: PseudoRandomLayout(13, 4),
     }
 
 

@@ -261,7 +261,7 @@ def _pddl_spares(layout) -> List[PhysicalAddress]:
 def _pseudorandom_spares(layout) -> List[PhysicalAddress]:
     return [
         PhysicalAddress(layout._row_permutation(row)[column], row)
-        for row in range(layout.rows)
+        for row in range(layout.period)
         for column in range(layout.spares)
     ]
 
@@ -318,7 +318,7 @@ def _pseudorandom_relocation(layout, addr: PhysicalAddress) -> PhysicalAddress:
         raise MappingError("built without spare space")
     if layout.locate(addr.disk, addr.offset).role is Role.SPARE:
         raise MappingError(f"{addr} is spare space; nothing to relocate")
-    row = addr.offset % layout.rows
+    row = addr.offset % layout.period
     return PhysicalAddress(layout._row_permutation(row)[0], addr.offset)
 
 

@@ -28,7 +28,7 @@ _POOL.append(LeftSymmetricRaid5Layout(5))
 _POOL.append(LeftSymmetricRaid5Layout(13))
 _POOL.append(ParityDeclusteringLayout(7, 3))
 _POOL.append(ParityDeclusteringLayout(13, 4))
-_POOL.append(PseudoRandomLayout(13, 4, rows=24, seed=9))
+_POOL.append(PseudoRandomLayout(13, 4))
 
 layouts = st.sampled_from(_POOL)
 

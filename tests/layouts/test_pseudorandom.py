@@ -9,24 +9,16 @@ from repro.layouts.pseudorandom import PseudoRandomLayout
 
 class TestStructure:
     def test_validates(self):
-        PseudoRandomLayout(13, 4, rows=32, seed=1).validate()
+        PseudoRandomLayout(13, 4).validate()
 
     def test_deterministic_for_seed(self):
-        a = PseudoRandomLayout(13, 4, rows=16, seed=5)
-        b = PseudoRandomLayout(13, 4, rows=16, seed=5)
+        a = PseudoRandomLayout(13, 4)
+        b = PseudoRandomLayout(13, 4)
         assert a.stripe_table() == b.stripe_table()
         assert a.spare_cells() == b.spare_cells()
 
-    def test_different_seeds_differ(self):
-        a = PseudoRandomLayout(13, 4, rows=16, seed=5)
-        b = PseudoRandomLayout(13, 4, rows=16, seed=6)
-        assert any(
-            x != y
-            for x, y in zip(a.stripe_table().stripes, b.stripe_table().stripes)
-        )
-
     def test_rows_differ_from_each_other(self):
-        lay = PseudoRandomLayout(13, 4, rows=8, seed=0)
+        lay = PseudoRandomLayout(13, 4)
         stripes = lay.stripe_table().stripes
         rows = {
             tuple(disk for disk, _ in sum(stripes[r * lay.g], ()))
@@ -36,26 +28,12 @@ class TestStructure:
 
     def test_bad_shapes(self):
         with pytest.raises(ConfigurationError):
-            PseudoRandomLayout(13, 4, spares=2)  # 11 % 4 != 0
-        with pytest.raises(ConfigurationError):
-            PseudoRandomLayout(13, 4, spares=-1)
-        with pytest.raises(ConfigurationError):
-            PseudoRandomLayout(13, 4, rows=0)
-
-    def test_no_spares_variant(self):
-        lay = PseudoRandomLayout(12, 4, spares=0, rows=8)
-        lay.validate()
-        assert lay.spare_cells() == []
-        assert not lay.has_sparing
-        # Without spare space a lost unit is rebuilt in place.
-        for lost in lay.failure_table(0):
-            if lost is not None:
-                assert lost.home == (0, lost.row)
+            PseudoRandomLayout(14, 4)  # 13 % 4 != 0
 
 
 class TestStatisticalBalance:
     def test_parity_roughly_even(self):
-        lay = PseudoRandomLayout(13, 4, rows=512, seed=3)
+        lay = PseudoRandomLayout(13, 4)
         counts = [0] * 13
         for _, ((disk, _),) in lay.stripe_table().stripes:
             counts[disk] += 1
@@ -63,7 +41,7 @@ class TestStatisticalBalance:
         assert all(0.6 * expected < c < 1.4 * expected for c in counts)
 
     def test_relocation_lands_on_spare(self):
-        lay = PseudoRandomLayout(13, 4, rows=16, seed=2)
+        lay = PseudoRandomLayout(13, 4)
         disk = lay.stripe_table().stripes[0][0][0][0]
         for lost in lay.failure_table(disk):
             if lost is not None:
@@ -71,7 +49,7 @@ class TestStatisticalBalance:
                 assert lost.home[1] == lost.row
 
     def test_relocating_spare_rejected(self):
-        lay = PseudoRandomLayout(13, 4, rows=16, seed=2)
+        lay = PseudoRandomLayout(13, 4)
         # A failed disk's spare cells hold nothing to rebuild: no
         # failure-table entry names their rows.
         disk, row = lay.spare_cells()[0]
