@@ -1,11 +1,10 @@
-"""ArrayLifecycle: failure scheduling and the four-regime state machine
-over a live controller."""
+"""ArrayLifecycle: the four-regime state machine over a live controller."""
 
 import pytest
 
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.faults import (
     ArrayLifecycle,
     FaultScenario,
@@ -46,74 +45,6 @@ def run_pair(layout_name, second_ms, second_disk, **scenario_kwargs):
     )
     engine.run()
     return controller, lifecycle
-
-
-class TestScheduling:
-    def test_fires_at_the_scripted_time(self):
-        engine, controller = build()
-        lifecycle = ArrayLifecycle(
-            controller,
-            FaultScenario(fault_time_ms=42.0, failed_disk=5, rebuild_rows=13),
-        )
-        lifecycle.arm()
-        assert lifecycle.faults == [(42.0, 5)]
-        assert lifecycle.fired_count == 0
-        engine.run()
-        assert lifecycle.fired_count == 1
-        assert lifecycle.transitions[1] == ("degraded", 42.0)
-        assert controller.failed_disk == 5
-
-    def test_draws_stochastic_faults_at_arm(self):
-        scenario = FaultScenario(mttf_hours=1000.0, fault_seed=11)
-        engine, controller = build()
-        lifecycle = ArrayLifecycle(controller, scenario)
-        assert lifecycle.faults == []
-        lifecycle.arm()
-        assert lifecycle.faults == scenario.draw_faults(13)
-
-    def test_drawn_faults_fire_in_time_order(self):
-        # Seed 0 draws three failures, and the array is still degraded
-        # or rebuilding when the later two land, so each leaves a record.
-        engine, controller = build()
-        lifecycle = ArrayLifecycle(
-            controller,
-            FaultScenario(
-                mttf_hours=0.03,
-                fault_seed=0,
-                max_faults=3,
-                rebuild_rows=26,
-            ),
-        )
-        lifecycle.arm()
-        engine.run()
-        faults = lifecycle.faults
-        assert len(faults) == 3
-        assert [t for t, _ in faults] == sorted(t for t, _ in faults)
-        assert lifecycle.fired_count == 3
-        assert lifecycle.transitions[1] == ("degraded", faults[0][0])
-        assert [
-            (record["time_ms"], record["disk"])
-            for record in lifecycle.second_faults
-        ] == faults[1:]
-
-    def test_rejects_fault_in_the_past(self):
-        engine, controller = build()
-        engine.schedule(50.0, lambda: None)
-        engine.run()
-        lifecycle = ArrayLifecycle(
-            controller, FaultScenario(fault_time_ms=10.0)
-        )
-        with pytest.raises(SimulationError, match="already in the past"):
-            lifecycle.arm()
-        assert lifecycle.faults == []
-
-    def test_out_of_range_disk_rejected(self):
-        engine, controller = build()
-        lifecycle = ArrayLifecycle(
-            controller, FaultScenario(fault_time_ms=1.0, failed_disk=13)
-        )
-        with pytest.raises(ConfigurationError):
-            lifecycle.arm()
 
 
 class TestTransitions:
@@ -236,17 +167,6 @@ class TestGuards:
         with pytest.raises(SimulationError):
             lifecycle.arm()
 
-    def test_rejects_arm_after_the_fault_fired(self):
-        engine, controller = build()
-        lifecycle = ArrayLifecycle(
-            controller, FaultScenario(fault_time_ms=1.0, rebuild_rows=13)
-        )
-        lifecycle.arm()
-        engine.run()
-        assert lifecycle.fired_count == 1
-        with pytest.raises(SimulationError, match="already armed"):
-            lifecycle.arm()
-
 
 class TestSecondFailure:
     @pytest.mark.parametrize("layout_name", ALL_LAYOUTS)
@@ -254,7 +174,6 @@ class TestSecondFailure:
         # A second whole-disk failure during the degraded dwell (empty
         # rebuild frontier): the run must terminate (no deadlock), end in
         # a definite state, and agree with the exact evaluation.
-        # Returning at all proves no deadlock.
         controller, lifecycle = run_pair(
             layout_name,
             105.0,
