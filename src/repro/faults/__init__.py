@@ -16,8 +16,8 @@ plug into the ``repro.runner`` cache/parallel machinery.
 
 Multi-fault campaigns build on the same pieces: scenarios draw failure
 *sequences* (a harness with its own schedule hands each failure to the
-lifecycle), :mod:`repro.faults.multifault` classifies a
-second whole-disk failure exactly against the rebuild frontier,
+lifecycle), :mod:`repro.faults.multifault` classifies a second
+whole-disk failure exactly against the rebuild frontier,
 :class:`MediaErrorMap` seeds latent sector errors, and a
 :class:`Scrubber` finds and repairs them before they can ambush a
 rebuild.
