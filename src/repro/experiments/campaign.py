@@ -26,7 +26,7 @@ kill, parallel workers all produce identical bytes).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from repro.array.raidops import ArrayMode
 from repro.errors import ConfigurationError
@@ -35,9 +35,12 @@ from repro.experiments.iorecovery import aggregate_io_recovery
 from repro.experiments.sweep import DISKS, SEED, Flag, Sweep
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
-from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber, aggregate_scrub
-from repro.reliability.mttdl import MS_PER_HOUR, predict_campaign_loss
+from repro.reliability.mttdl import (
+    MS_PER_HOUR,
+    earliest_failures,
+    predict_campaign_loss,
+)
 from repro.stats.confidence import wilson_interval
 from repro.stats.summary import ordered_mean
 from repro.workload.client import start_clients
@@ -48,7 +51,8 @@ if TYPE_CHECKING:
 
 
 def run_campaign_trial(
-    spec: CampaignTrialSpec, scenario: Optional[FaultScenario] = None
+    spec: CampaignTrialSpec,
+    faults: Optional[List[Tuple[float, int]]] = None,
 ) -> dict:
     """One seeded array lifetime, to completion or data loss.
 
@@ -63,30 +67,37 @@ def run_campaign_trial(
     step, and on-the-fly reconstruction is checked and the trial record
     gains an ``"oracle"`` verification block whose
     ``corruption_events`` must be zero — silent corruption is never an
-    acceptable campaign outcome.  A scenario with ``transient_io_rate``
-    set additionally injects per-operation I/O errors recovered by the
+    acceptable campaign outcome.  A spec with ``transient_io_rate`` set
+    additionally injects per-operation I/O errors recovered by the
     controller's retry/escalation machinery (``"io_recovery"`` block).
 
-    ``scenario`` replaces the spec's drawn fault scenario, so a test can
-    script the failures exactly.
+    ``faults`` replaces the spec's drawn ``(time_ms, disk)`` failure
+    list, so a test can script the failures exactly.
     """
-    if scenario is None:
-        scenario = spec.scenario()
+    # Local import: repro.runner imports the executor module, which
+    # imports this one.
+    from repro.runner.spec import trial_stream_root
+
+    fault_seed = trial_stream_root(spec.seed, spec.trial)
     engine, layout, controller = build_array(
         spec.layout, spec.disks, spec.width
     )
+    if faults is None:
+        faults = earliest_failures(
+            spec.mttf_hours, fault_seed, layout.n, spec.faults
+        )
     oracle_model = None
     if spec.oracle:
         from repro.faults.oracle import IntegrityOracle
 
         oracle_model = controller.attach_oracle(IntegrityOracle(layout))
-    if scenario.transient_io_rate > 0:
+    if spec.transient_io_rate > 0:
         controller.enable_transient_errors(
-            scenario.transient_io_rate, scenario.fault_seed
+            spec.transient_io_rate, fault_seed
         )
     rows = (
-        scenario.rebuild_rows
-        if scenario.rebuild_rows is not None
+        spec.rebuild_rows
+        if spec.rebuild_rows is not None
         else controller.periods * layout.period
     )
     media = (
@@ -94,20 +105,20 @@ def run_campaign_trial(
             layout.n,
             rows,
             PAPER_STRIPE_UNIT_KB,
-            scenario.lse_per_gb,
-            seed=scenario.fault_seed,
+            spec.lse_per_gb,
+            seed=fault_seed,
         )
-        if scenario.lse_per_gb > 0
+        if spec.lse_per_gb > 0
         else None
     )
 
     scrubber: Optional[Scrubber] = None
-    if scenario.scrub_interval_ms is not None and media is not None:
+    if spec.scrub_interval_ms is not None and media is not None:
         scrubber = Scrubber(
             controller,
             media,
-            interval_ms=scenario.scrub_interval_ms,
-            throttle_ms=scenario.scrub_throttle_ms,
+            interval_ms=spec.scrub_interval_ms,
+            throttle_ms=spec.scrub_throttle_ms,
             rows=rows,
         )
 
@@ -123,7 +134,10 @@ def run_campaign_trial(
 
     lifecycle = ArrayLifecycle(
         controller,
-        scenario,
+        degraded_dwell_ms=spec.degraded_dwell_ms,
+        rebuild_rows=spec.rebuild_rows,
+        rebuild_parallel=spec.rebuild_parallel,
+        rebuild_throttle_ms=spec.rebuild_throttle_ms,
         media=media,
         on_transition=lambda mode, t: _on_transition(mode),
     )
@@ -135,7 +149,7 @@ def run_campaign_trial(
             if lifecycle.fired_count == len(lifecycle.faults):
                 finish("survived")
 
-    lifecycle.arm()
+    lifecycle.arm(faults)
     if scrubber is not None:
         scrubber.start()
 
@@ -156,7 +170,7 @@ def run_campaign_trial(
     if done["classification"] is None:
         # Drained with faults still pending is impossible (they are
         # scheduled events); drained without reaching a terminal regime
-        # means the scenario never completed a repair arc.
+        # means the trial never completed a repair arc.
         raise ConfigurationError(
             f"campaign trial ended unclassified in mode"
             f" {controller.mode.value}"
@@ -184,7 +198,7 @@ def run_campaign_trial(
         "disks": layout.n,
         "trial": spec.trial,
         "seed": spec.seed,
-        "mttf_hours": scenario.mttf_hours,
+        "mttf_hours": spec.mttf_hours,
         "classification": done["classification"],
         "survived": survived,
         "loss_reason": controller.data_loss_reason,
@@ -216,7 +230,7 @@ def run_campaign_trial(
         record["oracle"] = oracle_model.verify(
             failed_disk=controller.failed_disk
         )
-    if scenario.transient_io_rate > 0:
+    if spec.transient_io_rate > 0:
         record["io_recovery"] = controller.io_stats.to_dict()
     return record
 
@@ -245,7 +259,7 @@ def summarize_campaign(records: List[dict], confidence: float = 0.95) -> dict:
     cross-check.
 
     ``records`` are ``run_campaign_trial`` results (every trial of one
-    campaign — same layout, same scenario parameters).  The analytic
+    campaign — same layout, same fault parameters).  The analytic
     prediction needs stochastic lifetimes (``mttf_hours`` set) and at
     least one survived trial to measure the exposure window from.
     """

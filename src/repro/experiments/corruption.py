@@ -50,7 +50,6 @@ from repro.faults.corruption import ALL_CORRUPTION_KINDS, CorruptionModel
 from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
 from repro.faults.oracle import IntegrityOracle
-from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber
 from repro.stats.summary import ordered_mean
 from repro.traffic.admission import OpenLoopRun
@@ -137,17 +136,15 @@ def run_corruption_trial(spec: CorruptionTrialSpec) -> dict:
 
     lifecycle = None
     if spec.fail_at_ms is not None:
-        scenario = FaultScenario(
-            failed_disk=spec.failed_disk,
-            fault_time_ms=spec.fail_at_ms,
+        lifecycle = ArrayLifecycle(
+            controller,
             # The dwell outlasts the horizon: the array stays degraded,
             # so surviving-peer reads exercise the degraded validation
             # path without paying for a rebuild.
             degraded_dwell_ms=2 * spec.horizon_ms,
             rebuild_rows=rows,
         )
-        lifecycle = ArrayLifecycle(controller, scenario)
-        lifecycle.arm()
+        lifecycle.arm([(spec.fail_at_ms, spec.failed_disk)])
 
     lat_read: List[float] = []
     lat_write: List[float] = []

@@ -45,7 +45,6 @@ from repro.experiments.sweep import (
 from repro.faults.failslow import FailSlowModel
 from repro.faults.scrubber import aggregate_scrub
 from repro.faults.lifecycle import ArrayLifecycle
-from repro.faults.scenario import FaultScenario
 from repro.traffic.admission import OpenLoopRun
 from repro.traffic.arrivals import PoissonArrivals
 from repro.workload.spec import AccessSpec
@@ -84,25 +83,20 @@ def run_failslow_trial(spec: FailSlowTrialSpec) -> dict:
         spec.slow_multiplier, onset_ms=0.0
     )
 
-    scenario = FaultScenario(
-        failed_disk=spec.failed_disk,
-        fault_time_ms=FAULT_AT_MS,
+    lifecycle = ArrayLifecycle(
+        controller,
         degraded_dwell_ms=spec.degraded_dwell_ms,
         rebuild_rows=spec.rebuild_rows,
         rebuild_parallel=spec.rebuild_parallel,
         # The undefended baseline pays this static idle gap per rebuild
         # step; the adaptive defense replaces it with the AIMD decision.
         rebuild_throttle_ms=spec.rebuild_throttle_ms,
-    )
-    lifecycle = ArrayLifecycle(
-        controller,
-        scenario,
         # The rebuild finishing is a stop condition too (transitions are
         # recorded before the callback fires, so ``complete`` is fresh).
         on_transition=lambda mode, now: traffic.check_stop(),
         adaptive_throttle=adaptive,
     )
-    lifecycle.arm()
+    lifecycle.arm([(FAULT_AT_MS, spec.failed_disk)])
 
     traffic = OpenLoopRun(
         controller,

@@ -2,10 +2,11 @@
 
 Where the response-time experiments measure each array mode as a separate
 steady-state run, a *lifecycle* run is one continuous simulation: the
-array starts fault-free under closed-loop client load, a scenario-scripted
-failure lands mid-run, the background sweep rebuilds lost units — into
-spare space for layouts with distributed sparing, onto a replacement
-spindle otherwise — while clients keep hammering the array
+array starts fault-free under closed-loop client load, a failure
+(scripted, or the earliest of seeded disk lifetimes) lands mid-run,
+the background sweep rebuilds lost units — into spare space for
+layouts with distributed sparing, onto a replacement spindle
+otherwise — while clients keep hammering the array
 (:attr:`~repro.array.raidops.ArrayMode.RECONSTRUCTION` — rebuilt units
 served from their rebuilt copies, the rest reconstructed on the fly), and
 the run finishes in the post-reconstruction regime.  The result carries per-mode latency
@@ -21,6 +22,7 @@ from typing import TYPE_CHECKING, List, Optional
 from repro.array.raidops import ArrayMode
 from repro.experiments.config import build_array
 from repro.faults.lifecycle import ArrayLifecycle
+from repro.reliability.mttdl import earliest_failures
 from repro.sim.instrument import ProgressTimeline
 from repro.stats.bymode import LatencyByMode
 from repro.workload.client import start_clients
@@ -76,12 +78,20 @@ def run_lifecycle(spec: LifecycleSpec) -> LifecycleRun:
     progress = ProgressTimeline()
     lifecycle = ArrayLifecycle(
         controller,
-        spec.scenario(),
+        degraded_dwell_ms=spec.degraded_dwell_ms,
+        rebuild_rows=spec.rebuild_rows,
+        rebuild_parallel=spec.rebuild_parallel,
+        rebuild_throttle_ms=spec.rebuild_throttle_ms,
         on_rebuild_step=lambda recon: progress.record(
             engine.now, recon.fraction_complete
         ),
     )
-    lifecycle.arm()
+    if spec.mttf_hours is None:
+        lifecycle.arm([(spec.fault_time_ms, spec.failed_disk)])
+    else:
+        lifecycle.arm(
+            earliest_failures(spec.mttf_hours, spec.fault_seed, layout.n, 1)
+        )
 
     by_mode = LatencyByMode()
     totals = {"samples": 0, "post": 0}

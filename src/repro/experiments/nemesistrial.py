@@ -51,7 +51,6 @@ from repro.faults.lifecycle import ArrayLifecycle
 from repro.faults.media import MediaErrorMap
 from repro.faults.nemesis import ActiveFaultTracker, NemesisSchedule
 from repro.faults.oracle import IntegrityOracle
-from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import Scrubber, aggregate_scrub
 from repro.stats.summary import ordered_mean
 from repro.workload.client import start_clients
@@ -110,15 +109,6 @@ def run_nemesis_trial(
         # Always constructed: LSE bursts and the scrubber need a map
         # even when nothing is seeded up front.
         else MediaErrorMap({})
-    )
-
-    # The scenario carries the lifecycle's repair knobs; its fault is
-    # never armed — the schedule below injects failures itself.
-    scenario = FaultScenario(
-        fault_time_ms=0.0,
-        degraded_dwell_ms=spec.degraded_dwell_ms,
-        rebuild_rows=rows,
-        rebuild_parallel=spec.rebuild_parallel,
     )
 
     tracker = ActiveFaultTracker()
@@ -266,8 +256,14 @@ def run_nemesis_trial(
             state["failure_tokens"] = []
             maybe_finish()
 
+    # Never armed: the schedule injects each failure itself.
     lifecycle = ArrayLifecycle(
-        controller, scenario, media=media, on_transition=on_transition
+        controller,
+        degraded_dwell_ms=spec.degraded_dwell_ms,
+        rebuild_rows=rows,
+        rebuild_parallel=spec.rebuild_parallel,
+        media=media,
+        on_transition=on_transition,
     )
 
     # ------------------------------------------------------------------

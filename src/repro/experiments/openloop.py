@@ -39,7 +39,6 @@ from repro.experiments.sweep import (
     check_tail_order,
 )
 from repro.faults.lifecycle import ArrayLifecycle
-from repro.faults.scenario import FaultScenario
 from repro.sim.instrument import DepthTimeline, ProgressTimeline
 from repro.traffic.admission import OpenLoopRun, OverloadDetector
 from repro.traffic.arrivals import (
@@ -117,22 +116,16 @@ def run_openloop_trial(spec: OpenLoopSpec) -> dict:
             if spec.phase == "degraded"
             else spec.degraded_dwell_ms
         )
-        scenario = FaultScenario(
-            failed_disk=spec.failed_disk,
-            fault_time_ms=FAULT_AT_MS,
-            degraded_dwell_ms=dwell,
-            rebuild_rows=None,
-            rebuild_parallel=spec.rebuild_parallel,
-            rebuild_throttle_ms=spec.rebuild_throttle_ms,
-        )
         lifecycle = ArrayLifecycle(
             controller,
-            scenario,
+            degraded_dwell_ms=dwell,
+            rebuild_parallel=spec.rebuild_parallel,
+            rebuild_throttle_ms=spec.rebuild_throttle_ms,
             on_rebuild_step=lambda recon: progress.record(
                 engine.now, recon.fraction_complete
             ),
         )
-        lifecycle.arm()
+        lifecycle.arm([(FAULT_AT_MS, spec.failed_disk)])
         traffic_start_ms = FAULT_AT_MS + SETTLE_MS
         if spec.phase == "rebuild":
             traffic_start_ms += spec.degraded_dwell_ms

@@ -2,20 +2,21 @@
 
 The paper's degraded/reconstruction/post-reconstruction results hinge on
 rebuild traffic *competing* with client traffic.  This package closes the
-loop: a :class:`FaultScenario` declares *when* a disk dies (a fixed
-timestamp, or a seeded-exponential draw from the MTTDL parameters of
-:mod:`repro.reliability`) and how the rebuild behaves (parallelism,
-throttle); an :class:`ArrayLifecycle` schedules those failures on the
-event loop, builds each rebuild sweep, and drives the controller through
-fault-free -> degraded -> reconstruction -> post-reconstruction with
-timestamped transitions.
+loop: an :class:`ArrayLifecycle` takes a failure list (scripted times
+and disks, or a seeded draw from the MTTDL parameters of
+:mod:`repro.reliability`) and the rebuild's values (dwell, rows,
+parallelism, throttle), schedules the failures on the event loop, builds
+each rebuild sweep, and drives the controller through fault-free ->
+degraded -> reconstruction -> post-reconstruction with timestamped
+transitions.
 
-Scenarios are pure data built from runner specs (see ``LifecycleSpec``
-in :mod:`repro.runner.spec` and RUNNER.md), so whole lifecycle sweeps
-plug into the ``repro.runner`` cache/parallel machinery.
+Each driver reads the failure and rebuild values from its runner spec
+(see ``LifecycleSpec`` in :mod:`repro.runner.spec` and RUNNER.md), which
+checks them at construction, so whole lifecycle sweeps plug into the
+``repro.runner`` cache/parallel machinery.
 
-Multi-fault campaigns build on the same pieces: scenarios draw failure
-*sequences* (a harness with its own schedule hands each failure to the
+Multi-fault campaigns build on the same pieces: a failure list may hold
+several failures (a harness with its own schedule hands each to the
 lifecycle), :mod:`repro.faults.multifault` classifies a second
 whole-disk failure exactly against the rebuild frontier,
 :class:`MediaErrorMap` seeds latent sector errors, and a
@@ -39,7 +40,6 @@ from repro.faults.multifault import (
     second_failure_repair_steps,
 )
 from repro.faults.oracle import IntegrityOracle, StripeParityModel
-from repro.faults.scenario import FaultScenario
 from repro.faults.scrubber import SCRUB_ID_BASE, Scrubber
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "ArrayLifecycle",
     "CrashInjector",
     "FailSlowModel",
-    "FaultScenario",
     "IntegrityOracle",
     "MediaErrorMap",
     "NEMESIS_SCHEDULE_VERSION",

@@ -1,7 +1,7 @@
 """The array lifecycle state machine.
 
 Drives one controller through the full arc the paper's evaluation spans
-piecewise: **fault-free** until the scenario's failure lands, **degraded**
+piecewise: **fault-free** until the first failure lands, **degraded**
 while the failure is unhandled (the detection/dwell window),
 **reconstruction** while the background sweep rebuilds lost units into
 spare space under live client load, and **post-reconstruction** once the
@@ -9,7 +9,7 @@ sweep completes.  Every transition is timestamped; hooks fire on each
 transition and on each completed rebuild step, which is what the
 lifecycle experiment's mode histograms and progress timelines attach to.
 
-Multi-fault scenarios extend the arc.  A *subsequent* whole-disk failure
+Further failures extend the arc.  A *subsequent* whole-disk failure
 is classified exactly against the layout mapping and the rebuild
 frontier (:mod:`repro.faults.multifault`):
 
@@ -24,8 +24,8 @@ frontier (:mod:`repro.faults.multifault`):
   (:class:`~repro.layouts.relocated.RelocatedView`), rebuilding onto a
   replacement spindle since the spare space is spent.
 
-The lifecycle draws the scenario's failures and schedules them itself
-(:meth:`ArrayLifecycle.arm`); a harness that scripts its own failures
+The lifecycle schedules the failures its driver draws or scripts
+(:meth:`ArrayLifecycle.arm`); a harness that times its own failures
 delivers each through :meth:`ArrayLifecycle.inject_failure` instead.
 It builds every rebuild sweep, and is the one handler of an unreadable
 latent sector that a rebuild read finds: the stripe being rebuilt has
@@ -42,13 +42,12 @@ from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.array.reconstructor import Reconstructor
 from repro.core.reconstruction import RebuildStep
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.faults.media import MediaErrorMap
 from repro.faults.multifault import (
     evaluate_second_failure,
     second_failure_repair_steps,
 )
-from repro.faults.scenario import FaultScenario
 from repro.layouts.address import PhysicalAddress
 
 #: ``on_transition(mode, time_ms)`` fires as the array enters ``mode``.
@@ -61,19 +60,29 @@ Transition = Tuple[str, float]
 class ArrayLifecycle:
     """fault-free -> degraded -> reconstruction -> post-reconstruction.
 
-    Construct around a fresh (fault-free) controller, then :meth:`arm`;
-    the scenario's failure, the rebuild start after the degraded dwell,
-    and the flip to post-reconstruction all happen on the engine's clock
-    while client traffic keeps flowing.  Multi-fault scenarios may add
-    further degraded/reconstruction cycles, or end in the terminal
-    **data-loss** regime (see the module docstring); ``media`` threads a
-    latent-sector-error map into the rebuild's reads.
+    Construct around a fresh (fault-free) controller, then :meth:`arm`
+    with the failures; each failure, the rebuild start after the
+    degraded dwell, and the flip to post-reconstruction all happen on
+    the engine's clock while client traffic keeps flowing.  Further
+    failures may add degraded/reconstruction cycles, or end in the
+    terminal **data-loss** regime (see the module docstring).
+
+    ``degraded_dwell_ms`` is the delay between a failure and its rebuild
+    sweep starting (detection + spare-up time); ``rebuild_rows`` bounds
+    the sweep (``None`` = the whole disk); ``rebuild_parallel`` steps
+    are in flight at once, and ``rebuild_throttle_ms`` idles each slot
+    between steps.  ``media`` threads a latent-sector-error map into the
+    rebuild's reads.
     """
 
     def __init__(
         self,
         controller: ArrayController,
-        scenario: FaultScenario,
+        *,
+        degraded_dwell_ms: float = 0.0,
+        rebuild_rows: Optional[int] = None,
+        rebuild_parallel: int = 1,
+        rebuild_throttle_ms: float = 0.0,
         on_transition: Optional[TransitionCallback] = None,
         on_rebuild_step: Optional[Callable[[Reconstructor], None]] = None,
         media: Optional[MediaErrorMap] = None,
@@ -85,13 +94,16 @@ class ArrayLifecycle:
                 f" got {controller.mode.value}"
             )
         self.controller = controller
-        self.scenario = scenario
+        self.degraded_dwell_ms = degraded_dwell_ms
+        self.rebuild_rows = rebuild_rows
+        self.rebuild_parallel = rebuild_parallel
+        self.rebuild_throttle_ms = rebuild_throttle_ms
         self.on_transition = on_transition
         self.on_rebuild_step = on_rebuild_step
         self.media = media
         #: Optional :class:`~repro.array.reconstructor.AdaptiveThrottle`
         #: threaded into every rebuild sweep this lifecycle starts; None
-        #: keeps the scenario's static ``rebuild_throttle_ms``.
+        #: keeps the static ``rebuild_throttle_ms``.
         self.adaptive_throttle = adaptive_throttle
         #: Every failure :meth:`arm` scheduled, as ``(time_ms, disk)`` in
         #: time order, and how many of them have landed so far.
@@ -153,19 +165,28 @@ class ArrayLifecycle:
             "fraction": recon.fraction_complete,
         }
 
-    def arm(self) -> None:
-        """Draw the scenario's failures and schedule each on the engine."""
+    def arm(self, faults: List[Tuple[float, int]]) -> None:
+        """Schedule each ``(time_ms, disk)`` failure on the engine.
+
+        ``faults`` is in time order: one scripted failure, or a seeded
+        draw such as :func:`~repro.reliability.mttdl.earliest_failures`.
+        """
         if self.faults:
             raise SimulationError("lifecycle already armed")
         engine = self.controller.engine
-        faults = self.scenario.draw_faults(self.controller.layout.n)
-        if faults[0][0] < engine.now:
-            raise SimulationError(
-                f"fault time {faults[0][0]} already in the past"
-                f" (now = {engine.now})"
-            )
-        self.faults = faults
+        n_disks = self.controller.layout.n
         for time_ms, disk in faults:
+            if not 0 <= disk < n_disks:
+                raise ConfigurationError(
+                    f"failed disk {disk} outside 0..{n_disks - 1}"
+                )
+            if time_ms < engine.now:
+                raise SimulationError(
+                    f"fault time {time_ms} already in the past"
+                    f" (now = {engine.now})"
+                )
+        self.faults = list(faults)
+        for time_ms, disk in self.faults:
             engine.schedule_at(time_ms, partial(self._fire, disk))
 
     def _fire(self, disk: int) -> None:
@@ -185,7 +206,7 @@ class ArrayLifecycle:
         self.controller.fail_disk(disk)
         self._record(ArrayMode.DEGRADED)
         self.controller.engine.schedule(
-            self.scenario.degraded_dwell_ms, self._start_rebuild
+            self.degraded_dwell_ms, self._start_rebuild
         )
 
     def resume_after_crash(self) -> None:
@@ -206,7 +227,7 @@ class ArrayLifecycle:
         controller = self.controller
         if controller.mode is ArrayMode.DEGRADED:
             controller.engine.schedule(
-                self.scenario.degraded_dwell_ms, self._start_rebuild
+                self.degraded_dwell_ms, self._start_rebuild
             )
             return
         if controller.mode is not ArrayMode.RECONSTRUCTION:
@@ -252,8 +273,8 @@ class ArrayLifecycle:
         """The repair domain, identical to the sweep's row bound."""
         if self.reconstructor is not None:
             return self.reconstructor.total_rows
-        if self.scenario.rebuild_rows is not None:
-            return self.scenario.rebuild_rows
+        if self.rebuild_rows is not None:
+            return self.rebuild_rows
         return self.controller.periods * self.controller.plan_layout.period
 
     def _on_subsequent_failure(self, disk: int) -> None:
@@ -280,7 +301,7 @@ class ArrayLifecycle:
             )
             self._record(ArrayMode.DEGRADED)
             controller.engine.schedule(
-                self.scenario.degraded_dwell_ms, self._start_rebuild
+                self.degraded_dwell_ms, self._start_rebuild
             )
             return
         # Degraded or mid-reconstruction: classify exactly against the
@@ -347,14 +368,13 @@ class ArrayLifecycle:
     def _new_sweep(
         self, already_rebuilt: Optional[Iterable[int]] = None
     ) -> Reconstructor:
-        """The rebuild sweep of the failed disk, under the scenario's
-        rebuild knobs; ``already_rebuilt`` resumes a crashed sweep."""
-        scenario = self.scenario
+        """The rebuild sweep of the failed disk, under the lifecycle's
+        rebuild values; ``already_rebuilt`` resumes a crashed sweep."""
         self.reconstructor = Reconstructor(
             self.controller,
-            parallel_steps=scenario.rebuild_parallel,
-            rows=scenario.rebuild_rows,
-            throttle_ms=scenario.rebuild_throttle_ms,
+            parallel_steps=self.rebuild_parallel,
+            rows=self.rebuild_rows,
+            throttle_ms=self.rebuild_throttle_ms,
             on_finished=self._on_rebuilt,
             on_step=self.on_rebuild_step,
             media=self.media,

@@ -4,7 +4,7 @@ A latent error is a cell that reads back bad but is only *discovered*
 when something reads it — a background scrub pass, or worse, the rebuild
 sweep of a degraded array (at which point the stripe has no redundancy
 left and the unit is gone).  The map draws a Poisson number of bad cells
-per disk from the scenario's per-GB rate and seed, so campaigns replay
+per disk from a per-GB rate and seed, so campaigns replay
 exactly; repairs (a scrub rewrite, or any write that overwrites the
 cell) clear entries and are counted.
 """
@@ -15,14 +15,7 @@ import random
 from typing import Dict, Set
 
 from repro.errors import ConfigurationError
-
-# The sampler moved to repro.sim.random so the open-loop arrival code can
-# share it; re-exported here because callers and tests import it from
-# this module.  The small-lambda draw sequence is byte-identical to the
-# original in-module implementation (regression-pinned).
 from repro.sim.random import poisson_draw
-
-__all__ = ["MediaErrorMap", "poisson_draw"]
 
 
 class MediaErrorMap:

@@ -96,23 +96,6 @@ class NemesisEvent:
             data["multiplier"] = self.multiplier
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "NemesisEvent":
-        cells = data.get("cells")
-        return cls(
-            time_ms=data["time_ms"],
-            kind=data["kind"],
-            disk=data.get("disk"),
-            cells=(
-                tuple((c[0], c[1]) for c in cells)
-                if cells is not None
-                else None
-            ),
-            rate=data.get("rate"),
-            duration_ms=data.get("duration_ms"),
-            multiplier=data.get("multiplier"),
-        )
-
 
 @dataclass(frozen=True)
 class NemesisSchedule:
@@ -448,21 +431,6 @@ class NemesisSchedule:
         if self.seed is not None:
             data["seed"] = self.seed
         return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "NemesisSchedule":
-        if data.get("schema") != NEMESIS_SCHEDULE_VERSION:
-            raise ConfigurationError(
-                f"unsupported nemesis schedule schema {data.get('schema')}"
-            )
-        return cls(
-            events=tuple(
-                NemesisEvent.from_dict(e) for e in data["events"]
-            ),
-            seed=data.get("seed"),
-            horizon_ms=data["horizon_ms"],
-            min_crash_gap_ms=data["min_crash_gap_ms"],
-        )
 
     def content_hash(self) -> str:
         """Stable SHA-256 over the canonical JSON of the plan."""

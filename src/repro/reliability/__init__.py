@@ -11,6 +11,7 @@ from repro.reliability.mttdl import (
     ArrayReliability,
     CampaignPrediction,
     campaign_loss_probability,
+    earliest_failures,
     exponential_lifetime_ms,
     mttdl_declustered,
     mttdl_distributed_sparing,
@@ -22,6 +23,7 @@ __all__ = [
     "ArrayReliability",
     "CampaignPrediction",
     "campaign_loss_probability",
+    "earliest_failures",
     "exponential_lifetime_ms",
     "mttdl_declustered",
     "mttdl_distributed_sparing",

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import List, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -160,6 +161,28 @@ def exponential_lifetime_ms(
     if mttf_hours <= 0:
         raise ConfigurationError(f"mttf must be positive, got {mttf_hours}")
     return rng.expovariate(1.0 / (mttf_hours * MS_PER_HOUR))
+
+
+def earliest_failures(
+    mttf_hours: float, seed: int, n_disks: int, count: int
+) -> List[Tuple[float, int]]:
+    """The ``count`` earliest disk failures as ``(time_ms, disk)``, in
+    time order.
+
+    Disk ``d`` draws one :func:`exponential_lifetime_ms` from the named
+    stream ``"{seed}/disk-{d}"``; equal draws break ties by disk id, so
+    the list is a pure function of the arguments.
+    """
+    lifetimes = sorted(
+        (
+            exponential_lifetime_ms(
+                mttf_hours, random.Random(f"{seed}/disk-{disk}")
+            ),
+            disk,
+        )
+        for disk in range(n_disks)
+    )
+    return lifetimes[:count]
 
 
 def campaign_loss_probability(

@@ -70,6 +70,34 @@ def _access_units(size_kb: int) -> int:
     return AccessSpec(size_kb, False).units()
 
 
+def _check_rebuild(
+    dwell_ms: float,
+    rows: Optional[int],
+    parallel: int,
+    throttle_ms: float = 0.0,
+) -> None:
+    """The rebuild values a spec hands its
+    :class:`~repro.faults.lifecycle.ArrayLifecycle`: the degraded dwell,
+    the sweep's row bound (``None`` = the whole disk), its slots and its
+    per-slot throttle."""
+    if dwell_ms < 0:
+        raise ConfigurationError(f"negative degraded dwell {dwell_ms}")
+    if rows is not None and rows < 1:
+        raise ConfigurationError(f"need >= 1 rebuild row, got {rows}")
+    if parallel < 1:
+        raise ConfigurationError(f"need >= 1 rebuild slot, got {parallel}")
+    if throttle_ms < 0:
+        raise ConfigurationError(f"negative rebuild throttle {throttle_ms}")
+
+
+def _check_transient_rate(rate: float) -> None:
+    """A per-operation transient I/O error probability."""
+    if not 0.0 <= rate < 1.0:
+        raise ConfigurationError(
+            f"transient I/O rate must be in [0, 1), got {rate}"
+        )
+
+
 def _check_open_loop(spec) -> None:
     """The checks every open-loop trial spec shares: arrival rate and
     count, admission-queue geometry, horizon and failed disk."""
@@ -167,10 +195,11 @@ class Table1Spec:
 class LifecycleSpec:
     """One reconstruction-under-load lifecycle run (Figures 8-14, 18).
 
-    Exactly one of ``fault_time_ms`` (scripted failure) or ``mttf_hours``
-    (seeded exponential lifetimes, earliest disk fails) selects the
-    fault; the remaining fields parameterize the rebuild sweep and the
-    per-mode sampling bounds.  ``rebuild_throttle_ms`` is the idle time
+    Exactly one of ``fault_time_ms`` (scripted failure of
+    ``failed_disk``) or ``mttf_hours`` (seeded exponential lifetimes
+    from ``fault_seed``, earliest disk fails) selects the fault; the
+    remaining fields parameterize the rebuild sweep and the per-mode
+    sampling bounds.  ``rebuild_throttle_ms`` is the idle time
     per rebuild slot between steps — the offered-load knob behind the
     rebuild-duration-vs-load curves.
 
@@ -210,24 +239,24 @@ class LifecycleSpec:
         if self.max_samples < 1 or self.post_samples < 1:
             raise ConfigurationError("need positive sample bounds")
         _access_units(self.size_kb)
-        # Fault/rebuild field validation (exactly-one-of, ranges) lives
-        # in FaultScenario; build one now so bad specs fail at
-        # construction, not mid-sweep in a worker.
-        self.scenario()
-
-    def scenario(self):
-        """The :class:`~repro.faults.scenario.FaultScenario` this encodes."""
-        from repro.faults.scenario import FaultScenario
-
-        return FaultScenario(
-            failed_disk=self.failed_disk,
-            fault_time_ms=self.fault_time_ms,
-            mttf_hours=self.mttf_hours,
-            fault_seed=self.fault_seed,
-            degraded_dwell_ms=self.degraded_dwell_ms,
-            rebuild_rows=self.rebuild_rows,
-            rebuild_parallel=self.rebuild_parallel,
-            rebuild_throttle_ms=self.rebuild_throttle_ms,
+        if (self.fault_time_ms is None) == (self.mttf_hours is None):
+            raise ConfigurationError(
+                "set exactly one of fault_time_ms (scripted) and"
+                " mttf_hours (seeded-exponential)"
+            )
+        if self.fault_time_ms is not None and self.fault_time_ms < 0:
+            raise ConfigurationError(
+                f"negative fault time {self.fault_time_ms}"
+            )
+        if self.mttf_hours is not None and self.mttf_hours <= 0:
+            raise ConfigurationError(f"mttf must be > 0: {self.mttf_hours}")
+        if not 0 <= self.failed_disk < self.disks:
+            raise ConfigurationError(f"bad failed disk {self.failed_disk}")
+        _check_rebuild(
+            self.degraded_dwell_ms,
+            self.rebuild_rows,
+            self.rebuild_parallel,
+            self.rebuild_throttle_ms,
         )
 
 
@@ -235,9 +264,12 @@ class LifecycleSpec:
 class CampaignTrialSpec:
     """One multi-fault reliability trial (campaign Monte-Carlo sample).
 
-    Each trial draws ``faults`` exponential disk lifetimes (MTTF
-    ``mttf_hours``) from streams seeded by :func:`trial_stream_root`
-    and simulates the repair arc to completion or data loss.
+    Each trial fails the ``faults`` earliest of its exponential disk
+    lifetimes (MTTF ``mttf_hours``), drawn by
+    :func:`~repro.reliability.mttdl.earliest_failures` from
+    :func:`trial_stream_root`, which also seeds the latent sector and
+    transient errors, and simulates the repair arc to completion or
+    data loss.
     ``clients = 0`` (the default) runs the arc unloaded; positive
     values add the lifecycle experiments' closed-loop clients.
 
@@ -279,27 +311,29 @@ class CampaignTrialSpec:
                 f"negative client count {self.clients}"
             )
         _access_units(self.size_kb)
-        # Fault/media/scrub validation lives in FaultScenario; build one
-        # now so bad specs fail at construction, not mid-campaign.
-        self.scenario()
-
-    def scenario(self):
-        """The :class:`~repro.faults.scenario.FaultScenario` this encodes."""
-        from repro.faults.scenario import FaultScenario
-
-        return FaultScenario(
-            mttf_hours=self.mttf_hours,
-            fault_seed=trial_stream_root(self.seed, self.trial),
-            max_faults=self.faults,
-            degraded_dwell_ms=self.degraded_dwell_ms,
-            rebuild_rows=self.rebuild_rows,
-            rebuild_parallel=self.rebuild_parallel,
-            rebuild_throttle_ms=self.rebuild_throttle_ms,
-            lse_per_gb=self.lse_per_gb,
-            scrub_interval_ms=self.scrub_interval_ms,
-            scrub_throttle_ms=self.scrub_throttle_ms,
-            transient_io_rate=self.transient_io_rate,
+        if self.mttf_hours is None or self.mttf_hours <= 0:
+            raise ConfigurationError(f"mttf must be > 0: {self.mttf_hours}")
+        if self.faults < 1:
+            raise ConfigurationError(f"need >= 1 fault, got {self.faults}")
+        _check_rebuild(
+            self.degraded_dwell_ms,
+            self.rebuild_rows,
+            self.rebuild_parallel,
+            self.rebuild_throttle_ms,
         )
+        if self.lse_per_gb < 0:
+            raise ConfigurationError(
+                f"negative latent-error rate {self.lse_per_gb}"
+            )
+        if self.scrub_interval_ms is not None and self.scrub_interval_ms <= 0:
+            raise ConfigurationError(
+                f"scrub interval must be > 0, got {self.scrub_interval_ms}"
+            )
+        if self.scrub_throttle_ms < 0:
+            raise ConfigurationError(
+                f"negative scrub throttle {self.scrub_throttle_ms}"
+            )
+        _check_transient_rate(self.transient_io_rate)
 
 
 @dataclass(frozen=True)
@@ -357,6 +391,19 @@ class CrashTrialSpec:
                 "set exactly one of crash_time_ms, crash_boundary,"
                 f" crash_seed (got {configured})"
             )
+        if self.crash_time_ms is not None and self.crash_time_ms < 0:
+            raise ConfigurationError(
+                f"negative crash time {self.crash_time_ms}"
+            )
+        if self.crash_boundary is not None and self.crash_boundary < 0:
+            raise ConfigurationError(
+                f"negative crash boundary {self.crash_boundary}"
+            )
+        if self.crash_max_boundary < 1:
+            raise ConfigurationError(
+                "crash_max_boundary must be >= 1, got"
+                f" {self.crash_max_boundary}"
+            )
         if self.journal_latency_ms < 0:
             raise ConfigurationError(
                 f"negative journal latency {self.journal_latency_ms}"
@@ -367,11 +414,7 @@ class CrashTrialSpec:
             )
         if not 0 <= self.failed_disk < self.disks:
             raise ConfigurationError(f"bad failed disk {self.failed_disk}")
-        if not 0.0 <= self.transient_io_rate < 1.0:
-            raise ConfigurationError(
-                "transient I/O rate must be in [0, 1), got"
-                f" {self.transient_io_rate}"
-            )
+        _check_transient_rate(self.transient_io_rate)
         if self.restart_delay_ms < 0:
             raise ConfigurationError(
                 f"negative restart delay {self.restart_delay_ms}"
@@ -455,11 +498,10 @@ class NemesisTrialSpec:
             )
         if self.max_samples < 1:
             raise ConfigurationError("need >= 1 sample")
-        if not 0.0 <= self.transient_io_rate < 1.0:
-            raise ConfigurationError(
-                "transient I/O rate must be in [0, 1), got"
-                f" {self.transient_io_rate}"
-            )
+        _check_rebuild(
+            self.degraded_dwell_ms, self.rows, self.rebuild_parallel
+        )
+        _check_transient_rate(self.transient_io_rate)
         if self.restart_delay_ms < 0:
             raise ConfigurationError(
                 f"negative restart delay {self.restart_delay_ms}"
@@ -560,6 +602,12 @@ class OpenLoopSpec:
                 f" got {self.arrival!r}"
             )
         _check_open_loop(self)
+        _check_rebuild(
+            self.degraded_dwell_ms,
+            None,
+            self.rebuild_parallel,
+            self.rebuild_throttle_ms,
+        )
         if self.window_ms <= 0 or self.overload_windows < 1:
             raise ConfigurationError("need positive detection windows")
         _access_units(self.size_kb)
@@ -639,12 +687,16 @@ class FailSlowTrialSpec:
                 f"fail-slow multiplier must exceed 1.0,"
                 f" got {self.slow_multiplier}"
             )
-        if self.rebuild_parallel < 1:
+        _check_rebuild(
+            self.degraded_dwell_ms,
+            self.rebuild_rows,
+            self.rebuild_parallel,
+            self.rebuild_throttle_ms,
+        )
+        if self.adaptive_max_ms < 0:
             raise ConfigurationError(
-                f"need >= 1 rebuild slot, got {self.rebuild_parallel}"
+                f"negative adaptive throttle cap {self.adaptive_max_ms}"
             )
-        if self.rebuild_throttle_ms < 0 or self.adaptive_max_ms < 0:
-            raise ConfigurationError("throttle gaps must be >= 0")
         if self.hedge_deferral_ms <= 0:
             raise ConfigurationError(
                 "hedge deferral must be positive, got"

@@ -54,15 +54,8 @@ class LatencyByMode:
         return self.histogram(mode).mean
 
     def to_dict(self) -> dict:
-        """JSON-able ``{mode: histogram dict}``; exact round-trip."""
+        """JSON-able ``{mode: histogram dict}``."""
         return {
             mode: histogram.to_dict()
             for mode, histogram in sorted(self._histograms.items())
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyByMode":
-        by_mode = cls()
-        for mode, histogram in data.items():
-            by_mode._histograms[mode] = LatencyHistogram.from_dict(histogram)
-        return by_mode

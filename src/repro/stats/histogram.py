@@ -117,11 +117,11 @@ class LatencyHistogram:
         }
 
     def to_dict(self) -> dict:
-        """JSON-able form (sparse buckets); exact round-trip.
+        """JSON-able form (sparse buckets).
 
         >>> h = LatencyHistogram()
         >>> h.record(3.5)
-        >>> LatencyHistogram.from_dict(h.to_dict()).total_ms
+        >>> h.to_dict()["total_ms"]
         3.5
         """
         return {
@@ -135,23 +135,4 @@ class LatencyHistogram:
                 str(i): c for i, c in enumerate(self._counts) if c
             },
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LatencyHistogram":
-        hist = cls(
-            min_ms=data["min_ms"],
-            max_ms=data["max_ms"],
-            buckets_per_decade=data["buckets_per_decade"],
-        )
-        for index, count in data["counts"].items():
-            hist._counts[int(index)] = count
-        hist.count = data["count"]
-        hist.total_ms = data["total_ms"]
-        # Dicts serialized before the exact max existed fall back to the
-        # highest occupied bucket's upper bound (<= 5% high, never low).
-        hist.max_sample_ms = data.get(
-            "max_sample_ms",
-            hist.percentile(100) if hist.count else 0.0,
-        )
-        return hist
 

@@ -9,7 +9,7 @@ from repro.experiments.campaign import (
     run_campaign_trial,
     summarize_campaign,
 )
-from repro.faults import FaultScenario
+from repro.reliability import earliest_failures
 from repro.runner import CampaignTrialSpec, ParallelRunner, canonical_json
 
 #: The campaign operating point: MTTF and dwell chosen so a meaningful
@@ -30,8 +30,8 @@ CAMPAIGN = dict(
 )
 
 
-#: A campaign trial whose scripted scenario the test passes in.
-PDDL = CampaignTrialSpec(layout="pddl")
+#: A campaign trial whose scripted failures the test passes in.
+PDDL = CampaignTrialSpec(layout="pddl", rebuild_rows=26)
 
 
 def run_trials(trials):
@@ -42,8 +42,7 @@ def run_trials(trials):
 
 class TestSingleTrial:
     def test_scripted_survival(self):
-        scenario = FaultScenario(fault_time_ms=100.0, rebuild_rows=26)
-        record = run_campaign_trial(PDDL, scenario)
+        record = run_campaign_trial(PDDL, faults=[(100.0, 0)])
         assert record["classification"] == "survived"
         assert record["survived"] is True
         assert record["loss_reason"] is None
@@ -54,14 +53,12 @@ class TestSingleTrial:
     def test_scripted_double_fault_loss(self):
         # Seed 9 draws disks 3 and 7, the second inside the first's
         # degraded dwell: the pair shares stripes, so data is lost.
-        scenario = FaultScenario(
-            mttf_hours=0.03,
-            fault_seed=9,
-            max_faults=2,
-            degraded_dwell_ms=4000.0,
-            rebuild_rows=26,
+        spec = CampaignTrialSpec(
+            layout="pddl", degraded_dwell_ms=4000.0, rebuild_rows=26
         )
-        record = run_campaign_trial(PDDL, scenario)
+        record = run_campaign_trial(
+            spec, faults=earliest_failures(0.03, 9, 13, 2)
+        )
         assert record["fault_disks"] == [3, 7]
         assert record["classification"] == "lost"
         assert record["lost_units"] > 0
@@ -71,30 +68,29 @@ class TestSingleTrial:
         assert record["window_ms"] is None
 
     def test_trial_replays_bit_identically(self):
-        scenario = FaultScenario(
-            mttf_hours=0.03,
-            fault_seed=123,
-            max_faults=2,
+        spec = CampaignTrialSpec(
+            layout="pddl",
+            trial=5,
+            seed=1,
             degraded_dwell_ms=4000.0,
             rebuild_rows=26,
         )
-        spec = CampaignTrialSpec(layout="pddl", trial=5, seed=1)
-        a = run_campaign_trial(spec, scenario)
-        b = run_campaign_trial(spec, scenario)
+        faults = earliest_failures(0.03, 123, 13, 2)
+        a = run_campaign_trial(spec, faults)
+        b = run_campaign_trial(spec, faults)
         assert canonical_json(a) == canonical_json(b)
 
     def test_client_load_rides_along(self):
-        scenario = FaultScenario(fault_time_ms=100.0, rebuild_rows=13)
-        spec = CampaignTrialSpec(layout="pddl", clients=2)
-        record = run_campaign_trial(spec, scenario)
+        spec = CampaignTrialSpec(layout="pddl", clients=2, rebuild_rows=13)
+        record = run_campaign_trial(spec, faults=[(100.0, 0)])
         assert record["classification"] == "survived"
         assert record["samples"] > 0
 
     def test_rejects_negative_clients(self):
-        scenario = FaultScenario(fault_time_ms=100.0, rebuild_rows=13)
         with pytest.raises(ConfigurationError):
             run_campaign_trial(
-                CampaignTrialSpec(layout="pddl", clients=-1), scenario
+                CampaignTrialSpec(layout="pddl", clients=-1),
+                faults=[(100.0, 0)],
             )
 
     def test_nan_dwell_raises_instead_of_losing_data(self):
@@ -158,8 +154,11 @@ class TestRelocatedRepairCycle:
 class TestCampaignSpecs:
     def test_trial_seeds_are_independent_streams(self):
         specs = campaign_specs(trials=3, **CAMPAIGN)
-        seeds = {spec.scenario().fault_seed for spec in specs}
-        assert len(seeds) == 3
+        draws = {
+            tuple(run_campaign_trial(spec)["fault_times_ms"])
+            for spec in specs
+        }
+        assert len(draws) == 3
 
     def test_rejects_empty_campaigns(self):
         with pytest.raises(ConfigurationError):

@@ -131,19 +131,6 @@ class TestNemesisFailslowKind:
                     assert 0 <= event.disk < 13
         assert found
 
-    def test_scripted_failslow_round_trips(self):
-        schedule = NemesisSchedule.from_events(
-            [
-                NemesisEvent(time_ms=50.0, kind="disk-failure", disk=0),
-                _failslow_event(),
-            ],
-            n_disks=13,
-            rows=26,
-        )
-        replayed = NemesisSchedule.from_dict(schedule.to_dict())
-        assert replayed == schedule
-        assert replayed.events[-1].multiplier == 5.0
-
     def test_rejects_bad_failslow_events(self):
         base = [NemesisEvent(time_ms=50.0, kind="disk-failure", disk=0)]
         with pytest.raises(ConfigurationError):

@@ -5,11 +5,7 @@ import pytest
 from repro.array.controller import ArrayController
 from repro.array.raidops import ArrayMode
 from repro.errors import SimulationError
-from repro.faults import (
-    ArrayLifecycle,
-    FaultScenario,
-    evaluate_second_failure,
-)
+from repro.faults import ArrayLifecycle, evaluate_second_failure
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
 
@@ -22,24 +18,28 @@ def build(layout_name="pddl", n=13, k=4):
     return engine, controller
 
 
-def run_lifecycle(layout_name="pddl", **scenario_kwargs):
-    scenario_kwargs.setdefault("fault_time_ms", 100.0)
-    scenario_kwargs.setdefault("rebuild_rows", 13)
+def run_lifecycle(layout_name="pddl", **rebuild_kwargs):
+    rebuild_kwargs.setdefault("rebuild_rows", 13)
     engine, controller = build(layout_name)
-    lifecycle = ArrayLifecycle(
-        controller, FaultScenario(**scenario_kwargs)
-    )
-    lifecycle.arm()
+    lifecycle = ArrayLifecycle(controller, **rebuild_kwargs)
+    lifecycle.arm([(100.0, 0)])
     engine.run()
     return engine, controller, lifecycle
 
 
-def run_pair(layout_name, second_ms, second_disk, **scenario_kwargs):
-    """The scenario's failure, then a second one injected at
-    ``second_ms`` the way the nemesis trial delivers its own."""
+def run_pair(
+    layout_name,
+    second_ms,
+    second_disk,
+    fault_time_ms,
+    failed_disk,
+    **rebuild_kwargs,
+):
+    """One armed failure, then a second one injected at ``second_ms``
+    the way the nemesis trial delivers its own."""
     engine, controller = build(layout_name)
-    lifecycle = ArrayLifecycle(controller, FaultScenario(**scenario_kwargs))
-    lifecycle.arm()
+    lifecycle = ArrayLifecycle(controller, **rebuild_kwargs)
+    lifecycle.arm([(fault_time_ms, failed_disk)])
     engine.schedule_at(
         second_ms, lambda: lifecycle.inject_failure(second_disk)
     )
@@ -76,10 +76,10 @@ class TestTransitions:
         engine, controller = build()
         lifecycle = ArrayLifecycle(
             controller,
-            FaultScenario(fault_time_ms=10.0, rebuild_rows=13),
+            rebuild_rows=13,
             on_transition=lambda mode, t: seen.append(mode),
         )
-        lifecycle.arm()
+        lifecycle.arm([(10.0, 0)])
         engine.run()
         assert seen == [
             ArrayMode.DEGRADED,
@@ -92,10 +92,10 @@ class TestTransitions:
         engine, controller = build()
         lifecycle = ArrayLifecycle(
             controller,
-            FaultScenario(fault_time_ms=10.0, rebuild_rows=13),
+            rebuild_rows=13,
             on_rebuild_step=lambda r: fractions.append(r.fraction_complete),
         )
-        lifecycle.arm()
+        lifecycle.arm([(10.0, 0)])
         engine.run()
         assert fractions == sorted(fractions)
         assert fractions[-1] == 1.0
@@ -130,9 +130,7 @@ class TestModeAt:
 class TestRebuildProgress:
     def test_rebuild_progress_before_and_after_the_sweep(self):
         engine, controller = build()
-        lifecycle = ArrayLifecycle(
-            controller, FaultScenario(fault_time_ms=10.0, rebuild_rows=13)
-        )
+        lifecycle = ArrayLifecycle(controller, rebuild_rows=13)
         assert lifecycle.rebuild_progress() == {
             "duration_ms": None,
             "steps_completed": 0,
@@ -140,7 +138,7 @@ class TestRebuildProgress:
             "skipped_steps": 0,
             "fraction": 0.0,
         }
-        lifecycle.arm()
+        lifecycle.arm([(10.0, 0)])
         engine.run()
         recon = lifecycle.reconstructor
         progress = lifecycle.rebuild_progress()
@@ -154,18 +152,14 @@ class TestGuards:
         engine, controller = build()
         controller.fail_disk(0)
         with pytest.raises(SimulationError):
-            ArrayLifecycle(
-                controller, FaultScenario(fault_time_ms=1.0)
-            )
+            ArrayLifecycle(controller)
 
     def test_rejects_double_arm(self):
         engine, controller = build()
-        lifecycle = ArrayLifecycle(
-            controller, FaultScenario(fault_time_ms=1.0, rebuild_rows=13)
-        )
-        lifecycle.arm()
+        lifecycle = ArrayLifecycle(controller, rebuild_rows=13)
+        lifecycle.arm([(1.0, 0)])
         with pytest.raises(SimulationError):
-            lifecycle.arm()
+            lifecycle.arm([(1.0, 0)])
 
 
 class TestSecondFailure:

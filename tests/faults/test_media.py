@@ -6,10 +6,10 @@ import pytest
 
 from repro.array.controller import ArrayController
 from repro.errors import ConfigurationError
-from repro.faults import FaultScenario, MediaErrorMap, Scrubber
-from repro.faults.media import poisson_draw
+from repro.faults import MediaErrorMap, Scrubber
 from repro.layouts import make_layout
 from repro.sim.engine import SimulationEngine
+from repro.sim.random import poisson_draw
 
 
 class TestPoissonDraw:
@@ -127,16 +127,14 @@ class TestScrubbingSavesTheTrial:
         from repro.runner import CampaignTrialSpec
 
         def trial(scrub_interval_ms):
-            scenario = FaultScenario(
-                fault_time_ms=60000.0,
-                failed_disk=0,
+            spec = CampaignTrialSpec(
+                layout="pddl",
+                seed=0,
                 rebuild_rows=26,
                 lse_per_gb=20000.0,
                 scrub_interval_ms=scrub_interval_ms,
             )
-            return run_campaign_trial(
-                CampaignTrialSpec(layout="pddl", seed=0), scenario
-            )
+            return run_campaign_trial(spec, faults=[(60000.0, 0)])
 
         unscrubbed = trial(None)
         assert unscrubbed["classification"] == "lost"

@@ -33,7 +33,9 @@ _POOL.append(PseudoRandomLayout(13, 4))
 layouts = st.sampled_from(_POOL)
 
 
-@pytest.mark.parametrize("layout", _POOL, ids=lambda l: l.describe())
+@pytest.mark.parametrize(
+    "layout", _POOL, ids=lambda l: f"{l.name}-{l.n}-{l.k}"
+)
 def test_pool_layouts_validate(layout):
     layout.validate()
 

@@ -1,9 +1,9 @@
 """Lifecycle specs through the runner: determinism, caching, assembly.
 
 The runner's byte-determinism contract extends to the fault subsystem: a
-FaultScenario-driven lifecycle run must produce byte-identical records
-serially, across 4 worker processes, and replayed from the on-disk
-cache.
+lifecycle run, whose failure and rebuild values its spec holds, must
+produce byte-identical records serially, across 4 worker processes, and
+replayed from the on-disk cache.
 """
 
 import pytest

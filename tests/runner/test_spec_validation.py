@@ -1,5 +1,5 @@
-"""Specs reject an access size at construction, not mid-sweep in a
-worker."""
+"""Specs reject a bad access size, rebuild or crash value at
+construction, not mid-sweep in a worker."""
 
 import pytest
 
@@ -38,6 +38,36 @@ def test_rejects_sizes_that_are_not_whole_stripe_units(
     with pytest.raises(ConfigurationError):
         cls(layout="pddl", size_kb=size_kb, **fields)
     cls(layout="pddl", size_kb=16, **fields)
+
+
+#: One bad run value per case, each of which the trial's worker, not
+#: its spec, used to reject.
+BAD_RUN_VALUES = [
+    pytest.param(NemesisTrialSpec, {"degraded_dwell_ms": -1.0},
+                 id="nemesis-dwell"),
+    pytest.param(NemesisTrialSpec, {"rebuild_parallel": 0},
+                 id="nemesis-slots"),
+    pytest.param(OpenLoopSpec, {"phase": "rebuild", "degraded_dwell_ms": -3.0},
+                 id="openloop-dwell"),
+    pytest.param(OpenLoopSpec, {"phase": "rebuild", "rebuild_parallel": 0},
+                 id="openloop-slots"),
+    pytest.param(OpenLoopSpec,
+                 {"phase": "rebuild", "rebuild_throttle_ms": -1.0},
+                 id="openloop-throttle"),
+    pytest.param(FailSlowTrialSpec, {"degraded_dwell_ms": -1.0},
+                 id="failslow-dwell"),
+    pytest.param(FailSlowTrialSpec, {"rebuild_rows": 0}, id="failslow-rows"),
+    pytest.param(CrashTrialSpec, {"crash_boundary": -1}, id="crash-boundary"),
+    pytest.param(CrashTrialSpec, {"crash_time_ms": -5.0}, id="crash-time"),
+    pytest.param(CrashTrialSpec, {"crash_seed": 3, "crash_max_boundary": 0},
+                 id="crash-max-boundary"),
+]
+
+
+@pytest.mark.parametrize("cls,fields", BAD_RUN_VALUES)
+def test_rejects_bad_run_values_at_construction(cls, fields):
+    with pytest.raises(ConfigurationError):
+        cls(layout="pddl", **fields)
 
 
 def test_corruption_span_must_hold_one_access():

@@ -23,15 +23,6 @@ class TestLatencyByMode:
         with pytest.raises(ConfigurationError):
             LatencyByMode().histogram("nope")
 
-    def test_round_trip_is_exact(self):
-        by_mode = LatencyByMode()
-        for i in range(50):
-            by_mode.record("fault-free", 10.0 + i * 0.3)
-            by_mode.record("degraded", 30.0 + i * 0.7)
-        clone = LatencyByMode.from_dict(by_mode.to_dict())
-        assert clone.to_dict() == by_mode.to_dict()
-        assert clone.mean("degraded") == by_mode.mean("degraded")
-
     def test_to_dict_orders_modes(self):
         by_mode = LatencyByMode()
         by_mode.record("z-mode", 1.0)

@@ -161,24 +161,3 @@ class TestDescribe:
         assert desc["p999_ms"] > 1000.0
         assert desc["max_ms"] == 5000.0
 
-
-class TestDictRoundTrip:
-    def test_round_trip_preserves_max(self):
-        h = LatencyHistogram()
-        for v in (3.0, 77.7, 912.5):
-            h.record(v)
-        clone = LatencyHistogram.from_dict(h.to_dict())
-        assert clone.count == h.count
-        assert clone.max_sample_ms == 912.5
-        assert clone.describe() == h.describe()
-
-    def test_tolerates_pre_max_dicts(self):
-        """Cached records written before max_sample_ms existed must
-        still load; the exact max degrades to the p100 bucket bound."""
-        h = LatencyHistogram()
-        h.record(42.0)
-        data = h.to_dict()
-        del data["max_sample_ms"]
-        clone = LatencyHistogram.from_dict(data)
-        assert clone.count == 1
-        assert clone.max_sample_ms >= 42.0
