@@ -260,8 +260,8 @@ def summarize_campaign(records: List[dict], confidence: float = 0.95) -> dict:
 
     ``records`` are ``run_campaign_trial`` results (every trial of one
     campaign — same layout, same fault parameters).  The analytic
-    prediction needs stochastic lifetimes (``mttf_hours`` set) and at
-    least one survived trial to measure the exposure window from.
+    prediction needs at least one survived trial to measure the
+    exposure window from.
     """
     if not records:
         raise ConfigurationError("no campaign records to summarize")
@@ -297,7 +297,7 @@ def summarize_campaign(records: List[dict], confidence: float = 0.95) -> dict:
         "analytic": None,
     }
     mttf_hours = records[0]["mttf_hours"]
-    if mttf_hours is not None and windows_ms:
+    if windows_ms:
         n = records[0]["disks"]
         window_hours = summary["mean_window_ms"] / MS_PER_HOUR
         prediction = predict_campaign_loss(n, mttf_hours, window_hours)

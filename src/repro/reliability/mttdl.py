@@ -173,7 +173,7 @@ def earliest_failures(
     stream ``"{seed}/disk-{d}"``; equal draws break ties by disk id, so
     the list is a pure function of the arguments.
     """
-    lifetimes = sorted(
+    lifetimes = [
         (
             exponential_lifetime_ms(
                 mttf_hours, random.Random(f"{seed}/disk-{disk}")
@@ -181,7 +181,8 @@ def earliest_failures(
             disk,
         )
         for disk in range(n_disks)
-    )
+    ]
+    lifetimes.sort()
     return lifetimes[:count]
 
 
