@@ -40,8 +40,8 @@ def test_rejects_sizes_that_are_not_whole_stripe_units(
     cls(layout="pddl", size_kb=16, **fields)
 
 
-#: One bad run value per case, each of which the trial's worker, not
-#: its spec, used to reject.
+#: One bad rebuild or crash value per case, each of which would
+#: otherwise fail only when a worker runs the trial.
 BAD_RUN_VALUES = [
     pytest.param(NemesisTrialSpec, {"degraded_dwell_ms": -1.0},
                  id="nemesis-dwell"),
